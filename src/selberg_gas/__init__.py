@@ -35,10 +35,8 @@ from .averages import (
 from .ensembles import (
     EigenvalueSample,
     RngStream,
-    draw_beta,
-    draw_gamma,
+    sample_jue,
     sample_jue_halfhalf,
-    sample_jue_metropolis,
 )
 from .orbitals import KernelSpec, Orbital, apply_kernel, orbital, scaled_occupation
 from .fisherhartwig import (

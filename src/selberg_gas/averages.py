@@ -3,7 +3,8 @@
 Brute-force tensor-quadrature averages at n <= 3, determinant evaluation
 of even-power averages at large n, both sides of the Jacobi/circular
 duality formula, charge-balanced partition ratios, and the Monte Carlo
-density-matrix estimator with deterministic seeding and reduction.
+density-matrix estimator with deterministic seeding and reduction, which
+draws both boundaries' ensembles from the exact sampler in `ensembles`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .exact import (
     selberg_closed,
     selberg_closed_barnes,
 )
-from .ensembles import RngStream, sample_jue_halfhalf, sample_jue_metropolis
+from .ensembles import RngStream, sample_jue, sample_jue_halfhalf
 from .specfun import DomainError
 
 
@@ -241,9 +242,8 @@ def duality_lhs(case: DualityCase, order: int = 48) -> float:
 
 
 def _duality_rhs_integral(case: DualityCase, points: int) -> complex:
-    lam = case.params.lam
-    e = ((case.params.lambda1 - case.params.lambda2) / lam - case.n) / 2.0
-    p = (case.params.lambda1 + case.params.lambda2 + 2.0) / lam + case.n - 2.0
+    e = (case.params.lambda1 - case.params.lambda2 - case.n) / 2.0
+    p = case.params.lambda1 + case.params.lambda2 + case.n
     t, n, m = case.t, case.n, case.m
 
     def f(theta):
@@ -286,15 +286,17 @@ def duality_rhs(case: DualityCase, base_points: int = 1024,
 def _dm_sampler(query: DensityMatrixQuery, stream: RngStream):
     if query.boundary == BOUNDARY_DIRICHLET:
         return sample_jue_halfhalf(query.N, stream)
-    params = EnsembleParams(n=query.N, lambda1=-0.5, lambda2=-0.5)
-    return sample_jue_metropolis(params, sweeps=10, stream=stream)
+    return sample_jue(EnsembleParams(n=query.N, lambda1=-0.5, lambda2=-0.5), stream)
 
 
 def _dm_prefactor(query: DensityMatrixQuery) -> float:
     X, Y = query.X, query.Y
     if query.boundary == BOUNDARY_DIRICHLET:
-        return (8.0 * query.rho / (query.N + 1)
-                * math.sqrt((X * (1.0 - X)) * (Y * (1.0 - Y))))
+        # on the Table 1 line Y = 1 - X the root is X(1 - X); the rounded
+        # product under the root would miss it by an ulp
+        root = (X * (1.0 - X) if Y == 1.0 - X
+                else math.sqrt((X * (1.0 - X)) * (Y * (1.0 - Y))))
+        return 8.0 * query.rho / (query.N + 1) * root
     return 0.5 * query.rho / (query.N + 1)
 
 

@@ -144,6 +144,18 @@ def _run_sample_jue(ns):
     return config, rows
 
 
+def _thread_count(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count (--threads or SELBERG_GAS_THREADS) must be an integer "
+            f">= 1, got {text!r}")
+    return threads
+
+
 def _parse_sizes(text: str):
     sizes = tuple(int(s) for s in text.split(","))
     if len(sizes) < 1:
@@ -216,13 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="selberg-gas",
         description="Jacobi-ensemble averages, duality checks, and the "
                     "impenetrable Bose gas density matrix")
-    default_threads = int(os.environ.get("SELBERG_GAS_THREADS", "1"))
+    # a string default goes through _thread_count when --threads is absent
+    default_threads = os.environ.get("SELBERG_GAS_THREADS", "1")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, seed=True):
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=default_threads)
+        p.add_argument("--threads", type=_thread_count, default=default_threads)
         if seed:
             p.add_argument("--seed", type=int, default=42)
 

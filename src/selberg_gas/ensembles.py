@@ -1,21 +1,20 @@
-"""Random sampling of Jacobi-ensemble eigenvalue configurations.
+"""Exact random sampling of Jacobi-ensemble eigenvalue configurations.
 
-Two samplers are provided: an exact one for the (1/2, 1/2) weight based on
-a random three-term polynomial recurrence whose zeros carry the ensemble
-law, and a single-particle Metropolis walker for general weight exponents.
-Reproducibility is managed through (master_seed, stream_index) pairs.
+One sampler covers every weight x^lambda1 (1-x)^lambda2 with squared
+Vandermonde: the beta = 2 bidiagonal Jacobi matrix model of Edelman &
+Sutton (Found. Comput. Math. 8, 2008) and Killip & Nenciu (IMRN 2004),
+whose independent Beta-distributed entries make the eigenvalues an exact
+ensemble draw.  Reproducibility is managed through (master_seed,
+stream_index) pairs.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import EnsembleParams
-from .specfun import DomainError
 
 
 class SamplingError(RuntimeError):
@@ -44,25 +43,11 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class RecurrenceDraw:
-    """Random input of one recurrence run: the initial Beta shift and the
-    per-step weights (w0, w1, w2) with w2 = 1 - w0 - w1 by construction."""
-
-    b1: float
-    steps: np.ndarray  # shape (n-1, 3), rows (w0, w1, w2) for j = 2..n
-
-
-PROVENANCE_RECURRENCE = "recurrence"
-PROVENANCE_METROPOLIS = "metropolis"
-
-
-@dataclass(frozen=True)
 class EigenvalueSample:
     """Sorted eigenvalue configuration in (0,1) with its generating law."""
 
     points: np.ndarray
     params: EnsembleParams
-    provenance: str
 
     def __post_init__(self):
         pts = self.points
@@ -70,148 +55,33 @@ class EigenvalueSample:
             raise SamplingError("sample must be strictly increasing inside (0,1)")
 
 
-def draw_beta(alpha: float, beta: float, stream: RngStream) -> float:
-    """One Beta(alpha, beta) variate from the stream."""
-    if alpha <= 0.0 or beta <= 0.0:
-        raise DomainError(f"Beta parameters must be positive, got ({alpha}, {beta})")
-    return float(stream.generator().beta(alpha, beta))
+def sample_jue(params: EnsembleParams, stream: RngStream) -> EigenvalueSample:
+    """Exact sample of the n-point Jacobi ensemble with weight
+    x^lambda1 (1-x)^lambda2.
 
-
-def draw_gamma(shape: float, scale: float, stream: RngStream) -> float:
-    """One Gamma variate with density x^(shape-1) e^(-x/scale) / (Gamma(shape) scale^shape)."""
-    if shape <= 0.0 or scale <= 0.0:
-        raise DomainError(f"Gamma parameters must be positive, got ({shape}, {scale})")
-    return float(stream.generator().gamma(shape, scale))
-
-
-def recurrence_draw(n: int, stream: RngStream) -> RecurrenceDraw:
-    """Draw the randomness of one (1/2, 1/2) recurrence run in fixed order.
-
-    The step weights are normalized gammas of shapes (n+1-j+1/2, j-1,
-    n+1-j+1/2) drawn at a common scale, i.e. a Dirichlet triple.  A
-    distinct scale on the middle draw fails the ensemble's quadrature
-    moments at n = 2 and 3; the common-scale law passes them all.
+    The sample is the spectrum of B B^T, with B upper bidiagonal of diagonal
+    (c_n, c_{n-1} s'_{n-1}, ..., c_1 s'_1) and superdiagonal
+    (-s_n c'_{n-1}, ..., -s_2 c'_1), where c_j^2 ~ Beta(lambda1 + j,
+    lambda2 + j), c'_j^2 ~ Beta(j, lambda1 + lambda2 + 1 + j), s = sqrt(1 - c^2)
+    and every variate is independent.  The c_j are drawn first, then the
+    c'_j, each for descending j; that order fixes the stream's replay.
     """
     gen = stream.generator()
-    b1 = float(gen.beta(n + 0.5, n + 0.5))
-    steps = np.empty((max(n - 1, 0), 3))
-    for j in range(2, n + 1):
-        a = gen.gamma(n + 1 - j + 0.5, 1.0)
-        b = gen.gamma(j - 1.0, 1.0)
-        c = gen.gamma(n + 1 - j + 0.5, 1.0)
-        d = a + b + c
-        w0 = a / d
-        w1 = b / d
-        steps[j - 2] = (w0, w1, 1.0 - w0 - w1)
-    return RecurrenceDraw(b1=b1, steps=steps)
+    j = np.arange(params.n, 0, -1)
+    c_sq = gen.beta(params.lambda1 + j, params.lambda2 + j)
+    jp = j[1:]
+    cp_sq = gen.beta(jp, params.lambda1 + params.lambda2 + 1.0 + jp)
+    diagonal = np.sqrt(c_sq * np.concatenate(([1.0], 1.0 - cp_sq)))
+    upper = -np.sqrt((1.0 - c_sq[:-1]) * cp_sq)
+    bidiagonal = np.diag(diagonal) + np.diag(upper, 1)
+    points = np.linalg.eigvalsh(bidiagonal @ bidiagonal.T)
+    # eigenvalues within rounding of an edge, common when an exponent is
+    # near -1, are kept just inside (0, 1)
+    np.clip(points, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=points)
+    return EigenvalueSample(points, params)
 
 
-def recurrence_polynomial(draw: RecurrenceDraw, x):
-    """Evaluate the random polynomial A_n at x (scalar or array) by running
-    the recurrence; the monomial coefficients are never formed."""
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)            # A_0
-    cur = x - draw.b1                 # A_1
-    for w0, w1, w2 in draw.steps:
-        prev, cur = cur, (w2 * (x - 1.0) + w0 * x) * cur + w1 * x * (x - 1.0) * prev
-    return cur
-
-
-def _bisect_roots(draw: RecurrenceDraw, left: np.ndarray, right: np.ndarray,
-                  f_left: np.ndarray, iterations: int = 52) -> np.ndarray:
-    lo, hi = left.copy(), right.copy()
-    sign_lo = np.sign(f_left)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        fm = recurrence_polynomial(draw, mid)
-        go_right = np.sign(fm) == sign_lo
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def sample_jue_halfhalf(n: int, stream: RngStream, max_grid_doublings: int = 4,
-                        max_redraws: int = 3) -> EigenvalueSample:
-    """Exact sample of the n-point Jacobi ensemble with exponents (1/2, 1/2).
-
-    The zeros of the random recurrence polynomial A_n carry the ensemble
-    law.  Roots are bracketed on a cosine-spaced grid (matching the
-    arcsine clustering of the spectrum) and refined by bisection.
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-    last_diag = ""
-    for _ in range(max_redraws):
-        draw = recurrence_draw(n, stream)
-        if n == 1:
-            return EigenvalueSample(np.array([draw.b1]), params, PROVENANCE_RECURRENCE)
-        grid_points = 20 * n
-        for _ in range(max_grid_doublings + 1):
-            grid = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, grid_points)))
-            vals = recurrence_polynomial(draw, grid)
-            sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-            if len(sign_change) == n:
-                roots = _bisect_roots(draw, grid[sign_change], grid[sign_change + 1],
-                                      vals[sign_change])
-                return EigenvalueSample(roots, params, PROVENANCE_RECURRENCE)
-            grid_points *= 2
-        last_diag = (f"found {len(sign_change)} sign changes for {n} roots "
-                     f"at grid size {grid_points // 2}")
-    raise SamplingError(f"recurrence root bracketing failed repeatedly: {last_diag}")
-
-
-def _metropolis_log_weight(x: float, lambda1: float, lambda2: float) -> float:
-    return lambda1 * math.log(x) + lambda2 * math.log(1.0 - x)
-
-
-def sample_jue_metropolis(params: EnsembleParams, sweeps: int, stream: RngStream,
-                          burn_in: int = 500, initial_step: float = 0.25,
-                          target_acceptance: float = 0.40) -> EigenvalueSample:
-    """One configuration from the general-(lambda1, lambda2) Jacobi density
-    via single-particle random-walk Metropolis on the log density.
-
-    The proposal step adapts toward the target acceptance rate during
-    burn-in only, preserving detailed balance afterwards.
-    """
-    if sweeps < 1:
-        raise DomainError(f"sweeps must be >= 1, got {sweeps}")
-    gen = stream.generator()
-    n, l1, l2 = params.n, params.lambda1, params.lambda2
-    x = np.sort(gen.beta(l1 + 1.0, l2 + 1.0, size=n))
-    step = initial_step
-    accepted = proposed = 0
-    adapt_block = 25
-
-    for sweep in range(burn_in + sweeps):
-        adapting = sweep < burn_in
-        for i in range(n):
-            xi = x[i]
-            xp = xi + step * gen.standard_normal()
-            proposed += 1
-            if not 0.0 < xp < 1.0:
-                continue
-            delta = (_metropolis_log_weight(xp, l1, l2)
-                     - _metropolis_log_weight(xi, l1, l2))
-            for l in range(n):
-                if l == i:
-                    continue
-                delta += 2.0 * (math.log(abs(xp - x[l])) - math.log(abs(xi - x[l])))
-            if delta >= 0.0 or math.log(gen.random()) < delta:
-                x[i] = xp
-                accepted += 1
-        if adapting and (sweep + 1) % adapt_block == 0:
-            rate = accepted / max(proposed, 1)
-            step = min(1.0, max(1e-4, step * math.exp(rate - target_acceptance)))
-            accepted = proposed = 0
-
-    # rate check only when enough proposals accumulated since the last
-    # adaptation reset; short post-burn-in runs trust the adapted step
-    if proposed >= 200:
-        rate = accepted / proposed
-        if not 0.05 < rate < 0.95:
-            warnings.warn(
-                f"Metropolis acceptance rate {rate:.3f} outside (0.05, 0.95); "
-                f"step {step:.4g} may need tuning", RuntimeWarning)
-    order = np.argsort(x)
-    return EigenvalueSample(x[order], params, PROVENANCE_METROPOLIS)
+def sample_jue_halfhalf(n: int, stream: RngStream) -> EigenvalueSample:
+    """Exact sample of the n-point Jacobi ensemble with exponents (1/2, 1/2),
+    the Dirichlet-boundary law."""
+    return sample_jue(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), stream)

@@ -11,7 +11,7 @@ so that ensemble sizes up to 10^4 stay in range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .specfun import DomainError, log_barnes_g, log_gamma
 
@@ -53,17 +53,12 @@ class LogMagnitude:
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Jacobi-ensemble weight x^lambda1 (1-x)^lambda2 with squared Vandermonde.
-
-    Only the unitary coupling lam = 1 is supported by the closed forms here;
-    beta is the equivalent circular-ensemble coupling 2/lam.
-    """
+    """Jacobi-ensemble weight x^lambda1 (1-x)^lambda2 with squared
+    Vandermonde (unitary coupling, beta = 2)."""
 
     n: int
     lambda1: float
     lambda2: float
-    lam: float = 1.0
-    beta: float = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -71,9 +66,6 @@ class EnsembleParams:
         if self.lambda1 <= -1.0 or self.lambda2 <= -1.0:
             raise DomainError(
                 f"weight exponents must exceed -1, got ({self.lambda1}, {self.lambda2})")
-        if self.lam != 1.0:
-            raise DomainError(f"only coupling lam = 1 is implemented, got {self.lam}")
-        object.__setattr__(self, "beta", 2.0 / self.lam)
 
 
 @dataclass(frozen=True)
@@ -177,9 +169,8 @@ def mehta_volume(m_half: int) -> LogMagnitude:
 
 def eta_exponents(params: EnsembleParams) -> tuple:
     """Circular-side Morris exponents (eta1, eta2) dual to the Jacobi weight."""
-    lam = params.lam
-    eta1 = (params.lambda2 + 1.0) / lam - 1.0
-    eta2 = (params.lambda1 + 1.0) / lam + params.n - 1.0
+    eta1 = params.lambda2
+    eta2 = params.lambda1 + params.n
     return eta1, eta2
 
 
@@ -195,12 +186,10 @@ def duality_constant_A(params: EnsembleParams, m: int) -> LogMagnitude:
     return LogMagnitude(num.log_abs - den.log_abs + mor0.log_abs - mor.log_abs, 1)
 
 
-def asymptotic_partition_ratio(n: int, q: float, t: float,
-                               params: "EnsembleParams" = None) -> float:
+def asymptotic_partition_ratio(n: int, q: float, t: float) -> float:
     """Large-n asymptote of the charge-balanced single-insertion partition ratio.
 
-    Independent of the Jacobi weight exponents by construction; params is
-    accepted for interface symmetry and never read.
+    Independent of the Jacobi weight exponents.
     """
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie in (0,1), got {t}")

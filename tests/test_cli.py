@@ -107,6 +107,18 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_thread_count_is_usage_error(self, monkeypatch):
+        argv = ["selberg", "--n", "1", "--lambda1", "0", "--lambda2", "0"]
+        for bad in ("0", "-3"):
+            with pytest.raises(SystemExit) as err:
+                cli.build_parser().parse_args(argv + ["--threads", bad])
+            assert err.value.code == 2
+        monkeypatch.setenv("SELBERG_GAS_THREADS", "abc")
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert cli.build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
             cli.build_parser().parse_args(["frobnicate"])

@@ -5,59 +5,41 @@ import pytest
 
 from selberg_gas import quadrature as quad
 from selberg_gas.ensembles import (
+    EigenvalueSample,
     RngStream,
     SamplingError,
-    draw_beta,
-    draw_gamma,
-    recurrence_draw,
-    recurrence_polynomial,
+    sample_jue,
     sample_jue_halfhalf,
-    sample_jue_metropolis,
 )
 from selberg_gas.exact import EnsembleParams
 from selberg_gas.specfun import DomainError
 
+WEIGHTS = ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 2.0))
 
-def jue2_average(fn, lambda1, lambda2, order=40):
-    axis = quad.power_panel(0.0, 1.0, lambda1, lambda2, order)
-    num = quad.tensor_integrate(lambda x, y: fn(x, y) * (y - x) ** 2, [axis, axis])
-    den = quad.tensor_integrate(lambda x, y: (y - x) ** 2, [axis, axis])
+
+def _vandermonde_sq(*coords):
+    out = 1.0
+    for j in range(len(coords)):
+        for k in range(j + 1, len(coords)):
+            out = out * (coords[k] - coords[j]) ** 2
+    return out
+
+
+def jue_average(fn, n, lambda1, lambda2, order=40):
+    axes = [quad.power_panel(0.0, 1.0, lambda1, lambda2, order)] * n
+    num = quad.tensor_integrate(lambda *x: fn(*x) * _vandermonde_sq(*x), axes)
+    den = quad.tensor_integrate(_vandermonde_sq, axes)
     return num / den
-
-
-class TestDraws:
-    def test_beta_moments(self):
-        stream = RngStream(100)
-        vals = np.array([draw_beta(1.5, 1.5, stream) for _ in range(20000)])
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - 0.5) <= 3.0 * se
-        sq = (vals - vals.mean()) ** 2
-        assert abs(vals.var(ddof=1) - 1.0 / 16.0) <= 3.0 * sq.std(ddof=1) / math.sqrt(len(vals))
-
-    def test_uniform_special_case(self):
-        stream = RngStream(101)
-        vals = np.array([draw_beta(1.0, 1.0, stream) for _ in range(20000)])
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - 0.5) <= 3.0 * se
-
-    def test_gamma_moments(self):
-        for (shape, scale) in ((1.0, 1.0), (2.5, 1.0), (0.5, 0.5)):
-            stream = RngStream(5, int(10 * shape))
-            vals = np.array([draw_gamma(shape, scale, stream) for _ in range(20000)])
-            se = vals.std(ddof=1) / math.sqrt(len(vals))
-            assert abs(vals.mean() - shape * scale) <= 3.0 * se
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(DomainError):
-            draw_beta(0.0, 1.0, RngStream(1))
-        with pytest.raises(DomainError):
-            draw_gamma(1.0, -1.0, RngStream(1))
 
 
 class TestStreams:
     def test_bit_reproducibility(self):
         a = sample_jue_halfhalf(14, RngStream(42, 5)).points
         b = sample_jue_halfhalf(14, RngStream(42, 5)).points
+        assert np.array_equal(a, b)
+        params = EnsembleParams(n=14, lambda1=-0.5, lambda2=-0.5)
+        a = sample_jue(params, RngStream(42, 5)).points
+        b = sample_jue(params, RngStream(42, 5)).points
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
@@ -67,10 +49,15 @@ class TestStreams:
 
     def test_sequence_advances(self):
         stream = RngStream(9)
-        assert draw_beta(2.0, 2.0, stream) != draw_beta(2.0, 2.0, stream)
+        a = sample_jue_halfhalf(3, stream).points
+        b = sample_jue_halfhalf(3, stream).points
+        assert not np.array_equal(a, b)
 
 
 class TestRecurrenceSampler:
+    """The bidiagonal model: B B^T is the Jacobi matrix of the random
+    three-term recurrence whose zeros carry the ensemble law."""
+
     def test_single_point_is_beta(self):
         vals = np.array([sample_jue_halfhalf(1, RngStream(3, k)).points[0]
                          for k in range(20000)])
@@ -80,15 +67,18 @@ class TestRecurrenceSampler:
         var_se = sq.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.var(ddof=1) - 0.0625) <= 3.0 * var_se
 
-    def test_pair_moments_match_quadrature(self):
+    @pytest.mark.parametrize("lambda1,lambda2", WEIGHTS)
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_pair_moments_match_quadrature(self, n, lambda1, lambda2):
         m = 6000
-        pts = np.array([sample_jue_halfhalf(2, RngStream(17, k)).points
+        params = EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2)
+        pts = np.array([sample_jue(params, RngStream(17, k)).points
                         for k in range(m)])
-        for fn, label in (((lambda x, y: x + y), "sum"),
-                          ((lambda x, y: (x - y) ** 2), "gap"),
-                          ((lambda x, y: x * y), "prod")):
-            sample_vals = fn(pts[:, 0], pts[:, 1])
-            exact = jue2_average(fn, 0.5, 0.5)
+        for fn, label in (((lambda *x: sum(x)), "sum"),
+                          ((lambda *x: sum(xi ** 2 for xi in x)), "squares"),
+                          ((lambda *x: math.prod(x)), "prod")):
+            sample_vals = fn(*pts.T)
+            exact = jue_average(fn, n, lambda1, lambda2)
             se = sample_vals.std(ddof=1) / math.sqrt(m)
             assert abs(sample_vals.mean() - exact) <= 3.5 * se, label
 
@@ -98,58 +88,23 @@ class TestRecurrenceSampler:
             assert pts[0] > 0.0 and pts[-1] < 1.0
             assert np.all(np.diff(pts) > 0.0)
 
-    def test_weights_sum_to_one_exactly(self):
-        draw = recurrence_draw(10, RngStream(31))
-        for w0, w1, w2 in draw.steps:
-            assert w0 + w1 + w2 == 1.0  # w2 defined as the complement
-
-    def test_roots_annihilate_polynomial(self):
-        draw = recurrence_draw(12, RngStream(37))
-        grid = np.linspace(1e-4, 1.0 - 1e-4, 2000)
-        scale = np.abs(recurrence_polynomial(draw, grid)).max()
-        stream = RngStream(37)
-        pts = sample_jue_halfhalf(12, stream).points
-        residual = np.abs(recurrence_polynomial(
-            recurrence_draw(12, RngStream(37)), pts))
-        assert residual.max() <= 1e-10 * scale
+    def test_exponents_near_minus_one_stay_inside(self):
+        # unclipped, about 3% of these draws round an eigenvalue onto 1.0
+        for lambda1, lambda2 in ((0.5, -0.9), (-0.9, -0.9)):
+            params = EnsembleParams(n=14, lambda1=lambda1, lambda2=lambda2)
+            for k in range(2000):
+                pts = sample_jue(params, RngStream(29, k)).points
+                assert pts[0] > 0.0 and pts[-1] < 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_jue_halfhalf(0, RngStream(1))
 
 
-class TestMetropolis:
-    def test_flat_weight_single_particle(self):
-        params = EnsembleParams(n=1, lambda1=0.0, lambda2=0.0)
-        vals = np.array([sample_jue_metropolis(params, sweeps=5,
-                                               stream=RngStream(41, k)).points[0]
-                         for k in range(800)])
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - 0.5) <= 3.5 * se
-
-    def test_negative_exponents_match_quadrature(self):
-        params = EnsembleParams(n=2, lambda1=-0.5, lambda2=-0.5)
-        m = 800
-        pts = np.array([sample_jue_metropolis(params, sweeps=10,
-                                              stream=RngStream(43, k)).points
-                        for k in range(m)])
-        gaps = (pts[:, 0] - pts[:, 1]) ** 2
-        exact = jue2_average(lambda x, y: (x - y) ** 2, -0.5, -0.5)
-        se = gaps.std(ddof=1) / math.sqrt(m)
-        assert abs(gaps.mean() - exact) <= 3.5 * se
-
-    def test_deterministic(self):
-        params = EnsembleParams(n=3, lambda1=0.5, lambda2=0.5)
-        a = sample_jue_metropolis(params, sweeps=8, stream=RngStream(47, 2)).points
-        b = sample_jue_metropolis(params, sweeps=8, stream=RngStream(47, 2)).points
-        assert np.array_equal(a, b)
-
-
 class TestSampleValidation:
     def test_rejects_unordered_points(self):
         params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
-        from selberg_gas.ensembles import EigenvalueSample
         with pytest.raises(SamplingError):
-            EigenvalueSample(np.array([0.7, 0.2]), params, "recurrence")
+            EigenvalueSample(np.array([0.7, 0.2]), params)
         with pytest.raises(SamplingError):
-            EigenvalueSample(np.array([0.0, 0.2]), params, "recurrence")
+            EigenvalueSample(np.array([0.0, 0.2]), params)

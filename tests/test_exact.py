@@ -57,16 +57,9 @@ class TestLogMagnitude:
 
 
 class TestParams:
-    def test_rejects_non_unitary_coupling(self):
-        with pytest.raises(DomainError):
-            EnsembleParams(n=2, lambda1=0.0, lambda2=0.0, lam=2.0)
-
     def test_rejects_bad_exponents(self):
         with pytest.raises(DomainError):
             EnsembleParams(n=2, lambda1=-1.0, lambda2=0.0)
-
-    def test_beta_derivation(self):
-        assert EnsembleParams(n=3, lambda1=0.5, lambda2=0.5).beta == 2.0
 
     def test_density_matrix_query(self):
         q = DensityMatrixQuery(N=14, X=0.2, Y=0.8, L=2.0)
@@ -198,12 +191,15 @@ class TestAsymptoticPartitionRatio:
         assert exact.asymptotic_partition_ratio(8, 0.5, 0.5) == pytest.approx(
             manual, rel=1e-13)
 
-    def test_weight_independence_bitwise(self):
-        vals = set()
+    def test_weight_independence(self):
+        # the asymptote takes no weight exponents; the exact ratios of three
+        # weights all reach it at the 1/n rate (|deviation| * n <= 0.84 here)
+        from selberg_gas.averages import partition_ratio_even
+        n, t = 96, 0.3
+        target = exact.asymptotic_partition_ratio(n, 1.0, t)
         for (l1, l2) in ((0.5, 0.5), (-0.5, -0.5), (0.1, 0.9)):
-            params = EnsembleParams(n=6, lambda1=l1, lambda2=l2)
-            vals.add(exact.asymptotic_partition_ratio(6, 0.75, 0.3, params))
-        assert len(vals) == 1
+            params = EnsembleParams(n=n, lambda1=l1, lambda2=l2)
+            assert abs(partition_ratio_even(params, t, 1) / target - 1.0) * n <= 1.5
 
     def test_arcsine_identity_property(self):
         for t in np.linspace(0.02, 0.98, 25):
