@@ -160,8 +160,9 @@ def criterion_4_partition_ratio() -> CriterionResult:
 
 
 def criterion_5_jacobi_drift() -> CriterionResult:
-    """Charge-balanced Jacobi determinant ratio vs the conjectured asymptote:
-    |delta_n| strictly decreasing over n = 8, 16, 32, 48."""
+    """Charge-balanced Jacobi determinant ratio vs its Fisher-Hartwig
+    asymptote (Deift, Its & Krasovsky, Ann. of Math. 174 (2011),
+    arXiv:0905.0443): |delta_n| strictly decreasing over n = 8, 16, 32, 48."""
     symbol = fh.SymbolSpec(singularities=((0.5, 0.5),))
     series, preds = [], []
     for n in (8, 16, 32, 48):

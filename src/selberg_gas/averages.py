@@ -242,34 +242,33 @@ def duality_lhs(case: DualityCase, order: int = 48) -> float:
 
 
 def _duality_rhs_integral(case: DualityCase, points: int) -> complex:
+    # (2 pi)^-m times the m-fold periodic midpoint sum of
+    # prod_j F(theta_j) |Delta(e^{i theta})|^2.  Andreief's identity holds for
+    # the grid's discrete measure too, so that sum is m! det[c_{j-k}] with
+    # c_k = (h / 2 pi) sum_theta F(theta) e^{i k theta}.
     e = (case.params.lambda1 - case.params.lambda2 - case.n) / 2.0
     p = case.params.lambda1 + case.params.lambda2 + case.n
     t, n, m = case.t, case.n, case.m
-
-    def f(theta):
-        z = np.exp(1j * theta)
-        return (np.exp(1j * e * theta)
-                * (2.0 * np.cos(0.5 * theta)) ** p
-                * (t * (1.0 + z) - 1.0) ** n)
-
-    def integrand(*thetas):
-        val = 1.0
-        for th in thetas:
-            val = val * f(th)
-        for j in range(m):
-            for k in range(j + 1, m):
-                val = val * (2.0 - 2.0 * np.cos(thetas[k] - thetas[j]))
-        return val
-
-    return quad.periodic_integrate(integrand, m, points) / (2.0 * math.pi) ** m
+    h = 2.0 * math.pi / points
+    theta = -math.pi + (np.arange(points) + 0.5) * h
+    f = (np.exp(1j * e * theta)
+         * (2.0 * np.cos(0.5 * theta)) ** p
+         * (t * (1.0 + np.exp(1j * theta)) - 1.0) ** n)
+    ks = np.arange(1 - m, m)
+    c = np.exp(1j * np.outer(ks, theta)) @ f * (h / (2.0 * math.pi))
+    idx = np.arange(m)
+    toeplitz = c[(m - 1) + idx[:, None] - idx[None, :]]
+    return math.factorial(m) * complex(np.linalg.det(toeplitz))
 
 
 def duality_rhs(case: DualityCase, base_points: int = 1024,
                 imag_tol: float = 1e-8) -> float:
     """Circular-side value of the duality formula.
 
-    The half-angle weight has limited smoothness at the wrap point, so the
-    periodic rule is Richardson-extrapolated over a doubling ladder.
+    Each rung of the ladder is the m-fold periodic midpoint rule, summed
+    exactly as an m x m Toeplitz determinant.  The half-angle weight has
+    limited smoothness at the wrap point, so the rule is
+    Richardson-extrapolated over a doubling ladder.
     """
     ladder = [_duality_rhs_integral(case, base_points * (1 << i)) for i in range(3)]
     r1 = (4.0 * ladder[1] - ladder[0]) / 3.0

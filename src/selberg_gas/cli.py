@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("duality-check", help="both sides of the duality identity")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=int, default=2, help="even power m >= 2")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--lambda1", type=float, default=0.5)
     p.add_argument("--lambda2", type=float, default=0.5)
@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-samples", type=int, default=1)
     common(p)
 
-    p = sub.add_parser("fh-jacobi", help="Jacobi-weight determinant drift vs conjecture")
+    p = sub.add_parser("fh-jacobi", help="Jacobi-weight determinant drift vs the "
+                       "Deift-Its-Krasovsky asymptote")
     p.add_argument("--sizes", type=_parse_sizes, default=(8, 16, 32, 48))
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--y", type=float, default=0.5)

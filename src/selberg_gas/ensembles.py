@@ -51,7 +51,9 @@ class EigenvalueSample:
 
     def __post_init__(self):
         pts = self.points
-        if np.any(pts <= 0.0) or np.any(pts >= 1.0) or np.any(np.diff(pts) <= 0.0):
+        # stated in positive form so that NaN, which fails every comparison,
+        # is rejected too
+        if not (np.all(pts > 0.0) and np.all(pts < 1.0) and np.all(np.diff(pts) > 0.0)):
             raise SamplingError("sample must be strictly increasing inside (0,1)")
 
 

@@ -2,9 +2,10 @@
 
 Exact Hankel determinants with Jacobi weights and algebraic singularities,
 exact Toeplitz determinants from symbol Fourier coefficients, the
-classical singular-symbol asymptote on the circle, the conjectured
-Jacobi-weight analogue, and drift reporting that compares exact
-determinant series against the predicted large-size forms.
+classical singular-symbol asymptote on the circle, its Jacobi-weight
+analogue (proved by Deift, Its & Krasovsky, Ann. of Math. 174 (2011),
+arXiv:0905.0443), and drift reporting that compares exact determinant
+series against the predicted large-size forms.
 
 Jump discontinuities are out of scope: every symbol here has zero jump
 strengths.
@@ -124,7 +125,7 @@ def hankel_determinant(params: EnsembleParams, symbol: SymbolSpec, n: int,
 
 def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int,
                               order: Optional[int] = None) -> float:
-    """log of the charge-balanced exact ratio the conjectured asymptote targets.
+    """log of the charge-balanced exact ratio the Jacobi-weight asymptote targets.
 
     The same-size ratio H_n[symbol]/H_n[1] is not charge neutral and decays
     exponentially; the quantity with a clean large-n limit divides by the
@@ -154,7 +155,9 @@ def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int
 
 
 def jacobi_fh_asymptote(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
-    """Conjectured large-n log of H_n[symbol] / H_n[1].
+    """Large-n log of H_n[symbol] / H_n[1], the Jacobi-weight Fisher-Hartwig
+    asymptote of Deift, Its & Krasovsky, Ann. of Math. 174 (2011),
+    arXiv:0905.0443.
 
     Combines the smooth-part arcsine integral, the (2n)-power from each
     singularity, the pair and endpoint terms, the principal-value double
@@ -313,8 +316,10 @@ class DriftReport:
 def fh_drift_report(exact_series: Sequence, predicted_logs: Sequence[float]) -> DriftReport:
     """Tabulate delta_n = log(exact) - log(predicted) over a size ladder.
 
-    Reports whether |delta| decreases over the last three sizes; the
-    asymptotes are conjectural, so no limit value is asserted.
+    Reports whether |delta| decreases over the last three sizes.  The
+    asymptotes are theorems (for the Jacobi weight: Deift, Its & Krasovsky,
+    Ann. of Math. 174 (2011), arXiv:0905.0443), so delta_n tends to 0; the
+    report asserts no limit value, only the tabulated drift.
     """
     if len(exact_series) < 4:
         raise DomainError("drift report needs at least 4 sizes")

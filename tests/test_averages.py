@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from selberg_gas import quadrature as quad
 from selberg_gas.averages import (
     ChargeConfig,
     DualityCase,
+    _duality_rhs_integral,
     average_even_power_heine,
     average_product_bruteforce,
     density_matrix_bruteforce,
@@ -154,6 +158,27 @@ class TestPartitionRatioBruteForce:
         assert val == pytest.approx(0.2458555838089300, rel=1e-9)
 
 
+def _duality_grid_sum(case, points):
+    # the circular side's m-fold product integrand on the full periodic grid
+    e = (case.params.lambda1 - case.params.lambda2 - case.n) / 2.0
+    p = case.params.lambda1 + case.params.lambda2 + case.n
+
+    def f(theta):
+        return (np.exp(1j * e * theta) * (2.0 * np.cos(0.5 * theta)) ** p
+                * (case.t * (1.0 + np.exp(1j * theta)) - 1.0) ** case.n)
+
+    def integrand(*thetas):
+        val = 1.0
+        for th in thetas:
+            val = val * f(th)
+        for j in range(case.m):
+            for k in range(j + 1, case.m):
+                val = val * (2.0 - 2.0 * np.cos(thetas[k] - thetas[j]))
+        return val
+
+    return quad.periodic_integrate(integrand, case.m, points) / (2.0 * math.pi) ** case.m
+
+
 class TestDuality:
     @pytest.mark.parametrize("lam", [0.5, -0.5])
     @pytest.mark.parametrize("t", [0.3, 0.7])
@@ -177,11 +202,30 @@ class TestDuality:
             DualityCase(n=2, m=3, t=0.5, params=params)
 
     def test_circular_integral_is_real(self):
-        from selberg_gas.averages import _duality_rhs_integral
         params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
         case = DualityCase(n=2, m=2, t=0.7, params=params)
         val = _duality_rhs_integral(case, 512)
         assert abs(val.imag) <= 1e-10 * abs(val.real)
+
+    @pytest.mark.parametrize("points", [64, 128])
+    @pytest.mark.parametrize("lam", [-0.5, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_toeplitz_form_equals_grid_sum(self, n, lam, points):
+        # discrete Andreief identity: the m x m Toeplitz determinant equals
+        # the m-fold midpoint sum of prod F(theta_j) |Delta(e^{i theta})|^2
+        params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
+        case = DualityCase(n=n, m=2, t=0.3, params=params)
+        oracle = _duality_grid_sum(case, points)
+        assert abs(_duality_rhs_integral(case, points) - oracle) <= 1e-13 * abs(oracle)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 5), m=st.sampled_from([2, 4]),
+           lam=st.floats(-0.5, 1.0), t=st.floats(0.05, 0.95))
+    def test_identity_property(self, n, m, lam, t):
+        params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
+        case = DualityCase(n=n, m=m, t=t, params=params)
+        lhs = duality_lhs(case)
+        assert abs(duality_rhs(case) - lhs) <= 1e-6 * abs(lhs)
 
 
 class TestMonteCarloDensityMatrix:

@@ -31,6 +31,14 @@ class TestSubcommands:
         doc, _ = run_document(["duality-check", "--t", "0.3"])
         assert doc["results"][0]["rel_diff"] <= 1e-6
 
+    @pytest.mark.parametrize("n", ["2", "5"])
+    def test_duality_check_fourth_power(self, n, capsys):
+        code = cli.main(["duality-check", "--n", n, "--m", "4", "--t", "0.3"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["m"] == 4
+        assert doc["results"][0]["rel_diff"] <= 1e-12
+
     def test_orbitals_rows(self):
         doc, _ = run_document(["orbitals", "--j-max", "3"])
         assert len(doc["results"]) == 4

@@ -108,3 +108,11 @@ class TestSampleValidation:
             EigenvalueSample(np.array([0.7, 0.2]), params)
         with pytest.raises(SamplingError):
             EigenvalueSample(np.array([0.0, 0.2]), params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
+        with pytest.raises(SamplingError):
+            EigenvalueSample(np.array([bad, 0.5]), params)
+        with pytest.raises(SamplingError):
+            EigenvalueSample(np.array([0.5, bad]), params)
