@@ -22,15 +22,13 @@ from .exact import (
     selberg_closed,
 )
 from .averages import (
-    ChargeConfig,
     DualityCase,
     MCEstimate,
     average_even_power_heine,
-    average_product_bruteforce,
+    density_matrix_exact,
     duality_lhs,
     duality_rhs,
     mc_density_matrix,
-    partition_ratio_bruteforce,
 )
 from .ensembles import (
     EigenvalueSample,

@@ -145,13 +145,13 @@ def criterion_4_partition_ratio() -> CriterionResult:
     2.44% at n = 40.  The test is kept faithful to the stated numbers;
     the true convergence statement is covered by the unit suite.
     """
-    from .averages import partition_ratio_even
-
     target = 2.0 / math.pi
+    symbol = fh.SymbolSpec(singularities=((0.5, 1.0),))
     devs = {}
     for n in (5, 10, 40):
         params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-        devs[n] = abs(partition_ratio_even(params, 0.5, 1) - target) / target
+        ratio = math.exp(fh.hankel_balanced_log_ratio(params, symbol, n))
+        devs[n] = abs(ratio - target) / target
     within = devs[40] <= 0.02
     chain = devs[40] < devs[10] < devs[5]
     detail = (f"deviations n=5: {devs[5]:.3e}, n=10: {devs[10]:.3e}, "

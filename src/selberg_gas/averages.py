@@ -1,10 +1,14 @@
 """Ensemble averages and their identities.
 
-Brute-force tensor-quadrature averages at n <= 3, determinant evaluation
-of even-power averages at large n, both sides of the Jacobi/circular
-duality formula, charge-balanced partition ratios, and the Monte Carlo
-density-matrix estimator with deterministic seeding and reduction, which
+Every exact average < prod_l f(x_l) > here is one Gram determinant, the
+engine `fisherhartwig.hankel_log_ratio` (Heine's identity), at any n:
+even-power averages, the Jacobi side of the Jacobi/circular duality
+formula and the exact finite-N density matrix.  The circular side of the
+duality is an m x m Toeplitz determinant of periodic sums.  The Monte
+Carlo density-matrix estimator, with deterministic seeding and reduction,
 draws both boundaries' ensembles from the exact sampler in `ensembles`.
+Tensor-product quadrature is left to the oracles of the tests and the
+acceptance suite.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import fisherhartwig as fh
 from . import quadrature as quad
 from .exact import (
     BOUNDARY_DIRICHLET,
@@ -25,33 +30,9 @@ from .exact import (
     MorrisParams,
     duality_constant_A,
     morris_closed,
-    selberg_closed,
-    selberg_closed_barnes,
 )
 from .ensembles import RngStream, sample_jue, sample_jue_halfhalf
 from .specfun import DomainError
-
-
-@dataclass(frozen=True)
-class ChargeConfig:
-    """Insertions prod_r f(y_r - x) at distinct positions.
-
-    Absolute-power insertions |y_r - x|^(2 q_r) require interior positions,
-    checked where the splitting happens; signed powers (t - x)^m admit any
-    t in [0, 1].
-    """
-
-    charges: tuple  # of (position, strength) pairs
-
-    def __post_init__(self):
-        positions = [p for p, _ in self.charges]
-        if len(set(positions)) != len(positions):
-            raise DomainError("charge positions must be distinct")
-        for p, q in self.charges:
-            if not 0.0 <= p <= 1.0:
-                raise DomainError(f"charge position must lie in [0,1], got {p}")
-            if q < 0.0:
-                raise DomainError(f"charge strength must be >= 0, got {q}")
 
 
 @dataclass(frozen=True)
@@ -95,149 +76,21 @@ def pairwise_sum(values) -> float:
     return float(a[0])
 
 
-def _axis_rule(params: EnsembleParams, charges: Sequence, mode: str,
-               order: int) -> quad.QuadratureRule:
-    # One-axis rule whose weights absorb x^l1 (1-x)^l2 and every charge
-    # factor.  Absolute powers are split at each charge position so the
-    # absorbed factor is sign-definite per panel.
-    l1, l2 = params.lambda1, params.lambda2
-    if mode == "signed":
-        rule = quad.power_panel(0.0, 1.0, l1, l2, order)
-        w = rule.weights.copy()
-        for t, m in charges:
-            w *= (t - rule.nodes) ** m
-        return quad.QuadratureRule(rule.nodes, w, rule.domain, "signed-axis")
-
-    locs = sorted(charges, key=lambda c: c[0])
-    for p, _ in locs:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"absolute-power insertion needs interior position, got {p}")
-    edges = [0.0] + [p for p, _ in locs] + [1.0]
-    powers = [l1] + [2.0 * q for _, q in locs] + [l2]
-    panels = []
-    for i in range(len(edges) - 1):
-        a, b = edges[i], edges[i + 1]
-        rule = quad.power_panel(a, b, powers[i], powers[i + 1], order)
-        w = rule.weights.copy()
-        # charge factors absorbed at this panel's edges; evaluate the rest
-        for j, (p, q) in enumerate(locs):
-            if j == i - 1 or j == i:
-                continue
-            w *= np.abs(p - rule.nodes) ** (2.0 * q)
-        # endpoint weight factors when 0 or 1 is not this panel's edge
-        if i != 0:
-            w *= rule.nodes ** l1
-        if i != len(edges) - 2:
-            w *= (1.0 - rule.nodes) ** l2
-        panels.append(quad.QuadratureRule(rule.nodes, w, rule.domain, "abs-panel"))
-    return quad.concat_rules(panels)
-
-
-def _vandermonde_sq(*coords):
-    d = len(coords)
-    out = 1.0
-    for j in range(d):
-        for k in range(j + 1, d):
-            out = out * (coords[k] - coords[j]) ** 2
-    return out
-
-
-def _base_axis_rule(params: EnsembleParams, order: int) -> quad.QuadratureRule:
-    return quad.power_panel(0.0, 1.0, params.lambda1, params.lambda2, order)
-
-
-def average_product_bruteforce(params: EnsembleParams, charges: ChargeConfig,
-                               mode: str = "abs", order: int = 48) -> float:
-    """Quadrature value of < prod_l prod_r f(y_r - x_l) > at n <= 3.
-
-    mode 'abs' uses f = |y - x|^(2q); mode 'signed' uses f = (t - x)^m with
-    m taken from the charge's strength slot.  Both the weighted integral
-    and its normalization are evaluated by quadrature.
-    """
-    n = params.n
-    if n > 3:
-        raise DomainError(f"brute force supports n <= 3, got {n}")
-    if mode not in ("abs", "signed"):
-        raise DomainError(f"unknown mode {mode!r}")
-    axis = _axis_rule(params, charges.charges, mode, order)
-    base = _base_axis_rule(params, order)
-    num = quad.tensor_integrate(_vandermonde_sq, [axis] * n)
-    den = quad.tensor_integrate(_vandermonde_sq, [base] * n)
-    return num / den
-
-
 def average_even_power_heine(params: EnsembleParams, t: float, m: int) -> LogMagnitude:
-    """< prod_l (t - x_l)^m > for even m via a moment determinant.
+    """< prod_l (t - x_l)^m > for even m by Heine's identity.
 
-    Expressed in the basis orthonormal against the ensemble weight the
-    moment matrix becomes the n x n corner of (t*I - J)^m with J the
-    tridiagonal recurrence operator, which stays well conditioned far
-    beyond the reach of raw monomial moments.
+    The average is the n x n Gram determinant of the charge (t, m/2) in the
+    basis orthonormal against the ensemble weight, which stays well
+    conditioned far beyond the reach of raw monomial moments.
     """
     if m < 2 or m % 2 != 0:
         raise DomainError(f"power m must be even and >= 2, got {m}")
-    n = params.n
-    size = n + m
-    a, b, _ = quad.jacobi_recurrence(size, params.lambda1, params.lambda2)
-    jac = np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1)
-    block = np.linalg.matrix_power(t * np.eye(size) - jac, m)[:n, :n]
-    sign, logdet = np.linalg.slogdet(block)
-    if sign == 0.0:
-        raise DomainError(f"degenerate moment determinant at t = {t}, n = {n}")
-    return LogMagnitude(float(logdet), int(sign))
+    symbol = fh.SymbolSpec(singularities=((t, m / 2),))
+    return LogMagnitude(fh.hankel_log_ratio(params, symbol, params.n))
 
 
-def partition_ratio_even(params: EnsembleParams, t: float, q: int) -> float:
-    """Charge-balanced ratio Z_n((t, q)) / Z_{n+q}(no charge) for integer q."""
-    if q < 1:
-        raise DomainError(f"q must be a positive integer, got {q}")
-    avg = average_even_power_heine(params, t, 2 * q)
-    log_ratio = (params.lambda1 * q * math.log(t)
-                 + params.lambda2 * q * math.log(1.0 - t)
-                 + selberg_closed(params.n, params.lambda1, params.lambda2).log_abs
-                 - selberg_closed(params.n + q, params.lambda1, params.lambda2).log_abs
-                 + avg.log_abs)
-    return avg.sign * math.exp(log_ratio)
-
-
-def partition_ratio_bruteforce(params: EnsembleParams, charges: ChargeConfig,
-                               order: int = 48) -> float:
-    """Ratio Z_n(charges) / Z_{n + sum q}(no charges) by tensor quadrature.
-
-    Includes the charge-balancing prefactors: the weight evaluated at each
-    charge position to its q-th power and the pair factor |X - Y|^(2 q1 q2).
-    """
-    n = params.n
-    if n > 3:
-        raise DomainError(f"brute force supports n <= 3, got {n}")
-    if not 1 <= len(charges.charges) <= 2:
-        raise DomainError("partition ratio expects one or two charges")
-    live = tuple((p, q) for p, q in charges.charges if q > 0.0)
-    if not live:
-        raise DomainError("at least one charge must have q > 0")
-
-    axis = _axis_rule(params, live, "abs", order)
-    raw = quad.tensor_integrate(_vandermonde_sq, [axis] * n)
-    log_pref = 0.0
-    for p, q in live:
-        log_pref += q * (params.lambda1 * math.log(p) + params.lambda2 * math.log(1.0 - p))
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
-            log_pref += 2.0 * live[i][1] * live[j][1] * math.log(abs(live[i][0] - live[j][0]))
-    q_total = sum(q for _, q in live)
-    if abs(q_total - round(q_total)) < 1e-12:
-        log_den = selberg_closed(n + int(round(q_total)), params.lambda1, params.lambda2).log_abs
-    else:
-        log_den = selberg_closed_barnes(n + q_total, params.lambda1, params.lambda2).log_abs
-    return raw * math.exp(log_pref - log_den)
-
-
-def duality_lhs(case: DualityCase, order: int = 48) -> float:
-    """Jacobi-side average < prod (t - x_l)^m >, quadrature for n <= 3."""
-    if case.n <= 3:
-        charges = ChargeConfig(charges=((case.t, case.m),))
-        return average_product_bruteforce(case.params, charges, mode="signed",
-                                          order=order)
+def duality_lhs(case: DualityCase) -> float:
+    """Jacobi-side average < prod (t - x_l)^m >."""
     return average_even_power_heine(case.params, case.t, case.m).value()
 
 
@@ -261,22 +114,29 @@ def _duality_rhs_integral(case: DualityCase, points: int) -> complex:
     return math.factorial(m) * complex(np.linalg.det(toeplitz))
 
 
-def duality_rhs(case: DualityCase, base_points: int = 1024,
-                imag_tol: float = 1e-8) -> float:
+def duality_rhs(case: DualityCase) -> float:
     """Circular-side value of the duality formula.
 
     Each rung of the ladder is the m-fold periodic midpoint rule, summed
     exactly as an m x m Toeplitz determinant.  The half-angle weight has
     limited smoothness at the wrap point, so the rule is
-    Richardson-extrapolated over a doubling ladder.
+    Richardson-extrapolated over the doubling ladder 1024, 2048, 4096.
+    Raises `QuadratureError` when the result has an imaginary part or when
+    the two Richardson rungs disagree beyond 1e-7 relative, the mark of
+    cancellation in the periodic sums at large n near the edges of t.
     """
-    ladder = [_duality_rhs_integral(case, base_points * (1 << i)) for i in range(3)]
+    ladder = [_duality_rhs_integral(case, 1024 << i) for i in range(3)]
     r1 = (4.0 * ladder[1] - ladder[0]) / 3.0
     r2 = (4.0 * ladder[2] - ladder[1]) / 3.0
     best = (16.0 * r2 - r1) / 15.0
-    if abs(best.imag) > imag_tol * max(1.0, abs(best.real)):
+    if abs(best.imag) > 1e-8 * max(1.0, abs(best.real)):
         raise quad.QuadratureError(
             f"duality integrand failed its real-value check: imag {best.imag}")
+    spread = abs(r2 - r1)
+    if spread > 1e-7 * abs(best.real):
+        raise quad.QuadratureError(
+            f"duality Richardson ladder did not settle: spread {spread:.3g} "
+            f"on {best.real:.6g}")
     log_m0 = morris_closed(MorrisParams(case.m, 0.0, 0.0)).log_abs
     a_const = duality_constant_A(case.params, case.m)
     return math.exp(a_const.log_abs - log_m0) * best.real
@@ -355,12 +215,24 @@ def mc_density_matrix(query: DensityMatrixQuery, M: int, master_seed: int,
     return mc_density_matrix_table([query], M, master_seed, threads)[0]
 
 
-def density_matrix_bruteforce(query: DensityMatrixQuery, order: int = 64) -> float:
-    """Quadrature evaluation of the exact finite-N density matrix, N <= 3."""
+def density_matrix_exact(query: DensityMatrixQuery) -> float:
+    """Exact finite-N density matrix: the charge-balanced Gram ratio of the
+    two half charges (X, 1/2) and (Y, 1/2), at any N."""
     params = EnsembleParams(n=query.N, lambda1=query.weight_exponent(),
                             lambda2=query.weight_exponent())
-    charges = ChargeConfig(charges=((query.X, 0.5), (query.Y, 0.5)))
-    ratio = partition_ratio_bruteforce(params, charges, order=order)
+    symbol = fh.SymbolSpec(singularities=((query.X, 0.5), (query.Y, 0.5)))
+    ratio = math.exp(fh.hankel_balanced_log_ratio(params, symbol, query.N))
     X, Y = query.X, query.Y
     return (math.pi * query.rho / math.sqrt(abs(X - Y))
             * (X * (1.0 - X)) ** 0.25 * (Y * (1.0 - Y)) ** 0.25 * ratio)
+
+
+# Former names still called by the benchmark's oracle tests
+# (perfbench/tests/test_bench_oracles.py); all three run on the Gram engine.
+ChargeConfig = fh.SymbolSpec
+density_matrix_bruteforce = density_matrix_exact
+
+
+def average_product_bruteforce(params: EnsembleParams, charges: fh.SymbolSpec) -> float:
+    """< prod_l prod_r |y_r - x_l|^(2 q_r) > by the Gram determinant."""
+    return math.exp(fh.hankel_log_ratio(params, charges, params.n))

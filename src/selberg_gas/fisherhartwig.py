@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import quadrature as quad
-from .averages import _axis_rule
 from .exact import EnsembleParams, selberg_closed, selberg_closed_barnes
 from .specfun import DomainError, log_barnes_g, log_gamma
 
@@ -77,25 +76,55 @@ class DeterminantValue:
     size: int
 
 
-def hankel_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int,
-                     order: Optional[int] = None) -> float:
+def _axis_rule(params: EnsembleParams, charges: Sequence, order: int) -> quad.QuadratureRule:
+    # One-axis rule whose weights absorb x^l1 (1-x)^l2 and every charge
+    # factor |y - x|^(2q).  The axis is split at each interior charge so the
+    # absorbed factor is sign-definite per panel; a charge at 0 or 1 raises
+    # that endpoint's exponent instead.
+    l1, l2 = params.lambda1, params.lambda2
+    interior = []
+    for y, q in sorted(charges):
+        if y == 0.0:
+            l1 += 2.0 * q
+        elif y == 1.0:
+            l2 += 2.0 * q
+        elif 0.0 < y < 1.0:
+            interior.append((y, q))
+        else:
+            raise DomainError(f"charge position must lie in [0,1], got {y}")
+    edges = [0.0] + [y for y, _ in interior] + [1.0]
+    powers = [l1] + [2.0 * q for _, q in interior] + [l2]
+    panels = []
+    for i in range(len(edges) - 1):
+        rule = quad.power_panel(edges[i], edges[i + 1], powers[i], powers[i + 1], order)
+        w = rule.weights.copy()
+        # charge factors absorbed at this panel's edges; evaluate the rest
+        for j, (y, q) in enumerate(interior):
+            if j != i - 1 and j != i:
+                w *= np.abs(y - rule.nodes) ** (2.0 * q)
+        # endpoint factors when 0 or 1 is not this panel's edge
+        if i != 0:
+            w *= rule.nodes ** l1
+        if i != len(edges) - 2:
+            w *= (1.0 - rule.nodes) ** l2
+        panels.append(quad.QuadratureRule(rule.nodes, w, rule.domain, "charge-panel"))
+    return quad.concat_rules(panels)
+
+
+def hankel_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
     """log of H_n[symbol] / H_n[1] for the Jacobi weight of `params`.
 
-    In the basis orthonormal against the bare weight the ratio is a single
-    well-conditioned n x n Gram determinant; the basis change cancels
-    between numerator and denominator.  Moments are integrated exactly by
-    splitting at each singularity so every absorbed factor is
-    sign-definite per panel.
+    By Heine's identity this is the ensemble average of
+    prod_l exp(h(x_l)) prod_r |y_r - x_l|^(2 q_r), the package's one exact
+    engine for such averages at any n.  In the basis orthonormal against
+    the bare weight the ratio is a single well-conditioned n x n Gram
+    determinant; the basis change cancels between numerator and
+    denominator.  Moments are integrated exactly by splitting at each
+    singularity so every absorbed factor is sign-definite per panel.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
-    if order is None:
-        order = n + 30
-    charges = tuple((loc, q) for loc, q in symbol.singularities)
-    if charges:
-        rule = _axis_rule(params, charges, "abs", order)
-    else:
-        rule = quad.power_panel(0.0, 1.0, params.lambda1, params.lambda2, order)
+    rule = _axis_rule(params, symbol.singularities, n + 30)
     w = rule.weights * np.exp(symbol.h_value(rule.nodes))
     p = quad.orthonormal_polynomials(n - 1, params.lambda1, params.lambda2, rule.nodes)
     gram = (p * w) @ p.T
@@ -115,16 +144,14 @@ def hankel_base_log(params: EnsembleParams, n: int) -> float:
     return total
 
 
-def hankel_determinant(params: EnsembleParams, symbol: SymbolSpec, n: int,
-                       order: Optional[int] = None) -> DeterminantValue:
+def hankel_determinant(params: EnsembleParams, symbol: SymbolSpec, n: int) -> DeterminantValue:
     """Exact H_n[symbol] for the Jacobi weight, in log form."""
-    log_ratio = hankel_log_ratio(params, symbol, n, order)
+    log_ratio = hankel_log_ratio(params, symbol, n)
     return DeterminantValue(log_abs=log_ratio + hankel_base_log(params, n),
                             sign=1, size=n)
 
 
-def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int,
-                              order: Optional[int] = None) -> float:
+def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
     """log of the charge-balanced exact ratio the Jacobi-weight asymptote targets.
 
     The same-size ratio H_n[symbol]/H_n[1] is not charge neutral and decays
@@ -137,7 +164,7 @@ def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int
     if symbol.h_poly and any(abs(c) > 0.0 for c in symbol.h_poly):
         raise DomainError("balanced ratio implemented for trivial smooth part only")
     q_total = sum(q for _, q in symbol.singularities)
-    total = hankel_log_ratio(params, symbol, n, order)
+    total = hankel_log_ratio(params, symbol, n)
     total += selberg_closed(n, params.lambda1, params.lambda2).log_abs
     if abs(q_total - round(q_total)) < 1e-12:
         total -= selberg_closed(n + int(round(q_total)), params.lambda1,
@@ -146,6 +173,8 @@ def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int
         total -= selberg_closed_barnes(n + q_total, params.lambda1,
                                        params.lambda2).log_abs
     for y, q in symbol.singularities:
+        if not 0.0 < y < 1.0:
+            raise DomainError(f"balanced ratio needs interior charges, got {y}")
         total += q * (params.lambda1 * math.log(y) + params.lambda2 * math.log(1.0 - y))
     sing = symbol.singularities
     for i in range(len(sing)):
@@ -251,8 +280,7 @@ def _toeplitz_fourier_coeffs(symbol: SymbolSpec, p_max: int) -> np.ndarray:
     return total / (2.0 * math.pi)
 
 
-def toeplitz_determinant(symbol: SymbolSpec, N: int,
-                         order: Optional[int] = None) -> DeterminantValue:
+def toeplitz_determinant(symbol: SymbolSpec, N: int) -> DeterminantValue:
     """Exact Toeplitz determinant of the symbol's Fourier coefficients.
 
     Coefficients come from singularity-aware high-resolution periodic

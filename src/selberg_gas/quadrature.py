@@ -117,12 +117,12 @@ def tensor_integrate(f: Callable, rules: Sequence[QuadratureRule]) -> float:
     return float(vals)
 
 
-def periodic_integrate(f: Callable, m: int, points_per_axis: int, chunk_elems: int = 1 << 22):
+def periodic_integrate(f: Callable, m: int, points_per_axis: int):
     """Equal-weight rule for a 2pi-periodic integrand over (-pi, pi)^m, m <= 3.
 
     Uses the midpoint-offset grid; spectrally accurate for smooth periodic
     integrands.  The integrand may return complex values.  Evaluation is
-    chunked along the first axis to bound memory.
+    chunked along the first axis to about 4M grid points to bound memory.
     """
     if m not in (1, 2, 3):
         raise DomainError(f"periodic_integrate supports 1 <= m <= 3, got {m}")
@@ -132,7 +132,7 @@ def periodic_integrate(f: Callable, m: int, points_per_axis: int, chunk_elems: i
     if m == 1:
         return complex(np.sum(f(theta))) * h
 
-    rows_per_chunk = max(1, int(chunk_elems // n ** (m - 1)))
+    rows_per_chunk = max(1, (1 << 22) // n ** (m - 1))
     total = 0.0 + 0.0j
     for start in range(0, n, rows_per_chunk):
         block = theta[start : start + rows_per_chunk]

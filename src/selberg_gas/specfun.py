@@ -19,23 +19,6 @@ class EvaluationError(RuntimeError):
     """A series or iteration failed to reach its accuracy target."""
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error below
-# 1e-14 on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
 # Glaisher-Kinkelin constant: zeta'(-1) = 1/12 - log(A).
 _LOG_GLAISHER = 0.24875447703378426
 _ZETA_PRIME_M1 = 1.0 / 12.0 - _LOG_GLAISHER
@@ -55,17 +38,7 @@ def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x == 1.0 or x == 2.0:
-        return 0.0
-    if x < 0.5:
-        # reflection keeps the Lanczos sum away from its least accurate corner
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def log_beta(a: float, b: float) -> float:

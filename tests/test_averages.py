@@ -1,33 +1,44 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selberg_gas import fisherhartwig as fh
 from selberg_gas import quadrature as quad
 from selberg_gas.averages import (
-    ChargeConfig,
     DualityCase,
     _duality_rhs_integral,
     average_even_power_heine,
-    average_product_bruteforce,
-    density_matrix_bruteforce,
+    density_matrix_exact,
     duality_lhs,
     duality_rhs,
     mc_density_matrix,
     mc_density_matrix_table,
     pairwise_sum,
-    partition_ratio_bruteforce,
-    partition_ratio_even,
 )
 from selberg_gas.ensembles import RngStream, sample_jue_halfhalf
 from selberg_gas.exact import (
     DensityMatrixQuery,
     EnsembleParams,
     asymptotic_partition_ratio,
+    density_matrix_asymptote,
 )
 from selberg_gas.specfun import DomainError
+
+import tensor_oracle
+
+
+def engine_average(params, charges):
+    return math.exp(fh.hankel_log_ratio(params, fh.SymbolSpec(singularities=charges),
+                                        params.n))
+
+
+def balanced_ratio(params, charges):
+    return math.exp(fh.hankel_balanced_log_ratio(
+        params, fh.SymbolSpec(singularities=charges), params.n))
 
 
 class TestPairwiseSum:
@@ -39,38 +50,60 @@ class TestPairwiseSum:
     def test_empty(self):
         assert pairwise_sum([]) == 0.0
 
+    @given(st.lists(st.floats(-1e200, 1e200), min_size=1, max_size=300))
+    def test_matches_fsum_property(self, vals):
+        # pairwise error bound: ceil(log2 n) roundings along each path
+        depth = math.ceil(math.log2(len(vals)))
+        bound = depth * 2.0**-52 * math.fsum(abs(v) for v in vals)
+        assert abs(pairwise_sum(vals) - math.fsum(vals)) <= bound
+
 
 class TestBruteForce:
+    """The Gram engine against closed values and the tensor-product oracle."""
+
     def test_flat_weight_signed_at_one(self):
+        # a charge at 1 raises that endpoint's exponent: <1 - x> = 1/2
         params = EnsembleParams(n=1, lambda1=0.0, lambda2=0.0)
-        val = average_product_bruteforce(
-            params, ChargeConfig(charges=((1.0, 1),)), mode="signed")
-        assert val == pytest.approx(0.5, rel=1e-14)
+        assert engine_average(params, ((1.0, 0.5),)) == pytest.approx(0.5, rel=1e-14)
+        assert tensor_oracle.average(params, ((1.0, 0.5),)) == pytest.approx(0.5, rel=1e-14)
 
     def test_flat_weight_abs_triangles(self):
         params = EnsembleParams(n=1, lambda1=0.0, lambda2=0.0)
-        val = average_product_bruteforce(
-            params, ChargeConfig(charges=((0.5, 0.5),)), mode="abs")
-        assert val == pytest.approx(0.25, rel=1e-13)
+        assert engine_average(params, ((0.5, 0.5),)) == pytest.approx(0.25, rel=1e-13)
+        assert tensor_oracle.average(params, ((0.5, 0.5),)) == pytest.approx(0.25, rel=1e-13)
 
     def test_heine_cross_method(self):
         params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
-        brute = average_product_bruteforce(
-            params, ChargeConfig(charges=((0.7, 2),)), mode="signed")
+        brute = tensor_oracle.average(params, ((0.7, 1.0),))
         heine = average_even_power_heine(params, 0.7, 2).value()
-        assert brute == pytest.approx(heine, rel=1e-9)
+        assert brute == pytest.approx(heine, rel=1e-12)
 
     def test_heine_cross_method_n3(self):
         params = EnsembleParams(n=3, lambda1=-0.5, lambda2=0.25)
-        brute = average_product_bruteforce(
-            params, ChargeConfig(charges=((0.4, 2),)), mode="signed")
+        brute = tensor_oracle.average(params, ((0.4, 1.0),))
         heine = average_even_power_heine(params, 0.4, 2).value()
-        assert brute == pytest.approx(heine, rel=1e-9)
+        assert brute == pytest.approx(heine, rel=1e-12)
 
     def test_size_cap(self):
+        # the tensor oracle stops at n = 3; the engine has no cap
         params = EnsembleParams(n=4, lambda1=0.0, lambda2=0.0)
         with pytest.raises(DomainError):
-            average_product_bruteforce(params, ChargeConfig(charges=((0.5, 1.0),)))
+            tensor_oracle.average(params, ((0.5, 1.0),))
+        assert engine_average(params, ((0.5, 1.0),)) > 0.0
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("lam", [-0.5, 0.5])
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_even_power_matches_tensor_oracle(self, n, m, lam, t):
+        params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
+        oracle = tensor_oracle.average(params, ((t, m / 2),))
+        heine = average_even_power_heine(params, t, m).value()
+        assert abs(heine / oracle - 1.0) <= 1e-12
+
+
+def unit_charge_ratio(params, t):
+    return balanced_ratio(params, ((t, 1.0),))
 
 
 class TestHeine:
@@ -91,11 +124,10 @@ class TestHeine:
         target = 2.0 / math.pi
         for n in (1, 3, 5, 39):
             params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-            assert partition_ratio_even(params, 0.5, 1) == pytest.approx(
-                target, rel=1e-10)
+            assert unit_charge_ratio(params, 0.5) == pytest.approx(target, rel=1e-10)
         for n in (2, 10, 40):
             params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-            assert partition_ratio_even(params, 0.5, 1) == pytest.approx(
+            assert unit_charge_ratio(params, 0.5) == pytest.approx(
                 target * (n + 2.0) / (n + 1.0), rel=1e-10)
 
     def test_even_size_ladder_converges(self):
@@ -104,7 +136,7 @@ class TestHeine:
         devs = []
         for n in (4, 10, 40):
             params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-            devs.append(abs(partition_ratio_even(params, 0.5, 1) - target) / target)
+            devs.append(abs(unit_charge_ratio(params, 0.5) - target) / target)
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] == pytest.approx(1.0 / 41.0, rel=1e-8)
 
@@ -114,25 +146,77 @@ class TestHeine:
         devs = []
         for n in (6, 24, 96):
             params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-            devs.append(abs(partition_ratio_even(params, t, 1)
+            devs.append(abs(unit_charge_ratio(params, t)
                             - asymptotic_partition_ratio(n, 1.0, t)))
         assert devs[2] < devs[0]
 
 
-class TestPartitionRatioBruteForce:
-    def test_zero_charge_drops_out(self):
-        params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
-        two = partition_ratio_bruteforce(
-            params, ChargeConfig(charges=((0.3, 0.5), (0.7, 0.0))))
-        one = partition_ratio_bruteforce(params, ChargeConfig(charges=((0.3, 0.5),)))
-        assert two == one
+def christoffel_average(n, m, lam1, lam2, t, digits=60):
+    # <prod_l (t - x_l)^m> = det[pi_{n+j}^{(i)}(t) / i!]_{i,j<m}, the confluent
+    # Christoffel formula, with the monic Jacobi polynomials on [0, 1] and
+    # their derivatives run through the three-term recurrence in mpmath
+    with mp.workdps(digits):
+        al, be, t = mp.mpf(lam2), mp.mpf(lam1), mp.mpf(t)
+        s = al + be
+        prev = [mp.mpf(0)] * m
+        cur = [mp.mpf(1)] + [mp.mpf(0)] * (m - 1)
+        polys = [cur]
+        for k in range(n + m - 1):
+            if k == 0:
+                a, b2 = (be - al) / (s + 2), mp.mpf(0)
+            else:
+                a = (be * be - al * al) / ((2 * k + s) * (2 * k + s + 2))
+                b2 = (4 * (1 + al) * (1 + be) / ((2 + s) ** 2 * (3 + s)) if k == 1
+                      else 4 * k * (k + al) * (k + be) * (k + s)
+                      / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)))
+            shift, b2 = (1 + a) / 2, b2 / 4
+            prev, cur = cur, [(t - shift) * cur[i] + (i * cur[i - 1] if i else 0)
+                              - b2 * prev[i] for i in range(m)]
+            polys.append(cur)
+        conf = mp.matrix(m, m)
+        for i in range(m):
+            for j in range(m):
+                conf[i, j] = polys[n + j][i] / mp.factorial(i)
+        return float(mp.det(conf))
 
+
+class TestMpmathReference:
+    def test_reference_at_small_n(self):
+        # the reference itself against the tensor oracle
+        params = EnsembleParams(n=3, lambda1=0.5, lambda2=-0.5)
+        oracle = tensor_oracle.average(params, ((0.3, 2.0),))
+        assert christoffel_average(3, 4, 0.5, -0.5, 0.3) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("n,tol", [(40, 3e-10), (96, 1e-8)])
+    def test_engine_at_large_n(self, n, tol):
+        # measured worst: 1.25e-10 at n = 40 and 2.6e-9 at n = 96, both at
+        # m = 4; the Gram matrix squares the conditioning of the problem
+        worst = 0.0
+        for m in (2, 4):
+            for lam in (-0.5, 0.5):
+                for t in (0.2, 0.5, 0.8):
+                    params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
+                    ref = christoffel_average(n, m, lam, lam, t)
+                    val = average_even_power_heine(params, t, m).value()
+                    worst = max(worst, abs(val / ref - 1.0))
+        assert worst <= tol
+
+
+class TestPartitionRatioBruteForce:
     def test_matches_heine_route_for_integer_charge(self):
         for n in (1, 2, 3):
             params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-            brute = partition_ratio_bruteforce(params, ChargeConfig(charges=((0.3, 1.0),)))
-            heine = partition_ratio_even(params, 0.3, 1)
-            assert brute == pytest.approx(heine, rel=1e-9)
+            brute = tensor_oracle.partition_ratio(params, ((0.3, 1.0),))
+            assert unit_charge_ratio(params, 0.3) == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("charges", [((0.3, 0.5),), ((0.3, 1.0),),
+                                         ((0.3, 0.5), (0.7, 0.5))])
+    @pytest.mark.parametrize("lam", [-0.5, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_tensor_oracle(self, n, lam, charges):
+        params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
+        oracle = tensor_oracle.partition_ratio(params, charges)
+        assert abs(balanced_ratio(params, charges) / oracle - 1.0) <= 1e-12
 
     def test_factorization_trend(self):
         # two-charge over product of single-charge ratios tends toward 1
@@ -140,21 +224,18 @@ class TestPartitionRatioBruteForce:
         defects = []
         for n in (1, 2, 3):
             params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-            two = partition_ratio_bruteforce(
-                params, ChargeConfig(charges=((X, q), (Y, q))), order=44)
-            sx = partition_ratio_bruteforce(params, ChargeConfig(charges=((X, q),)),
-                                            order=44)
-            sy = partition_ratio_bruteforce(params, ChargeConfig(charges=((Y, q),)),
-                                            order=44)
+            two = balanced_ratio(params, ((X, q), (Y, q)))
+            sx = balanced_ratio(params, ((X, q),))
+            sy = balanced_ratio(params, ((Y, q),))
             defects.append(abs(two / (sx * sy) - 1.0))
         assert defects[0] > defects[1] > defects[2]
 
     def test_regression_anchor_two_half_charges(self):
         params = EnsembleParams(n=3, lambda1=0.5, lambda2=0.5)
-        val = partition_ratio_bruteforce(
-            params, ChargeConfig(charges=((0.3, 0.5), (0.7, 0.5))), order=44)
+        val = balanced_ratio(params, ((0.3, 0.5), (0.7, 0.5)))
         assert val > 0.0
-        # frozen from order-doubling runs (stable to 4e-12 across orders 44-80)
+        # frozen from tensor-quadrature order-doubling runs (stable to 4e-12
+        # across orders 44-80); the Gram engine reads ...286
         assert val == pytest.approx(0.2458555838089300, rel=1e-9)
 
 
@@ -196,6 +277,17 @@ class TestDuality:
         assert val == pytest.approx(
             average_even_power_heine(params, 0.4, 2).value(), rel=1e-12)
 
+    def test_unsettled_ladder_raises(self):
+        # at n = 40 the periodic sums cancel near the edges of t: at t = 0.07
+        # the rungs disagree by 2e-6 relative and the value would be off by
+        # 1.5e-6; at t = 0.1 the spread is 7.5e-9 and the value still returns
+        params = EnsembleParams(n=40, lambda1=-0.5, lambda2=-0.5)
+        with pytest.raises(quad.QuadratureError, match="Richardson"):
+            duality_rhs(DualityCase(n=40, m=2, t=0.07, params=params))
+        case = DualityCase(n=40, m=2, t=0.1, params=params)
+        lhs = duality_lhs(case)
+        assert abs(duality_rhs(case) - lhs) <= 1e-7 * abs(lhs)
+
     def test_odd_power_rejected(self):
         params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
         with pytest.raises(DomainError):
@@ -228,16 +320,42 @@ class TestDuality:
         assert abs(duality_rhs(case) - lhs) <= 1e-6 * abs(lhs)
 
 
+class TestExactDensityMatrix:
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_matches_tensor_oracle(self, boundary):
+        for N, X, Y in ((1, 0.2, 0.7), (2, 0.3, 0.8), (3, 0.475, 0.525), (3, 0.9, 0.1)):
+            query = DensityMatrixQuery(N=N, X=X, Y=Y, boundary=boundary)
+            lam = query.weight_exponent()
+            ratio = tensor_oracle.partition_ratio(
+                EnsembleParams(n=N, lambda1=lam, lambda2=lam), ((X, 0.5), (Y, 0.5)),
+                order=64)
+            oracle = (math.pi * query.rho / math.sqrt(abs(X - Y))
+                      * (X * (1.0 - X) * Y * (1.0 - Y)) ** 0.25 * ratio)
+            assert abs(density_matrix_exact(query) / oracle - 1.0) <= 1e-12
+
+    def test_coincident_points_rejected(self):
+        with pytest.raises(DomainError):
+            density_matrix_exact(DensityMatrixQuery(N=5, X=0.4, Y=0.4))
+
+    def test_large_n_approaches_asymptote(self):
+        # beyond the oracle's reach: at N = 200 on the Table 1 line the exact
+        # value sits within 0.3% of the leading asymptote (measured 0.12%)
+        for X in (0.125, 0.375):
+            query = DensityMatrixQuery(N=200, X=X, Y=1.0 - X)
+            ratio = density_matrix_exact(query) / density_matrix_asymptote(query)
+            assert abs(ratio - 1.0) <= 3e-3
+
+
 class TestMonteCarloDensityMatrix:
     def test_matches_bruteforce_small_system(self):
         query = DensityMatrixQuery(N=2, X=0.3, Y=0.7)
-        exact_val = density_matrix_bruteforce(query)
+        exact_val = density_matrix_exact(query)
         est = mc_density_matrix(query, M=4000, master_seed=11)
         assert abs(est.value - exact_val) <= 3.5 * est.std_error
 
     def test_neumann_matches_bruteforce(self):
         query = DensityMatrixQuery(N=2, X=0.25, Y=0.75, boundary="neumann")
-        exact_val = density_matrix_bruteforce(query)
+        exact_val = density_matrix_exact(query)
         est = mc_density_matrix(query, M=600, master_seed=13)
         assert abs(est.value - exact_val) <= 3.5 * est.std_error
 

@@ -39,6 +39,13 @@ class TestSubcommands:
         assert doc["config"]["m"] == 4
         assert doc["results"][0]["rel_diff"] <= 1e-12
 
+    @pytest.mark.parametrize("n,t", [("2", "0"), ("5", "1")])
+    def test_duality_check_at_the_endpoints(self, n, t, capsys):
+        # a charge at 0 or 1 raises that endpoint's weight exponent
+        assert cli.main(["duality-check", "--n", n, "--t", t]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"][0]["rel_diff"] <= 1e-12
+
     def test_orbitals_rows(self):
         doc, _ = run_document(["orbitals", "--j-max", "3"])
         assert len(doc["results"]) == 4
@@ -114,6 +121,12 @@ class TestErrors:
         code = cli.main(["selberg", "--n", "2", "--lambda1", "-2", "--lambda2", "0"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unsettled_duality_ladder_exits_one(self, capsys):
+        code = cli.main(["duality-check", "--n", "40", "--t", "0.07",
+                         "--lambda1", "-0.5", "--lambda2", "-0.5"])
+        assert code == 1
+        assert "Richardson" in capsys.readouterr().err
 
     def test_bad_thread_count_is_usage_error(self, monkeypatch):
         argv = ["selberg", "--n", "1", "--lambda1", "0", "--lambda2", "0"]

@@ -14,21 +14,15 @@ from selberg_gas.ensembles import (
 from selberg_gas.exact import EnsembleParams
 from selberg_gas.specfun import DomainError
 
+from tensor_oracle import vandermonde_sq
+
 WEIGHTS = ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 2.0))
-
-
-def _vandermonde_sq(*coords):
-    out = 1.0
-    for j in range(len(coords)):
-        for k in range(j + 1, len(coords)):
-            out = out * (coords[k] - coords[j]) ** 2
-    return out
 
 
 def jue_average(fn, n, lambda1, lambda2, order=40):
     axes = [quad.power_panel(0.0, 1.0, lambda1, lambda2, order)] * n
-    num = quad.tensor_integrate(lambda *x: fn(*x) * _vandermonde_sq(*x), axes)
-    den = quad.tensor_integrate(_vandermonde_sq, axes)
+    num = quad.tensor_integrate(lambda *x: fn(*x) * vandermonde_sq(*x), axes)
+    den = quad.tensor_integrate(vandermonde_sq, axes)
     return num / den
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from selberg_gas import exact
 from selberg_gas import quadrature as quad
@@ -13,18 +15,22 @@ from selberg_gas.exact import (
 )
 from selberg_gas.specfun import DomainError, log_gamma
 
+from tensor_oracle import vandermonde_sq
+
+EPS = 2.0**-52
+# nonzero magnitudes whose products and quotients stay normal floats
+FINITE = st.floats(min_value=1e-150, max_value=1e150).flatmap(
+    lambda x: st.sampled_from((x, -x)))
+
+
+def log_rounding(*xs):
+    # relative error of exp(log|x| +- ...) once the logs are rounded
+    return (2.0 + sum(abs(math.log(abs(x))) for x in xs)) * EPS
+
 
 def selberg_quadrature(n, a, b, order=60):
     axis = quad.power_panel(0.0, 1.0, a, b, order)
-
-    def vdm2(*coords):
-        out = 1.0
-        for j in range(n):
-            for k in range(j + 1, n):
-                out = out * (coords[k] - coords[j]) ** 2
-        return out
-
-    return quad.tensor_integrate(vdm2, [axis] * n)
+    return quad.tensor_integrate(vandermonde_sq, [axis] * n)
 
 
 def morris_quadrature(n, a, b, points):
@@ -54,6 +60,23 @@ class TestLogMagnitude:
         b = LogMagnitude.from_value(8.0)
         assert (a * b).value() == pytest.approx(-16.0)
         assert (a / b).value() == pytest.approx(-0.25)
+
+    @given(x=FINITE | st.just(0.0))
+    def test_round_trip_property(self, x):
+        lm = LogMagnitude.from_value(x)
+        assert lm.sign == (x > 0) - (x < 0)
+        if x == 0.0:
+            assert lm.value() == 0.0
+        else:
+            assert abs(lm.value() - x) <= log_rounding(x) * abs(x)
+
+    @given(a=FINITE, b=FINITE)
+    def test_arithmetic_property(self, a, b):
+        la, lb = LogMagnitude.from_value(a), LogMagnitude.from_value(b)
+        assert abs((la * lb).value() - a * b) <= log_rounding(a, b) * abs(a * b)
+        assert abs((la / lb).value() - a / b) <= log_rounding(a, b) * abs(a / b)
+        zero = LogMagnitude.from_value(0.0)
+        assert (la * zero).value() == 0.0 and (zero / lb).value() == 0.0
 
 
 class TestParams:
@@ -194,12 +217,14 @@ class TestAsymptoticPartitionRatio:
     def test_weight_independence(self):
         # the asymptote takes no weight exponents; the exact ratios of three
         # weights all reach it at the 1/n rate (|deviation| * n <= 0.84 here)
-        from selberg_gas.averages import partition_ratio_even
+        from selberg_gas import fisherhartwig as fh
         n, t = 96, 0.3
         target = exact.asymptotic_partition_ratio(n, 1.0, t)
+        symbol = fh.SymbolSpec(singularities=((t, 1.0),))
         for (l1, l2) in ((0.5, 0.5), (-0.5, -0.5), (0.1, 0.9)):
             params = EnsembleParams(n=n, lambda1=l1, lambda2=l2)
-            assert abs(partition_ratio_even(params, t, 1) / target - 1.0) * n <= 1.5
+            ratio = math.exp(fh.hankel_balanced_log_ratio(params, symbol, n))
+            assert abs(ratio / target - 1.0) * n <= 1.5
 
     def test_arcsine_identity_property(self):
         for t in np.linspace(0.02, 0.98, 25):

@@ -37,6 +37,22 @@ class TestHankel:
             expected = avg.log_abs + selberg_closed(n, 0.5, 0.5).log_abs
             assert det.log_abs == pytest.approx(expected, abs=1e-9)
 
+    def test_endpoint_charges_shift_the_exponents(self):
+        # |0 - x|^(2q0) |1 - x|^(2q1) is the weight x^(2q0) (1-x)^(2q1): the
+        # ratio is a quotient of Selberg integrals
+        n, q0, q1 = 6, 0.3, 0.7
+        sym = fh.SymbolSpec(singularities=((1.0, q1), (0.0, q0)))
+        expected = (selberg_closed(n, 0.5 + 2 * q0, -0.25 + 2 * q1).log_abs
+                    - selberg_closed(n, 0.5, -0.25).log_abs)
+        assert fh.hankel_log_ratio(params_for(n, 0.5, -0.25), sym, n) == pytest.approx(
+            expected, abs=1e-12)
+
+    def test_balanced_ratio_needs_interior_charges(self):
+        for y in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                fh.hankel_balanced_log_ratio(params_for(3),
+                                             fh.SymbolSpec(singularities=((y, 1.0),)), 3)
+
     def test_reflection_symmetry(self):
         # singularity at y with (l1, l2) equals singularity at 1-y with (l2, l1)
         a = fh.hankel_determinant(params_for(6, 0.5, -0.25),
