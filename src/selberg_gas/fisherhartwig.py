@@ -7,6 +7,10 @@ analogue (proved by Deift, Its & Krasovsky, Ann. of Math. 174 (2011),
 arXiv:0905.0443), and drift reporting that compares exact determinant
 series against the predicted large-size forms.
 
+Every size of a ladder comes from one factorisation at the largest size:
+a Cholesky factor of the Gram matrix for Hankel ratios, the
+Levinson-Durbin recursion for Toeplitz determinants.
+
 Jump discontinuities are out of scope: every symbol here has zero jump
 strengths.
 """
@@ -111,27 +115,46 @@ def _axis_rule(params: EnsembleParams, charges: Sequence, order: int) -> quad.Qu
     return quad.concat_rules(panels)
 
 
-def hankel_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
-    """log of H_n[symbol] / H_n[1] for the Jacobi weight of `params`.
+def _check_sizes(sizes: Sequence[int]) -> np.ndarray:
+    sizes = np.asarray(sizes, dtype=int)
+    if sizes.ndim != 1 or len(sizes) == 0:
+        raise DomainError("need at least one size")
+    if sizes.min() < 1:
+        raise DomainError(f"size must be >= 1, got {int(sizes.min())}")
+    return sizes
 
-    By Heine's identity this is the ensemble average of
+
+def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
+                      sizes: Sequence[int]) -> np.ndarray:
+    """log of H_n[symbol] / H_n[1] for every n in `sizes`, in request order,
+    for the Jacobi weight of `params`.
+
+    By Heine's identity each entry is the ensemble average of
     prod_l exp(h(x_l)) prod_r |y_r - x_l|^(2 q_r), the package's one exact
     engine for such averages at any n.  In the basis orthonormal against
-    the bare weight the ratio is a single well-conditioned n x n Gram
-    determinant; the basis change cancels between numerator and
-    denominator.  Moments are integrated exactly by splitting at each
-    singularity so every absorbed factor is sign-definite per panel.
+    the bare weight the ratio is an n x n Gram determinant; the basis
+    change cancels between numerator and denominator.  Moments are
+    integrated exactly by splitting at each singularity so every absorbed
+    factor is sign-definite per panel.  The size-n Gram matrices are the
+    leading blocks of the largest one, so one Cholesky factor L gives every
+    size: log H_n/H_n[1] = 2 sum_{i<n} log L_ii.
     """
-    if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
-    rule = _axis_rule(params, symbol.singularities, n + 30)
+    sizes = _check_sizes(sizes)
+    n_max = int(sizes.max())
+    rule = _axis_rule(params, symbol.singularities, n_max + 30)
     w = rule.weights * np.exp(symbol.h_value(rule.nodes))
-    p = quad.orthonormal_polynomials(n - 1, params.lambda1, params.lambda2, rule.nodes)
-    gram = (p * w) @ p.T
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign <= 0.0:
-        raise DomainError(f"Gram determinant lost positivity at n = {n}")
-    return float(logdet)
+    p = quad.orthonormal_polynomials(n_max - 1, params.lambda1, params.lambda2, rule.nodes)
+    try:
+        chol = np.linalg.cholesky((p * w) @ p.T)
+    except np.linalg.LinAlgError:
+        raise DomainError(f"Gram determinant lost positivity below n = {n_max}") from None
+    logs = np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diag(chol)))))
+    return logs[sizes]
+
+
+def hankel_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
+    """log of H_n[symbol] / H_n[1]: the one-size view of `hankel_log_ratios`."""
+    return float(hankel_log_ratios(params, symbol, (n,))[0])
 
 
 def hankel_base_log(params: EnsembleParams, n: int) -> float:
@@ -151,8 +174,10 @@ def hankel_determinant(params: EnsembleParams, symbol: SymbolSpec, n: int) -> De
                             sign=1, size=n)
 
 
-def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
-    """log of the charge-balanced exact ratio the Jacobi-weight asymptote targets.
+def hankel_balanced_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
+                               sizes: Sequence[int]) -> np.ndarray:
+    """log of the charge-balanced exact ratio the Jacobi-weight asymptote
+    targets, for every n in `sizes`, in request order.
 
     The same-size ratio H_n[symbol]/H_n[1] is not charge neutral and decays
     exponentially; the quantity with a clean large-n limit divides by the
@@ -163,24 +188,31 @@ def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int
     """
     if symbol.h_poly and any(abs(c) > 0.0 for c in symbol.h_poly):
         raise DomainError("balanced ratio implemented for trivial smooth part only")
-    q_total = sum(q for _, q in symbol.singularities)
-    total = hankel_log_ratio(params, symbol, n)
-    total += selberg_closed(n, params.lambda1, params.lambda2).log_abs
-    if abs(q_total - round(q_total)) < 1e-12:
-        total -= selberg_closed(n + int(round(q_total)), params.lambda1,
-                                params.lambda2).log_abs
-    else:
-        total -= selberg_closed_barnes(n + q_total, params.lambda1,
-                                       params.lambda2).log_abs
-    for y, q in symbol.singularities:
+    l1, l2 = params.lambda1, params.lambda2
+    sing = symbol.singularities
+    constant = 0.0
+    for y, q in sing:
         if not 0.0 < y < 1.0:
             raise DomainError(f"balanced ratio needs interior charges, got {y}")
-        total += q * (params.lambda1 * math.log(y) + params.lambda2 * math.log(1.0 - y))
-    sing = symbol.singularities
+        constant += q * (l1 * math.log(y) + l2 * math.log(1.0 - y))
     for i in range(len(sing)):
         for j in range(i + 1, len(sing)):
-            total += 2.0 * sing[i][1] * sing[j][1] * math.log(abs(sing[j][0] - sing[i][0]))
-    return total
+            constant += 2.0 * sing[i][1] * sing[j][1] * math.log(abs(sing[j][0] - sing[i][0]))
+    q_total = sum(q for _, q in sing)
+    sizes = _check_sizes(sizes)
+    totals = hankel_log_ratios(params, symbol, sizes) + constant
+    for i, n in enumerate(sizes.tolist()):
+        totals[i] += selberg_closed(n, l1, l2).log_abs
+        if abs(q_total - round(q_total)) < 1e-12:
+            totals[i] -= selberg_closed(n + int(round(q_total)), l1, l2).log_abs
+        else:
+            totals[i] -= selberg_closed_barnes(n + q_total, l1, l2).log_abs
+    return totals
+
+
+def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
+    """The one-size view of `hankel_balanced_log_ratios`."""
+    return float(hankel_balanced_log_ratios(params, symbol, (n,))[0])
 
 
 def jacobi_fh_asymptote(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
@@ -231,11 +263,26 @@ def jacobi_fh_asymptote(params: EnsembleParams, symbol: SymbolSpec, n: int) -> f
 
 
 def _toeplitz_fourier_coeffs(symbol: SymbolSpec, p_max: int) -> np.ndarray:
-    # Fourier coefficients c_p, |p| <= p_max, of
+    # Fourier coefficients c_p, p = -p_max..p_max, of
     #   exp(g(theta)) prod_r (2 - 2 cos(theta - phi_r))^{a_r}.
+    # One zero without a smooth part has them in closed form:
+    #   c_p = e^{-ip phi} (-1)^p Gamma(2a+1) / (Gamma(a+1+p) Gamma(a+1-p)),
+    # a cumulative product of (p-1-a)/(p+a), exact to rounding at every p.
+    # Every other symbol goes through quadrature.
+    if len(symbol.singularities) == 1 and not symbol.g_fourier:
+        ((phi, a),) = symbol.singularities
+        ks = np.arange(1, p_max + 1)
+        c0 = math.exp(log_gamma(2.0 * a + 1.0) - 2.0 * log_gamma(a + 1.0))
+        pos = c0 * np.cumprod((ks - 1.0 - a) / (ks + a)) * np.exp(-1j * ks * phi)
+        return np.concatenate((np.conj(pos[::-1]), [c0], pos))
+    return _quadrature_fourier_coeffs(symbol, p_max)
+
+
+def _quadrature_fourier_coeffs(symbol: SymbolSpec, p_max: int) -> np.ndarray:
     # Splitting the circle at every singularity and absorbing the local
     # power into a Gauss panel keeps each coefficient near machine
-    # precision even though the symbol itself is only Hoelder there.
+    # precision even though the symbol itself is only Hoelder there; the
+    # tail |c_p| ~ p^(-1-2a) still loses relative accuracy at large p.
     ps = np.arange(-p_max, p_max + 1)
     sing = sorted(symbol.singularities, key=lambda s: s[0])
     if not sing:
@@ -280,22 +327,41 @@ def _toeplitz_fourier_coeffs(symbol: SymbolSpec, p_max: int) -> np.ndarray:
     return total / (2.0 * math.pi)
 
 
-def toeplitz_determinant(symbol: SymbolSpec, N: int) -> DeterminantValue:
-    """Exact Toeplitz determinant of the symbol's Fourier coefficients.
+def toeplitz_log_dets(symbol: SymbolSpec, sizes: Sequence[int]) -> np.ndarray:
+    """log D_N of the symbol's Toeplitz matrices [c_{j-k}] for every N in
+    `sizes`, in request order.
 
-    Coefficients come from singularity-aware high-resolution periodic
-    quadrature; the determinant is a scaled LU factorization of the N x N
-    Toeplitz matrix.
+    The coefficients are computed once, up to the largest size.  The
+    matrix of a real symbol is Hermitian positive definite, so the
+    Levinson-Durbin recursion gives every leading minor in O(N^2): with
+    E_0 = c_0 and reflection coefficients kappa_k, E_k = E_{k-1}(1 - |kappa_k|^2)
+    and log D_N = sum_{k<N} log E_k.
     """
-    if N < 1:
-        raise DomainError(f"size must be >= 1, got {N}")
-    coeffs = _toeplitz_fourier_coeffs(symbol, N - 1)
-    idx = (N - 1) + np.arange(N)[:, None] - np.arange(N)[None, :]
-    matrix = coeffs[idx]
-    sign, logdet = np.linalg.slogdet(matrix)
-    if abs(sign.imag) > 1e-8:
-        raise DomainError("Toeplitz determinant is not real; symbol unsupported")
-    return DeterminantValue(log_abs=float(logdet), sign=1 if sign.real > 0 else -1,
+    sizes = _check_sizes(sizes)
+    p_max = int(sizes.max()) - 1
+    coeffs = _toeplitz_fourier_coeffs(symbol, p_max)
+    c = coeffs[p_max:]
+    if np.max(np.abs(coeffs[p_max::-1] - np.conj(c))) > 1e-12 * abs(c[0]):
+        raise DomainError("Toeplitz coefficients are not Hermitian; symbol unsupported")
+    errors = np.zeros(p_max + 1)
+    errors[0] = c[0].real
+    pred = np.zeros(p_max + 1, dtype=complex)  # prediction filter, pred[0] = 1 implied
+    for k in range(1, p_max + 1):
+        if errors[k - 1] <= 0.0:
+            break
+        kappa = -(c[k] + np.dot(pred[1:k], c[k - 1:0:-1])) / errors[k - 1]
+        pred[1:k] = pred[1:k] + kappa * np.conj(pred[k - 1:0:-1])
+        pred[k] = kappa
+        errors[k] = errors[k - 1] * (1.0 - abs(kappa) ** 2)
+    if not np.all(errors > 0.0):
+        raise DomainError("Toeplitz matrix is not positive definite; symbol unsupported")
+    logs = np.concatenate(([0.0], np.cumsum(np.log(errors))))
+    return logs[sizes]
+
+
+def toeplitz_determinant(symbol: SymbolSpec, N: int) -> DeterminantValue:
+    """Exact Toeplitz determinant: the one-size view of `toeplitz_log_dets`."""
+    return DeterminantValue(log_abs=float(toeplitz_log_dets(symbol, (N,))[0]), sign=1,
                             size=N)
 
 

@@ -78,6 +78,17 @@ class TestSubcommands:
         assert all("delta" in r for r in doc["results"])
 
 
+    @pytest.mark.parametrize("subcommand, key", [("fh-jacobi", "n"), ("fh-toeplitz", "N")])
+    def test_ladder_rows_follow_request_order(self, subcommand, key):
+        doc, _ = run_document([subcommand, "--sizes", "12,4,12,8,6"])
+        rows = doc["results"]
+        assert [r[key] for r in rows] == [12, 4, 12, 8, 6]
+        assert rows[0]["log_exact"] == rows[2]["log_exact"]
+        single, _ = run_document([subcommand, "--sizes", "8"])
+        assert single["results"][0]["log_exact"] == pytest.approx(
+            rows[3]["log_exact"], rel=0.0, abs=1e-12)
+
+
 class TestRendering:
     def test_json_round_trip_idempotent(self):
         doc, _ = run_document(["selberg", "--n", "2", "--lambda1", "0.5",
@@ -139,6 +150,14 @@ class TestErrors:
             cli.main(argv)
         assert err.value.code == 2
         assert cli.build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
+
+    @pytest.mark.parametrize("argv", [["fh-toeplitz", "--sizes", "0,4,8,16"],
+                                      ["fh-jacobi", "--sizes", "8,4,-1,16"]])
+    def test_nonpositive_size_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "every size must be >= 1" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:

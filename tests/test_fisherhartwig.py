@@ -6,7 +6,13 @@ import pytest
 from selberg_gas import fisherhartwig as fh
 from selberg_gas import quadrature as quad
 from selberg_gas.averages import average_even_power_heine
-from selberg_gas.exact import EnsembleParams, asymptotic_partition_ratio, selberg_closed
+from selberg_gas.exact import (
+    EnsembleParams,
+    MorrisParams,
+    asymptotic_partition_ratio,
+    morris_closed,
+    selberg_closed,
+)
 from selberg_gas.specfun import DomainError, log_barnes_g
 
 
@@ -160,6 +166,133 @@ class TestToeplitz:
     def test_size_validation(self):
         with pytest.raises(DomainError):
             fh.toeplitz_determinant(fh.SymbolSpec(), 0)
+
+
+LADDER_SIZES = (40, 7, 1, 40, 23, 2)
+
+
+def gram_matrix(params, symbol, n_max):
+    # the Gram matrix the ladder factorises, built the same way
+    rule = fh._axis_rule(params, symbol.singularities, n_max + 30)
+    w = rule.weights * np.exp(symbol.h_value(rule.nodes))
+    p = quad.orthonormal_polynomials(n_max - 1, params.lambda1, params.lambda2, rule.nodes)
+    return (p * w) @ p.T
+
+
+class TestLadders:
+    @pytest.mark.parametrize("symbol", [
+        fh.SymbolSpec(singularities=((0.3, 0.5),)),
+        fh.SymbolSpec(singularities=((0.3, 0.5), (0.8, 0.7))),
+        fh.SymbolSpec(singularities=((0.6, 0.25),), h_poly=(0.2, -0.5, 0.3)),
+    ])
+    def test_hankel_rungs_are_leading_minors(self, symbol):
+        params = params_for(1, 0.5, -0.25)
+        gram = gram_matrix(params, symbol, max(LADDER_SIZES))
+        expected = []
+        for n in LADDER_SIZES:
+            sign, logdet = np.linalg.slogdet(gram[:n, :n])
+            assert sign == 1.0
+            expected.append(logdet)
+        got = fh.hankel_log_ratios(params, symbol, LADDER_SIZES)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-11)
+
+    def test_one_size_views_agree_with_ladders(self):
+        params = params_for(12)
+        symbol = fh.SymbolSpec(singularities=((0.4, 0.5),))
+        assert fh.hankel_log_ratio(params, symbol, 12) == fh.hankel_log_ratios(
+            params, symbol, (12,))[0]
+        assert fh.hankel_balanced_log_ratio(params, symbol, 12) == (
+            fh.hankel_balanced_log_ratios(params, symbol, (12,))[0])
+        circle = fh.SymbolSpec(singularities=((0.0, 0.5),))
+        det = fh.toeplitz_determinant(circle, 12)
+        assert det.log_abs == fh.toeplitz_log_dets(circle, (12,))[0]
+        assert det.sign == 1 and det.size == 12
+
+    @pytest.mark.parametrize("symbol", [
+        fh.SymbolSpec(singularities=((0.7, 0.5), (2.1, 0.3))),
+        fh.SymbolSpec(singularities=((0.7, 1.3),)),
+        fh.SymbolSpec(g_fourier=((1, 0.5), (-1, 0.5))),
+    ])
+    def test_toeplitz_rungs_are_explicit_determinants(self, symbol):
+        p_max = max(LADDER_SIZES) - 1
+        coeffs = fh._toeplitz_fourier_coeffs(symbol, p_max)
+        expected = []
+        for N in LADDER_SIZES:
+            idx = p_max + np.arange(N)[:, None] - np.arange(N)[None, :]
+            sign, logdet = np.linalg.slogdet(coeffs[idx])
+            assert abs(sign - 1.0) < 1e-12
+            expected.append(logdet)
+        got = fh.toeplitz_log_dets(symbol, LADDER_SIZES)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_sizes_must_be_positive(self):
+        symbol = fh.SymbolSpec(singularities=((0.3, 0.5),))
+        for sizes in ((), (4, 0, 8), (-1,)):
+            with pytest.raises(DomainError):
+                fh.hankel_log_ratios(params_for(4), symbol, sizes)
+            with pytest.raises(DomainError):
+                fh.toeplitz_log_dets(symbol, sizes)
+
+    def test_lost_positivity_is_a_domain_error(self, monkeypatch):
+        def refuse(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(fh.np.linalg, "cholesky", refuse)
+        with pytest.raises(DomainError, match="lost positivity"):
+            fh.hankel_log_ratios(params_for(4), fh.SymbolSpec(), (4,))
+
+    def test_indefinite_toeplitz_is_a_domain_error(self, monkeypatch):
+        # c_0 = 1, c_{+-1} = 2: the 2 x 2 minor is 1 - 4 < 0
+        monkeypatch.setattr(fh, "_toeplitz_fourier_coeffs",
+                            lambda symbol, p_max: np.array([0, 2, 1, 2, 0], dtype=complex))
+        with pytest.raises(DomainError, match="positive definite"):
+            fh.toeplitz_log_dets(fh.SymbolSpec(), (3,))
+
+    def test_non_hermitian_symbol_is_refused(self):
+        # exp(e^{i theta}) is not real on the circle
+        with pytest.raises(DomainError, match="Hermitian"):
+            fh.toeplitz_log_dets(fh.SymbolSpec(g_fourier=((1, 1.0),)), (8,))
+
+
+class TestMorrisReference:
+    # one zero: D_N[|1 - e^{i theta}|^{2a}] = M_N(a, a) / N!, the circular
+    # Morris integral, at every N
+
+    @pytest.mark.parametrize("a, tol", [(0.3, 1e-9), (0.5, 1e-9), (1.0, 1e-9), (1.7, 1e-6)])
+    def test_ladder_matches_morris(self, a, tol):
+        sizes = (256, 512, 1024)
+        got = fh.toeplitz_log_dets(fh.SymbolSpec(singularities=((0.0, a),)), sizes)
+        for N, log_d in zip(sizes, got):
+            ref = morris_closed(MorrisParams(N, a, a)).log_abs - math.lgamma(N + 1.0)
+            assert abs(log_d - ref) <= tol, (N, log_d - ref)
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_closed_form_coefficients_match_quadrature(self, a, phi):
+        symbol = fh.SymbolSpec(singularities=((phi, a),))
+        closed = fh._toeplitz_fourier_coeffs(symbol, 255)
+        quadrature = fh._quadrature_fourier_coeffs(symbol, 255)
+        assert np.max(np.abs(closed - quadrature)) <= 1e-12
+
+
+class TestConvergenceRate:
+    SIZES = (8, 16, 32, 64, 128, 256, 512)
+
+    def scaled_drift(self, y, q, lam):
+        params = params_for(max(self.SIZES), lam, lam)
+        symbol = fh.SymbolSpec(singularities=((y, q),))
+        exact = fh.hankel_balanced_log_ratios(params, symbol, self.SIZES)
+        return [n * abs(ex - fh.jacobi_fh_asymptote(params, symbol, n))
+                for n, ex in zip(self.SIZES, exact)]
+
+    @pytest.mark.parametrize("y, q, lam", [(0.5, 0.5, 0.5), (0.3, 0.5, 0.5),
+                                           (0.5, 0.9, -0.5), (0.2, 0.3, 1.0)])
+    def test_drift_is_order_one_over_n(self, y, q, lam):
+        assert max(self.scaled_drift(y, q, lam)) <= 1.0
+
+    def test_band_centre_drift_is_a_steady_one_over_n(self):
+        scaled = self.scaled_drift(0.5, 0.5, 0.5)
+        assert all(0.09 <= s <= 0.13 for s in scaled), scaled
 
 
 class TestDriftReport:
