@@ -1,7 +1,7 @@
 """Jacobi-ensemble averages, duality formulas, and the impenetrable Bose
-gas density matrix: exact closed forms, quadrature oracles, exact and
-Monte Carlo sampling, orbital spectra, and singular-symbol determinant
-asymptotics."""
+gas density matrix: exact closed forms, one Gram-determinant engine for
+exact averages, an exact sampler and Monte Carlo, orbital spectra, and
+singular-symbol determinant asymptotics."""
 
 __version__ = "0.1.0"
 
@@ -13,10 +13,8 @@ from .exact import (
     LogMagnitude,
     MorrisParams,
     asymptotic_partition_ratio,
-    barnes_ratio_asymptote,
     density_matrix_asymptote,
     duality_constant_A,
-    mehta_volume,
     morris_closed,
     occupation_number,
     selberg_closed,
@@ -38,10 +36,7 @@ from .ensembles import (
 )
 from .orbitals import KernelSpec, Orbital, apply_kernel, orbital, scaled_occupation
 from .fisherhartwig import (
-    DeterminantValue,
     SymbolSpec,
-    fh_drift_report,
-    hankel_determinant,
     jacobi_fh_asymptote,
     toeplitz_determinant,
     toeplitz_fh_asymptote,

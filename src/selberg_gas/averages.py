@@ -1,7 +1,7 @@
 """Ensemble averages and their identities.
 
 Every exact average < prod_l f(x_l) > here is one Gram determinant, the
-engine `fisherhartwig.hankel_log_ratio` (Heine's identity), at any n:
+engine `fisherhartwig.hankel_log_ratios` (Heine's identity), at any n:
 even-power averages, the Jacobi side of the Jacobi/circular duality
 formula and the exact finite-N density matrix.  The circular side of the
 duality is an m x m Toeplitz determinant of periodic sums.  The Monte

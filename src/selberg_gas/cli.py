@@ -15,7 +15,13 @@ import sys
 
 from . import __version__, acceptance
 from . import fisherhartwig as fh
-from .averages import DualityCase, duality_lhs, duality_rhs, mc_density_matrix_table
+from .averages import (
+    DualityCase,
+    duality_lhs,
+    duality_rhs,
+    mc_density_matrix,
+    mc_density_matrix_table,
+)
 from .ensembles import RngStream, sample_jue_halfhalf
 from .exact import (
     DensityMatrixQuery,
@@ -93,7 +99,7 @@ def _run_dm_mc(ns):
     config = {"subcommand": "dm-mc", "n": ns.n, "x": ns.x, "y": ns.y,
               "boundary": ns.boundary, "m_samples": ns.m_samples}
     query = DensityMatrixQuery(N=ns.n, X=ns.x, Y=ns.y, boundary=ns.boundary)
-    est = mc_density_matrix_table([query], ns.m_samples, ns.seed, ns.threads)[0]
+    est = mc_density_matrix(query, ns.m_samples, ns.seed, ns.threads)
     return config, [{"value": est.value, "std_error": est.std_error,
                      "m_samples": est.m_samples}]
 
@@ -163,20 +169,31 @@ def _parse_sizes(text: str):
     return sizes
 
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return integer
+
+
 def _run_fh_jacobi(ns):
     config = {"subcommand": "fh-jacobi", "sizes": ",".join(map(str, ns.sizes)),
               "q": ns.q, "y": ns.y, "lambda1": ns.lambda1, "lambda2": ns.lambda2}
     symbol = fh.SymbolSpec(singularities=((ns.y, ns.q),))
     params = EnsembleParams(n=max(ns.sizes), lambda1=ns.lambda1, lambda2=ns.lambda2)
     exact = fh.hankel_balanced_log_ratios(params, symbol, ns.sizes).tolist()
-    series = list(zip(ns.sizes, exact))
-    preds = [fh.jacobi_fh_asymptote(params, symbol, n) for n in ns.sizes]
-    report = fh.fh_drift_report(series, preds) if len(series) >= 4 else None
-    rows = [{"n": n, "log_exact": ex, "log_predicted": pred, "delta": ex - pred}
-            for (n, ex), pred in zip(series, preds)]
-    if report is not None:
+    rows = []
+    for n, ex in zip(ns.sizes, exact):
+        pred = fh.jacobi_fh_asymptote(params, symbol, n)
+        rows.append({"n": n, "log_exact": ex, "log_predicted": pred, "delta": ex - pred})
+    if len(rows) >= 4:
+        # whether |delta| strictly decreases over the last three requested sizes
+        tail = [abs(row["delta"]) for row in rows[-3:]]
         for row in rows:
-            row["decreasing_tail"] = report.decreasing
+            row["decreasing_tail"] = tail[0] > tail[1] > tail[2]
     return config, rows
 
 
@@ -278,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
 
     p = sub.add_parser("orbitals", help="orbital occupations and normalizations")
-    p.add_argument("--j-max", type=int, default=8)
+    p.add_argument("--j-max", type=_int_at_least(0), default=8)
     p.add_argument("--n", type=int, default=1, help="N entering the occupation scale")
     common(p, seed=False)
 
     p = sub.add_parser("sample-jue", help="exact (1/2,1/2) ensemble samples")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-samples", type=int, default=1)
+    p.add_argument("--m-samples", type=_int_at_least(1), default=1)
     common(p)
 
     p = sub.add_parser("fh-jacobi", help="Jacobi-weight determinant drift vs the "

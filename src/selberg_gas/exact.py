@@ -1,8 +1,9 @@
 """Closed-form evaluations and asymptotic formulas.
 
-Selberg, Morris and Mehta integrals, the duality proportionality constant,
-Barnes-ratio asymptotics, the large-n partition-ratio asymptote, the
-density-matrix asymptote and the exact natural-orbital occupations.
+Selberg and Morris integrals (the former continued to non-integer size
+through Barnes G), the duality proportionality constant, the large-n
+partition-ratio asymptote, the density-matrix asymptote and the
+asymptotic natural-orbital occupations.
 
 Every product of gamma functions is carried in log space (LogMagnitude)
 so that ensemble sizes up to 10^4 stay in range.
@@ -159,14 +160,6 @@ def morris_closed(p: MorrisParams) -> LogMagnitude:
     return LogMagnitude(total, 1)
 
 
-def mehta_volume(m_half: int) -> LogMagnitude:
-    """log of the Gaussian (Mehta) volume constant for m/2 = m_half variables."""
-    if m_half < 1:
-        raise DomainError(f"m_half must be >= 1, got {m_half}")
-    m = 2 * m_half
-    return LogMagnitude(0.25 * m * math.log(2.0 * math.pi) + log_barnes_g(0.5 * m + 2.0), 1)
-
-
 def eta_exponents(params: EnsembleParams) -> tuple:
     """Circular-side Morris exponents (eta1, eta2) dual to the Jacobi weight."""
     eta1 = params.lambda2
@@ -233,11 +226,3 @@ def occupation_number(j: int, N: int) -> float:
     log_val = (log_g4_half3() + log_gamma(j + 0.5)
                - 0.5 * math.log(math.pi) - log_gamma(j + 1.0))
     return math.exp(log_val) * math.sqrt(N)
-
-
-def barnes_ratio_asymptote(n: int, a: float, b: float) -> float:
-    """Large-n asymptote of log( G(n+a+1) / G(n+b+1) ), up to o(1)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return ((b - a) * n + 0.5 * (a - b) * math.log(2.0 * math.pi)
-            + ((a - b) * n + 0.5 * (a * a - b * b)) * math.log(n))

@@ -3,8 +3,10 @@
 The weakly singular kernel |X-Y|^(-1/2) [Y(1-Y)]^(-1/4) has the
 quarter-index Gegenbauer polynomials as exact eigenfunctions.  This module
 applies the kernel numerically, builds the normalized orbitals and their
-occupations, and verifies the hypergeometric identities behind the
-operator/differential-operator commutation argument.
+occupations, and evaluates the hypergeometric sums S_j, their
+differential-operator images and contiguity defects behind the
+operator/differential-operator commutation argument.  The kernel image of
+the j-th mode is Omega_j [S_j(X) + (-1)^j S_j(1-X)].
 """
 
 from __future__ import annotations
@@ -52,17 +54,6 @@ class Orbital:
     L: float
     normalization: float
     evaluate: Callable
-
-
-@dataclass(frozen=True)
-class AppendixState:
-    """One evaluation point of the hypergeometric sum S_j and its prefactor."""
-
-    j: int
-    k: int
-    z: float
-    omega_j: float
-    s_value: float
 
 
 def apply_kernel(spec: KernelSpec, f: Callable, X: float, tol: float = 1e-8) -> float:
@@ -122,19 +113,6 @@ def eigen_residual(j: int, X: float, tol: float = 1e-8) -> float:
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
-def verify_expansion_identity(j_max: int, X: float, tol: float = 1e-8) -> float:
-    """Max residual, over modes k <= j_max, of the kernel expansion identity
-    projected against C_k^{1/4} under the weight [Y(1-Y)]^{-1/4}.
-
-    The projection integrates Y out, reducing each mode to its
-    eigenrelation; the pointwise identity's X = Y singularity never
-    enters.
-    """
-    if j_max < 0:
-        raise DomainError(f"j_max must be >= 0, got {j_max}")
-    return max(eigen_residual(k, X, tol) for k in range(j_max + 1))
-
-
 def porter_stirling_solution(nu: float) -> tuple:
     """Closed-form solution of  int phi(t) |x-t|^(-nu) dt = 1  on (0,1).
 
@@ -163,7 +141,8 @@ def _series_coefficients(j: int) -> np.ndarray:
 
 
 def omega(j: int) -> float:
-    """Prefactor Gamma(3/4)/Gamma(5/4) * Gamma(j+1/2)/j! of the kernel sum."""
+    """Prefactor Omega_j = Gamma(3/4)/Gamma(5/4) * Gamma(j+1/2)/j! of the
+    kernel image Omega_j [S_j(X) + (-1)^j S_j(1-X)]."""
     return math.exp(log_gamma(0.75) - log_gamma(1.25)
                     + log_gamma(j + 0.5) - log_gamma(j + 1.0))
 
@@ -178,12 +157,6 @@ def appendix_s(j: int, z: float) -> float:
     zq = z**0.25
     return float(sum(c * zq * hyp2f1(0.25 - k, 0.75, 1.25, z)
                      for k, c in enumerate(coeff)))
-
-
-def appendix_state(j: int, k: int, z: float) -> AppendixState:
-    if not 0 <= k <= j:
-        raise DomainError(f"need 0 <= k <= j, got k={k}, j={j}")
-    return AppendixState(j=j, k=k, z=z, omega_j=omega(j), s_value=appendix_s(j, z))
 
 
 def l_operator_on_term(k: int, z: float) -> float:
@@ -205,11 +178,6 @@ def l_operator_on_s(j: int, z: float) -> float:
     return float(sum(c * l_operator_on_term(k, z) for k, c in enumerate(coeff)))
 
 
-def s_term_derivative(k: int, z: float) -> float:
-    """Analytic d/dz of z^{1/4} 2F1(1/4-k, 3/4; 5/4; z) via the same rule."""
-    return 0.25 * z**-0.75 * hyp2f1(0.25 - k, 0.75, 0.25, z)
-
-
 def contiguity_residuals(k: int, z: float) -> tuple:
     """Defects of the two contiguity relations tying the shifted-parameter
     2F1 values together; both vanish identically."""
@@ -223,10 +191,3 @@ def contiguity_residuals(k: int, z: float) -> tuple:
     lhs2 = -0.25 * f_14
     rhs2 = -k * f_54 - (0.25 - k) * f_54_up
     return lhs1 - rhs1, lhs2 - rhs2
-
-
-def kernel_via_hypergeometric(j: int, X: float) -> float:
-    """Kernel image of the j-th Gegenbauer mode from the closed
-    hypergeometric representation: Omega_j [S_j(X) + (-1)^j S_j(1-X)]."""
-    om = omega(j)
-    return om * (appendix_s(j, X) + (-1) ** j * appendix_s(j, 1.0 - X))

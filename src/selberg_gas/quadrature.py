@@ -1,9 +1,10 @@
 """Deterministic integration engines.
 
-Gauss-Legendre and Gauss-Jacobi rules, tensor-product integration up to
-three dimensions, equal-weight periodic rules on (-pi, pi)^m, splitting of
-interior power-law singularities by algebraic substitution, and principal
-value integrals against the arcsine weight via Chebyshev identities.
+Gauss-Jacobi panels that absorb endpoint powers, tensor-product
+integration up to three dimensions, equal-weight periodic rules on
+(-pi, pi)^m, splitting of interior power-law singularities by algebraic
+substitution, and the Jacobi three-term recurrence with its orthonormal
+polynomials.
 
 These serve both as production evaluators and as the independent oracles
 the closed forms are tested against.
@@ -50,36 +51,6 @@ class QuadratureRule:
 def _jacobi_nodes_weights(order: int, alpha: float, beta: float):
     x, w = roots_jacobi(order, alpha, beta)
     return np.asarray(x), np.asarray(w)
-
-
-@lru_cache(maxsize=128)
-def _legendre_nodes_weights(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return np.asarray(x), np.asarray(w)
-
-
-def gauss_rule(kind: str, order: int, alpha: float = 0.0, beta: float = 0.0) -> QuadratureRule:
-    """Gauss rule on [-1, 1] ('legendre' or 'jacobi'), or equal-weight
-    'periodic' rule on (-pi, pi).
-
-    The Jacobi rule integrates against (1-x)^alpha (1+x)^beta; exponents
-    must exceed -1.
-    """
-    if order < 1:
-        raise DomainError(f"rule order must be >= 1, got {order}")
-    if kind == "legendre":
-        x, w = _legendre_nodes_weights(order)
-        return QuadratureRule(x, w, (-1.0, 1.0), "legendre")
-    if kind == "jacobi":
-        if alpha <= -1.0 or beta <= -1.0:
-            raise DomainError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
-        x, w = _jacobi_nodes_weights(order, alpha, beta)
-        return QuadratureRule(x, w, (-1.0, 1.0), f"jacobi({alpha},{beta})")
-    if kind == "periodic":
-        h = 2.0 * math.pi / order
-        x = -math.pi + (np.arange(order) + 0.5) * h
-        return QuadratureRule(x, np.full(order, h), (-math.pi, math.pi), "periodic")
-    raise DomainError(f"unknown rule kind {kind!r}")
 
 
 def power_panel(a: float, b: float, p_left: float, p_right: float, order: int) -> QuadratureRule:
@@ -229,40 +200,6 @@ def singular_integrate(s: SingularIntegrand, tol: float = 1e-10) -> float:
     raise QuadratureError(
         f"singular_integrate did not converge to {tol} (last gap {gap})",
         best=cur, gap=gap)
-
-
-def principal_value_airfoil(h_prime_coeffs: Sequence[float], x: float) -> float:
-    """PV integral of h'(y) sqrt(y(1-y)) / (x - y) over (0,1).
-
-    h'((1+t)/2) is supplied by Chebyshev-U coefficients: coeffs[i] multiplies
-    U_i(t) with t = 2y - 1.  Uses the exact identity mapping U_{k-1} to T_k,
-    so polynomial inputs are evaluated exactly.
-    """
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"evaluation point must lie in (0,1), got {x}")
-    coeffs = np.asarray(h_prime_coeffs, dtype=float)
-    if coeffs.size == 0:
-        return 0.0
-    # PV int sqrt(1-t^2) U_{k-1}(t)/(t-s) dt = -pi T_k(s)  =>  against (s-t):
-    # each U_{k-1} contributes +pi T_k(s); the 0->1 mapping contributes 1/2.
-    t_series = np.concatenate(([0.0], coeffs))
-    s = 2.0 * x - 1.0
-    return 0.5 * math.pi * float(np.polynomial.chebyshev.chebval(s, t_series))
-
-
-def poly_to_chebyshev_u(power_coeffs: Sequence[float]) -> np.ndarray:
-    """Convert a power-basis polynomial on [-1,1] to Chebyshev-U coefficients."""
-    t = np.polynomial.chebyshev.poly2cheb(np.asarray(power_coeffs, dtype=float))
-    u = np.zeros_like(t)
-    # T_0 = U_0, T_1 = U_1/2, T_k = (U_k - U_{k-2})/2
-    for k, c in enumerate(t):
-        if k == 0:
-            u[0] += c
-        else:
-            u[k] += 0.5 * c
-            if k >= 2:
-                u[k - 2] -= 0.5 * c
-    return u
 
 
 def jacobi_recurrence(n_terms: int, lambda1: float, lambda2: float):

@@ -133,18 +133,6 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     return gauss_2f1(HypergeometricArgs(a, b, c, z))
 
 
-@dataclass(frozen=True)
-class GegenbauerIndex:
-    """Degree j of the ultraspherical family with parameter alpha = 1/4."""
-
-    j: int
-    alpha: float = 0.25
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise DomainError(f"Gegenbauer degree must be >= 0, got {self.j}")
-
-
 def gegenbauer_quarter(j: int, x: float) -> float:
     """C_j^{1/4}(x) via the three-term recurrence, |x| <= 1."""
     if j < 0:

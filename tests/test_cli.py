@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +81,21 @@ class TestSubcommands:
         assert all("delta" in r for r in doc["results"])
 
 
+    def test_fh_jacobi_decreasing_tail_needs_four_sizes(self):
+        doc, _ = run_document(["fh-jacobi", "--sizes", "8,16,32"])
+        assert all("decreasing_tail" not in r for r in doc["results"])
+        doc, _ = run_document(["fh-jacobi", "--sizes", "8,16,32,48"])
+        assert all("decreasing_tail" in r for r in doc["results"])
+
+    @pytest.mark.parametrize("sizes, expected", [("8,16,32,48", True), ("48,8,32,16", False)])
+    def test_fh_jacobi_decreasing_tail_follows_request_order(self, sizes, expected):
+        # strict decrease of the last three |delta| in request order
+        doc, _ = run_document(["fh-jacobi", "--sizes", sizes])
+        rows = doc["results"]
+        tail = [abs(r["delta"]) for r in rows[-3:]]
+        assert (tail[0] > tail[1] > tail[2]) is expected
+        assert all(r["decreasing_tail"] is expected for r in rows)
+
     @pytest.mark.parametrize("subcommand, key", [("fh-jacobi", "n"), ("fh-toeplitz", "N")])
     def test_ladder_rows_follow_request_order(self, subcommand, key):
         doc, _ = run_document([subcommand, "--sizes", "12,4,12,8,6"])
@@ -152,14 +170,43 @@ class TestErrors:
         assert cli.build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
 
     @pytest.mark.parametrize("argv", [["fh-toeplitz", "--sizes", "0,4,8,16"],
-                                      ["fh-jacobi", "--sizes", "8,4,-1,16"]])
+                                      ["fh-jacobi", "--sizes", "8,4,-1,16"],
+                                      ["sample-jue", "--n", "3", "--m-samples", "0"],
+                                      ["sample-jue", "--n", "3", "--m-samples", "-2"],
+                                      ["orbitals", "--j-max", "-1"]])
     def test_nonpositive_size_is_usage_error(self, argv, capsys):
+        expected = {"--sizes": "every size must be >= 1",
+                    "--m-samples": "argument --m-samples: must be an integer >= 1",
+                    "--j-max": "argument --j-max: must be an integer >= 0"}[argv[-2]]
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2
-        assert "every size must be >= 1" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
             cli.build_parser().parse_args(["frobnicate"])
         assert err.value.code == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_LINES = [line
+                for block in re.findall(r"```[a-z]*\n(.*?)```", README.read_text(), re.S)
+                for line in block.splitlines() if line.startswith("selberg-gas ")]
+
+
+def test_readme_lists_every_subcommand():
+    subcommands = {shlex.split(line)[1] for line in README_LINES}
+    assert subcommands == set(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("line", README_LINES, ids=lambda line: line.split()[1])
+def test_readme_command_line_parses(line):
+    # parse only, execute nothing: README examples must use the real
+    # subcommands and flags
+    argv = shlex.split(line, comments=True)[1:]
+    try:
+        ns = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README line does not parse: {line}")
+    assert ns.subcommand == argv[0]

@@ -145,15 +145,6 @@ class TestMorris:
             assert closed == pytest.approx(morris_quadrature(n, a, b, pts), rel=1e-10)
 
 
-class TestMehta:
-    def test_small_cases(self):
-        two_pi = 2.0 * math.pi
-        assert exact.mehta_volume(1).log_abs == pytest.approx(0.5 * math.log(two_pi))
-        assert exact.mehta_volume(2).log_abs == pytest.approx(math.log(4.0 * math.pi))
-        assert exact.mehta_volume(3).log_abs == pytest.approx(
-            1.5 * math.log(two_pi) + math.log(12.0))
-
-
 class TestDualityConstant:
     def test_explicit_small_case(self):
         # n=1, m=2, flat weight: S_1(0,2)/S_1(0,0) * M_2(0,0)/M_2(1,0) = 1/3
@@ -279,23 +270,3 @@ class TestOccupations:
         partial = np.cumsum([math.exp(log_gamma(j + 0.5) - log_gamma(j + 1.0))
                              for j in range(40)])
         assert np.all(np.diff(partial) > 0.0)
-
-
-class TestBarnesRatioAsymptote:
-    def test_degenerate(self):
-        assert exact.barnes_ratio_asymptote(17, 0.4, 0.4) == 0.0
-
-    def test_against_exact_gamma(self):
-        # log G(n+2)/G(n+1) = log Gamma(n+1)
-        n = 200
-        asym = exact.barnes_ratio_asymptote(n, 1.0, 0.0)
-        assert abs(asym - log_gamma(n + 1.0)) < 1e-2
-
-    def test_improves_with_n(self):
-        from selberg_gas.specfun import log_barnes_g
-
-        def defect(n):
-            exact_val = log_barnes_g(n + 1.5) - log_barnes_g(n + 1.0)
-            return abs(exact.barnes_ratio_asymptote(n, 0.5, 0.0) - exact_val)
-
-        assert defect(500) < defect(100)

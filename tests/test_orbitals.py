@@ -5,7 +5,7 @@ import pytest
 
 from selberg_gas import orbitals as orb
 from selberg_gas import quadrature as quad
-from selberg_gas.specfun import DomainError, gegenbauer_quarter, log_beta, log_gamma
+from selberg_gas.specfun import DomainError, gegenbauer_quarter, hyp2f1, log_beta, log_gamma
 
 
 class TestApplyKernel:
@@ -46,8 +46,10 @@ class TestEigenrelation:
                 assert orb.eigen_residual(j, X) <= 1e-4
 
     def test_expansion_identity_projection(self):
-        assert orb.verify_expansion_identity(3, 0.25) <= 1e-5
-        assert orb.verify_expansion_identity(0, 0.5) <= 1e-6
+        # the kernel expansion identity projected against C_k^{1/4} reduces
+        # to each mode's eigenrelation
+        assert max(orb.eigen_residual(k, 0.25) for k in range(4)) <= 1e-5
+        assert orb.eigen_residual(0, 0.5) <= 1e-6
 
 
 class TestOrbitals:
@@ -86,7 +88,6 @@ class TestOrbitals:
 
 class TestAppendixIdentities:
     def test_s_single_term(self):
-        from selberg_gas.specfun import hyp2f1
         z = 0.5
         assert orb.appendix_s(0, z) == pytest.approx(
             z**0.25 * hyp2f1(0.25, 0.75, 1.25, z), rel=1e-14)
@@ -103,31 +104,32 @@ class TestAppendixIdentities:
         assert abs(r1) <= 1e-10 and abs(r2) <= 1e-10
 
     def test_derivative_rule_against_finite_difference(self):
-        from selberg_gas.specfun import hyp2f1
+        # the parameter-shift rule behind `l_operator_on_term`:
+        # d/dz z^{1/4} 2F1(1/4-k, 3/4; 5/4; z) = (1/4) z^{-3/4} 2F1(1/4-k, 3/4; 1/4; z)
         rng = np.random.default_rng(5)
         h = 1e-5
         for _ in range(20):
             k = int(rng.integers(0, 6))
             z = float(rng.uniform(0.05, 0.9))
-            closed = orb.s_term_derivative(k, z)
+            closed = 0.25 * z**-0.75 * hyp2f1(0.25 - k, 0.75, 0.25, z)
             f = lambda u: u**0.25 * hyp2f1(0.25 - k, 0.75, 1.25, u)
             fd = (f(z + h) - f(z - h)) / (2.0 * h)
             assert closed == pytest.approx(fd, rel=1e-6)
 
     def test_hypergeometric_kernel_representation(self):
-        # closed representation agrees with direct singular quadrature
+        # Omega_j [S_j(X) + (-1)^j S_j(1-X)] agrees with direct singular quadrature
         for j in (0, 1, 4):
             for X in (0.3, 0.62):
                 direct = orb.apply_kernel(
                     orb.EIGEN_KERNEL,
                     lambda Y: orb._gegenbauer_vec(j, 2.0 * Y - 1.0), X, tol=1e-10)
-                closed = orb.kernel_via_hypergeometric(j, X)
+                closed = orb.omega(j) * (orb.appendix_s(j, X)
+                                         + (-1) ** j * orb.appendix_s(j, 1.0 - X))
                 assert closed == pytest.approx(direct, rel=1e-9, abs=1e-11)
 
     def test_omega_positive(self):
         for j in range(10):
             assert orb.omega(j) > 0.0
-        state = orb.appendix_state(3, 1, 0.4)
-        assert state.omega_j == pytest.approx(
+        assert orb.omega(3) == pytest.approx(
             math.exp(log_gamma(0.75) - log_gamma(1.25)
                      + log_gamma(3.5) - log_gamma(4.0)), rel=1e-13)

@@ -9,18 +9,19 @@ from selberg_gas.specfun import DomainError, log_beta
 
 class TestGaussRules:
     def test_legendre_two_point(self):
-        rule = quad.gauss_rule("legendre", 2)
+        rule = quad.power_panel(-1.0, 1.0, 0.0, 0.0, 2)
         assert rule.nodes == pytest.approx([-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)])
         assert rule.weights == pytest.approx([1.0, 1.0])
 
     def test_jacobi_arcsine_mass(self):
         for order in (4, 9, 30):
-            rule = quad.gauss_rule("jacobi", order, alpha=-0.5, beta=-0.5)
+            rule = quad.power_panel(-1.0, 1.0, -0.5, -0.5, order)
             assert rule.weights.sum() == pytest.approx(math.pi, rel=1e-13)
 
     def test_weight_sums_match_beta_mass(self):
+        # weight (1+x)^b (1-x)^a on (-1, 1)
         for (a, b) in ((0.5, 0.5), (-0.25, 0.75), (2.0, 0.0)):
-            rule = quad.gauss_rule("jacobi", 24, alpha=a, beta=b)
+            rule = quad.power_panel(-1.0, 1.0, b, a, 24)
             mass = 2.0 ** (a + b + 1.0) * math.exp(log_beta(a + 1.0, b + 1.0))
             assert rule.weights.sum() == pytest.approx(mass, rel=1e-12)
 
@@ -38,12 +39,13 @@ class TestGaussRules:
             assert abs(float(np.sum(rule.weights * polys[k]))) <= 1e-12
 
     def test_invalid_inputs(self):
-        with pytest.raises(DomainError):
-            quad.gauss_rule("jacobi", 5, alpha=-1.0, beta=0.0)
-        with pytest.raises(DomainError):
-            quad.gauss_rule("legendre", 0)
-        with pytest.raises(DomainError):
-            quad.gauss_rule("simpson", 3)
+        for a, b in ((0.5, 0.5), (1.0, 0.0)):
+            with pytest.raises(DomainError, match="empty panel"):
+                quad.power_panel(a, b, 0.0, 0.0, 5)
+        with pytest.raises(ValueError):
+            quad.power_panel(0.0, 1.0, -1.0, 0.0, 5)
+        with pytest.raises(ValueError):
+            quad.power_panel(0.0, 1.0, 0.0, 0.0, 0)
 
 
 class TestTensorIntegrate:
@@ -64,7 +66,7 @@ class TestTensorIntegrate:
     def test_dimension_cap(self):
         with pytest.raises(DomainError):
             quad.tensor_integrate(lambda *c: 1.0,
-                                  [quad.gauss_rule("legendre", 3)] * 4)
+                                  [quad.power_panel(0.0, 1.0, 0.0, 0.0, 3)] * 4)
 
 
 class TestPeriodicIntegrate:
@@ -142,47 +144,6 @@ class TestSingularIntegrate:
         with pytest.raises(DomainError):
             quad.SingularIntegrand(smooth_factor=lambda y: y,
                                    interior_singularity=(1.2, -0.5))
-
-
-def _pv_oracle(f, x, delta=0.05, order=400):
-    # paired-excision evaluation of PV int f(y)/(x-y) dy where f carries
-    # sqrt endpoint factors; the panels absorb the nearby sqrt exactly
-    lo = quad.power_panel(0.0, x - delta, 0.5, 0.0, order)
-    lo_val = float(np.sum(lo.weights * f(lo.nodes) / np.sqrt(lo.nodes)
-                          / (x - lo.nodes)))
-    hi = quad.power_panel(x + delta, 1.0, 0.0, 0.5, order)
-    hi_val = float(np.sum(hi.weights * f(hi.nodes) / np.sqrt(1.0 - hi.nodes)
-                          / (x - hi.nodes)))
-    inner = quad.power_panel(0.0, delta, 0.0, 0.0, order)
-    u = inner.nodes
-    paired = float(np.sum(inner.weights * (f(x - u) - f(x + u)) / u))
-    return lo_val + hi_val + paired
-
-
-class TestPrincipalValue:
-    def test_zero_input(self):
-        assert quad.principal_value_airfoil([], 0.5) == 0.0
-        assert quad.principal_value_airfoil([0.0, 0.0], 0.3) == 0.0
-
-    def test_linear_smooth_part(self):
-        # h(y) = y: PV equals pi (x - 1/2); cross-checked against excision
-        for x in (0.2, 0.5, 0.77):
-            closed = quad.principal_value_airfoil([1.0], x)
-            assert closed == pytest.approx(math.pi * (x - 0.5), abs=1e-13)
-            oracle = _pv_oracle(lambda y: np.sqrt(y * (1.0 - y)), x)
-            assert closed == pytest.approx(oracle, abs=1e-8)
-
-    def test_quadratic_smooth_part(self):
-        # h(y) = y^2, h'(y) = 2y = 1 + t in the mapped variable
-        coeffs = quad.poly_to_chebyshev_u([1.0, 1.0])
-        for x in (0.3, 0.62):
-            closed = quad.principal_value_airfoil(coeffs, x)
-            oracle = _pv_oracle(lambda y: 2.0 * y * np.sqrt(y * (1.0 - y)), x)
-            assert closed == pytest.approx(oracle, abs=1e-8)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            quad.principal_value_airfoil([1.0], 1.0)
 
 
 class TestRecurrence:
