@@ -186,7 +186,7 @@ def criterion_6_toeplitz() -> CriterionResult:
     log_dets = fh.toeplitz_log_dets(symbol, sizes)
     gaps = [abs(log_d - 0.25 * math.log(N) - target) for N, log_d in zip(sizes, log_dets)]
     monotone = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
-    final_ok = gaps[-1] <= 0.02
+    final_ok = bool(gaps[-1] <= 0.02)
     exact_gap = abs(log_dets[-1] - morris_closed(MorrisParams(48, 0.5, 0.5)).log_abs
                     + log_gamma(49.0))
     return CriterionResult(6, "Toeplitz singular-symbol drift", monotone and final_ok,
@@ -260,7 +260,7 @@ def criterion_9_samplers(seed: int = 42) -> CriterionResult:
     sq = (vals - vals.mean()) ** 2
     var_se = sq.std(ddof=1) / math.sqrt(m1)
     var_ok = abs(vals.var(ddof=1) - 0.0625) <= 3.0 * var_se
-    passed = mean_ok and var_ok
+    passed = bool(mean_ok and var_ok)
     detail = (f"n=1 mean {vals.mean():.5f} (se {mean_se:.1e}), var {vals.var(ddof=1):.5f} "
               f"(se {var_se:.1e})")
 
@@ -274,7 +274,7 @@ def criterion_9_samplers(seed: int = 42) -> CriterionResult:
         den = quad.tensor_integrate(lambda x, y: (y - x) ** 2, [axis, axis])
         exact_sum = num / den
         sum_se = sums.std(ddof=1) / math.sqrt(m2)
-        passed = passed and abs(sums.mean() - exact_sum) <= 3.0 * sum_se
+        passed = passed and bool(abs(sums.mean() - exact_sum) <= 3.0 * sum_se)
         detail += (f"; n=2 weight ({lam}, {lam}) sum {sums.mean():.5f} vs "
                    f"{exact_sum:.5f} (se {sum_se:.1e})")
     return CriterionResult(9, "sampler validation", passed, detail)

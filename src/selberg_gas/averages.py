@@ -4,9 +4,10 @@ Every exact average < prod_l f(x_l) > here is one Gram determinant, the
 engine `fisherhartwig.hankel_log_ratios` (Heine's identity), at any n:
 even-power averages, the Jacobi side of the Jacobi/circular duality
 formula and the exact finite-N density matrix.  The circular side of the
-duality is an m x m Toeplitz determinant of periodic sums.  The Monte
-Carlo density-matrix estimator, with deterministic seeding and reduction,
-draws both boundaries' ensembles from the exact sampler in `ensembles`.
+duality is an m x m Toeplitz determinant of closed-form coefficients, each
+a Jacobi polynomial in t.  The Monte Carlo density-matrix estimator, with
+deterministic seeding and reduction, draws both boundaries' ensembles from
+the exact sampler in `ensembles`.
 Tensor-product quadrature is left to the oracles of the tests and the
 acceptance suite.
 """
@@ -19,20 +20,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import poch
 
 from . import fisherhartwig as fh
-from . import quadrature as quad
 from .exact import (
     BOUNDARY_DIRICHLET,
     DensityMatrixQuery,
     EnsembleParams,
     LogMagnitude,
-    MorrisParams,
     duality_constant_A,
-    morris_closed,
 )
 from .ensembles import RngStream, sample_jue, sample_jue_halfhalf
-from .specfun import DomainError
+from .specfun import DomainError, log_gamma
 
 
 @dataclass(frozen=True)
@@ -94,52 +93,52 @@ def duality_lhs(case: DualityCase) -> float:
     return average_even_power_heine(case.params, case.t, case.m).value()
 
 
-def _duality_rhs_integral(case: DualityCase, points: int) -> complex:
-    # (2 pi)^-m times the m-fold periodic midpoint sum of
-    # prod_j F(theta_j) |Delta(e^{i theta})|^2.  Andreief's identity holds for
-    # the grid's discrete measure too, so that sum is m! det[c_{j-k}] with
-    # c_k = (h / 2 pi) sum_theta F(theta) e^{i k theta}.
-    e = (case.params.lambda1 - case.params.lambda2 - case.n) / 2.0
-    p = case.params.lambda1 + case.params.lambda2 + case.n
-    t, n, m = case.t, case.n, case.m
-    h = 2.0 * math.pi / points
-    theta = -math.pi + (np.arange(points) + 0.5) * h
-    f = (np.exp(1j * e * theta)
-         * (2.0 * np.cos(0.5 * theta)) ** p
-         * (t * (1.0 + np.exp(1j * theta)) - 1.0) ** n)
-    ks = np.arange(1 - m, m)
-    c = np.exp(1j * np.outer(ks, theta)) @ f * (h / (2.0 * math.pi))
-    idx = np.arange(m)
-    toeplitz = c[(m - 1) + idx[:, None] - idx[None, :]]
-    return math.factorial(m) * complex(np.linalg.det(toeplitz))
+def _jacobi_p(n: int, alpha: np.ndarray, beta: np.ndarray, x: float) -> np.ndarray:
+    # P_n^(alpha, beta)(x), n >= 1, by the three-term recurrence in the
+    # degree, valid for any alpha + beta > -2; scipy's eval_jacobi returns NaN
+    # at the negative integer alpha that integer weight exponents produce
+    prev, cur = np.ones_like(alpha), (alpha + 1.0) + 0.5 * (alpha + beta + 2.0) * (x - 1.0)
+    for k in range(2, n + 1):
+        s = 2.0 * k + alpha + beta
+        prev, cur = cur, (((s - 1.0) * (s * (s - 2.0) * x + alpha**2 - beta**2) * cur
+                           - 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s * prev)
+                          / (2.0 * k * (k + alpha + beta) * (s - 2.0)))
+    return cur
 
 
 def duality_rhs(case: DualityCase) -> float:
-    """Circular-side value of the duality formula.
+    """Circular-side value of the duality formula, in closed form.
 
-    Each rung of the ladder is the m-fold periodic midpoint rule, summed
-    exactly as an m x m Toeplitz determinant.  The half-angle weight has
-    limited smoothness at the wrap point, so the rule is
-    Richardson-extrapolated over the doubling ladder 1024, 2048, 4096.
-    Raises `QuadratureError` when the result has an imaginary part or when
-    the two Richardson rungs disagree beyond 1e-7 relative, the mark of
-    cancellation in the periodic sums at large n near the edges of t.
+    By Andreief's identity the m-fold circular integral of
+    prod_j F(theta_j) |Delta(e^{i theta})|^2 is m! det[c_{j-k}] with
+    c_k = (1/2pi) int F(theta) e^{ik theta} d theta, and
+    F(theta) = e^{ie theta} (2 cos theta/2)^p (t (1 + e^{i theta}) - 1)^n,
+    e = (l1 - l2 - n)/2, p = l1 + l2 + n.  Expanding the last factor and
+    integrating term by term with
+    (1/2pi) int e^{ib theta} (2 cos theta/2)^a d theta
+        = Gamma(a+1) / (Gamma(1 + a/2 + b) Gamma(1 + a/2 - b))
+    (Forrester, Log-Gases and Random Matrices, 2010) gives a Jacobi polynomial:
+    c_k = (-1)^n S P_n^(l1+k, l2-k)(1 - 2t) / ((l1+n+1)_k (l2+n+1)_{-k}),
+    S = Gamma(p+1) n! / (Gamma(l1+n+1) Gamma(l2+n+1)), with Pochhammer
+    symbols (x)_k = Gamma(x+k)/Gamma(x) that vanish in the denominator's
+    poles.  The coefficients are real and exact to rounding; S^m is carried
+    in log space, and the m! cancels against M_m(0, 0) = m!.  Raises
+    `DomainError` on a non-finite result.
     """
-    ladder = [_duality_rhs_integral(case, 1024 << i) for i in range(3)]
-    r1 = (4.0 * ladder[1] - ladder[0]) / 3.0
-    r2 = (4.0 * ladder[2] - ladder[1]) / 3.0
-    best = (16.0 * r2 - r1) / 15.0
-    if abs(best.imag) > 1e-8 * max(1.0, abs(best.real)):
-        raise quad.QuadratureError(
-            f"duality integrand failed its real-value check: imag {best.imag}")
-    spread = abs(r2 - r1)
-    if spread > 1e-7 * abs(best.real):
-        raise quad.QuadratureError(
-            f"duality Richardson ladder did not settle: spread {spread:.3g} "
-            f"on {best.real:.6g}")
-    log_m0 = morris_closed(MorrisParams(case.m, 0.0, 0.0)).log_abs
-    a_const = duality_constant_A(case.params, case.m)
-    return math.exp(a_const.log_abs - log_m0) * best.real
+    l1, l2 = case.params.lambda1, case.params.lambda2
+    n, m, t = case.n, case.m, case.t
+    ks = np.arange(1 - m, m, dtype=float)
+    a0, b0 = l1 + n + 1.0, l2 + n + 1.0
+    c = ((-1.0) ** n * _jacobi_p(n, l1 + ks, l2 - ks, 1.0 - 2.0 * t)
+         / (poch(a0, ks) * poch(b0, -ks)))
+    idx = np.arange(m)
+    det = np.linalg.det(c[(m - 1) + idx[:, None] - idx[None, :]])
+    log_scale = (log_gamma(l1 + l2 + n + 1.0) + log_gamma(n + 1.0)
+                 - log_gamma(a0) - log_gamma(b0))
+    value = det * math.exp(duality_constant_A(case.params, m).log_abs + m * log_scale)
+    if not math.isfinite(value):
+        raise DomainError(f"duality circular side is not finite: {value}")
+    return float(value)
 
 
 def _dm_sampler(query: DensityMatrixQuery, stream: RngStream):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import DomainError, log_barnes_g, log_gamma
 
 
@@ -148,16 +150,22 @@ def selberg_closed_barnes(nu: float, a: float, b: float) -> LogMagnitude:
 
 
 def morris_closed(p: MorrisParams) -> LogMagnitude:
-    """log M_n(a, b, 1), the Morris integral at unitary coupling."""
+    """log M_n(a, b, 1), the Morris integral at unitary coupling.
+
+    M_n = prod_{j<n} T_j with T_j = Gamma(a+b+1+j) Gamma(2+j) /
+    (Gamma(a+1+j) Gamma(b+1+j)).  Summing log T_j directly adds gamma logs
+    of size j log j whose rounding grows with n; instead the sum is
+    n log T_0 + sum_{0<i<n} (n-i) log(T_i / T_{i-1}), where
+    T_i / T_{i-1} = (a+b+i)(1+i) / ((a+i)(b+i)) = 1 + (a+b+i-ab) / ((a+i)(b+i)).
+    """
     n, a, b = p.n, p.a, p.b
-    total = 0.0
-    for j in range(n):
-        for arg in (a + 1.0 + j, b + 1.0 + j):
-            if arg <= 0.0:
-                raise DomainError(f"Morris gamma argument {arg} <= 0")
-        total += (log_gamma(a + b + 1.0 + j) + log_gamma(2.0 + j)
-                  - log_gamma(a + 1.0 + j) - log_gamma(b + 1.0 + j))
-    return LogMagnitude(total, 1)
+    for arg in (a + 1.0, b + 1.0):
+        if arg <= 0.0:
+            raise DomainError(f"Morris gamma argument {arg} <= 0")
+    i = np.arange(1.0, n)
+    steps = (n - i) * np.log1p((a + b + i - a * b) / ((a + i) * (b + i)))
+    log_t0 = log_gamma(a + b + 1.0) - log_gamma(a + 1.0) - log_gamma(b + 1.0)
+    return LogMagnitude(n * log_t0 + math.fsum(steps), 1)
 
 
 def eta_exponents(params: EnsembleParams) -> tuple:

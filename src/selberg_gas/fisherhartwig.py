@@ -6,9 +6,11 @@ coefficients, the classical singular-symbol asymptote on the circle and
 its Jacobi-weight analogue (proved by Deift, Its & Krasovsky, Ann. of
 Math. 174 (2011), arXiv:0905.0443).
 
-Every size of a ladder comes from one factorisation at the largest size:
-a Cholesky factor of the Gram matrix for Hankel ratios, the
-Levinson-Durbin recursion for Toeplitz determinants.
+The Gram matrix of a Hankel ratio is integrated by
+`quadrature.charge_rule`, which absorbs the weight and every zero into
+Gauss-Jacobi panels.  Every size of a ladder comes from one factorisation
+at the largest size: a Cholesky factor of the Gram matrix for Hankel
+ratios, the Levinson-Durbin recursion for Toeplitz determinants.
 
 Every symbol here is a product of algebraic zeros.  Smooth parts
 exp(h) or exp(g), like jump discontinuities, are out of scope.
@@ -47,41 +49,6 @@ class SymbolSpec:
                 raise DomainError(f"singularity strength must be positive, got {strength}")
 
 
-def _axis_rule(params: EnsembleParams, charges: Sequence, order: int) -> quad.QuadratureRule:
-    # One-axis rule whose weights absorb x^l1 (1-x)^l2 and every charge
-    # factor |y - x|^(2q).  The axis is split at each interior charge so the
-    # absorbed factor is sign-definite per panel; a charge at 0 or 1 raises
-    # that endpoint's exponent instead.
-    l1, l2 = params.lambda1, params.lambda2
-    interior = []
-    for y, q in sorted(charges):
-        if y == 0.0:
-            l1 += 2.0 * q
-        elif y == 1.0:
-            l2 += 2.0 * q
-        elif 0.0 < y < 1.0:
-            interior.append((y, q))
-        else:
-            raise DomainError(f"charge position must lie in [0,1], got {y}")
-    edges = [0.0] + [y for y, _ in interior] + [1.0]
-    powers = [l1] + [2.0 * q for _, q in interior] + [l2]
-    panels = []
-    for i in range(len(edges) - 1):
-        rule = quad.power_panel(edges[i], edges[i + 1], powers[i], powers[i + 1], order)
-        w = rule.weights.copy()
-        # charge factors absorbed at this panel's edges; evaluate the rest
-        for j, (y, q) in enumerate(interior):
-            if j != i - 1 and j != i:
-                w *= np.abs(y - rule.nodes) ** (2.0 * q)
-        # endpoint factors when 0 or 1 is not this panel's edge
-        if i != 0:
-            w *= rule.nodes ** l1
-        if i != len(edges) - 2:
-            w *= (1.0 - rule.nodes) ** l2
-        panels.append(quad.QuadratureRule(rule.nodes, w, rule.domain, "charge-panel"))
-    return quad.concat_rules(panels)
-
-
 def _check_sizes(sizes: Sequence[int]) -> np.ndarray:
     sizes = np.asarray(sizes, dtype=int)
     if sizes.ndim != 1 or len(sizes) == 0:
@@ -101,14 +68,14 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     engine for such averages at any n.  In the basis orthonormal against
     the bare weight the ratio is an n x n Gram determinant; the basis
     change cancels between numerator and denominator.  Moments are
-    integrated exactly by splitting at each singularity so every absorbed
-    factor is sign-definite per panel.  The size-n Gram matrices are the
-    leading blocks of the largest one, so one Cholesky factor L gives every
-    size: log H_n/H_n[1] = 2 sum_{i<n} log L_ii.
+    integrated by `quadrature.charge_rule`, split at each singularity so
+    every absorbed factor is sign-definite per panel.  The size-n Gram
+    matrices are the leading blocks of the largest one, so one Cholesky
+    factor L gives every size: log H_n/H_n[1] = 2 sum_{i<n} log L_ii.
     """
     sizes = _check_sizes(sizes)
     n_max = int(sizes.max())
-    rule = _axis_rule(params, symbol.singularities, n_max + 30)
+    rule = quad.charge_rule(params.lambda1, params.lambda2, symbol.singularities, n_max + 30)
     p = quad.orthonormal_polynomials(n_max - 1, params.lambda1, params.lambda2, rule.nodes)
     try:
         chol = np.linalg.cholesky((p * rule.weights) @ p.T)

@@ -1,12 +1,14 @@
 """Effective single-particle states of the asymptotic density matrix.
 
 The weakly singular kernel |X-Y|^(-1/2) [Y(1-Y)]^(-1/4) has the
-quarter-index Gegenbauer polynomials as exact eigenfunctions.  This module
-applies the kernel numerically, builds the normalized orbitals and their
-occupations, and evaluates the hypergeometric sums S_j, their
-differential-operator images and contiguity defects behind the
-operator/differential-operator commutation argument.  The kernel image of
-the j-th mode is Omega_j [S_j(X) + (-1)^j S_j(1-X)].
+quarter-index Gegenbauer polynomials as exact eigenfunctions.  The kernel
+is applied by `quadrature.singular_integrate`, whose charge rule absorbs
+|X-Y|^(-nu) as a charge of strength -nu/2 at X.  This module also builds
+the normalized orbitals and their occupations, and evaluates the
+hypergeometric sums S_j, their differential-operator images and
+contiguity defects behind the operator/differential-operator commutation
+argument.  The kernel image of the j-th mode is
+Omega_j [S_j(X) + (-1)^j S_j(1-X)].
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import SingularIntegrand, singular_integrate
+from .quadrature import singular_integrate
 from .specfun import (
     DomainError,
     gegenbauer_quarter,
@@ -64,11 +66,8 @@ def apply_kernel(spec: KernelSpec, f: Callable, X: float, tol: float = 1e-8) -> 
     """
     if not 0.0 < X < 1.0:
         raise DomainError(f"kernel argument must lie in (0,1), got {X}")
-    integrand = SingularIntegrand(
-        smooth_factor=f,
-        interior_singularity=(X, -spec.nu),
-        endpoint_exponents=(spec.weight_exponent, spec.weight_exponent))
-    return singular_integrate(integrand, tol)
+    return singular_integrate(f, spec.weight_exponent, spec.weight_exponent,
+                              ((X, -0.5 * spec.nu),), tol)
 
 
 EIGEN_KERNEL = KernelSpec(nu=0.5, weight_exponent=-0.25)

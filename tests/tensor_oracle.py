@@ -32,7 +32,7 @@ def _charged_axis(params: EnsembleParams, charges, order: int) -> quad.Quadratur
     interior = sorted((y, q) for y, q in charges if 0.0 < y < 1.0)
     edges = [0.0] + [y for y, _ in interior] + [1.0]
     powers = [l1] + [2.0 * q for _, q in interior] + [l2]
-    panels = []
+    nodes, weights = [], []
     for i in range(len(edges) - 1):
         a, b = edges[i], edges[i + 1]
         rule = quad.power_panel(a, b, powers[i], powers[i + 1], order)
@@ -45,8 +45,9 @@ def _charged_axis(params: EnsembleParams, charges, order: int) -> quad.Quadratur
             w *= x ** l1
         if b != 1.0:
             w *= (1.0 - x) ** l2
-        panels.append(quad.QuadratureRule(x, w, rule.domain, "oracle-panel"))
-    return quad.concat_rules(panels)
+        nodes.append(x)
+        weights.append(w)
+    return quad.QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
 
 def average(params: EnsembleParams, charges, order: int = 48) -> float:

@@ -15,6 +15,8 @@ from selberg_gas import acceptance
 def _report(result):
     print(f"{'PASS' if result.passed else 'FAIL'} criterion {result.number}: "
           f"{result.name} -- {result.detail}")
+    # a numpy bool would stop the `validate` subcommand's JSON rendering
+    assert type(result.passed) is bool
     assert result.passed, f"criterion {result.number}: {result.detail}"
 
 

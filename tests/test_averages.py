@@ -3,14 +3,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selberg_gas import fisherhartwig as fh
 from selberg_gas import quadrature as quad
 from selberg_gas.averages import (
     DualityCase,
-    _duality_rhs_integral,
     average_even_power_heine,
     density_matrix_exact,
     duality_lhs,
@@ -23,8 +22,11 @@ from selberg_gas.ensembles import RngStream, sample_jue_halfhalf
 from selberg_gas.exact import (
     DensityMatrixQuery,
     EnsembleParams,
+    MorrisParams,
     asymptotic_partition_ratio,
     density_matrix_asymptote,
+    duality_constant_A,
+    morris_closed,
 )
 from selberg_gas.specfun import DomainError
 
@@ -277,42 +279,68 @@ class TestDuality:
         assert val == pytest.approx(
             average_even_power_heine(params, 0.4, 2).value(), rel=1e-12)
 
-    def test_unsettled_ladder_raises(self):
-        # at n = 40 the periodic sums cancel near the edges of t: at t = 0.07
-        # the rungs disagree by 2e-6 relative and the value would be off by
-        # 1.5e-6; at t = 0.1 the spread is 7.5e-9 and the value still returns
+    def test_large_n_near_the_edge_of_t(self):
+        # periodic grids lost up to 1.5e-5 to cancellation at n = 40 near the
+        # edges of t, and were 4e-9 off here
         params = EnsembleParams(n=40, lambda1=-0.5, lambda2=-0.5)
-        with pytest.raises(quad.QuadratureError, match="Richardson"):
-            duality_rhs(DualityCase(n=40, m=2, t=0.07, params=params))
         case = DualityCase(n=40, m=2, t=0.1, params=params)
         lhs = duality_lhs(case)
-        assert abs(duality_rhs(case) - lhs) <= 1e-7 * abs(lhs)
+        assert abs(duality_rhs(case) - lhs) <= 1e-10 * abs(lhs)
+
+    def test_unequal_exponents(self):
+        params = EnsembleParams(n=1, lambda1=-0.7, lambda2=0.2)
+        case = DualityCase(n=1, m=2, t=0.4, params=params)
+        lhs = duality_lhs(case)
+        assert abs(duality_rhs(case) - lhs) <= 1e-12 * abs(lhs)
 
     def test_odd_power_rejected(self):
         params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
         with pytest.raises(DomainError):
             DualityCase(n=2, m=3, t=0.5, params=params)
 
-    def test_circular_integral_is_real(self):
-        params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
-        case = DualityCase(n=2, m=2, t=0.7, params=params)
-        val = _duality_rhs_integral(case, 512)
-        assert abs(val.imag) <= 1e-10 * abs(val.real)
-
     @pytest.mark.parametrize("points", [64, 128])
     @pytest.mark.parametrize("lam", [-0.5, 0.5])
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_toeplitz_form_equals_grid_sum(self, n, lam, points):
-        # discrete Andreief identity: the m x m Toeplitz determinant equals
-        # the m-fold midpoint sum of prod F(theta_j) |Delta(e^{i theta})|^2
-        params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
+        # With the integer exponents lambda1 = lam + 1/2 and lambda2 =
+        # lambda1 + n, e = -n and p = 2 (lambda1 + n) is even, so F is a
+        # trigonometric polynomial and the midpoint sum of the m-fold
+        # integrand is its exact integral.
+        l1 = lam + 0.5
+        params = EnsembleParams(n=n, lambda1=l1, lambda2=l1 + n)
         case = DualityCase(n=n, m=2, t=0.3, params=params)
-        oracle = _duality_grid_sum(case, points)
-        assert abs(_duality_rhs_integral(case, points) - oracle) <= 1e-13 * abs(oracle)
+        log_const = (duality_constant_A(params, 2).log_abs
+                     - morris_closed(MorrisParams(2, 0.0, 0.0)).log_abs)
+        oracle = math.exp(log_const) * _duality_grid_sum(case, points)
+        assert abs(oracle.imag) <= 1e-14 * abs(oracle.real)
+        assert abs(duality_rhs(case) - oracle.real) <= 1e-12 * abs(oracle.real)
+
+    @pytest.mark.parametrize("n,m,lam,t", [
+        (40, 2, -0.5, 0.05), (40, 2, -0.5, 0.07), (40, 2, -0.5, 0.1), (40, 2, -0.5, 0.93),
+        (40, 4, -0.5, 0.8), (2, 4, -0.375, 0.125), (1, 6, -0.95, 0.5)])
+    def test_circular_side_against_mpmath(self, n, m, lam, t):
+        # 50-digit Toeplitz determinant of the binomially expanded coefficients
+        # c_k = sum_j C(n,j) t^j (-1)^(n-j) Gamma(p+j+1)
+        #       / (Gamma(lambda1+j+k+1) Gamma(lambda2+n-k+1))
+        with mp.workdps(50):
+            lm, tt = mp.mpf(lam), mp.mpf(t)
+
+            def coeff(k):
+                return mp.fsum(mp.binomial(n, j) * tt**j * (-1) ** (n - j)
+                               * mp.gamma(2 * lm + n + j + 1)
+                               * mp.rgamma(lm + j + k + 1) * mp.rgamma(lm + n - k + 1)
+                               for j in range(n + 1))
+
+            det = mp.det(mp.matrix([[coeff(i - j) for j in range(m)] for i in range(m)]))
+        params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
+        ref = float(det) * math.exp(duality_constant_A(params, m).log_abs)
+        val = duality_rhs(DualityCase(n=n, m=m, t=t, params=params))
+        assert abs(val / ref - 1.0) <= 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(1, 5), m=st.sampled_from([2, 4]),
            lam=st.floats(-0.5, 1.0), t=st.floats(0.05, 0.95))
+    @example(n=2, m=4, lam=-0.375, t=0.125)
     def test_identity_property(self, n, m, lam, t):
         params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
         case = DualityCase(n=n, m=m, t=t, params=params)

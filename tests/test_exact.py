@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -143,6 +144,16 @@ class TestMorris:
         for (n, a, b, pts) in cases:
             closed = math.exp(exact.morris_closed(MorrisParams(n, a, b)).log_abs)
             assert closed == pytest.approx(morris_quadrature(n, a, b, pts), rel=1e-10)
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 1.7])
+    def test_large_n_against_mpmath(self, a):
+        # a direct sum of 4N gamma logs of size N log N was off by up to
+        # 4.3e-10 at N = 1024; the ratio form reaches about 1e-12
+        with mp.workdps(40):
+            x = mp.mpf(a)
+            ref = mp.fsum(mp.loggamma(2 * x + 1 + j) + mp.loggamma(2 + j)
+                          - 2 * mp.loggamma(x + 1 + j) for j in range(1024))
+        assert abs(exact.morris_closed(MorrisParams(1024, a, a)).log_abs - float(ref)) <= 1e-11
 
 
 class TestDualityConstant:

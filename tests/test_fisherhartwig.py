@@ -151,7 +151,7 @@ LADDER_SIZES = (40, 7, 1, 40, 23, 2)
 
 def gram_matrix(params, symbol, n_max):
     # the Gram matrix the ladder factorises, built the same way
-    rule = fh._axis_rule(params, symbol.singularities, n_max + 30)
+    rule = quad.charge_rule(params.lambda1, params.lambda2, symbol.singularities, n_max + 30)
     p = quad.orthonormal_polynomials(n_max - 1, params.lambda1, params.lambda2, rule.nodes)
     return (p * rule.weights) @ p.T
 

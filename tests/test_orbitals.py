@@ -26,6 +26,12 @@ class TestApplyKernel:
     def test_porter_stirling_quarter(self):
         assert orb.porter_stirling_apply(0.25, 0.6) == pytest.approx(1.0, abs=1e-8)
 
+    def test_porter_stirling_irrational_exponent(self):
+        # the charge rule absorbs any exponent, rational or not
+        for x in (0.2, 0.5, 0.8):
+            assert orb.porter_stirling_apply(1.0 / math.sqrt(2.0), x) == pytest.approx(
+                1.0, abs=1e-8)
+
     def test_porter_stirling_family(self):
         for nu in (0.25, 0.5, 0.75):
             for x in np.linspace(0.05, 0.95, 10):

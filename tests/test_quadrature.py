@@ -97,53 +97,42 @@ class TestPeriodicIntegrate:
 
 class TestSingularIntegrate:
     def test_antiderivative_case(self):
-        s = quad.SingularIntegrand(
-            smooth_factor=lambda y: np.ones_like(y),
-            interior_singularity=(0.3, -0.5))
-        expected = 2.0 * (math.sqrt(0.3) + math.sqrt(0.7))
-        assert quad.singular_integrate(s, 1e-11) == pytest.approx(expected, rel=1e-11)
+        val = quad.singular_integrate(np.ones_like, 0.0, 0.0, ((0.3, -0.25),), 1e-11)
+        assert val == pytest.approx(2.0 * (math.sqrt(0.3) + math.sqrt(0.7)), rel=1e-11)
 
     def test_unit_solution_half_exponent(self):
         # (1/pi) cos(pi/4) [t(1-t)]^{-1/4} integrates against |x-t|^{-1/2} to 1
         const = math.cos(math.pi / 4.0) / math.pi
         for x in (0.2, 0.5, 0.8):
-            s = quad.SingularIntegrand(
-                smooth_factor=lambda y: const * np.ones_like(y),
-                interior_singularity=(x, -0.5),
-                endpoint_exponents=(-0.25, -0.25))
-            assert quad.singular_integrate(s, 1e-10) == pytest.approx(1.0, abs=1e-9)
+            val = quad.singular_integrate(lambda y: const * np.ones_like(y), -0.25, -0.25,
+                                          ((x, -0.25),), 1e-10)
+            assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_ground_moment(self):
-        s = quad.SingularIntegrand(
-            smooth_factor=lambda y: np.ones_like(y),
-            interior_singularity=(0.5, -0.5),
-            endpoint_exponents=(-0.25, -0.25))
-        assert quad.singular_integrate(s, 1e-10) == pytest.approx(
-            math.pi * math.sqrt(2.0), rel=1e-10)
+        val = quad.singular_integrate(np.ones_like, -0.25, -0.25, ((0.5, -0.25),), 1e-10)
+        assert val == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-10)
 
     def test_order_doubling_certificate(self):
-        calls = []
+        orders = []
 
         def f(y):
-            calls.append(len(np.atleast_1d(y)))
+            orders.append(len(y))
             return np.cos(3.0 * y)
 
-        s = quad.SingularIntegrand(smooth_factor=f, interior_singularity=(0.41, -0.5))
-        quad.singular_integrate(s, 1e-12)
-        assert len(calls) >= 4  # at least two orders on two panels
+        quad.singular_integrate(f, 0.0, 0.0, ((0.41, -0.25),), 1e-12)
+        assert len(orders) >= 2 and orders[1] == 2 * orders[0]
 
     def test_rejects_unreachable_tolerance(self):
-        s = quad.SingularIntegrand(smooth_factor=lambda y: np.ones_like(y))
         with pytest.raises(DomainError):
-            quad.singular_integrate(s, 1e-15)
+            quad.singular_integrate(np.ones_like, 0.0, 0.0, (), 1e-15)
 
     def test_invalid_integrand(self):
         with pytest.raises(DomainError):
-            quad.SingularIntegrand(smooth_factor=lambda y: y,
-                                   endpoint_exponents=(-1.0, 0.0))
+            quad.singular_integrate(np.ones_like, -1.0, 0.0, ())
         with pytest.raises(DomainError):
-            quad.SingularIntegrand(smooth_factor=lambda y: y,
-                                   interior_singularity=(1.2, -0.5))
+            quad.singular_integrate(np.ones_like, 0.0, 0.0, ((0.5, -0.5),))
+        with pytest.raises(DomainError):
+            quad.singular_integrate(np.ones_like, 0.0, 0.0, ((1.2, -0.25),))
 
 
 class TestRecurrence:
