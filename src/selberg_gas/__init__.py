@@ -12,7 +12,6 @@ from .exact import (
     EnsembleParams,
     LogMagnitude,
     MorrisParams,
-    asymptotic_partition_ratio,
     density_matrix_asymptote,
     duality_constant_A,
     morris_closed,

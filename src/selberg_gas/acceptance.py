@@ -39,6 +39,10 @@ from .orbitals import (
 from .specfun import log_barnes_g, log_gamma
 
 
+# the ten standard X values of Table 1, each paired with Y = 1 - X
+TABLE1_XS = tuple(0.025 + 0.05 * i for i in range(10))
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     number: int
@@ -52,8 +56,7 @@ def criterion_1_table1(seed: int = 42, threads: int = 1, m_samples: int = 5000,
     """Ten MC/asymptote ratios at the standard X grid, bands [0.88, 1.17]
     pointwise and [0.97, 1.06] on the mean; single-threaded runtime cap."""
     start = time.time()
-    xs = [0.025 + 0.05 * i for i in range(10)]
-    queries = [DensityMatrixQuery(N=n_particles, X=x, Y=1.0 - x) for x in xs]
+    queries = [DensityMatrixQuery(N=n_particles, X=x, Y=1.0 - x) for x in TABLE1_XS]
     estimates = mc_density_matrix_table(queries, m_samples, seed, threads)
     ratios = [est.value / density_matrix_asymptote(q)
               for q, est in zip(queries, estimates)]

@@ -148,6 +148,8 @@ def _dm_sampler(query: DensityMatrixQuery, stream: RngStream):
 
 
 def _dm_prefactor(query: DensityMatrixQuery) -> float:
+    # the density-matrix normalisation, shared by the Monte Carlo estimator
+    # and the exact value
     X, Y = query.X, query.Y
     if query.boundary == BOUNDARY_DIRICHLET:
         # on the Table 1 line Y = 1 - X the root is X(1 - X); the rounded
@@ -215,15 +217,14 @@ def mc_density_matrix(query: DensityMatrixQuery, M: int, master_seed: int,
 
 
 def density_matrix_exact(query: DensityMatrixQuery) -> float:
-    """Exact finite-N density matrix: the charge-balanced Gram ratio of the
-    two half charges (X, 1/2) and (Y, 1/2), at any N."""
+    """Exact finite-N density matrix at any N: the Monte Carlo estimator's
+    prefactor times its average < prod_l 16 |X - x_l| |Y - x_l| >, taken
+    as the Gram ratio of the two half charges (X, 1/2) and (Y, 1/2)."""
     params = EnsembleParams(n=query.N, lambda1=query.weight_exponent(),
                             lambda2=query.weight_exponent())
     symbol = fh.SymbolSpec(singularities=((query.X, 0.5), (query.Y, 0.5)))
-    ratio = math.exp(fh.hankel_balanced_log_ratio(params, symbol, query.N))
-    X, Y = query.X, query.Y
-    return (math.pi * query.rho / math.sqrt(abs(X - Y))
-            * (X * (1.0 - X)) ** 0.25 * (Y * (1.0 - Y)) ** 0.25 * ratio)
+    return _dm_prefactor(query) * math.exp(
+        2 * query.N * math.log(4.0) + fh.hankel_log_ratio(params, symbol, query.N))
 
 
 # Former names still called by the benchmark's oracle tests

@@ -3,7 +3,8 @@
 Output is a JSON document or CSV table embedding the resolved
 configuration and seed.  Execution-resource flags (--threads, --out) are
 not part of the reproducibility header, so identical (config, seed) runs
-produce byte-identical output regardless of worker count.
+produce byte-identical output regardless of worker count.  Only the
+seeded subcommands take --threads.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .exact import (
     selberg_closed,
 )
 from .orbitals import orbital, scaled_occupation
-
-TABLE1_XS = tuple(0.025 + 0.05 * i for i in range(10))
 
 
 def _fmt(x) -> str:
@@ -106,7 +105,7 @@ def _run_dm_mc(ns):
 
 def _run_table1(ns):
     config = {"subcommand": "table1", "n": ns.n, "m_samples": ns.m_samples}
-    queries = [DensityMatrixQuery(N=ns.n, X=x, Y=1.0 - x) for x in TABLE1_XS]
+    queries = [DensityMatrixQuery(N=ns.n, X=x, Y=1.0 - x) for x in acceptance.TABLE1_XS]
     estimates = mc_density_matrix_table(queries, ns.m_samples, ns.seed, ns.threads)
     rows = []
     for query, est in zip(queries, estimates):
@@ -250,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True):
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=_thread_count, default=default_threads)
         if seed:
             p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--threads", type=_thread_count, default=default_threads)
 
     p = sub.add_parser("selberg", help="closed-form Selberg integral")
     p.add_argument("--n", type=int, required=True)

@@ -1,9 +1,10 @@
 """Closed-form evaluations and asymptotic formulas.
 
 Selberg and Morris integrals (the former continued to non-integer size
-through Barnes G), the duality proportionality constant, the large-n
-partition-ratio asymptote, the density-matrix asymptote and the
-asymptotic natural-orbital occupations.
+through Barnes G), the duality proportionality constant, the density-matrix
+asymptote and the asymptotic natural-orbital occupations.  The large-n
+partition-ratio asymptote is `fisherhartwig.jacobi_fh_asymptote` with one
+charge.
 
 Every product of gamma functions is carried in log space (LogMagnitude)
 so that ensemble sizes up to 10^4 stay in range.
@@ -21,37 +22,12 @@ from .specfun import DomainError, log_barnes_g, log_gamma
 
 @dataclass(frozen=True)
 class LogMagnitude:
-    """A real number stored as sign * exp(log_abs); sign 0 means exactly 0."""
+    """A positive real number stored as its natural log."""
 
     log_abs: float
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogMagnitude":
-        if x == 0.0:
-            return cls(0.0, 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
 
     def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
-
-    def __mul__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if self.sign == 0 or other.sign == 0:
-            return LogMagnitude(0.0, 0)
-        return LogMagnitude(self.log_abs + other.log_abs, self.sign * other.sign)
-
-    def __truediv__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by an exactly-zero LogMagnitude")
-        if self.sign == 0:
-            return LogMagnitude(0.0, 0)
-        return LogMagnitude(self.log_abs - other.log_abs, self.sign * other.sign)
+        return math.exp(self.log_abs)
 
 
 @dataclass(frozen=True)
@@ -133,7 +109,7 @@ def selberg_closed(n: int, a: float, b: float) -> LogMagnitude:
     for j in range(int(n)):
         total += (log_gamma(a + 1.0 + j) + log_gamma(b + 1.0 + j)
                   + log_gamma(2.0 + j) - log_gamma(a + b + 1.0 + n + j))
-    return LogMagnitude(total, 1)
+    return LogMagnitude(total)
 
 
 def selberg_closed_barnes(nu: float, a: float, b: float) -> LogMagnitude:
@@ -146,7 +122,7 @@ def selberg_closed_barnes(nu: float, a: float, b: float) -> LogMagnitude:
              + log_barnes_g(nu + 1.0 + b) - log_barnes_g(1.0 + b)
              + log_barnes_g(nu + 1.0 + a + b) - log_barnes_g(2.0 * nu + 1.0 + a + b)
              + log_barnes_g(nu + 2.0))
-    return LogMagnitude(total, 1)
+    return LogMagnitude(total)
 
 
 def morris_closed(p: MorrisParams) -> LogMagnitude:
@@ -165,7 +141,7 @@ def morris_closed(p: MorrisParams) -> LogMagnitude:
     i = np.arange(1.0, n)
     steps = (n - i) * np.log1p((a + b + i - a * b) / ((a + i) * (b + i)))
     log_t0 = log_gamma(a + b + 1.0) - log_gamma(a + 1.0) - log_gamma(b + 1.0)
-    return LogMagnitude(n * log_t0 + math.fsum(steps), 1)
+    return LogMagnitude(n * log_t0 + math.fsum(steps))
 
 
 def eta_exponents(params: EnsembleParams) -> tuple:
@@ -184,26 +160,7 @@ def duality_constant_A(params: EnsembleParams, m: int) -> LogMagnitude:
     den = selberg_closed(params.n, params.lambda1, params.lambda2)
     mor0 = morris_closed(MorrisParams(m, 0.0, 0.0))
     mor = morris_closed(MorrisParams(m, eta2, eta1))
-    return LogMagnitude(num.log_abs - den.log_abs + mor0.log_abs - mor.log_abs, 1)
-
-
-def asymptotic_partition_ratio(n: int, q: float, t: float) -> float:
-    """Large-n asymptote of the charge-balanced single-insertion partition ratio.
-
-    Independent of the Jacobi weight exponents.
-    """
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"t must lie in (0,1), got {t}")
-    if q <= 0.0:
-        raise DomainError(f"charge q must be positive, got {q}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    # product form keeps the q = 1 case exact: the Barnes factors and the
-    # (2n)-power both collapse to 1 without log-space round-off
-    return (math.pi ** -q
-            * math.exp(2.0 * log_barnes_g(q + 1.0) - log_barnes_g(2.0 * q + 1.0))
-            * (2.0 * n) ** (q * q - q)
-            * (t * (1.0 - t)) ** (-0.5 * q * q))
+    return LogMagnitude(num.log_abs - den.log_abs + mor0.log_abs - mor.log_abs)
 
 
 def log_g4_half3() -> float:

@@ -148,6 +148,8 @@ def jacobi_fh_asymptote(params: EnsembleParams, symbol: SymbolSpec, n: int) -> f
         for j in range(i + 1, len(qs)):
             total += -2.0 * qs[i][1] * qs[j][1] * math.log(abs(qs[j][0] - qs[i][0]))
     for y, q in qs:
+        if not 0.0 < y < 1.0:
+            raise DomainError(f"the asymptote needs interior charges, got {y}")
         total += -0.5 * q * q * math.log(y * (1.0 - y))
         total += -q * math.log(math.pi) + 2.0 * log_barnes_g(q + 1.0) - log_barnes_g(2.0 * q + 1.0)
     return total

@@ -1,13 +1,14 @@
 """Effective single-particle states of the asymptotic density matrix.
 
 The weakly singular kernel |X-Y|^(-1/2) [Y(1-Y)]^(-1/4) has the
-quarter-index Gegenbauer polynomials as exact eigenfunctions.  The kernel
-is applied by `quadrature.singular_integrate`, whose charge rule absorbs
-|X-Y|^(-nu) as a charge of strength -nu/2 at X.  This module also builds
-the normalized orbitals and their occupations, and evaluates the
-hypergeometric sums S_j, their differential-operator images and
-contiguity defects behind the operator/differential-operator commutation
-argument.  The kernel image of the j-th mode is
+quarter-index Gegenbauer polynomials C_j^{1/4} (scipy's
+`eval_gegenbauer`) as exact eigenfunctions.  The kernel is applied by
+`quadrature.singular_integrate`, whose charge rule absorbs |X-Y|^(-nu) as
+a charge of strength -nu/2 at X.  This module also builds the normalized
+orbitals and their occupations, and evaluates the hypergeometric sums
+S_j, their differential-operator images and contiguity defects behind the
+operator/differential-operator commutation argument, all from scipy's
+`hyp2f1`.  The kernel image of the j-th mode is
 Omega_j [S_j(X) + (-1)^j S_j(1-X)].
 """
 
@@ -18,19 +19,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import eval_gegenbauer, hyp2f1
 
 from .quadrature import singular_integrate
-from .specfun import (
-    DomainError,
-    gegenbauer_quarter,
-    gegenbauer_quarter_table,
-    hyp2f1,
-    log_gamma,
-)
-
-
-def _gegenbauer_vec(j: int, x):
-    return gegenbauer_quarter_table(j, np.asarray(x, dtype=float))[j]
+from .specfun import DomainError, log_gamma
 
 
 @dataclass(frozen=True)
@@ -97,18 +89,16 @@ def orbital(j: int, L: float = 1.0) -> Orbital:
 
     def evaluate(X):
         X = np.asarray(X, dtype=float)
-        vals = norm * (X * (1.0 - X)) ** 0.125
-        if j == 0:
-            return vals
-        return vals * _gegenbauer_vec(j, 2.0 * X - 1.0)
+        return norm * (X * (1.0 - X)) ** 0.125 * eval_gegenbauer(j, 0.25, 2.0 * X - 1.0)
 
     return Orbital(j=j, L=L, normalization=norm, evaluate=evaluate)
 
 
 def eigen_residual(j: int, X: float, tol: float = 1e-8) -> float:
     """Scaled defect of the eigenrelation for the j-th Gegenbauer mode at X."""
-    lhs = apply_kernel(EIGEN_KERNEL, lambda Y: _gegenbauer_vec(j, 2.0 * Y - 1.0), X, tol)
-    rhs = scaled_occupation(j) * gegenbauer_quarter(j, 2.0 * X - 1.0)
+    lhs = apply_kernel(EIGEN_KERNEL, lambda Y: eval_gegenbauer(j, 0.25, 2.0 * Y - 1.0),
+                       X, tol)
+    rhs = scaled_occupation(j) * float(eval_gegenbauer(j, 0.25, 2.0 * X - 1.0))
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
@@ -167,8 +157,8 @@ def l_operator_on_term(k: int, z: float) -> float:
     """
     a = 0.25 - k
     pref = -(3.0 / 16.0) * z**0.25 / z
-    return pref * ((1.0 - z) * hyp2f1(a, 0.75, -0.75, z)
-                   + (2.0 * z - 1.0) * hyp2f1(a, 0.75, 0.25, z))
+    return float(pref * ((1.0 - z) * hyp2f1(a, 0.75, -0.75, z)
+                         + (2.0 * z - 1.0) * hyp2f1(a, 0.75, 0.25, z)))
 
 
 def l_operator_on_s(j: int, z: float) -> float:
@@ -189,4 +179,5 @@ def contiguity_residuals(k: int, z: float) -> tuple:
     rhs1 = (1.0 / 16.0) * ((6.0 - 4.0 * k) * z - 3.0) * f_14 - 0.5 * k * z * f_54
     lhs2 = -0.25 * f_14
     rhs2 = -k * f_54 - (0.25 - k) * f_54_up
-    return lhs1 - rhs1, lhs2 - rhs2
+    # plain floats: a numpy bool in a criterion result breaks its JSON output
+    return float(lhs1 - rhs1), float(lhs2 - rhs2)

@@ -23,7 +23,6 @@ from selberg_gas.exact import (
     DensityMatrixQuery,
     EnsembleParams,
     MorrisParams,
-    asymptotic_partition_ratio,
     density_matrix_asymptote,
     duality_constant_A,
     morris_closed,
@@ -148,8 +147,9 @@ class TestHeine:
         devs = []
         for n in (6, 24, 96):
             params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
+            symbol = fh.SymbolSpec(singularities=((t, 1.0),))
             devs.append(abs(unit_charge_ratio(params, t)
-                            - asymptotic_partition_ratio(n, 1.0, t)))
+                            - math.exp(fh.jacobi_fh_asymptote(params, symbol, n))))
         assert devs[2] < devs[0]
 
 

@@ -169,7 +169,7 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_thread_count_is_usage_error(self, monkeypatch):
-        argv = ["selberg", "--n", "1", "--lambda1", "0", "--lambda2", "0"]
+        argv = ["dm-mc", "--n", "2", "--x", "0.2", "--y", "0.8", "--m-samples", "100"]
         for bad in ("0", "-3"):
             with pytest.raises(SystemExit) as err:
                 cli.build_parser().parse_args(argv + ["--threads", bad])
@@ -179,6 +179,20 @@ class TestErrors:
             cli.main(argv)
         assert err.value.code == 2
         assert cli.build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
+
+    def test_threads_only_on_seeded_subcommands(self, capsys):
+        # --threads is read only where the work is seeded
+        with pytest.raises(SystemExit) as err:
+            cli.main(["selberg", "--n", "1", "--lambda1", "0", "--lambda2", "0",
+                      "--threads", "2"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_bad_thread_variable_ignored_without_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("SELBERG_GAS_THREADS", "abc")
+        assert cli.main(["selberg", "--n", "2", "--lambda1", "0", "--lambda2", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["value"] == pytest.approx(
+            1.0 / 6.0, rel=1e-13)
 
     @pytest.mark.parametrize("argv", [["fh-toeplitz", "--sizes", "0,4,8,16"],
                                       ["fh-jacobi", "--sizes", "8,4,-1,16"],

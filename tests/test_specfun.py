@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import eval_gegenbauer, hyp2f1
 
 from selberg_gas import specfun as sf
 
@@ -62,42 +63,65 @@ class TestBarnesG:
             sf.log_barnes_g(0.0)
 
 
+def orbital_family():
+    # (a, c) of every 2F1(a, 3/4; c; z) the orbital identities evaluate:
+    # a = 1/4 - k with c in {5/4, 1/4, -3/4}, and the raised a + 1 at c = 5/4
+    for k in range(8):
+        for c in (1.25, 0.25, -0.75):
+            yield 0.25 - k, c
+        yield 1.25 - k, 1.25
+
+
+def gegenbauer_quarter_mp(j, x):
+    # C_j^{1/4}(x) by the three-term recurrence in mpmath
+    x = mp.mpf(x)
+    prev, cur = mp.mpf(1), x / 2
+    if j == 0:
+        return prev
+    for k in range(2, j + 1):
+        prev, cur = cur, (2 * (k - mp.mpf(3) / 4) * x * cur - (k - mp.mpf(3) / 2) * prev) / k
+    return cur
+
+
 class TestGauss2F1:
+    """scipy's hyp2f1 where the orbital identities use it."""
+
     def test_zero_argument(self):
-        assert sf.hyp2f1(3.3, -1.2, 0.7, 0.0) == 1.0
+        assert hyp2f1(3.3, -1.2, 0.7, 0.0) == 1.0
 
     def test_log_closed_form(self):
         # 2F1(1,1;2;z) = -log(1-z)/z
-        assert sf.hyp2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(2.0 * math.log(2.0),
-                                                              rel=1e-14)
+        assert hyp2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
 
     def test_terminating_hand_sum(self):
         # three-term series at a = -2: 1 - 0.36 + (7/15)*0.09 = 0.682
-        assert sf.hyp2f1(-2.0, 0.75, 1.25, 0.3) == pytest.approx(0.682, rel=1e-14)
+        assert hyp2f1(-2.0, 0.75, 1.25, 0.3) == pytest.approx(0.682, rel=1e-14)
 
     def test_against_mpmath(self):
-        for (a, b, c, z) in ((0.25, 0.75, 1.25, 0.5), (-3.75, 0.75, 0.25, 0.9),
-                             (1.6, -0.4, 2.2, -0.8), (0.25, 0.75, -0.75, 0.55)):
-            ref = float(mp.hyp2f1(a, b, c, z))
-            assert sf.hyp2f1(a, b, c, z) == pytest.approx(ref, rel=1e-11)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(sf.DomainError):
-            sf.hyp2f1(0.5, 0.5, -1.0, 0.5)
-        with pytest.raises(sf.DomainError):
-            sf.hyp2f1(0.5, 0.5, 1.0, 1.5)
-        with pytest.raises(sf.EvaluationError):
-            sf.hyp2f1(0.5, 0.5, 1.0, 0.99)
+        # 40-digit references on the orbital family, z in [0.05, 0.95], and
+        # C_j^{1/4} for j <= 12 on [-1, 1]; the defects are scaled by
+        # 1 + |reference| since both families have zeros on these grids
+        with mp.workdps(40):
+            for a, c in orbital_family():
+                for z in np.linspace(0.05, 0.95, 19):
+                    ref = mp.hyp2f1(mp.mpf(a), mp.mpf(3) / 4, mp.mpf(c), mp.mpf(float(z)))
+                    val = hyp2f1(a, 0.75, c, float(z))
+                    assert abs(val - ref) <= 1e-14 * (1 + abs(ref))
+            for j in range(13):
+                for x in np.linspace(-1.0, 1.0, 41):
+                    ref = gegenbauer_quarter_mp(j, float(x))
+                    val = eval_gegenbauer(j, 0.25, float(x))
+                    assert abs(val - ref) <= 2e-15 * (1 + abs(ref))
 
     def test_contiguity_relations(self):
         # the two lower-parameter shifts used by the operator identities
         for k in range(1, 7):
             a = 0.25 - k
             for z in (0.1, 0.5, 0.9):
-                f_m34 = sf.hyp2f1(a, 0.75, -0.75, z)
-                f_14 = sf.hyp2f1(a, 0.75, 0.25, z)
-                f_54 = sf.hyp2f1(a, 0.75, 1.25, z)
-                f_54_up = sf.hyp2f1(a + 1.0, 0.75, 1.25, z)
+                f_m34 = hyp2f1(a, 0.75, -0.75, z)
+                f_14 = hyp2f1(a, 0.75, 0.25, z)
+                f_54 = hyp2f1(a, 0.75, 1.25, z)
+                f_54_up = hyp2f1(a + 1.0, 0.75, 1.25, z)
                 lhs1 = -3.0 / 16.0 * (1.0 - z) * f_m34
                 rhs1 = ((6.0 - 4.0 * k) * z - 3.0) / 16.0 * f_14 - 0.5 * k * z * f_54
                 assert lhs1 == pytest.approx(rhs1, abs=1e-10, rel=1e-10)
@@ -107,36 +131,24 @@ class TestGauss2F1:
 
 
 class TestGegenbauer:
+    """scipy's eval_gegenbauer at the quarter index the orbitals use."""
+
     def test_low_orders(self):
-        assert sf.gegenbauer_quarter(0, -0.4) == 1.0
-        assert sf.gegenbauer_quarter(1, 0.6) == pytest.approx(0.3, rel=1e-15)
-        assert sf.gegenbauer_quarter(2, 1.0) == pytest.approx(0.375, rel=1e-14)
+        assert eval_gegenbauer(0, 0.25, -0.4) == 1.0
+        assert eval_gegenbauer(1, 0.25, 0.6) == pytest.approx(0.3, rel=1e-15)
+        assert eval_gegenbauer(2, 0.25, 1.0) == pytest.approx(0.375, rel=1e-14)
 
     def test_endpoint_identity(self):
         # C_j(1) = (1/2)_j / j!
         for j in range(13):
             expected = math.exp(sf.log_gamma(j + 0.5) - sf.log_gamma(0.5)
                                 - sf.log_gamma(j + 1.0))
-            assert sf.gegenbauer_quarter(j, 1.0) == pytest.approx(expected, rel=1e-12)
+            assert eval_gegenbauer(j, 0.25, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_parity(self):
         rng = np.random.default_rng(11)
         for j in range(11):
             for x in rng.uniform(0.0, 1.0, 8):
-                left = sf.gegenbauer_quarter(j, -float(x))
-                right = (-1.0) ** j * sf.gegenbauer_quarter(j, float(x))
+                left = eval_gegenbauer(j, 0.25, -float(x))
+                right = (-1.0) ** j * eval_gegenbauer(j, 0.25, float(x))
                 assert abs(left - right) <= 1e-13 * (1.0 + abs(right))
-
-    def test_table_matches_scalar(self):
-        xs = np.linspace(-1.0, 1.0, 7)
-        table = sf.gegenbauer_quarter_table(6, xs)
-        for j in range(7):
-            for i, x in enumerate(xs):
-                assert table[j, i] == pytest.approx(sf.gegenbauer_quarter(j, float(x)),
-                                                    rel=1e-13, abs=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(sf.DomainError):
-            sf.gegenbauer_quarter(-1, 0.5)
-        with pytest.raises(sf.DomainError):
-            sf.gegenbauer_quarter(2, 1.5)
