@@ -1,16 +1,17 @@
 """Singular-symbol determinant laboratory.
 
 Exact Hankel determinant ratios with Jacobi weights and algebraic
-singularities, exact Toeplitz determinants from symbol Fourier
-coefficients, the classical singular-symbol asymptote on the circle and
-its Jacobi-weight analogue (proved by Deift, Its & Krasovsky, Ann. of
-Math. 174 (2011), arXiv:0905.0443).
+singularities, exact Toeplitz determinants of one algebraic zero, the
+classical singular-symbol asymptote on the circle and its Jacobi-weight
+analogue (proved by Deift, Its & Krasovsky, Ann. of Math. 174 (2011),
+arXiv:0905.0443).
 
 The Gram matrix of a Hankel ratio is integrated by
 `quadrature.charge_rule`, which absorbs the weight and every zero into
-Gauss-Jacobi panels.  Every size of a ladder comes from one factorisation
-at the largest size: a Cholesky factor of the Gram matrix for Hankel
-ratios, the Levinson-Durbin recursion for Toeplitz determinants.
+Gauss-Jacobi panels, and every size of a ladder comes from one Cholesky
+factor of the Gram matrix at the largest size.  The Toeplitz determinant
+of one zero is the circular Morris integral, D_N = M_N(a, a) / N!, in
+closed form at every N.
 
 Every symbol here is a product of algebraic zeros.  Smooth parts
 exp(h) or exp(g), like jump discontinuities, are out of scope.
@@ -34,8 +35,10 @@ class SymbolSpec:
     """Generating function: a product of algebraic zeros.
 
     For Jacobi-weight determinants each singularity (y_r, q_r), y_r in
-    [0,1], contributes |y_r - x|^(2 q_r).  For Toeplitz determinants each
-    (phi_r, a_r), phi_r in (-pi, pi], contributes |e^{i theta} - e^{i phi_r}|^(2 a_r).
+    [0,1], contributes |y_r - x|^(2 q_r).  A Toeplitz symbol carries at most
+    one zero (phi, a), phi in (-pi, pi], contributing |e^{i theta} - e^{i phi}|^(2a);
+    `SymbolSpec()` is the constant symbol 1, and the Toeplitz functions raise
+    `DomainError` on two or more zeros.
     """
 
     singularities: tuple = ()
@@ -155,96 +158,40 @@ def jacobi_fh_asymptote(params: EnsembleParams, symbol: SymbolSpec, n: int) -> f
     return total
 
 
+def _one_zero(symbol: SymbolSpec) -> tuple:
+    # (phi, a) of a Toeplitz symbol's zero; the constant symbol is a = 0
+    if len(symbol.singularities) > 1:
+        raise DomainError("a Toeplitz symbol carries at most one zero")
+    return symbol.singularities[0] if symbol.singularities else (0.0, 0.0)
+
+
 def _toeplitz_fourier_coeffs(symbol: SymbolSpec, p_max: int) -> np.ndarray:
-    # Fourier coefficients c_p, p = -p_max..p_max, of
-    #   prod_r (2 - 2 cos(theta - phi_r))^{a_r}.
-    # One zero has them in closed form:
+    # Fourier coefficients c_p, p = -p_max..p_max, of (2 - 2 cos(theta - phi))^a:
     #   c_p = e^{-ip phi} (-1)^p Gamma(2a+1) / (Gamma(a+1+p) Gamma(a+1-p)),
     # a cumulative product of (p-1-a)/(p+a), exact to rounding at every p.
-    # Several zeros go through quadrature.
-    if len(symbol.singularities) == 1:
-        ((phi, a),) = symbol.singularities
-        ks = np.arange(1, p_max + 1)
-        c0 = math.exp(log_gamma(2.0 * a + 1.0) - 2.0 * log_gamma(a + 1.0))
-        pos = c0 * np.cumprod((ks - 1.0 - a) / (ks + a)) * np.exp(-1j * ks * phi)
-        return np.concatenate((np.conj(pos[::-1]), [c0], pos))
-    return _quadrature_fourier_coeffs(symbol, p_max)
-
-
-def _quadrature_fourier_coeffs(symbol: SymbolSpec, p_max: int) -> np.ndarray:
-    # Splitting the circle at every singularity and absorbing the local
-    # power into a Gauss panel keeps each coefficient near machine
-    # precision even though the symbol itself is only Hoelder there; the
-    # tail |c_p| ~ p^(-1-2a) still loses relative accuracy at large p.
-    ps = np.arange(-p_max, p_max + 1)
-    sing = sorted(symbol.singularities, key=lambda s: s[0])
-    if not sing:
-        # the constant symbol 1
-        return (ps == 0).astype(complex)
-
-    # e^{-ip theta} oscillates p times over a full panel; keep ~pi nodes
-    # per wavelength plus margin
-    order = max(64, int(1.8 * p_max) + 48)
-    angles = [phi for phi, _ in sing]
-    strengths = [a for _, a in sing]
-    total = np.zeros(len(ps), dtype=complex)
-    for i, phi in enumerate(angles):
-        right = angles[(i + 1) % len(angles)] + (2.0 * math.pi if i + 1 == len(angles)
-                                                 else 0.0)
-        if right <= phi:
-            right += 2.0 * math.pi
-        a_left = strengths[i]
-        a_right = strengths[(i + 1) % len(angles)]
-        rule = quad.power_panel(phi, right, 2.0 * a_left, 2.0 * a_right, order)
-        theta = rule.nodes
-        # absorbed powers replaced by the smooth remainder of 4 sin^2(x/2)
-        x_l = theta - phi
-        x_r = right - theta
-        if len(sing) == 1:
-            # both panel ends are the same circle point; one factor covers both
-            vals = (4.0 * np.sin(0.5 * x_l) ** 2 / (x_l * x_r) ** 2) ** a_left
-        else:
-            vals = (2.0 * np.sin(0.5 * x_l) / x_l) ** (2.0 * a_left)
-            vals = vals * (2.0 * np.sin(0.5 * x_r) / x_r) ** (2.0 * a_right)
-            for k, (phi_k, a_k) in enumerate(sing):
-                if k in (i, (i + 1) % len(angles)):
-                    continue
-                vals = vals * np.abs(2.0 - 2.0 * np.cos(theta - phi_k)) ** a_k
-        phases = np.exp(-1j * np.outer(ps, theta))
-        total += phases @ (rule.weights * vals)
-    return total / (2.0 * math.pi)
+    phi, a = _one_zero(symbol)
+    ks = np.arange(1, p_max + 1)
+    c0 = math.exp(log_gamma(2.0 * a + 1.0) - 2.0 * log_gamma(a + 1.0))
+    pos = c0 * np.cumprod((ks - 1.0 - a) / (ks + a)) * np.exp(-1j * ks * phi)
+    return np.concatenate((np.conj(pos[::-1]), [c0], pos))
 
 
 def toeplitz_log_dets(symbol: SymbolSpec, sizes: Sequence[int]) -> np.ndarray:
     """log D_N of the symbol's Toeplitz matrices [c_{j-k}] for every N in
     `sizes`, in request order.
 
-    The coefficients are computed once, up to the largest size.  The
-    matrix of a real symbol is Hermitian positive definite, so the
-    Levinson-Durbin recursion gives every leading minor in O(N^2): with
-    E_0 = c_0 and reflection coefficients kappa_k, E_k = E_{k-1}(1 - |kappa_k|^2)
-    and log D_N = sum_{k<N} log E_k.
+    By Heine's identity on the circle and a rotation, D_N = M_N(a, a) / N!,
+    the Morris integral, at every N and phi: D_N = prod_{j<N} R_j with
+    R_j = Gamma(2a+1+j) Gamma(1+j) / Gamma(a+1+j)^2 and
+    R_j / R_{j-1} = 1 - a^2 / (a+j)^2.  Two cumulative sums of log-ratios
+    give every size, and log N!, of size N log N, never enters.
     """
     sizes = _check_sizes(sizes)
-    p_max = int(sizes.max()) - 1
-    coeffs = _toeplitz_fourier_coeffs(symbol, p_max)
-    c = coeffs[p_max:]
-    if np.max(np.abs(coeffs[p_max::-1] - np.conj(c))) > 1e-12 * abs(c[0]):
-        raise DomainError("Toeplitz coefficients are not Hermitian; symbol unsupported")
-    errors = np.zeros(p_max + 1)
-    errors[0] = c[0].real
-    pred = np.zeros(p_max + 1, dtype=complex)  # prediction filter, pred[0] = 1 implied
-    for k in range(1, p_max + 1):
-        if errors[k - 1] <= 0.0:
-            break
-        kappa = -(c[k] + np.dot(pred[1:k], c[k - 1:0:-1])) / errors[k - 1]
-        pred[1:k] = pred[1:k] + kappa * np.conj(pred[k - 1:0:-1])
-        pred[k] = kappa
-        errors[k] = errors[k - 1] * (1.0 - abs(kappa) ** 2)
-    if not np.all(errors > 0.0):
-        raise DomainError("Toeplitz matrix is not positive definite; symbol unsupported")
-    logs = np.concatenate(([0.0], np.cumsum(np.log(errors))))
-    return logs[sizes]
+    _, a = _one_zero(symbol)
+    steps = np.log1p(-a * a / (a + np.arange(1.0, sizes.max())) ** 2)
+    log_r = (log_gamma(2.0 * a + 1.0) - 2.0 * log_gamma(a + 1.0)
+             + np.concatenate(([0.0], np.cumsum(steps))))
+    return np.concatenate(([0.0], np.cumsum(log_r)))[sizes]
 
 
 def toeplitz_determinant(symbol: SymbolSpec, N: int) -> LogMagnitude:
@@ -253,16 +200,6 @@ def toeplitz_determinant(symbol: SymbolSpec, N: int) -> LogMagnitude:
 
 
 def toeplitz_fh_asymptote(symbol: SymbolSpec, N: int) -> float:
-    """Classical large-N log of D_N for a zero-type singular symbol:
-    (sum a_r^2) log N + log E."""
-    sing = symbol.singularities
-    total = 0.0
-    for _, a in sing:
-        total += a * a * math.log(N)
-    for _, a in sing:
-        total += 2.0 * log_barnes_g(1.0 + a) - log_barnes_g(1.0 + 2.0 * a)
-    for i in range(len(sing)):
-        for j in range(i + 1, len(sing)):
-            gap = abs(np.exp(1j * sing[j][0]) - np.exp(1j * sing[i][0]))
-            total += -2.0 * sing[i][1] * sing[j][1] * math.log(gap)
-    return total
+    """Classical large-N log D_N of one zero a: a^2 log N + log G(1+a)^2 / G(1+2a)."""
+    _, a = _one_zero(symbol)
+    return a * a * math.log(N) + 2.0 * log_barnes_g(1.0 + a) - log_barnes_g(1.0 + 2.0 * a)

@@ -27,11 +27,6 @@ from .specfun import DomainError, log_beta
 class QuadratureError(RuntimeError):
     """Certified tolerance could not be reached within the order budget."""
 
-    def __init__(self, message, best=None, gap=None):
-        super().__init__(message)
-        self.best = best
-        self.gap = gap
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -106,6 +101,34 @@ def periodic_integrate(f: Callable, m: int, points_per_axis: int):
     return total * h**m
 
 
+def _grading(a: float, b: float, points: Sequence, order: int) -> list:
+    # Cuts grading (a, b) geometrically toward the singular points outside
+    # it whose factors Gauss at `order` cannot resolve: the error bound
+    # rho^(-2 order), rho of the Bernstein ellipse through the point, is
+    # above rounding.  The nearest such point is peeled off first, with a
+    # piece as long as its distance from that point, until the rest resolves
+    # or is itself no longer than that distance.
+    lo, hi, left, right = a, b, [], []
+    while True:
+        near = None
+        for s, p in points:
+            if p == 0.0 or a <= s <= b:
+                continue
+            d = lo - s if s < a else s - hi
+            u = 1.0 + 2.0 * d / (hi - lo)
+            resolved = (u + math.sqrt(u * u - 1.0)) ** (-2.0 * order) <= np.finfo(float).eps
+            if not resolved and d < hi - lo and (near is None or d < near[0]):
+                near = (d, s < a)
+        if near is None:
+            return left + right[::-1]
+        if near[1]:
+            lo += near[0]
+            left.append(lo)
+        else:
+            hi -= near[0]
+            right.append(hi)
+
+
 def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
                 order: int) -> QuadratureRule:
     """Rule on (0, 1) whose weights absorb x^lambda1 (1-x)^lambda2 and every
@@ -115,7 +138,9 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
     sign-definite per panel; a charge at 0 or 1 raises that endpoint's
     exponent instead.  A negative charge q = -nu/2 absorbs a weakly singular
     kernel |y - x|^(-nu) exactly as a positive one absorbs a zero.  Every
-    resulting exponent must exceed -1.
+    resulting exponent must exceed -1.  A panel whose edge lies too close to
+    another singular point for Gauss at `order` to resolve that point's
+    factor is graded geometrically toward it.
     """
     l1, l2 = lambda1, lambda2
     interior = []
@@ -125,28 +150,25 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
         elif y == 1.0:
             l2 += 2.0 * q
         elif 0.0 < y < 1.0:
-            interior.append((y, q))
+            interior.append((y, 2.0 * q))
         else:
             raise DomainError(f"charge position must lie in [0,1], got {y}")
-    edges = [0.0] + [y for y, _ in interior] + [1.0]
-    powers = [l1] + [2.0 * q for _, q in interior] + [l2]
-    if min(powers) <= -1.0:
-        raise DomainError(f"absorbed exponents must exceed -1, got {powers}")
+    edges = [(0.0, l1)] + interior + [(1.0, l2)]
+    if min(p for _, p in edges) <= -1.0:
+        raise DomainError(f"absorbed exponents must exceed -1, got {[p for _, p in edges]}")
+    # factors not absorbed at a panel's edges are evaluated, charges first
+    points = interior + [(0.0, l1), (1.0, l2)]
     nodes, weights = [], []
-    for i in range(len(edges) - 1):
-        rule = power_panel(edges[i], edges[i + 1], powers[i], powers[i + 1], order)
-        w = rule.weights.copy()
-        # charge factors absorbed at this panel's edges; evaluate the rest
-        for j, (y, q) in enumerate(interior):
-            if j != i - 1 and j != i:
-                w *= np.abs(y - rule.nodes) ** (2.0 * q)
-        # endpoint factors when 0 or 1 is not this panel's edge
-        if i != 0:
-            w *= rule.nodes ** l1
-        if i != len(edges) - 2:
-            w *= (1.0 - rule.nodes) ** l2
-        nodes.append(rule.nodes)
-        weights.append(w)
+    for (a, pa), (b, pb) in zip(edges, edges[1:]):
+        pieces = [(a, pa)] + [(c, 0.0) for c in _grading(a, b, points, order)] + [(b, pb)]
+        for (lo, p_lo), (hi, p_hi) in zip(pieces, pieces[1:]):
+            rule = power_panel(lo, hi, p_lo, p_hi, order)
+            w = rule.weights.copy()
+            for y, p in points:
+                if y != lo and y != hi:
+                    w *= np.abs(y - rule.nodes) ** p
+            nodes.append(rule.nodes)
+            weights.append(w)
     return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
 
@@ -173,9 +195,7 @@ def singular_integrate(f: Callable, lambda1: float, lambda2: float, charges: Seq
         if gap <= tol * max(1.0, abs(cur)):
             return cur
         prev = cur
-    raise QuadratureError(
-        f"singular_integrate did not converge to {tol} (last gap {gap})",
-        best=cur, gap=gap)
+    raise QuadratureError(f"singular_integrate did not converge to {tol} (last gap {gap})")
 
 
 def jacobi_recurrence(n_terms: int, lambda1: float, lambda2: float):

@@ -43,8 +43,8 @@ def test_criterion_5_jacobi_drift():
 def test_criterion_6_toeplitz():
     result = acceptance.criterion_6_toeplitz()
     _report(result)
-    # the quoted exact gap is the engine's distance from M_48(1/2, 1/2)/48!
-    assert float(result.detail.rsplit("exact gap at N=48 ", 1)[1]) <= 1e-10
+    # the quoted gap is the closed form's distance from the explicit matrix
+    assert float(result.detail.rsplit("explicit 48x48 determinant ", 1)[1]) <= 1e-12
 
 
 def test_criterion_7_orbitals():

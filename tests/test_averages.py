@@ -293,6 +293,18 @@ class TestDuality:
         lhs = duality_lhs(case)
         assert abs(duality_rhs(case) - lhs) <= 1e-12 * abs(lhs)
 
+    @pytest.mark.parametrize("n, m, l1, l2, t, tol", [
+        (8, 2, -0.428, 2.891, 0.0053, 1e-12),
+        (5, 4, 0.020, -0.919, 0.9994, 1e-10),
+        (7, 2, 0.852, 0.852, 0.0038, 1e-12),
+    ])
+    def test_charge_near_an_endpoint(self, n, m, l1, l2, t, tol):
+        # the Jacobi side's panel from t to the far endpoint is graded toward
+        # the near endpoint; ungraded it was off by 1.0e-6, 3.1e-7 and 2.0e-9
+        case = DualityCase(n=n, m=m, t=t, params=EnsembleParams(n=n, lambda1=l1, lambda2=l2))
+        lhs = duality_lhs(case)
+        assert abs(duality_rhs(case) - lhs) <= tol * abs(lhs)
+
     def test_odd_power_rejected(self):
         params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
         with pytest.raises(DomainError):

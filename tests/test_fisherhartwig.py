@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -110,24 +111,25 @@ class TestToeplitz:
         assert gaps[-1] <= 0.02
 
     def test_rotation_invariance(self):
-        base = fh.SymbolSpec(singularities=((0.7, 0.5), (2.1, 0.3)))
-        shifted = fh.SymbolSpec(singularities=((1.1, 0.5), (2.5, 0.3)))
-        a = fh.toeplitz_determinant(base, 12)
-        b = fh.toeplitz_determinant(shifted, 12)
-        assert a.log_abs == pytest.approx(b.log_abs, abs=1e-10)
+        # the closed form does not see phi; the explicit matrices do
+        a = explicit_log_det(fh.SymbolSpec(singularities=((0.7, 0.5),)), 12)
+        b = explicit_log_det(fh.SymbolSpec(singularities=((2.1, 0.5),)), 12)
+        assert a == pytest.approx(b, abs=1e-12)
 
     def test_asymptote_formula(self):
-        # a^2 log N + log G(1+a)^2 / G(1+2a) per zero, and -2 a b log|chord|
-        # per pair of zeros
-        def local(a):
-            return a * a * math.log(10.0) + 2.0 * log_barnes_g(1.0 + a) - log_barnes_g(1.0 + 2.0 * a)
-
+        # a^2 log N + log G(1+a)^2 / G(1+2a)
         one = fh.SymbolSpec(singularities=((0.4, 0.5),))
-        assert fh.toeplitz_fh_asymptote(one, 10) == pytest.approx(local(0.5), rel=1e-13)
+        expected = 0.25 * math.log(10.0) + 2.0 * log_barnes_g(1.5) - log_barnes_g(2.0)
+        assert fh.toeplitz_fh_asymptote(one, 10) == pytest.approx(expected, rel=1e-13)
+
+    def test_two_zeros_are_a_domain_error(self):
         two = fh.SymbolSpec(singularities=((0.7, 0.5), (2.1, 0.3)))
-        chord = 2.0 * math.sin(0.5 * (2.1 - 0.7))
-        expected = local(0.5) + local(0.3) - 2.0 * 0.5 * 0.3 * math.log(chord)
-        assert fh.toeplitz_fh_asymptote(two, 10) == pytest.approx(expected, rel=1e-13)
+        with pytest.raises(DomainError, match="at most one zero"):
+            fh.toeplitz_log_dets(two, (4,))
+        with pytest.raises(DomainError, match="at most one zero"):
+            fh.toeplitz_fh_asymptote(two, 4)
+        with pytest.raises(DomainError, match="at most one zero"):
+            fh._toeplitz_fourier_coeffs(two, 4)
 
     def test_size_validation(self):
         with pytest.raises(DomainError):
@@ -135,6 +137,15 @@ class TestToeplitz:
 
 
 LADDER_SIZES = (40, 7, 1, 40, 23, 2)
+
+
+def explicit_log_det(symbol, N):
+    # slogdet of the N x N Toeplitz matrix [c_{j-k}] of the exact coefficients
+    coeffs = fh._toeplitz_fourier_coeffs(symbol, N - 1)
+    idx = N - 1 + np.arange(N)[:, None] - np.arange(N)[None, :]
+    sign, logdet = np.linalg.slogdet(coeffs[idx])
+    assert abs(sign - 1.0) < 1e-12
+    return logdet
 
 
 def gram_matrix(params, symbol, n_max):
@@ -173,19 +184,10 @@ class TestLadders:
         assert det.log_abs == fh.toeplitz_log_dets(circle, (12,))[0]
 
     @pytest.mark.parametrize("symbol", [
-        fh.SymbolSpec(singularities=((0.7, 0.5), (2.1, 0.3))),
-        fh.SymbolSpec(singularities=((0.7, 1.3),)),
-        fh.SymbolSpec(singularities=((-2.0, 0.4), (0.7, 0.5), (2.1, 0.3))),
+        fh.SymbolSpec(singularities=((phi, q),)) for q in (0.3, 1.3) for phi in (0.0, 0.7, -2.0)
     ])
     def test_toeplitz_rungs_are_explicit_determinants(self, symbol):
-        p_max = max(LADDER_SIZES) - 1
-        coeffs = fh._toeplitz_fourier_coeffs(symbol, p_max)
-        expected = []
-        for N in LADDER_SIZES:
-            idx = p_max + np.arange(N)[:, None] - np.arange(N)[None, :]
-            sign, logdet = np.linalg.slogdet(coeffs[idx])
-            assert abs(sign - 1.0) < 1e-12
-            expected.append(logdet)
+        expected = [explicit_log_det(symbol, N) for N in LADDER_SIZES]
         got = fh.toeplitz_log_dets(symbol, LADDER_SIZES)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
@@ -205,20 +207,6 @@ class TestLadders:
         with pytest.raises(DomainError, match="lost positivity"):
             fh.hankel_log_ratios(params_for(4), fh.SymbolSpec(), (4,))
 
-    def test_indefinite_toeplitz_is_a_domain_error(self, monkeypatch):
-        # c_0 = 1, c_{+-1} = 2: the 2 x 2 minor is 1 - 4 < 0
-        monkeypatch.setattr(fh, "_toeplitz_fourier_coeffs",
-                            lambda symbol, p_max: np.array([0, 2, 1, 2, 0], dtype=complex))
-        with pytest.raises(DomainError, match="positive definite"):
-            fh.toeplitz_log_dets(fh.SymbolSpec(), (3,))
-
-    def test_non_hermitian_symbol_is_refused(self, monkeypatch):
-        # c_1 = 1 but c_{-1} = 0: the coefficients of e^{-i theta} + 1, not real
-        monkeypatch.setattr(fh, "_toeplitz_fourier_coeffs",
-                            lambda symbol, p_max: np.array([0, 0, 1, 1, 0], dtype=complex))
-        with pytest.raises(DomainError, match="Hermitian"):
-            fh.toeplitz_log_dets(fh.SymbolSpec(), (3,))
-
 
 class TestMorrisReference:
     # one zero: D_N[|1 - e^{i theta}|^{2a}] = M_N(a, a) / N!, the circular
@@ -233,12 +221,34 @@ class TestMorrisReference:
             assert abs(log_d - ref) <= tol, (N, log_d - ref)
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 1.7])
+    def test_ladder_matches_mpmath(self, a):
+        # 40-digit log of prod_{j<N} Gamma(2a+1+j) Gamma(1+j) / Gamma(a+1+j)^2
+        sizes = (256, 512, 1024)
+        got = fh.toeplitz_log_dets(fh.SymbolSpec(singularities=((0.0, a),)), sizes)
+        with mp.workdps(40):
+            x = mp.mpf(a)
+            terms = [mp.loggamma(2 * x + 1 + j) + mp.loggamma(1 + j) - 2 * mp.loggamma(x + 1 + j)
+                     for j in range(max(sizes))]
+            refs = [float(mp.fsum(terms[:N])) for N in sizes]
+        np.testing.assert_allclose(got, refs, rtol=0.0, atol=1e-11)
+
+    def test_unit_charge_is_n_plus_one(self):
+        # D_N[|1 - e^{i theta}|^2] = N + 1
+        sizes = np.arange(1, 1025)
+        got = fh.toeplitz_log_dets(fh.SymbolSpec(singularities=((0.0, 1.0),)), sizes)
+        np.testing.assert_allclose(got, np.log(sizes + 1.0), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 1.7])
     @pytest.mark.parametrize("phi", [0.0, 0.7])
     def test_closed_form_coefficients_match_quadrature(self, a, phi):
+        # 30-digit tanh-sinh quadrature of the symbol, split at its zero
         symbol = fh.SymbolSpec(singularities=((phi, a),))
-        closed = fh._toeplitz_fourier_coeffs(symbol, 255)
-        quadrature = fh._quadrature_fourier_coeffs(symbol, 255)
-        assert np.max(np.abs(closed - quadrature)) <= 1e-12
+        closed = fh._toeplitz_fourier_coeffs(symbol, 8)
+        with mp.workdps(30):
+            for p in range(-8, 9):
+                ref = mp.quad(lambda th: (2 - 2 * mp.cos(th - phi)) ** a * mp.exp(-1j * p * th),
+                              [phi, phi + mp.pi, phi + 2 * mp.pi]) / (2 * mp.pi)
+                assert abs(closed[8 + p] - complex(ref)) <= 1e-14
 
 
 class TestConvergenceRate:

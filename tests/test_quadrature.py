@@ -135,6 +135,33 @@ class TestSingularIntegrate:
             quad.singular_integrate(np.ones_like, 0.0, 0.0, ((1.2, -0.25),))
 
 
+class TestChargeRule:
+    @pytest.mark.parametrize("order", [46, 94, 286, 542])
+    def test_interior_charge_rule_is_two_panels(self, order):
+        # a charge in [0.1, 0.9] needs no grading: the rule is the two
+        # Gauss-Jacobi panels split at it, each evaluating the far endpoint's
+        # power, bit for bit
+        for l1 in (-0.5, 0.0, 0.5, 1.0):
+            for l2 in (-0.5, 0.0, 0.5, 1.0):
+                for y, q in ((0.1, 0.5), (0.37, 1.0), (0.9, 0.3)):
+                    rule = quad.charge_rule(l1, l2, ((y, q),), order)
+                    left = quad.power_panel(0.0, y, l1, 2.0 * q, order)
+                    right = quad.power_panel(y, 1.0, 2.0 * q, l2, order)
+                    np.testing.assert_array_equal(
+                        rule.nodes, np.concatenate((left.nodes, right.nodes)))
+                    np.testing.assert_array_equal(rule.weights, np.concatenate(
+                        (left.weights * (1.0 - left.nodes) ** l2,
+                         right.weights * right.nodes ** l1)))
+
+    @pytest.mark.parametrize("l1, t, order", [(-0.428, 0.0053, 38), (-0.5, 1e-4, 40)])
+    def test_charge_near_an_endpoint(self, l1, t, order):
+        # int_0^1 x^l1 (x - t)^2 dx; ungraded the panel [t, 1] left 9.8e-11
+        # and 2.0e-8 of x^l1 unresolved
+        rule = quad.charge_rule(l1, 0.0, ((t, 1.0),), order)
+        exact = 1.0 / (l1 + 3.0) - 2.0 * t / (l1 + 2.0) + t * t / (l1 + 1.0)
+        assert float(np.sum(rule.weights)) == pytest.approx(exact, rel=1e-14)
+
+
 class TestRecurrence:
     def test_uniform_weight_coefficients(self):
         a, b, mu0 = quad.jacobi_recurrence(6, 0.0, 0.0)
