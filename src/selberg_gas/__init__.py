@@ -31,6 +31,7 @@ from .ensembles import (
     EigenvalueSample,
     RngStream,
     sample_jue,
+    sample_jue_block,
     sample_jue_halfhalf,
 )
 from .orbitals import KernelSpec, Orbital, apply_kernel, orbital, scaled_occupation

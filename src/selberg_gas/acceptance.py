@@ -17,7 +17,7 @@ import numpy as np
 from . import fisherhartwig as fh
 from . import quadrature as quad
 from .averages import DualityCase, duality_lhs, duality_rhs, mc_density_matrix_table
-from .ensembles import RngStream, sample_jue, sample_jue_halfhalf
+from .ensembles import sample_jue_block
 from .exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -257,8 +257,8 @@ def criterion_9_samplers(seed: int = 42) -> CriterionResult:
     (1/2, 1/2) law at n = 1, and the mean sum at n = 2 for the (1/2, 1/2)
     and (-1/2, -1/2) laws against tensor quadrature."""
     m1 = 100_000
-    vals = np.array([sample_jue_halfhalf(1, RngStream(seed, k)).points[0]
-                     for k in range(m1)])
+    vals = sample_jue_block(EnsembleParams(n=1, lambda1=0.5, lambda2=0.5),
+                            seed, range(m1))[:, 0]
     mean_se = vals.std(ddof=1) / math.sqrt(m1)
     mean_ok = abs(vals.mean() - 0.5) <= 3.0 * mean_se
     sq = (vals - vals.mean()) ** 2
@@ -271,8 +271,7 @@ def criterion_9_samplers(seed: int = 42) -> CriterionResult:
     m2 = 10_000
     for offset, lam in ((1, 0.5), (2, -0.5)):
         params = EnsembleParams(n=2, lambda1=lam, lambda2=lam)
-        sums = np.array([sample_jue(params, RngStream(seed + offset, k)).points.sum()
-                         for k in range(m2)])
+        sums = sample_jue_block(params, seed + offset, range(m2)).sum(axis=1)
         axis = quad.power_panel(0.0, 1.0, lam, lam, 40)
         num = quad.tensor_integrate(lambda x, y: (x + y) * (y - x) ** 2, [axis, axis])
         den = quad.tensor_integrate(lambda x, y: (y - x) ** 2, [axis, axis])

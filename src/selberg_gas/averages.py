@@ -30,7 +30,9 @@ from .exact import (
     LogMagnitude,
     duality_constant_A,
 )
-from .ensembles import RngStream, sample_jue, sample_jue_halfhalf
+from .ensembles import sample_blocks, sample_jue_block
+# perfbench/tests/test_bench_tracer.py checks that this name is re-exported here
+from .ensembles import sample_jue_halfhalf  # noqa: F401
 from .specfun import DomainError, log_gamma
 
 
@@ -141,12 +143,6 @@ def duality_rhs(case: DualityCase) -> float:
     return float(value)
 
 
-def _dm_sampler(query: DensityMatrixQuery, stream: RngStream):
-    if query.boundary == BOUNDARY_DIRICHLET:
-        return sample_jue_halfhalf(query.N, stream)
-    return sample_jue(EnsembleParams(n=query.N, lambda1=-0.5, lambda2=-0.5), stream)
-
-
 def _dm_prefactor(query: DensityMatrixQuery) -> float:
     # the density-matrix normalisation, shared by the Monte Carlo estimator
     # and the exact value
@@ -160,40 +156,43 @@ def _dm_prefactor(query: DensityMatrixQuery) -> float:
     return 0.5 * query.rho / (query.N + 1)
 
 
-def _dm_sample_products(queries: Sequence[DensityMatrixQuery], k: int,
-                        master_seed: int) -> np.ndarray:
-    pts = _dm_sampler(queries[0], RngStream(master_seed, k)).points
-    out = np.empty(len(queries))
-    for i, query in enumerate(queries):
-        logp = (np.log(np.abs(4.0 * query.X - 4.0 * pts)).sum()
-                + np.log(np.abs(4.0 * query.Y - 4.0 * pts)).sum())
-        out[i] = math.exp(logp)
-    return out
-
-
 def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
                             master_seed: int, threads: int = 1) -> list:
     """Monte Carlo estimates for several (X, Y) points off one sample set.
 
-    Sample k is generated from stream (master_seed, k), so the result for
-    each query is bit-identical to a standalone run with the same seed,
-    independent of the thread count.
+    Sample k is generated from stream (master_seed, k).  Samples are drawn
+    in fixed blocks (`ensembles.sample_blocks`, whose size depends on N
+    alone) and `threads` maps blocks, so the result for each query is
+    bit-identical to a standalone run with the same seed, independent of
+    the thread count.
     """
     if M < 100:
         raise DomainError(f"M must be >= 100 for meaningful error bars, got {M}")
     if len({(q.N, q.boundary, q.L) for q in queries}) != 1:
         raise DomainError("table queries must share N, boundary and L")
 
-    products = np.empty((M, len(queries)))
+    lam = queries[0].weight_exponent()
+    params = EnsembleParams(n=queries[0].N, lambda1=lam, lambda2=lam)
+    xs4 = 4.0 * np.array([[q.X] for q in queries])
+    ys4 = 4.0 * np.array([[q.Y] for q in queries])
+
+    def block_products(block: range) -> np.ndarray:
+        # prod_l 16 |X - x_l| |Y - x_l| for every (sample, query) of the
+        # block, summed in log space along the contiguous last axis of a
+        # (rows, queries, N) array; math.exp, not np.exp, gives each value
+        # the bits of a scalar loop
+        pts4 = 4.0 * sample_jue_block(params, master_seed, block)[:, None, :]
+        logp = (np.log(np.abs(xs4 - pts4)).sum(axis=-1)
+                + np.log(np.abs(ys4 - pts4)).sum(axis=-1))
+        return np.array([math.exp(v) for v in logp.ravel().tolist()]).reshape(logp.shape)
+
+    blocks = sample_blocks(params.n, M)
     if threads <= 1:
-        for k in range(M):
-            products[k] = _dm_sample_products(queries, k, master_seed)
+        parts = [block_products(block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for k, row in zip(range(M), pool.map(
-                    lambda kk: _dm_sample_products(queries, kk, master_seed),
-                    range(M))):
-                products[k] = row
+            parts = list(pool.map(block_products, blocks))
+    products = np.concatenate(parts)
 
     estimates = []
     for i, query in enumerate(queries):

@@ -23,7 +23,7 @@ from .averages import (
     mc_density_matrix,
     mc_density_matrix_table,
 )
-from .ensembles import RngStream, sample_jue_halfhalf
+from .ensembles import sample_blocks, sample_jue_block
 from .exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -141,11 +141,12 @@ def _run_orbitals(ns):
 
 def _run_sample_jue(ns):
     config = {"subcommand": "sample-jue", "n": ns.n, "m_samples": ns.m_samples}
+    params = EnsembleParams(n=ns.n, lambda1=0.5, lambda2=0.5)
     rows = []
-    for k in range(ns.m_samples):
-        pts = sample_jue_halfhalf(ns.n, RngStream(ns.seed, k)).points
-        for i, x in enumerate(pts):
-            rows.append({"sample": k, "index": i, "eigenvalue": float(x)})
+    for block in sample_blocks(ns.n, ns.m_samples):
+        for k, pts in zip(block, sample_jue_block(params, ns.seed, block).tolist()):
+            for i, x in enumerate(pts):
+                rows.append({"sample": k, "index": i, "eigenvalue": x})
     return config, rows
 
 

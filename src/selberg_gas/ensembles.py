@@ -42,6 +42,14 @@ class RngStream:
         return self._gen
 
 
+def _check_points(points: np.ndarray) -> None:
+    # every row strictly increasing inside (0, 1), stated in positive form so
+    # that NaN, which fails every comparison, is rejected too
+    if not (np.all(points > 0.0) and np.all(points < 1.0)
+            and np.all(np.diff(points, axis=-1) > 0.0)):
+        raise SamplingError("sample must be strictly increasing inside (0,1)")
+
+
 @dataclass(frozen=True)
 class EigenvalueSample:
     """Sorted eigenvalue configuration in (0,1) with its generating law."""
@@ -50,39 +58,67 @@ class EigenvalueSample:
     params: EnsembleParams
 
     def __post_init__(self):
-        pts = self.points
-        # stated in positive form so that NaN, which fails every comparison,
-        # is rejected too
-        if not (np.all(pts > 0.0) and np.all(pts < 1.0) and np.all(np.diff(pts) > 0.0)):
-            raise SamplingError("sample must be strictly increasing inside (0,1)")
+        _check_points(self.points)
 
 
-def sample_jue(params: EnsembleParams, stream: RngStream) -> EigenvalueSample:
-    """Exact sample of the n-point Jacobi ensemble with weight
-    x^lambda1 (1-x)^lambda2.
+def sample_blocks(n: int, M: int) -> list:
+    """Stream indices 0..M-1 cut into consecutive blocks of 32, fewer once a
+    block's (rows, n, n) matrix stack would pass 4 MB.  The size depends on
+    n alone, so block boundaries never move with M or the thread count."""
+    rows = max(1, min(32, (1 << 19) // (n * n)))
+    return [range(start, min(start + rows, M)) for start in range(0, M, rows)]
 
-    The sample is the spectrum of B B^T, with B upper bidiagonal of diagonal
+
+def _spectra(params: EnsembleParams, generators: list) -> np.ndarray:
+    # one row of eigenvalues per generator; see sample_jue_block
+    n, rows = params.n, len(generators)
+    j = np.arange(n, 0, -1.0)
+    # one call draws the c_j^2 and then the c'_j^2, element by element in the
+    # stream's order, as two consecutive calls would
+    a = np.concatenate((params.lambda1 + j, j[1:]))
+    b = np.concatenate((params.lambda2 + j, params.lambda1 + params.lambda2 + 1.0 + j[1:]))
+    variates = np.empty((rows, 2 * n - 1))
+    for row, gen in enumerate(generators):
+        variates[row] = gen.beta(a, b)
+    c_sq, cp_sq = variates[:, :n], variates[:, n:]
+    diag = np.arange(n)
+    bidiagonal = np.zeros((rows, n, n))
+    bidiagonal[:, diag, diag] = np.sqrt(
+        c_sq * np.concatenate((np.ones((rows, 1)), 1.0 - cp_sq), axis=1))
+    bidiagonal[:, diag[:-1], diag[1:]] = -np.sqrt((1.0 - c_sq[:, :-1]) * cp_sq)
+    points = np.linalg.eigvalsh(bidiagonal @ bidiagonal.transpose(0, 2, 1))
+    # eigenvalues within rounding of an edge, common when an exponent is
+    # near -1, are kept just inside (0, 1)
+    np.clip(points, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=points)
+    _check_points(points)
+    return points
+
+
+def sample_jue_block(params: EnsembleParams, master_seed: int, ks) -> np.ndarray:
+    """Exact samples of the n-point Jacobi ensemble with weight
+    x^lambda1 (1-x)^lambda2, one sorted row of shape (n,) per stream index
+    in `ks`, drawn from stream (master_seed, k).
+
+    Each sample is the spectrum of B B^T, with B upper bidiagonal of diagonal
     (c_n, c_{n-1} s'_{n-1}, ..., c_1 s'_1) and superdiagonal
     (-s_n c'_{n-1}, ..., -s_2 c'_1), where c_j^2 ~ Beta(lambda1 + j,
     lambda2 + j), c'_j^2 ~ Beta(j, lambda1 + lambda2 + 1 + j), s = sqrt(1 - c^2)
     and every variate is independent.  The c_j are drawn first, then the
-    c'_j, each for descending j; that order fixes the stream's replay.
+    c'_j, each for descending j; that order fixes the stream's replay.  The
+    variates are drawn stream by stream and the spectra taken as one stacked
+    `eigvalsh`, so a row does not depend on the block it is drawn in.
+    Raises `SamplingError` if any row is not strictly increasing in (0, 1).
     """
-    gen = stream.generator()
-    j = np.arange(params.n, 0, -1)
-    c_sq = gen.beta(params.lambda1 + j, params.lambda2 + j)
-    jp = j[1:]
-    cp_sq = gen.beta(jp, params.lambda1 + params.lambda2 + 1.0 + jp)
-    diagonal = np.sqrt(c_sq * np.concatenate(([1.0], 1.0 - cp_sq)))
-    upper = -np.sqrt((1.0 - c_sq[:-1]) * cp_sq)
-    bidiagonal = np.diag(diagonal) + np.diag(upper, 1)
-    points = np.linalg.eigvalsh(bidiagonal @ bidiagonal.T)
-    # eigenvalues within rounding of an edge, common when an exponent is
-    # near -1, are kept just inside (0, 1)
-    np.clip(points, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=points)
-    return EigenvalueSample(points, params)
+    return _spectra(params, [RngStream(master_seed, int(k)).generator() for k in ks])
 
 
+def sample_jue(params: EnsembleParams, stream: RngStream) -> EigenvalueSample:
+    """One exact sample from the stream's current position: the one-row view
+    of `sample_jue_block`."""
+    return EigenvalueSample(_spectra(params, [stream.generator()])[0], params)
+
+
+# kept because perfbench/tests/test_bench_tracer.py checks that averages imports it
 def sample_jue_halfhalf(n: int, stream: RngStream) -> EigenvalueSample:
     """Exact sample of the n-point Jacobi ensemble with exponents (1/2, 1/2),
     the Dirichlet-boundary law."""

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import betaln
 
 from . import quadrature as quad
 from .exact import EnsembleParams, LogMagnitude, selberg_closed, selberg_closed_barnes
-from .specfun import DomainError, log_barnes_g, log_gamma
+from .specfun import DomainError, log_barnes_g
 
 
 @dataclass(frozen=True)
@@ -165,13 +166,21 @@ def _one_zero(symbol: SymbolSpec) -> tuple:
     return symbol.singularities[0] if symbol.singularities else (0.0, 0.0)
 
 
+def _log_central_coeff(a: float) -> float:
+    # log Gamma(2a+1) / Gamma(a+1)^2 = -log(2a+1) - log B(a+1, a+1): no
+    # difference of two lgamma values, whose rounding the closed forms
+    # multiply by N, and, unlike a ratio of math.gamma values, finite at
+    # large a
+    return -math.log1p(2.0 * a) - float(betaln(a + 1.0, a + 1.0))
+
+
 def _toeplitz_fourier_coeffs(symbol: SymbolSpec, p_max: int) -> np.ndarray:
     # Fourier coefficients c_p, p = -p_max..p_max, of (2 - 2 cos(theta - phi))^a:
     #   c_p = e^{-ip phi} (-1)^p Gamma(2a+1) / (Gamma(a+1+p) Gamma(a+1-p)),
     # a cumulative product of (p-1-a)/(p+a), exact to rounding at every p.
     phi, a = _one_zero(symbol)
     ks = np.arange(1, p_max + 1)
-    c0 = math.exp(log_gamma(2.0 * a + 1.0) - 2.0 * log_gamma(a + 1.0))
+    c0 = math.exp(_log_central_coeff(a))
     pos = c0 * np.cumprod((ks - 1.0 - a) / (ks + a)) * np.exp(-1j * ks * phi)
     return np.concatenate((np.conj(pos[::-1]), [c0], pos))
 
@@ -189,8 +198,7 @@ def toeplitz_log_dets(symbol: SymbolSpec, sizes: Sequence[int]) -> np.ndarray:
     sizes = _check_sizes(sizes)
     _, a = _one_zero(symbol)
     steps = np.log1p(-a * a / (a + np.arange(1.0, sizes.max())) ** 2)
-    log_r = (log_gamma(2.0 * a + 1.0) - 2.0 * log_gamma(a + 1.0)
-             + np.concatenate(([0.0], np.cumsum(steps))))
+    log_r = _log_central_coeff(a) + np.concatenate(([0.0], np.cumsum(steps)))
     return np.concatenate(([0.0], np.cumsum(log_r)))[sizes]
 
 

@@ -18,7 +18,9 @@ from selberg_gas.averages import (
     mc_density_matrix_table,
     pairwise_sum,
 )
-from selberg_gas.ensembles import RngStream, sample_jue_halfhalf
+from selberg_gas import averages
+from selberg_gas.acceptance import TABLE1_XS
+from selberg_gas.ensembles import RngStream, sample_blocks, sample_jue, sample_jue_halfhalf
 from selberg_gas.exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -430,6 +432,39 @@ class TestMonteCarloDensityMatrix:
         one = mc_density_matrix_table([query], 300, 7, threads=1)[0]
         two = mc_density_matrix_table([query], 300, 7, threads=3)[0]
         assert one.value == two.value and one.std_error == two.std_error
+
+    def test_block_boundaries_and_thread_counts_agree_bitwise(self):
+        # the last block full, one row short, one row long and five rows long;
+        # M >= 100 is the estimator's floor
+        B = len(sample_blocks(6, 100)[0])
+        queries = [DensityMatrixQuery(N=6, X=0.2, Y=0.8), DensityMatrixQuery(N=6, X=0.1, Y=0.45)]
+        for M in (4 * B - 1, 4 * B, 4 * B + 1, 3 * B + 5):
+            runs = [mc_density_matrix_table(queries, M, 5, threads=t) for t in (1, 2, 4)]
+            for est in runs[1:]:
+                assert [(e.value, e.std_error) for e in est] == \
+                    [(e.value, e.std_error) for e in runs[0]]
+
+    @pytest.mark.parametrize("boundary", ("dirichlet", "neumann"))
+    def test_readme_seed_matches_per_sample_loop(self, boundary):
+        # the README's Table 1 run (N = 14, M = 5000, seed 42) and its dm-mc
+        # point, against one sample and one scalar log-sum at a time
+        N, M, seed = 14, 5000, 42
+        lam = 0.5 if boundary == "dirichlet" else -0.5
+        params = EnsembleParams(n=N, lambda1=lam, lambda2=lam)
+        samples = [sample_jue(params, RngStream(seed, k)).points for k in range(M)]
+        queries = [DensityMatrixQuery(N=N, X=X, Y=1.0 - X, boundary=boundary)
+                   for X in TABLE1_XS]
+        point = DensityMatrixQuery(N=N, X=0.2, Y=0.8, boundary=boundary)
+        got = mc_density_matrix_table(queries, M, seed) + [mc_density_matrix(point, M, seed)]
+        for query, est in zip(queries + [point], got):
+            vals = np.array([
+                averages._dm_prefactor(query)
+                * math.exp(np.log(np.abs(4.0 * query.X - 4.0 * pts)).sum()
+                           + np.log(np.abs(4.0 * query.Y - 4.0 * pts)).sum())
+                for pts in samples])
+            mean = pairwise_sum(vals) / M
+            var = pairwise_sum((vals - mean) ** 2) / (M - 1)
+            assert est.value == mean and est.std_error == math.sqrt(var / M)
 
     def test_estimate_metadata(self):
         query = DensityMatrixQuery(N=3, X=0.3, Y=0.6)

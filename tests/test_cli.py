@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import selberg_gas
 from selberg_gas import acceptance, cli
 
 
@@ -212,6 +216,17 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             cli.build_parser().parse_args(["frobnicate"])
         assert err.value.code == 2
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # importing scipy.linalg would add to the start-up cost of every CLI call
+    src = str(Path(selberg_gas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = "import sys, selberg_gas.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

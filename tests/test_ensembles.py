@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from selberg_gas import ensembles
 from selberg_gas import quadrature as quad
 from selberg_gas.ensembles import (
     EigenvalueSample,
     RngStream,
     SamplingError,
+    sample_blocks,
     sample_jue,
+    sample_jue_block,
     sample_jue_halfhalf,
 )
 from selberg_gas.exact import EnsembleParams
@@ -110,3 +113,68 @@ class TestSampleValidation:
             EigenvalueSample(np.array([bad, 0.5]), params)
         with pytest.raises(SamplingError):
             EigenvalueSample(np.array([0.5, bad]), params)
+
+
+def one_stream_reference(params, stream):
+    # the bidiagonal model for one stream, written out on its own n x n matrix
+    gen = stream.generator()
+    j = np.arange(params.n, 0, -1)
+    c_sq = gen.beta(params.lambda1 + j, params.lambda2 + j)
+    cp_sq = gen.beta(j[1:], params.lambda1 + params.lambda2 + 1.0 + j[1:])
+    bidiagonal = (np.diag(np.sqrt(c_sq * np.concatenate(([1.0], 1.0 - cp_sq))))
+                  + np.diag(-np.sqrt((1.0 - c_sq[:-1]) * cp_sq), 1))
+    points = np.linalg.eigvalsh(bidiagonal @ bidiagonal.T)
+    return np.clip(points, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+
+
+class TestBlockSampler:
+    KS = (0, 3, 4, 17, 40, 41, 99)
+
+    @pytest.mark.parametrize("lambda1,lambda2", ((0.5, 0.5), (-0.5, -0.5), (-0.5, 2.0)))
+    @pytest.mark.parametrize("n", (1, 2, 14, 50))
+    def test_rows_are_the_streams_samples(self, n, lambda1, lambda2):
+        params = EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2)
+        block = sample_jue_block(params, 42, self.KS)
+        assert block.shape == (len(self.KS), n)
+        for row, k in zip(block, self.KS):
+            assert np.array_equal(row, sample_jue(params, RngStream(42, k)).points)
+            assert np.array_equal(row, one_stream_reference(params, RngStream(42, k)))
+
+    def test_rows_do_not_depend_on_the_cut(self):
+        params = EnsembleParams(n=14, lambda1=0.5, lambda2=0.5)
+        whole = sample_jue_block(params, 7, range(70))
+        for cuts in ((0, 5, 37, 70), (0, 1, 2, 69, 70)):
+            parts = [sample_jue_block(params, 7, range(a, b)) for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(parts), whole)
+        fixed = [sample_jue_block(params, 7, block) for block in sample_blocks(14, 70)]
+        assert np.array_equal(np.concatenate(fixed), whole)
+
+    def test_blocks_cover_the_indices_in_order(self):
+        for n, M in ((14, 1), (14, 100), (50, 161), (200, 40)):
+            blocks = sample_blocks(n, M)
+            assert [k for block in blocks for k in block] == list(range(M))
+            assert len({len(block) for block in blocks[:-1]}) <= 1
+
+    def test_block_size_depends_on_n_alone(self):
+        def rows(n, M=1000):
+            return len(sample_blocks(n, M)[0])
+
+        assert rows(1) == rows(14) == rows(50) == rows(50, 100_000) == 32
+        # the (rows, n, n) stack stays within 4 MB once n passes 128
+        for n in (200, 400, 724):
+            assert 1 <= rows(n) < 32
+            assert rows(n) * n * n * 8 <= 4 << 20
+        assert rows(2000) == 1
+
+    def test_bad_row_in_a_block_raises(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def one_bad_row(matrices):
+            points = eigvalsh(matrices)
+            points[3, 1] = np.nan
+            return points
+
+        monkeypatch.setattr(ensembles.np.linalg, "eigvalsh", one_bad_row)
+        params = EnsembleParams(n=4, lambda1=0.5, lambda2=0.5)
+        with pytest.raises(SamplingError):
+            sample_jue_block(params, 1, range(8))

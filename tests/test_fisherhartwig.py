@@ -220,17 +220,30 @@ class TestMorrisReference:
             ref = morris_closed(MorrisParams(N, a, a)).log_abs - math.lgamma(N + 1.0)
             assert abs(log_d - ref) <= tol, (N, log_d - ref)
 
-    @pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 1.7])
-    def test_ladder_matches_mpmath(self, a):
+    @staticmethod
+    def mpmath_log_dets(a, sizes):
         # 40-digit log of prod_{j<N} Gamma(2a+1+j) Gamma(1+j) / Gamma(a+1+j)^2
-        sizes = (256, 512, 1024)
-        got = fh.toeplitz_log_dets(fh.SymbolSpec(singularities=((0.0, a),)), sizes)
         with mp.workdps(40):
             x = mp.mpf(a)
             terms = [mp.loggamma(2 * x + 1 + j) + mp.loggamma(1 + j) - 2 * mp.loggamma(x + 1 + j)
                      for j in range(max(sizes))]
-            refs = [float(mp.fsum(terms[:N])) for N in sizes]
-        np.testing.assert_allclose(got, refs, rtol=0.0, atol=1e-11)
+            return [float(mp.fsum(terms[:N])) for N in sizes]
+
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.9, 1.0, 1.7])
+    def test_ladder_matches_mpmath(self, a):
+        # the j = 0 term log Gamma(2a+1)/Gamma(a+1)^2 enters every rung N
+        # times, so its rounding sets the floor at N = 1024: 1.1e-12 at
+        # a = 0.1 as a difference of two lgamma values, 4.3e-13 now
+        sizes = (256, 512, 1024)
+        got = fh.toeplitz_log_dets(fh.SymbolSpec(singularities=((0.0, a),)), sizes)
+        np.testing.assert_allclose(got, self.mpmath_log_dets(a, sizes), rtol=0.0, atol=8e-13)
+
+    def test_large_zero_stays_finite_and_accurate(self):
+        # Gamma(2a+1) overflows a double far below a = 600
+        sizes = (1, 2, 8, 64)
+        got = fh.toeplitz_log_dets(fh.SymbolSpec(singularities=((0.0, 600.0),)), sizes)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, self.mpmath_log_dets(600.0, sizes), rtol=1e-14, atol=0.0)
 
     def test_unit_charge_is_n_plus_one(self):
         # D_N[|1 - e^{i theta}|^2] = N + 1
