@@ -15,7 +15,6 @@ acceptance suite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +29,7 @@ from .exact import (
     LogMagnitude,
     duality_constant_A,
 )
-from .ensembles import sample_blocks, sample_jue_block
+from .ensembles import map_blocks, sample_blocks, sample_jue_block
 # perfbench/tests/test_bench_tracer.py checks that this name is re-exported here
 from .ensembles import sample_jue_halfhalf  # noqa: F401
 from .specfun import DomainError, log_gamma
@@ -186,13 +185,7 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
                 + np.log(np.abs(ys4 - pts4)).sum(axis=-1))
         return np.array([math.exp(v) for v in logp.ravel().tolist()]).reshape(logp.shape)
 
-    blocks = sample_blocks(params.n, M)
-    if threads <= 1:
-        parts = [block_products(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(block_products, blocks))
-    products = np.concatenate(parts)
+    products = np.concatenate(map_blocks(block_products, sample_blocks(params.n, M), threads))
 
     estimates = []
     for i, query in enumerate(queries):

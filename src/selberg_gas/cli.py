@@ -10,6 +10,7 @@ seeded subcommands take --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .averages import (
     mc_density_matrix,
     mc_density_matrix_table,
 )
-from .ensembles import sample_blocks, sample_jue_block
+from .ensembles import map_blocks, sample_blocks, sample_jue_block
 from .exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -44,7 +45,7 @@ def _fmt(x) -> str:
 
 def _csv_field(x) -> str:
     text = _fmt(x)
-    if any(c in text for c in ',"\n'):
+    if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -142,9 +143,12 @@ def _run_orbitals(ns):
 def _run_sample_jue(ns):
     config = {"subcommand": "sample-jue", "n": ns.n, "m_samples": ns.m_samples}
     params = EnsembleParams(n=ns.n, lambda1=0.5, lambda2=0.5)
+    blocks = sample_blocks(ns.n, ns.m_samples)
+    spectra = map_blocks(lambda block: sample_jue_block(params, ns.seed, block),
+                         blocks, ns.threads)
     rows = []
-    for block in sample_blocks(ns.n, ns.m_samples):
-        for k, pts in zip(block, sample_jue_block(params, ns.seed, block).tolist()):
+    for block, block_spectra in zip(blocks, spectra):
+        for k, pts in zip(block, block_spectra.tolist()):
             for i, x in enumerate(pts):
                 rows.append({"sample": k, "index": i, "eigenvalue": x})
     return config, rows
@@ -239,12 +243,19 @@ _SUBCOMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and per value of
+    SELBERG_GAS_THREADS.  The variable is read on every call, so a changed
+    value still changes the --threads default; parsing leaves no state on
+    the parser, so callers share it."""
+    return _parser(os.environ.get("SELBERG_GAS_THREADS", "1"))
+
+
+@functools.lru_cache(maxsize=4)
+def _parser(default_threads: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selberg-gas",
         description="Jacobi-ensemble averages, duality checks, and the "
                     "impenetrable Bose gas density matrix")
-    # a string default goes through _thread_count when --threads is absent
-    default_threads = os.environ.get("SELBERG_GAS_THREADS", "1")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, seed=True):
@@ -252,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if seed:
             p.add_argument("--seed", type=int, default=42)
+            # a string default goes through _thread_count on every parse
+            # without --threads, so a bad variable is a usage error only here
             p.add_argument("--threads", type=_thread_count, default=default_threads)
 
     p = sub.add_parser("selberg", help="closed-form Selberg integral")

@@ -10,6 +10,7 @@ stream_index) pairs.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,16 @@ def sample_blocks(n: int, M: int) -> list:
     n alone, so block boundaries never move with M or the thread count."""
     rows = max(1, min(32, (1 << 19) // (n * n)))
     return [range(start, min(start + rows, M)) for start in range(0, M, rows)]
+
+
+def map_blocks(fn, blocks: list, threads: int = 1) -> list:
+    """[fn(block) for block in blocks], in block order, with the blocks
+    mapped to a pool of `threads` threads when threads > 1.  A result
+    depends on its block alone, never on the thread count."""
+    if threads <= 1:
+        return [fn(block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, blocks))
 
 
 def _spectra(params: EnsembleParams, generators: list) -> np.ndarray:

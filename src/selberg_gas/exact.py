@@ -112,6 +112,30 @@ def selberg_closed(n: int, a: float, b: float) -> LogMagnitude:
     return LogMagnitude(total)
 
 
+def selberg_log_ratio(n: int, k: int, a: float, b: float) -> float:
+    """log S_n(a, b, 1) - log S_{n+k}(a, b, 1) for an integer shift k.
+
+    The two totals are each of order n^2 (about 1.4e6 at n = 1024), and
+    their difference was off by up to 5e-9 there.  Only O(k) gamma logs
+    differ between them: with c = a + b + 1,
+    log S_n - log S_{n+k} = sum_{i=2n}^{2n+2k-1} lgG(c + i)
+    - sum_{j=n}^{n+k-1} [lgG(a+1+j) + lgG(b+1+j) + lgG(2+j) + lgG(c + j)].
+    """
+    if a <= -1.0 or b <= -1.0:
+        raise DomainError(f"Selberg exponents must exceed -1, got ({a}, {b})")
+    if n < 1 or n + k < 1 or n != int(n) or k != int(k):
+        raise DomainError(f"Selberg sizes must be positive integers, got {n} and {n + k}")
+    n, k = int(n), int(k)
+    if k < 0:
+        return -selberg_log_ratio(n + k, -k, a, b)
+    c = a + b + 1.0
+    terms = [log_gamma(c + i) for i in range(2 * n, 2 * n + 2 * k)]
+    for j in range(n, n + k):
+        terms += [-log_gamma(a + 1.0 + j), -log_gamma(b + 1.0 + j),
+                  -log_gamma(2.0 + j), -log_gamma(c + j)]
+    return math.fsum(terms)
+
+
 def selberg_closed_barnes(nu: float, a: float, b: float) -> LogMagnitude:
     """log S_nu(a, b, 1) continued to non-integer size via Barnes G ratios."""
     if a <= -1.0 or b <= -1.0:

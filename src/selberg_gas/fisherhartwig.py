@@ -27,7 +27,13 @@ import numpy as np
 from scipy.special import betaln
 
 from . import quadrature as quad
-from .exact import EnsembleParams, LogMagnitude, selberg_closed, selberg_closed_barnes
+from .exact import (
+    EnsembleParams,
+    LogMagnitude,
+    selberg_closed,
+    selberg_closed_barnes,
+    selberg_log_ratio,
+)
 from .specfun import DomainError, log_barnes_g
 
 
@@ -103,8 +109,9 @@ def hankel_balanced_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     exponentially; the quantity with a clean large-n limit divides by the
     bare integral at size n + sum(q_r) and restores the weight factors at
     the singularity locations, exactly as in the single-charge partition
-    ratio.  Non-integer total charge is handled through the Barnes-G
-    continuation of the bare integral.
+    ratio.  An integer total charge k takes log S_n/S_{n+k} as a sum of
+    O(k) gamma logs (`exact.selberg_log_ratio`); a non-integer one goes
+    through the Barnes-G continuation of the bare integral.
     """
     l1, l2 = params.lambda1, params.lambda2
     sing = symbol.singularities
@@ -117,13 +124,14 @@ def hankel_balanced_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
         for j in range(i + 1, len(sing)):
             constant += 2.0 * sing[i][1] * sing[j][1] * math.log(abs(sing[j][0] - sing[i][0]))
     q_total = sum(q for _, q in sing)
+    k = round(q_total)
     sizes = _check_sizes(sizes)
     totals = hankel_log_ratios(params, symbol, sizes) + constant
     for i, n in enumerate(sizes.tolist()):
-        totals[i] += selberg_closed(n, l1, l2).log_abs
-        if abs(q_total - round(q_total)) < 1e-12:
-            totals[i] -= selberg_closed(n + int(round(q_total)), l1, l2).log_abs
+        if abs(q_total - k) < 1e-12:
+            totals[i] += selberg_log_ratio(n, k, l1, l2)
         else:
+            totals[i] += selberg_closed(n, l1, l2).log_abs
             totals[i] -= selberg_closed_barnes(n + q_total, l1, l2).log_abs
     return totals
 

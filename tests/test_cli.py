@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import selberg_gas
 from selberg_gas import acceptance, cli
+from selberg_gas.ensembles import sample_blocks
 
 
 def run_document(argv):
@@ -152,6 +154,46 @@ class TestRendering:
         assert code == 0
         assert json.loads(path.read_text())["results"][0]["value"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("value, text", [
+        ("a,b", '"a,b"'),
+        ('say "hi"', '"say ""hi"""'),
+        ("two\nlines", '"two\nlines"'),
+        ('"', '""""'),
+        ("plain", "plain"),
+        ("", ""),
+        (0.1, "0.10000000000000001"),
+        (-3, "-3"),
+        (True, "True"),
+    ])
+    def test_csv_field_quoting(self, value, text):
+        # quoted only when the text holds a comma, a quote or a newline;
+        # inner quotes are doubled
+        assert cli._csv_field(value) == text
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_sample_jue_threads_keep_bytes(self, extra, monkeypatch, capsys):
+        # blocks depend on n alone, so M = B - 1 is one partial block and
+        # M = B + 1 a full block plus one row
+        block = len(sample_blocks(3, 1000)[0])
+        seen = []
+        real = cli.map_blocks
+
+        def recording(fn, blocks, threads):
+            seen.append(threads)
+            return real(fn, blocks, threads)
+
+        monkeypatch.setattr(cli, "map_blocks", recording)
+        outputs = []
+        for threads in (1, 2, 4):
+            assert cli.main(["sample-jue", "--n", "3", "--m-samples", str(block + extra),
+                             "--seed", "9", "--format", "csv",
+                             "--threads", str(threads)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert seen == [1, 2, 4]
+        # five header comments, the column line and n rows per sample
+        assert outputs[0].count("\n") == 6 + 3 * (block + extra)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_thread_flag_does_not_change_bytes(self):
         args = ["dm-mc", "--n", "4", "--x", "0.2", "--y", "0.8",
                 "--m-samples", "120", "--seed", "3"]
@@ -216,6 +258,72 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             cli.build_parser().parse_args(["frobnicate"])
         assert err.value.code == 2
+
+
+class TestParserCache:
+    SEEDED = ["sample-jue", "--n", "2", "--m-samples", "1", "--seed", "4"]
+    PLAIN = ["selberg", "--n", "2", "--lambda1", "0", "--lambda2", "0"]
+
+    def test_one_parser_for_a_fixed_environment(self, monkeypatch):
+        monkeypatch.delenv("SELBERG_GAS_THREADS", raising=False)
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setenv("SELBERG_GAS_THREADS", "2")
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        monkeypatch.delenv("SELBERG_GAS_THREADS", raising=False)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        assert cli.main(self.PLAIN) == 0
+        # the top-level parser and its subparsers, once
+        assert built.count("selberg-gas") == 1 and len(built) == 1 + len(cli._SUBCOMMANDS)
+        assert cli.main(self.SEEDED) == 0
+        assert len(built) == 1 + len(cli._SUBCOMMANDS)
+
+    def test_changed_variable_changes_the_default(self, monkeypatch, capsys):
+        seen = []
+        real = cli._SUBCOMMANDS["sample-jue"]
+        monkeypatch.setitem(cli._SUBCOMMANDS, "sample-jue",
+                            lambda ns: seen.append(ns.threads) or real(ns))
+        monkeypatch.delenv("SELBERG_GAS_THREADS", raising=False)
+        assert cli.main(self.SEEDED) == 0
+        monkeypatch.setenv("SELBERG_GAS_THREADS", "3")
+        assert cli.main(self.SEEDED) == 0
+        monkeypatch.delenv("SELBERG_GAS_THREADS")
+        assert cli.main(self.SEEDED) == 0
+        assert seen == [1, 3, 1]
+
+    def test_bad_variable_after_a_good_call(self, monkeypatch, capsys):
+        monkeypatch.delenv("SELBERG_GAS_THREADS", raising=False)
+        assert cli.main(self.SEEDED) == 0
+        monkeypatch.setenv("SELBERG_GAS_THREADS", "abc")
+        with pytest.raises(SystemExit) as err:
+            cli.main(self.SEEDED)
+        assert err.value.code == 2
+        assert "SELBERG_GAS_THREADS" in capsys.readouterr().err
+        assert cli.main(self.PLAIN) == 0
+
+    def test_usage_error_leaves_no_state(self, monkeypatch, capsys):
+        monkeypatch.delenv("SELBERG_GAS_THREADS", raising=False)
+        assert cli.main(self.PLAIN) == 0
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            cli.main(["selberg", "--n", "2", "--lambda1", "0"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert cli.main(self.PLAIN) == 0
+        assert capsys.readouterr().out == expected
+        # a namespace holds only the options of its own subcommand
+        ns = cli.build_parser().parse_args(["orbitals"])
+        assert vars(ns) == {"subcommand": "orbitals", "j_max": 8, "n": 1,
+                            "format": "json", "out": None}
 
 
 def test_cli_import_leaves_scipy_linalg_out():

@@ -108,6 +108,39 @@ class TestSelberg:
         with pytest.raises(DomainError):
             exact.selberg_closed(2, -1.5, 0.0)
 
+    @staticmethod
+    def mpmath_log_ratio(n, k, a, b):
+        # 50-digit log S_n - log S_{n+k} through Barnes G: prod_{j<n}
+        # Gamma(a+1+j) = G(n+a+1)/G(a+1), and the same for b, 2 and a+b+1+n
+        with mp.workdps(50):
+            x, y = mp.mpf(a), mp.mpf(b)
+
+            def log_selberg(m):
+                lg = lambda z: mp.log(mp.barnesg(z))  # noqa: E731
+                return (lg(m + x + 1) - lg(x + 1) + lg(m + y + 1) - lg(y + 1) + lg(m + 2)
+                        + lg(m + x + y + 1) - lg(2 * m + x + y + 1))
+
+            return float(log_selberg(n) - log_selberg(n + k))
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (-0.5, -0.5), (0.0, 1.0), (1.0, -0.5)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_log_ratio_against_mpmath(self, k, a, b):
+        # the difference of two selberg_closed totals of about 1.4e6 was
+        # off by up to 5.0e-9 at n = 1024; the O(k) sum reaches about 3e-12
+        for n in (64, 512, 1024):
+            got = exact.selberg_log_ratio(n, k, a, b)
+            assert abs(got - self.mpmath_log_ratio(n, k, a, b)) <= 2e-11, n
+
+    def test_log_ratio_small_sizes_and_signs(self):
+        for n, k in ((1, 1), (2, 3), (5, 0), (4, -3)):
+            direct = (exact.selberg_closed(n, 0.5, -0.5).log_abs
+                      - exact.selberg_closed(n + k, 0.5, -0.5).log_abs)
+            assert exact.selberg_log_ratio(n, k, 0.5, -0.5) == pytest.approx(direct, abs=1e-13)
+        with pytest.raises(DomainError):
+            exact.selberg_log_ratio(2, -2, 0.5, 0.5)
+        with pytest.raises(DomainError):
+            exact.selberg_log_ratio(2, 1, -1.5, 0.5)
+
 
 class TestMorris:
     def test_values(self):
