@@ -27,13 +27,7 @@ from .averages import (
     duality_rhs,
     mc_density_matrix,
 )
-from .ensembles import (
-    EigenvalueSample,
-    RngStream,
-    sample_jue,
-    sample_jue_block,
-    sample_jue_halfhalf,
-)
+from .ensembles import RngStream, map_sample_blocks, sample_jue_block, sample_jue_halfhalf
 from .orbitals import KernelSpec, Orbital, apply_kernel, orbital, scaled_occupation
 from .fisherhartwig import (
     SymbolSpec,

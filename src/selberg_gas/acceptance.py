@@ -170,7 +170,7 @@ def criterion_5_jacobi_drift() -> CriterionResult:
     sizes = (8, 16, 32, 48)
     params = EnsembleParams(n=max(sizes), lambda1=0.5, lambda2=0.5)
     exact = fh.hankel_balanced_log_ratios(params, symbol, sizes)
-    deltas = [abs(ex - fh.jacobi_fh_asymptote(params, symbol, n))
+    deltas = [abs(ex - fh.jacobi_fh_asymptote(symbol, n))
               for n, ex in zip(sizes, exact)]
     decreasing = all(deltas[i] > deltas[i + 1] for i in range(len(deltas) - 1))
     return CriterionResult(5, "Jacobi-weight determinant drift", decreasing,

@@ -29,7 +29,7 @@ from .exact import (
     LogMagnitude,
     duality_constant_A,
 )
-from .ensembles import map_blocks, sample_blocks, sample_jue_block
+from .ensembles import map_sample_blocks
 # perfbench/tests/test_bench_tracer.py checks that this name is re-exported here
 from .ensembles import sample_jue_halfhalf  # noqa: F401
 from .specfun import DomainError, log_gamma
@@ -159,14 +159,15 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
                             master_seed: int, threads: int = 1) -> list:
     """Monte Carlo estimates for several (X, Y) points off one sample set.
 
-    Sample k is generated from stream (master_seed, k).  Samples are drawn
-    in fixed blocks (`ensembles.sample_blocks`, whose size depends on N
-    alone) and `threads` maps blocks, so the result for each query is
-    bit-identical to a standalone run with the same seed, independent of
-    the thread count.
+    Sample k is generated from stream (master_seed, k), and
+    `ensembles.map_sample_blocks` spreads the samples over `threads`, so
+    the result for each query is bit-identical to a standalone run with the
+    same seed, independent of the thread count.
     """
     if M < 100:
         raise DomainError(f"M must be >= 100 for meaningful error bars, got {M}")
+    if not queries:
+        raise DomainError("need at least one query")
     if len({(q.N, q.boundary, q.L) for q in queries}) != 1:
         raise DomainError("table queries must share N, boundary and L")
 
@@ -175,17 +176,17 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
     xs4 = 4.0 * np.array([[q.X] for q in queries])
     ys4 = 4.0 * np.array([[q.Y] for q in queries])
 
-    def block_products(block: range) -> np.ndarray:
-        # prod_l 16 |X - x_l| |Y - x_l| for every (sample, query) of the
-        # block, summed in log space along the contiguous last axis of a
+    def block_products(spectra: np.ndarray) -> np.ndarray:
+        # prod_l 16 |X - x_l| |Y - x_l| for every (sample, query) of a block
+        # of spectra, summed in log space along the contiguous last axis of a
         # (rows, queries, N) array; math.exp, not np.exp, gives each value
         # the bits of a scalar loop
-        pts4 = 4.0 * sample_jue_block(params, master_seed, block)[:, None, :]
+        pts4 = 4.0 * spectra[:, None, :]
         logp = (np.log(np.abs(xs4 - pts4)).sum(axis=-1)
                 + np.log(np.abs(ys4 - pts4)).sum(axis=-1))
         return np.array([math.exp(v) for v in logp.ravel().tolist()]).reshape(logp.shape)
 
-    products = np.concatenate(map_blocks(block_products, sample_blocks(params.n, M), threads))
+    products = np.concatenate(map_sample_blocks(block_products, params, master_seed, M, threads))
 
     estimates = []
     for i, query in enumerate(queries):
@@ -211,10 +212,12 @@ def mc_density_matrix(query: DensityMatrixQuery, M: int, master_seed: int,
 def density_matrix_exact(query: DensityMatrixQuery) -> float:
     """Exact finite-N density matrix at any N: the Monte Carlo estimator's
     prefactor times its average < prod_l 16 |X - x_l| |Y - x_l| >, taken
-    as the Gram ratio of the two half charges (X, 1/2) and (Y, 1/2)."""
+    as the Gram ratio of the two half charges (X, 1/2) and (Y, 1/2), which
+    merge into one unit charge (X, 1) on the diagonal X = Y, the density."""
     params = EnsembleParams(n=query.N, lambda1=query.weight_exponent(),
                             lambda2=query.weight_exponent())
-    symbol = fh.SymbolSpec(singularities=((query.X, 0.5), (query.Y, 0.5)))
+    charges = ((query.X, 1.0),) if query.X == query.Y else ((query.X, 0.5), (query.Y, 0.5))
+    symbol = fh.SymbolSpec(singularities=charges)
     return _dm_prefactor(query) * math.exp(
         2 * query.N * math.log(4.0) + fh.hankel_log_ratio(params, symbol, query.N))
 

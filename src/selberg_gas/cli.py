@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from .averages import (
     mc_density_matrix,
     mc_density_matrix_table,
 )
-from .ensembles import map_blocks, sample_blocks, sample_jue_block
+from .ensembles import map_sample_blocks
 from .exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -143,14 +144,12 @@ def _run_orbitals(ns):
 def _run_sample_jue(ns):
     config = {"subcommand": "sample-jue", "n": ns.n, "m_samples": ns.m_samples}
     params = EnsembleParams(n=ns.n, lambda1=0.5, lambda2=0.5)
-    blocks = sample_blocks(ns.n, ns.m_samples)
-    spectra = map_blocks(lambda block: sample_jue_block(params, ns.seed, block),
-                         blocks, ns.threads)
+    samples = map_sample_blocks(lambda spectra: spectra.tolist(), params, ns.seed,
+                                ns.m_samples, ns.threads)
     rows = []
-    for block, block_spectra in zip(blocks, spectra):
-        for k, pts in zip(block, block_spectra.tolist()):
-            for i, x in enumerate(pts):
-                rows.append({"sample": k, "index": i, "eigenvalue": x})
+    for k, pts in enumerate(itertools.chain.from_iterable(samples)):
+        for i, x in enumerate(pts):
+            rows.append({"sample": k, "index": i, "eigenvalue": x})
     return config, rows
 
 
@@ -191,7 +190,7 @@ def _run_fh_jacobi(ns):
     exact = fh.hankel_balanced_log_ratios(params, symbol, ns.sizes).tolist()
     rows = []
     for n, ex in zip(ns.sizes, exact):
-        pred = fh.jacobi_fh_asymptote(params, symbol, n)
+        pred = fh.jacobi_fh_asymptote(symbol, n)
         rows.append({"n": n, "log_exact": ex, "log_predicted": pred, "delta": ex - pred})
     if len(rows) >= 4:
         # whether |delta| strictly decreases over the last three requested sizes

@@ -10,7 +10,7 @@ stream_index) pairs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,43 +43,6 @@ class RngStream:
         return self._gen
 
 
-def _check_points(points: np.ndarray) -> None:
-    # every row strictly increasing inside (0, 1), stated in positive form so
-    # that NaN, which fails every comparison, is rejected too
-    if not (np.all(points > 0.0) and np.all(points < 1.0)
-            and np.all(np.diff(points, axis=-1) > 0.0)):
-        raise SamplingError("sample must be strictly increasing inside (0,1)")
-
-
-@dataclass(frozen=True)
-class EigenvalueSample:
-    """Sorted eigenvalue configuration in (0,1) with its generating law."""
-
-    points: np.ndarray
-    params: EnsembleParams
-
-    def __post_init__(self):
-        _check_points(self.points)
-
-
-def sample_blocks(n: int, M: int) -> list:
-    """Stream indices 0..M-1 cut into consecutive blocks of 32, fewer once a
-    block's (rows, n, n) matrix stack would pass 4 MB.  The size depends on
-    n alone, so block boundaries never move with M or the thread count."""
-    rows = max(1, min(32, (1 << 19) // (n * n)))
-    return [range(start, min(start + rows, M)) for start in range(0, M, rows)]
-
-
-def map_blocks(fn, blocks: list, threads: int = 1) -> list:
-    """[fn(block) for block in blocks], in block order, with the blocks
-    mapped to a pool of `threads` threads when threads > 1.  A result
-    depends on its block alone, never on the thread count."""
-    if threads <= 1:
-        return [fn(block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, blocks))
-
-
 def _spectra(params: EnsembleParams, generators: list) -> np.ndarray:
     # one row of eigenvalues per generator; see sample_jue_block
     n, rows = params.n, len(generators)
@@ -101,7 +64,11 @@ def _spectra(params: EnsembleParams, generators: list) -> np.ndarray:
     # eigenvalues within rounding of an edge, common when an exponent is
     # near -1, are kept just inside (0, 1)
     np.clip(points, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=points)
-    _check_points(points)
+    # every row strictly increasing inside (0, 1), stated in positive form so
+    # that NaN, which fails every comparison, is rejected too
+    if not (np.all(points > 0.0) and np.all(points < 1.0)
+            and np.all(np.diff(points, axis=-1) > 0.0)):
+        raise SamplingError("sample must be strictly increasing inside (0,1)")
     return points
 
 
@@ -123,14 +90,31 @@ def sample_jue_block(params: EnsembleParams, master_seed: int, ks) -> np.ndarray
     return _spectra(params, [RngStream(master_seed, int(k)).generator() for k in ks])
 
 
-def sample_jue(params: EnsembleParams, stream: RngStream) -> EigenvalueSample:
-    """One exact sample from the stream's current position: the one-row view
-    of `sample_jue_block`."""
-    return EigenvalueSample(_spectra(params, [stream.generator()])[0], params)
+def map_sample_blocks(fn, params: EnsembleParams, master_seed: int, M: int,
+                      threads: int = 1) -> list:
+    """[fn(sample_jue_block(params, master_seed, block)) for block in blocks],
+    in block order, where the blocks cut the stream indices 0..M-1.
+
+    This is the one place that cuts blocks and the one thread pool.  A block
+    holds 32 consecutive indices, fewer once its (rows, n, n) matrix stack
+    would pass 4 MB; the size depends on n alone, so block boundaries never
+    move with M or the thread count.  With threads > 1 the blocks are mapped
+    to a pool of that many threads; a result depends on its block alone.
+    """
+    rows = max(1, min(32, (1 << 19) // (params.n * params.n)))
+
+    def run(start: int):
+        return fn(sample_jue_block(params, master_seed, range(start, min(start + rows, M))))
+
+    starts = range(0, M, rows)
+    if threads <= 1:
+        return [run(start) for start in starts]
+    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, starts))
 
 
 # kept because perfbench/tests/test_bench_tracer.py checks that averages imports it
-def sample_jue_halfhalf(n: int, stream: RngStream) -> EigenvalueSample:
+def sample_jue_halfhalf(n: int, stream: RngStream) -> np.ndarray:
     """Exact sample of the n-point Jacobi ensemble with exponents (1/2, 1/2),
-    the Dirichlet-boundary law."""
-    return sample_jue(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), stream)
+    the Dirichlet-boundary law, drawn from the stream's current position."""
+    return _spectra(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), [stream.generator()])[0]

@@ -141,14 +141,14 @@ def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int
     return float(hankel_balanced_log_ratios(params, symbol, (n,))[0])
 
 
-def jacobi_fh_asymptote(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
+def jacobi_fh_asymptote(symbol: SymbolSpec, n: int) -> float:
     """Large-n log of H_n[symbol] / H_n[1], the Jacobi-weight Fisher-Hartwig
     asymptote of Deift, Its & Krasovsky, Ann. of Math. 174 (2011),
     arXiv:0905.0443.
 
     Combines the (2n)-power from each singularity, the pair terms and the
     local Barnes-G constants.  For a product of zeros the weight exponents
-    of `params` drop out.
+    drop out, so none are taken.
     """
     qs = symbol.singularities
     total = 0.0

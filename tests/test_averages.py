@@ -20,7 +20,12 @@ from selberg_gas.averages import (
 )
 from selberg_gas import averages
 from selberg_gas.acceptance import TABLE1_XS
-from selberg_gas.ensembles import RngStream, sample_blocks, sample_jue, sample_jue_halfhalf
+from selberg_gas.ensembles import (
+    RngStream,
+    map_sample_blocks,
+    sample_jue_block,
+    sample_jue_halfhalf,
+)
 from selberg_gas.exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -151,7 +156,7 @@ class TestHeine:
             params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
             symbol = fh.SymbolSpec(singularities=((t, 1.0),))
             devs.append(abs(unit_charge_ratio(params, t)
-                            - math.exp(fh.jacobi_fh_asymptote(params, symbol, n))))
+                            - math.exp(fh.jacobi_fh_asymptote(symbol, n))))
         assert devs[2] < devs[0]
 
 
@@ -375,9 +380,27 @@ class TestExactDensityMatrix:
                       * (X * (1.0 - X) * Y * (1.0 - Y)) ** 0.25 * ratio)
             assert abs(density_matrix_exact(query) / oracle - 1.0) <= 1e-12
 
-    def test_coincident_points_rejected(self):
-        with pytest.raises(DomainError):
-            density_matrix_exact(DensityMatrixQuery(N=5, X=0.4, Y=0.4))
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_diagonal_matches_tensor_oracle(self, boundary):
+        # at X = Y the two half charges merge into one unit charge, and the
+        # pair factor |X - Y|^(1/2) cancels the oracle's 1/sqrt|X - Y|
+        for N, X in ((1, 0.2), (2, 0.3), (3, 0.475), (3, 0.9)):
+            query = DensityMatrixQuery(N=N, X=X, Y=X, boundary=boundary)
+            lam = query.weight_exponent()
+            ratio = tensor_oracle.partition_ratio(
+                EnsembleParams(n=N, lambda1=lam, lambda2=lam), ((X, 1.0),), order=64)
+            oracle = math.pi * query.rho * math.sqrt(X * (1.0 - X)) * ratio
+            assert abs(density_matrix_exact(query) / oracle - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_diagonal_is_the_limit_of_nearby_points(self, boundary):
+        on = density_matrix_exact(DensityMatrixQuery(N=6, X=0.3, Y=0.3, boundary=boundary))
+        off = density_matrix_exact(
+            DensityMatrixQuery(N=6, X=0.3, Y=0.3 + 1e-9, boundary=boundary))
+        assert abs(on - off) <= 1e-8 * on
+        est = mc_density_matrix(DensityMatrixQuery(N=6, X=0.3, Y=0.3, boundary=boundary),
+                                M=4000, master_seed=1)
+        assert abs(est.value - on) <= 3.5 * est.std_error
 
     def test_large_n_approaches_asymptote(self):
         # beyond the oracle's reach: at N = 200 on the Table 1 line the exact
@@ -415,11 +438,15 @@ class TestMonteCarloDensityMatrix:
         pref = 8.0 * rho / (N + 1) * (X * (1.0 - X))
         vals = np.empty(M)
         for k in range(M):
-            pts = sample_jue_halfhalf(N, RngStream(seed, k)).points
+            pts = sample_jue_halfhalf(N, RngStream(seed, k))
             logp = (np.log(np.abs(4.0 * X - 4.0 * pts)).sum()
                     + np.log(np.abs(4.0 * (1.0 - X) - 4.0 * pts)).sum())
             vals[k] = pref * math.exp(logp)
         assert pairwise_sum(vals) / M == est.value
+
+    def test_empty_query_list_rejected(self):
+        with pytest.raises(DomainError, match="at least one query"):
+            mc_density_matrix_table([], 200, 1)
 
     def test_no_overflow_long_products(self):
         query = DensityMatrixQuery(N=100, X=0.49, Y=0.51)
@@ -436,7 +463,7 @@ class TestMonteCarloDensityMatrix:
     def test_block_boundaries_and_thread_counts_agree_bitwise(self):
         # the last block full, one row short, one row long and five rows long;
         # M >= 100 is the estimator's floor
-        B = len(sample_blocks(6, 100)[0])
+        B = map_sample_blocks(len, EnsembleParams(n=6, lambda1=0.5, lambda2=0.5), 5, 100)[0]
         queries = [DensityMatrixQuery(N=6, X=0.2, Y=0.8), DensityMatrixQuery(N=6, X=0.1, Y=0.45)]
         for M in (4 * B - 1, 4 * B, 4 * B + 1, 3 * B + 5):
             runs = [mc_density_matrix_table(queries, M, 5, threads=t) for t in (1, 2, 4)]
@@ -451,7 +478,7 @@ class TestMonteCarloDensityMatrix:
         N, M, seed = 14, 5000, 42
         lam = 0.5 if boundary == "dirichlet" else -0.5
         params = EnsembleParams(n=N, lambda1=lam, lambda2=lam)
-        samples = [sample_jue(params, RngStream(seed, k)).points for k in range(M)]
+        samples = [sample_jue_block(params, seed, [k])[0] for k in range(M)]
         queries = [DensityMatrixQuery(N=N, X=X, Y=1.0 - X, boundary=boundary)
                    for X in TABLE1_XS]
         point = DensityMatrixQuery(N=N, X=0.2, Y=0.8, boundary=boundary)

@@ -12,7 +12,8 @@ import pytest
 
 import selberg_gas
 from selberg_gas import acceptance, cli
-from selberg_gas.ensembles import sample_blocks
+from selberg_gas.ensembles import map_sample_blocks
+from selberg_gas.exact import EnsembleParams
 
 
 def run_document(argv):
@@ -174,15 +175,14 @@ class TestRendering:
     def test_sample_jue_threads_keep_bytes(self, extra, monkeypatch, capsys):
         # blocks depend on n alone, so M = B - 1 is one partial block and
         # M = B + 1 a full block plus one row
-        block = len(sample_blocks(3, 1000)[0])
+        block = map_sample_blocks(len, EnsembleParams(n=3, lambda1=0.5, lambda2=0.5), 9, 100)[0]
         seen = []
-        real = cli.map_blocks
 
-        def recording(fn, blocks, threads):
+        def recording(fn, params, master_seed, M, threads):
             seen.append(threads)
-            return real(fn, blocks, threads)
+            return map_sample_blocks(fn, params, master_seed, M, threads)
 
-        monkeypatch.setattr(cli, "map_blocks", recording)
+        monkeypatch.setattr(cli, "map_sample_blocks", recording)
         outputs = []
         for threads in (1, 2, 4):
             assert cli.main(["sample-jue", "--n", "3", "--m-samples", str(block + extra),

@@ -214,9 +214,8 @@ class TestDualityConstant:
 def partition_asymptote(n, q, t):
     # the large-n single-insertion partition ratio: one charge (t, q) in the
     # Jacobi-weight asymptote
-    params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
     symbol = fh.SymbolSpec(singularities=((t, q),))
-    return math.exp(fh.jacobi_fh_asymptote(params, symbol, n))
+    return math.exp(fh.jacobi_fh_asymptote(symbol, n))
 
 
 class TestAsymptoticPartitionRatio:

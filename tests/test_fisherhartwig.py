@@ -75,7 +75,7 @@ class TestHankel:
 
 class TestJacobiAsymptote:
     def test_empty_symbol(self):
-        assert fh.jacobi_fh_asymptote(params_for(9), fh.SymbolSpec(), 9) == 0.0
+        assert fh.jacobi_fh_asymptote(fh.SymbolSpec(), 9) == 0.0
 
     def test_half_charge_constant(self):
         # q = 1/2 at y = 1/2: -(1/4) log 2n plus the closed constant
@@ -84,7 +84,7 @@ class TestJacobiAsymptote:
         log_k = (-0.125 * math.log(0.25) - 0.5 * math.log(math.pi)
                  + 2.0 * log_barnes_g(1.5) - log_barnes_g(2.0))
         expected = -0.25 * math.log(2.0 * n) + log_k
-        assert fh.jacobi_fh_asymptote(params_for(n), sym, n) == pytest.approx(
+        assert fh.jacobi_fh_asymptote(sym, n) == pytest.approx(
             expected, rel=1e-13)
 
     def test_balanced_ratio_drift(self):
@@ -93,7 +93,7 @@ class TestJacobiAsymptote:
         for n in (8, 16, 32, 48):
             p = params_for(n)
             deltas.append(abs(fh.hankel_balanced_log_ratio(p, sym, n)
-                              - fh.jacobi_fh_asymptote(p, sym, n)))
+                              - fh.jacobi_fh_asymptote(sym, n)))
         assert deltas[0] > deltas[1] > deltas[2] > deltas[3]
 
 
@@ -271,7 +271,7 @@ class TestConvergenceRate:
         params = params_for(max(self.SIZES), lam, lam)
         symbol = fh.SymbolSpec(singularities=((y, q),))
         exact = fh.hankel_balanced_log_ratios(params, symbol, self.SIZES)
-        return [n * abs(ex - fh.jacobi_fh_asymptote(params, symbol, n))
+        return [n * abs(ex - fh.jacobi_fh_asymptote(symbol, n))
                 for n, ex in zip(self.SIZES, exact)]
 
     @pytest.mark.parametrize("y, q, lam", [(0.5, 0.5, 0.5), (0.3, 0.5, 0.5),
