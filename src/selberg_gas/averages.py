@@ -1,7 +1,8 @@
 """Ensemble averages and their identities.
 
-Every exact average < prod_l f(x_l) > here is one Gram determinant, the
-engine `fisherhartwig.hankel_log_ratios` (Heine's identity), at any n:
+Every exact average < prod_l f(x_l) > here is one Hankel determinant
+ratio, the engine `fisherhartwig.hankel_log_ratios` (Heine's identity,
+by three-term recurrences), at any n:
 even-power averages, the Jacobi side of the Jacobi/circular duality
 formula and the exact finite-N density matrix.  The circular side of the
 duality is an m x m Toeplitz determinant of closed-form coefficients, each
@@ -79,9 +80,9 @@ def pairwise_sum(values) -> float:
 def average_even_power_heine(params: EnsembleParams, t: float, m: int) -> LogMagnitude:
     """< prod_l (t - x_l)^m > for even m by Heine's identity.
 
-    The average is the n x n Gram determinant of the charge (t, m/2) in the
-    basis orthonormal against the ensemble weight, which stays well
-    conditioned far beyond the reach of raw monomial moments.
+    The average is the Hankel ratio of the charge (t, m/2), taken from
+    the recurrence coefficients of the charged and bare weights, which stay
+    well conditioned far beyond the reach of raw monomial moments.
     """
     if m < 2 or m % 2 != 0:
         raise DomainError(f"power m must be even and >= 2, got {m}")
@@ -212,7 +213,7 @@ def mc_density_matrix(query: DensityMatrixQuery, M: int, master_seed: int,
 def density_matrix_exact(query: DensityMatrixQuery) -> float:
     """Exact finite-N density matrix at any N: the Monte Carlo estimator's
     prefactor times its average < prod_l 16 |X - x_l| |Y - x_l| >, taken
-    as the Gram ratio of the two half charges (X, 1/2) and (Y, 1/2), which
+    as the Hankel ratio of the two half charges (X, 1/2) and (Y, 1/2), which
     merge into one unit charge (X, 1) on the diagonal X = Y, the density."""
     params = EnsembleParams(n=query.N, lambda1=query.weight_exponent(),
                             lambda2=query.weight_exponent())
@@ -223,11 +224,11 @@ def density_matrix_exact(query: DensityMatrixQuery) -> float:
 
 
 # Former names still called by the benchmark's oracle tests
-# (perfbench/tests/test_bench_oracles.py); all three run on the Gram engine.
+# (perfbench/tests/test_bench_oracles.py); all three run on the Hankel engine.
 ChargeConfig = fh.SymbolSpec
 density_matrix_bruteforce = density_matrix_exact
 
 
 def average_product_bruteforce(params: EnsembleParams, charges: fh.SymbolSpec) -> float:
-    """< prod_l prod_r |y_r - x_l|^(2 q_r) > by the Gram determinant."""
+    """< prod_l prod_r |y_r - x_l|^(2 q_r) > by the Hankel engine."""
     return math.exp(fh.hankel_log_ratio(params, charges, params.n))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DomainError, log_barnes_g, log_gamma
+from .specfun import DomainError, log_barnes_g, log_barnes_g_ratio, log_gamma
 
 
 @dataclass(frozen=True)
@@ -112,23 +112,31 @@ def selberg_closed(n: int, a: float, b: float) -> LogMagnitude:
     return LogMagnitude(total)
 
 
-def selberg_log_ratio(n: int, k: int, a: float, b: float) -> float:
-    """log S_n(a, b, 1) - log S_{n+k}(a, b, 1) for an integer shift k.
+def selberg_log_ratio(n: int, s: float, a: float, b: float) -> float:
+    """log S_n(a, b, 1) - log S_{n+s}(a, b, 1) for a real shift s, n + s > 0,
+    with S continued to non-integer size through Barnes G.
 
     The two totals are each of order n^2 (about 1.4e6 at n = 1024), and
-    their difference was off by up to 5e-9 there.  Only O(k) gamma logs
-    differ between them: with c = a + b + 1,
+    their difference was off by up to 5e-9 there; only the shifted factors
+    enter here.  With c = a + b + 1, an integer s = k sums O(k) gamma logs,
     log S_n - log S_{n+k} = sum_{i=2n}^{2n+2k-1} lgG(c + i)
-    - sum_{j=n}^{n+k-1} [lgG(a+1+j) + lgG(b+1+j) + lgG(2+j) + lgG(c + j)].
+    - sum_{j=n}^{n+k-1} [lgG(a+1+j) + lgG(b+1+j) + lgG(2+j) + lgG(c + j)];
+    any other s sums five Barnes-G ratios D(z, s) = log G(z+s) - log G(z),
+    D(2n+c, 2s) - D(n+1+a, s) - D(n+1+b, s) - D(n+c, s) - D(n+2, s).
     """
     if a <= -1.0 or b <= -1.0:
         raise DomainError(f"Selberg exponents must exceed -1, got ({a}, {b})")
-    if n < 1 or n + k < 1 or n != int(n) or k != int(k):
-        raise DomainError(f"Selberg sizes must be positive integers, got {n} and {n + k}")
-    n, k = int(n), int(k)
+    if n < 1 or n != int(n) or not n + s > 0.0:
+        raise DomainError(f"Selberg sizes must be positive, n an integer, got {n} and {n + s}")
+    n = int(n)
+    c = a + b + 1.0
+    if s != int(s):
+        return math.fsum((log_barnes_g_ratio(2.0 * n + c, 2.0 * s),
+                          -log_barnes_g_ratio(n + 1.0 + a, s), -log_barnes_g_ratio(n + 1.0 + b, s),
+                          -log_barnes_g_ratio(n + c, s), -log_barnes_g_ratio(n + 2.0, s)))
+    k = int(s)
     if k < 0:
         return -selberg_log_ratio(n + k, -k, a, b)
-    c = a + b + 1.0
     terms = [log_gamma(c + i) for i in range(2 * n, 2 * n + 2 * k)]
     for j in range(n, n + k):
         terms += [-log_gamma(a + 1.0 + j), -log_gamma(b + 1.0 + j),

@@ -6,10 +6,11 @@ classical singular-symbol asymptote on the circle and its Jacobi-weight
 analogue (proved by Deift, Its & Krasovsky, Ann. of Math. 174 (2011),
 arXiv:0905.0443).
 
-The Gram matrix of a Hankel ratio is integrated by
+A Hankel ratio is a product of ratios of monic orthogonal-polynomial
+norms.  The charged norms come from a discretised Stieltjes sweep on
 `quadrature.charge_rule`, which absorbs the weight and every zero into
-Gauss-Jacobi panels, and every size of a ladder comes from one Cholesky
-factor of the Gram matrix at the largest size.  The Toeplitz determinant
+Gauss-Jacobi panels, the bare ones from the Jacobi recurrence, and every
+size of a ladder from one sweep to the largest size.  The Toeplitz determinant
 of one zero is the circular Morris integral, D_N = M_N(a, a) / N!, in
 closed form at every N.
 
@@ -27,13 +28,7 @@ import numpy as np
 from scipy.special import betaln
 
 from . import quadrature as quad
-from .exact import (
-    EnsembleParams,
-    LogMagnitude,
-    selberg_closed,
-    selberg_closed_barnes,
-    selberg_log_ratio,
-)
+from .exact import EnsembleParams, LogMagnitude, selberg_log_ratio
 from .specfun import DomainError, log_barnes_g
 
 
@@ -59,6 +54,9 @@ class SymbolSpec:
                 raise DomainError(f"singularity strength must be positive, got {strength}")
 
 
+_RESIDUAL_FLOOR = math.sqrt(np.finfo(float).eps)
+
+
 def _check_sizes(sizes: Sequence[int]) -> np.ndarray:
     sizes = np.asarray(sizes, dtype=int)
     if sizes.ndim != 1 or len(sizes) == 0:
@@ -75,23 +73,43 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
 
     By Heine's identity each entry is the ensemble average of
     prod_l prod_r |y_r - x_l|^(2 q_r), the package's one exact
-    engine for such averages at any n.  In the basis orthonormal against
-    the bare weight the ratio is an n x n Gram determinant; the basis
-    change cancels between numerator and denominator.  Moments are
-    integrated by `quadrature.charge_rule`, split at each singularity so
-    every absorbed factor is sign-definite per panel.  The size-n Gram
-    matrices are the leading blocks of the largest one, so one Cholesky
-    factor L gives every size: log H_n/H_n[1] = 2 sum_{i<n} log L_ii.
+    engine for such averages at any n.  H_n is the product of the monic
+    norms h_k, k < n, of the polynomials orthogonal against the weight, so
+    log H_n[symbol]/H_n[1] = sum_{k<n} log(h~_k / h_k).  The bare norms
+    come from the Jacobi recurrence, h_k = mu0 prod_{j<=k} b_j^2.  The
+    charged ones come from a discretised Stieltjes (Lanczos) sweep on
+    `quadrature.charge_rule`, which absorbs the weight and every charge
+    into Gauss-Jacobi panels (Gautschi, Orthogonal Polynomials:
+    Computation and Approximation, OUP 2004, section 2.2): with v the
+    current orthonormal polynomial's values times the square roots of the
+    weights, each step takes r = x v - (x v . v) v - b~_{k-1} v_prev and
+    b~_k = |r|.  One sweep to the largest size gives every rung, in O(N)
+    memory for an N-node rule.
     """
     sizes = _check_sizes(sizes)
     n_max = int(sizes.max())
     rule = quad.charge_rule(params.lambda1, params.lambda2, symbol.singularities, n_max + 30)
-    p = quad.orthonormal_polynomials(n_max - 1, params.lambda1, params.lambda2, rule.nodes)
-    try:
-        chol = np.linalg.cholesky((p * rule.weights) @ p.T)
-    except np.linalg.LinAlgError:
-        raise DomainError(f"Gram determinant lost positivity below n = {n_max}") from None
-    logs = np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diag(chol)))))
+    _, b, mu0 = quad.jacobi_recurrence(n_max, params.lambda1, params.lambda2)
+    x, w = rule.nodes, rule.weights
+    mass = float(np.sum(w))
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise DomainError(f"Gram determinant lost positivity below n = {n_max}")
+    v, v_prev = np.sqrt(w / mass), np.zeros_like(w)
+    log_b = np.empty(n_max)
+    log_b[0] = 0.5 * math.log(mass / mu0)
+    b_prev = 0.0
+    for k in range(1, n_max):
+        xv = x * v
+        r = xv - np.dot(xv, v) * v - b_prev * v_prev
+        b_cur = math.sqrt(np.dot(r, r))
+        # the nodes lie in (0, 1), so each step rounds at about eps: a
+        # residual below sqrt(eps) keeps less than half its digits, and a
+        # rule with too few nodes leaves about 1e-16
+        if not (b_cur > _RESIDUAL_FLOOR and math.isfinite(b_cur)):
+            raise DomainError(f"Gram determinant lost positivity below n = {n_max}")
+        log_b[k] = math.log(b_cur) - math.log(b[k])
+        v_prev, v, b_prev = v, r / b_cur, b_cur
+    logs = np.concatenate(([0.0], np.cumsum(2.0 * np.cumsum(log_b))))
     return logs[sizes]
 
 
@@ -109,9 +127,9 @@ def hankel_balanced_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     exponentially; the quantity with a clean large-n limit divides by the
     bare integral at size n + sum(q_r) and restores the weight factors at
     the singularity locations, exactly as in the single-charge partition
-    ratio.  An integer total charge k takes log S_n/S_{n+k} as a sum of
-    O(k) gamma logs (`exact.selberg_log_ratio`); a non-integer one goes
-    through the Barnes-G continuation of the bare integral.
+    ratio.  `exact.selberg_log_ratio` takes log S_n/S_{n+q} from the
+    factors the shift changes, O(q) gamma logs for an integer total charge
+    q and five Barnes-G ratios otherwise, never from two size-n totals.
     """
     l1, l2 = params.lambda1, params.lambda2
     sing = symbol.singularities
@@ -124,15 +142,10 @@ def hankel_balanced_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
         for j in range(i + 1, len(sing)):
             constant += 2.0 * sing[i][1] * sing[j][1] * math.log(abs(sing[j][0] - sing[i][0]))
     q_total = sum(q for _, q in sing)
-    k = round(q_total)
     sizes = _check_sizes(sizes)
     totals = hankel_log_ratios(params, symbol, sizes) + constant
     for i, n in enumerate(sizes.tolist()):
-        if abs(q_total - k) < 1e-12:
-            totals[i] += selberg_log_ratio(n, k, l1, l2)
-        else:
-            totals[i] += selberg_closed(n, l1, l2).log_abs
-            totals[i] -= selberg_closed_barnes(n + q_total, l1, l2).log_abs
+        totals[i] += selberg_log_ratio(n, q_total, l1, l2)
     return totals
 
 

@@ -1,6 +1,7 @@
 """Deterministic integration engines.
 
-Gauss-Jacobi panels that absorb endpoint powers; the charge rule, which
+Gauss-Jacobi panels that absorb endpoint powers, built by Golub-Welsch
+from the Jacobi recurrence; the charge rule, which
 splits (0, 1) at every power-law singularity |y - x|^(2q) so that each
 panel absorbs the powers at its two edges, and integrates against it to a
 certified tolerance by order doubling; tensor-product integration up to
@@ -19,7 +20,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .specfun import DomainError, log_beta
 
@@ -42,8 +42,26 @@ class QuadratureRule:
 
 @lru_cache(maxsize=512)
 def _jacobi_nodes_weights(order: int, alpha: float, beta: float):
-    x, w = roots_jacobi(order, alpha, beta)
-    return np.asarray(x), np.asarray(w)
+    # Gauss rule for (1-x)^alpha (1+x)^beta on (-1, 1) by Golub & Welsch,
+    # Math. Comp. 23 (1969) 221: the nodes are the eigenvalues of the
+    # Jacobi matrix, the weights the Christoffel function
+    # mass / sum_{k<order} p_k(x)^2 with p_0 = 1, which keeps the tiny end
+    # weights relatively accurate where eigenvector components do not.
+    # scipy.linalg is imported here, not at module level, to keep it out of
+    # the CLI's start-up.
+    if order < 1:
+        raise DomainError(f"Gauss rule order must be >= 1, got {order}")
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    a, b, mu0 = jacobi_recurrence(order, beta, alpha)
+    diag, off = 2.0 * a - 1.0, 2.0 * b[1:]
+    x = eigvalsh_tridiagonal(diag, off)
+    prev, cur = np.zeros(order), np.ones(order)
+    christoffel = np.ones(order)
+    for k in range(order - 1):
+        prev, cur = cur, ((x - diag[k]) * cur - (off[k - 1] * prev if k else 0.0)) / off[k]
+        christoffel += cur * cur
+    return x, 2.0 ** (alpha + beta + 1.0) * mu0 / christoffel
 
 
 def power_panel(a: float, b: float, p_left: float, p_right: float, order: int) -> QuadratureRule:
@@ -207,21 +225,19 @@ def jacobi_recurrence(n_terms: int, lambda1: float, lambda2: float):
     if lambda1 <= -1.0 or lambda2 <= -1.0:
         raise DomainError(f"weight exponents must exceed -1, got ({lambda1}, {lambda2})")
     al, be = lambda2, lambda1  # standard-interval Jacobi exponents
-    a = np.empty(n_terms)
-    b = np.zeros(n_terms)
     s = al + be
-    for k in range(n_terms):
-        if k == 0:
-            ak = (be - al) / (s + 2.0)
-        else:
-            ak = (be * be - al * al) / ((2.0 * k + s) * (2.0 * k + s + 2.0))
-        a[k] = 0.5 * (1.0 + ak)
+    k = np.arange(n_terms, dtype=float)
+    c = 2.0 * k + s
+    a = np.empty(n_terms)
+    a[:1] = (be - al) / (s + 2.0)
+    a[1:] = (be * be - al * al) / (c[1:] * (c[1:] + 2.0))
+    a = 0.5 * (1.0 + a)
+    b = np.zeros(n_terms)
     if n_terms > 1:
         b[1] = math.sqrt(4.0 * (al + 1.0) * (be + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))) / 2.0
-    for k in range(2, n_terms):
-        bk2 = (4.0 * k * (k + al) * (k + be) * (k + s)
-               / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0)))
-        b[k] = math.sqrt(bk2) / 2.0
+    k, c = k[2:], c[2:]
+    b[2:] = np.sqrt(4.0 * k * (k + al) * (k + be) * (k + s)
+                    / (c * c * (c + 1.0) * (c - 1.0))) / 2.0
     mu0 = math.exp(log_beta(lambda1 + 1.0, lambda2 + 1.0))
     return a, b, mu0
 

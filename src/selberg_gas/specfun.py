@@ -1,5 +1,5 @@
 """Scalar special functions scipy lacks: log-gamma with a domain check,
-log-beta and the Barnes G-function.
+log-beta, the Barnes G-function and its shifted ratios.
 
 Everything here is a pure function of floats.  Products of gamma functions
 are handled in log space throughout the package, so only logarithmic forms
@@ -71,4 +71,32 @@ def log_barnes_g(z: float) -> float:
     acc = _log_barnes_g_asymptotic(z + shift - 1.0)  # log G((z+shift-1)+1)
     for i in range(shift):
         acc -= log_gamma(z + i)
+    return acc
+
+
+def log_barnes_g_ratio(z: float, s: float) -> float:
+    """log G(z + s) - log G(z) for z > 0 and z + s > 0, never forming
+    either log G, which is of size z^2 log z.
+
+    The arguments are shifted up through lgamma differences until both
+    exceed 17; there the large-argument expansion of log G(u + 1), taken at
+    u = z - 1, is differenced term by term with log1p(s/u):
+    (u+s)^2 log(u+s) - u^2 log u = (2us + s^2) log u + (u+s)^2 log1p(s/u).
+    """
+    if not (z > 0.0 and z + s > 0.0):
+        raise DomainError(f"log_barnes_g_ratio requires z, z + s > 0, got ({z}, {z + s})")
+    shift = max(0, int(math.ceil(17.0 - min(z, z + s))))
+    acc = 0.0
+    for i in range(shift):
+        acc -= log_gamma(z + s + i) - log_gamma(z + i)
+    u = z + shift - 1.0
+    grow = s * (2.0 * u + s)
+    acc += (0.5 * (grow * math.log(u) + (u + s) ** 2 * math.log1p(s / u)) - 0.75 * grow
+            + 0.5 * s * math.log(2.0 * math.pi) - math.log1p(s / u) / 12.0)
+    zi, zsi = 1.0 / (u * u), 1.0 / ((u + s) * (u + s))
+    p, ps = zi, zsi
+    for c in _BARNES_TAIL:
+        acc += c * (ps - p)
+        p *= zi
+        ps *= zsi
     return acc

@@ -160,10 +160,11 @@ class TestHeine:
         assert devs[2] < devs[0]
 
 
-def christoffel_average(n, m, lam1, lam2, t, digits=60):
-    # <prod_l (t - x_l)^m> = det[pi_{n+j}^{(i)}(t) / i!]_{i,j<m}, the confluent
-    # Christoffel formula, with the monic Jacobi polynomials on [0, 1] and
-    # their derivatives run through the three-term recurrence in mpmath
+def christoffel_log_average(n, m, lam1, lam2, t, digits=60):
+    # log <prod_l (t - x_l)^m>, the average being det[pi_{n+j}^{(i)}(t) / i!]_{i,j<m},
+    # the confluent Christoffel formula, with the monic Jacobi polynomials on
+    # [0, 1] and their derivatives run through the three-term recurrence in
+    # mpmath
     with mp.workdps(digits):
         al, be, t = mp.mpf(lam2), mp.mpf(lam1), mp.mpf(t)
         s = al + be
@@ -186,7 +187,7 @@ def christoffel_average(n, m, lam1, lam2, t, digits=60):
         for i in range(m):
             for j in range(m):
                 conf[i, j] = polys[n + j][i] / mp.factorial(i)
-        return float(mp.det(conf))
+        return float(mp.log(mp.det(conf)))
 
 
 class TestMpmathReference:
@@ -194,21 +195,79 @@ class TestMpmathReference:
         # the reference itself against the tensor oracle
         params = EnsembleParams(n=3, lambda1=0.5, lambda2=-0.5)
         oracle = tensor_oracle.average(params, ((0.3, 2.0),))
-        assert christoffel_average(3, 4, 0.5, -0.5, 0.3) == pytest.approx(oracle, rel=1e-12)
+        assert math.exp(christoffel_log_average(3, 4, 0.5, -0.5, 0.3)) == pytest.approx(
+            oracle, rel=1e-12)
 
-    @pytest.mark.parametrize("n,tol", [(40, 3e-10), (96, 1e-8)])
+    @pytest.mark.parametrize("n,tol", [(40, 6e-12), (96, 8e-12)])
     def test_engine_at_large_n(self, n, tol):
-        # measured worst: 1.25e-10 at n = 40 and 2.6e-9 at n = 96, both at
-        # m = 4; the Gram matrix squares the conditioning of the problem
+        # measured worst: 1.25e-12 at n = 40 and 1.6e-12 at n = 96; the
+        # Gram matrix and its Cholesky factor were 1.25e-10 and 2.9e-9 off
         worst = 0.0
         for m in (2, 4):
             for lam in (-0.5, 0.5):
                 for t in (0.2, 0.5, 0.8):
                     params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
-                    ref = christoffel_average(n, m, lam, lam, t)
-                    val = average_even_power_heine(params, t, m).value()
-                    worst = max(worst, abs(val / ref - 1.0))
+                    ref = christoffel_log_average(n, m, lam, lam, t)
+                    val = average_even_power_heine(params, t, m).log_abs
+                    worst = max(worst, abs(val - ref))
         assert worst <= tol
+
+    @pytest.mark.parametrize("m, lam, t", [(2, -0.5, 0.8), (4, 0.5, 0.2)])
+    def test_engine_at_n_512(self, m, lam, t):
+        # the averages are near 1e-600, so logs: 5.1e-11 and 3.2e-11 off,
+        # the worst of the twelve cases above at n = 512 (the Gram engine: 8.0e-7)
+        params = EnsembleParams(n=512, lambda1=lam, lambda2=lam)
+        ref = christoffel_log_average(512, m, lam, lam, t)
+        assert abs(average_even_power_heine(params, t, m).log_abs - ref) <= 2e-10
+
+    def test_engine_at_an_endpoint_charge(self):
+        # t = 1 raises the weight's exponent to 3.5 on one panel; the Gram
+        # matrix was 2.0e-6 off here, the recurrence sweep is 3.4e-13 off
+        params = EnsembleParams(n=40, lambda1=0.5, lambda2=-0.5)
+        ref = christoffel_log_average(40, 4, 0.5, -0.5, 1.0)
+        assert abs(average_even_power_heine(params, 1.0, 4).log_abs - ref) <= 2e-12
+
+
+def christoffel_darboux_log(n, lam1, lam2, t):
+    # log <prod_l (t - x_l)^2> = log h_n + log sum_{k<=n} p_k(t)^2 in floats:
+    # the monic norm h_n = mu0 prod_{k<=n} b_k^2 and the orthonormal p_k
+    # both from the textbook Jacobi recurrence on [0, 1]
+    al, be = lam2, lam1
+    s = al + be
+    log_mu0 = math.lgamma(al + 1.0) + math.lgamma(be + 1.0) - math.lgamma(s + 2.0)
+    logs = [log_mu0]
+    prev, cur, b_prev = 0.0, math.exp(-0.5 * log_mu0), 0.0
+    total = cur * cur
+    for k in range(n):
+        a = 0.5 + 0.5 * ((be - al) / (s + 2.0) if k == 0
+                         else (be * be - al * al) / ((2 * k + s) * (2 * k + s + 2.0)))
+        j = k + 1
+        b2 = 0.25 * (4.0 * (al + 1.0) * (be + 1.0) / ((s + 2.0) ** 2 * (s + 3.0)) if j == 1
+                     else 4.0 * j * (j + al) * (j + be) * (j + s)
+                     / ((2 * j + s) ** 2 * (2 * j + s + 1.0) * (2 * j + s - 1.0)))
+        prev, cur, b_prev = cur, ((t - a) * cur - b_prev * prev) / math.sqrt(b2), math.sqrt(b2)
+        total += cur * cur
+        logs.append(math.log(b2))
+    return math.fsum(logs + [math.log(total)])
+
+
+class TestUnitChargeOracle:
+    def test_christoffel_darboux_sum_against_mpmath(self):
+        for n in (40, 512):
+            for lam1, lam2, t in ((0.5, 0.5, 0.5), (0.0, 1.0, 0.77), (-0.5, -0.5, 0.2)):
+                ref = christoffel_log_average(n, 2, lam1, lam2, t)
+                assert abs(christoffel_darboux_log(n, lam1, lam2, t) - ref) <= 1e-12
+
+    @pytest.mark.parametrize("lam1, lam2", [(0.5, 0.5), (-0.5, -0.5), (0.0, 1.0)])
+    def test_ladder_at_large_n(self, lam1, lam2):
+        # measured worst 4.0e-11 over the nine cases; the Gram engine on
+        # scipy's Gauss-Jacobi weights was 1.5e-9 off
+        sizes = (256, 512)
+        for t in (0.2, 0.5, 0.77):
+            params = EnsembleParams(n=512, lambda1=lam1, lambda2=lam2)
+            got = fh.hankel_log_ratios(params, fh.SymbolSpec(singularities=((t, 1.0),)), sizes)
+            for n, log_avg in zip(sizes, got):
+                assert abs(log_avg - christoffel_darboux_log(n, lam1, lam2, t)) <= 2e-10, (n, t)
 
 
 class TestPartitionRatioBruteForce:

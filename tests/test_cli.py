@@ -327,11 +327,14 @@ class TestParserCache:
 
 
 def test_cli_import_leaves_scipy_linalg_out():
-    # importing scipy.linalg would add to the start-up cost of every CLI call
+    # importing scipy.linalg would add to the start-up cost of every CLI
+    # call; the Gauss-Jacobi rules import it on their first use.  Import
+    # plus parser is the whole of a request's set-up.
     src = str(Path(selberg_gas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = "import sys, selberg_gas.cli; print('scipy.linalg' in sys.modules)"
+    probe = ("import sys, selberg_gas.cli as cli; cli.build_parser(); "
+             "print('scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"

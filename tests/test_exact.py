@@ -120,7 +120,7 @@ class TestSelberg:
                 return (lg(m + x + 1) - lg(x + 1) + lg(m + y + 1) - lg(y + 1) + lg(m + 2)
                         + lg(m + x + y + 1) - lg(2 * m + x + y + 1))
 
-            return float(log_selberg(n) - log_selberg(n + k))
+            return float(log_selberg(n) - log_selberg(n + mp.mpf(k)))
 
     @pytest.mark.parametrize("a, b", [(0.5, 0.5), (-0.5, -0.5), (0.0, 1.0), (1.0, -0.5)])
     @pytest.mark.parametrize("k", [1, 2])
@@ -130,6 +130,16 @@ class TestSelberg:
         for n in (64, 512, 1024):
             got = exact.selberg_log_ratio(n, k, a, b)
             assert abs(got - self.mpmath_log_ratio(n, k, a, b)) <= 2e-11, n
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (-0.5, -0.5), (0.0, 1.0), (1.0, -0.5)])
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.9, 1.7])
+    def test_real_shift_against_mpmath(self, s, a, b):
+        # selberg_closed(n) - selberg_closed_barnes(n + s) was off by 1.9e-9
+        # at n = 512 and 8.3e-9 at n = 1024; the Barnes-G ratios reach
+        # 5.9e-12 and 1.2e-11
+        for n in (8, 64, 512, 1024):
+            got = exact.selberg_log_ratio(n, s, a, b)
+            assert abs(got - self.mpmath_log_ratio(n, s, a, b)) <= 5e-11, n
 
     def test_log_ratio_small_sizes_and_signs(self):
         for n, k in ((1, 1), (2, 3), (5, 0), (4, -3)):

@@ -200,12 +200,27 @@ class TestLadders:
                 fh.toeplitz_log_dets(symbol, sizes)
 
     def test_lost_positivity_is_a_domain_error(self, monkeypatch):
-        def refuse(matrix):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        # three nodes carry only three orthogonal polynomials: the sweep's
+        # fourth rung has no residual left beyond rounding (b~_3 ~ 1e-16)
+        def three_nodes(lambda1, lambda2, charges, order):
+            return quad.power_panel(0.0, 1.0, lambda1, lambda2, 3)
 
-        monkeypatch.setattr(fh.np.linalg, "cholesky", refuse)
-        with pytest.raises(DomainError, match="lost positivity"):
+        monkeypatch.setattr(fh.quad, "charge_rule", three_nodes)
+        np.testing.assert_allclose(
+            fh.hankel_log_ratios(params_for(3), fh.SymbolSpec(), (1, 2, 3)), 0.0, atol=1e-14)
+        with pytest.raises(DomainError, match="lost positivity below n = 4"):
             fh.hankel_log_ratios(params_for(4), fh.SymbolSpec(), (4,))
+
+    def test_non_finite_weights_are_a_domain_error(self, monkeypatch):
+        def poisoned(lambda1, lambda2, charges, order):
+            rule = quad.power_panel(0.0, 1.0, lambda1, lambda2, order)
+            return quad.QuadratureRule(rule.nodes, np.where(rule.nodes > 0.5, np.nan,
+                                                            rule.weights))
+
+        monkeypatch.setattr(fh.quad, "charge_rule", poisoned)
+        for n in (1, 5):
+            with pytest.raises(DomainError, match="lost positivity"):
+                fh.hankel_log_ratios(params_for(n), fh.SymbolSpec(), (n,))
 
 
 class TestMorrisReference:

@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from selberg_gas import quadrature as quad
 from selberg_gas.specfun import DomainError, log_beta
@@ -46,6 +48,62 @@ class TestGaussRules:
             quad.power_panel(0.0, 1.0, -1.0, 0.0, 5)
         with pytest.raises(ValueError):
             quad.power_panel(0.0, 1.0, 0.0, 0.0, 0)
+        with pytest.raises(DomainError, match="order must be >= 1"):
+            quad.power_panel(0.0, 1.0, 0.0, 0.0, 0)
+
+    PAIRS = ((0.5, 0.5), (-0.5, -0.5), (-0.25, 1.5), (1.3, 0.7), (0.0, 0.0), (1.9, -0.5))
+
+    @pytest.mark.parametrize("alpha, beta", PAIRS)
+    def test_golub_welsch_matches_scipy(self, alpha, beta):
+        # measured worst: nodes 7.8e-16, relative weights 6.6e-12, most of it
+        # scipy's own (next test)
+        for order in (1, 2, 3, 5, 8, 17, 32, 64):
+            x, w = quad._jacobi_nodes_weights(order, alpha, beta)
+            x_ref, w_ref = roots_jacobi(order, alpha, beta)
+            assert np.abs(x - x_ref).max() <= 1e-14, order
+            assert np.abs(w / w_ref - 1.0).max() <= 1e-11, order
+
+    @staticmethod
+    def mpmath_rule(order, alpha, beta):
+        # 40-digit nodes by Newton on the orthonormal recurrence, started
+        # from scipy's nodes, and weights mass / sum_{k<order} p_k(x)^2
+        with mp.workdps(40):
+            al, be = mp.mpf(alpha), mp.mpf(beta)
+            s = al + be
+            a = [(be - al) / (s + 2)] + [(be * be - al * al) / ((2 * k + s) * (2 * k + s + 2))
+                                         for k in range(1, order)]
+            b = [0, mp.sqrt(4 * (al + 1) * (be + 1) / ((s + 2) ** 2 * (s + 3)))] + [
+                mp.sqrt(4 * k * (k + al) * (k + be) * (k + s)
+                        / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)))
+                for k in range(2, order + 1)]
+
+            def run(x):
+                prev, cur, d_prev, d_cur, total = 0, mp.mpf(1), 0, 0, mp.mpf(0)
+                for k in range(order):
+                    total += cur * cur
+                    prev, cur, d_prev, d_cur = cur, ((x - a[k]) * cur - b[k] * prev) / b[k + 1], \
+                        d_cur, (cur + (x - a[k]) * d_cur - b[k] * d_prev) / b[k + 1]
+                return cur, d_cur, total
+
+            mass = 2 ** (s + 1) * mp.beta(al + 1, be + 1)
+            nodes, weights = [], []
+            for x in roots_jacobi(order, alpha, beta)[0]:
+                x = mp.mpf(x)
+                for _ in range(4):
+                    p, dp, _ = run(x)
+                    x -= p / dp
+                nodes.append(float(x))
+                weights.append(float(mass / run(x)[2]))
+            return np.array(nodes), np.array(weights)
+
+    @pytest.mark.parametrize("order, alpha, beta", [(33, 1.9, -0.9), (64, 1.3, 0.7)])
+    def test_golub_welsch_against_mpmath(self, order, alpha, beta):
+        # scipy's weights are 2.0e-11 and 3.3e-12 off here; the Christoffel
+        # function keeps them within 3.4e-13, the nodes within 6.7e-16
+        x, w = quad._jacobi_nodes_weights(order, alpha, beta)
+        x_ref, w_ref = self.mpmath_rule(order, alpha, beta)
+        assert np.abs(x - x_ref).max() <= 2e-15
+        assert np.abs(w / w_ref - 1.0).max() <= 2e-12
 
 
 class TestTensorIntegrate:
@@ -168,6 +226,34 @@ class TestRecurrence:
         assert mu0 == pytest.approx(1.0)
         assert a == pytest.approx([0.5] * 6)
         assert b[1] == pytest.approx(math.sqrt(1.0 / 12.0), rel=1e-14)
+
+    @staticmethod
+    def scalar_recurrence(n_terms, lambda1, lambda2):
+        # the per-k loop the array form replaced
+        al, be = lambda2, lambda1
+        a, b, s = np.empty(n_terms), np.zeros(n_terms), al + be
+        for k in range(n_terms):
+            ak = ((be - al) / (s + 2.0) if k == 0
+                  else (be * be - al * al) / ((2.0 * k + s) * (2.0 * k + s + 2.0)))
+            a[k] = 0.5 * (1.0 + ak)
+        if n_terms > 1:
+            b[1] = math.sqrt(4.0 * (al + 1.0) * (be + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))) / 2.0
+        for k in range(2, n_terms):
+            b[k] = math.sqrt(4.0 * k * (k + al) * (k + be) * (k + s)
+                             / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0)
+                                * (2.0 * k + s - 1.0))) / 2.0
+        return a, b
+
+    @pytest.mark.parametrize("l1, l2", [(0.5, 0.5), (-0.5, -0.5), (-0.999, 2.0), (1.3, -0.25)])
+    def test_array_form_matches_the_loop(self, l1, l2):
+        # same operations in the same order; only the square differs, x * x
+        # in numpy against the C library's pow(x, 2), which can be off by
+        # one unit in the last place
+        for n_terms in (0, 1, 2, 3, 543):
+            a, b, _ = quad.jacobi_recurrence(n_terms, l1, l2)
+            a_ref, b_ref = self.scalar_recurrence(n_terms, l1, l2)
+            np.testing.assert_array_equal(a, a_ref)
+            np.testing.assert_allclose(b, b_ref, rtol=2.3e-16, atol=0.0)
 
     def test_orthonormality(self):
         l1, l2 = -0.5, 0.5

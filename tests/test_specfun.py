@@ -63,6 +63,37 @@ class TestBarnesG:
             sf.log_barnes_g(0.0)
 
 
+class TestBarnesGRatio:
+    @staticmethod
+    def tolerance(z, s):
+        # below 17 the arguments climb through up to 17 lgamma differences,
+        # each rounded at its own size: measured 5.3e-14 there, 6.2e-16 above
+        return 1e-13 if min(z, z + s) < 17.0 else 1.5e-15
+
+    @pytest.mark.parametrize("z", [0.3, 2.5, 16.9, 40.0, 600.0, 2049.5])
+    def test_integer_shift_is_a_gamma_sum(self, z):
+        # G(z + k) / G(z) = prod_{i<k} Gamma(z + i)
+        for k in (1, 2, 3):
+            direct = math.fsum(math.lgamma(z + i) for i in range(k))
+            got = sf.log_barnes_g_ratio(z, float(k))
+            assert abs(got - direct) <= self.tolerance(z, k) * max(1.0, abs(direct))
+
+    def test_against_mpmath(self):
+        # both sides of the expansion's cut at 17, negative shifts included
+        for z in (0.2, 1.3, 2.5, 16.5, 17.2, 90.0, 1025.5):
+            for s in (-0.15, 0.3, 0.9, 3.4):
+                ref = float(mp.log(mp.barnesg(mp.mpf(z) + mp.mpf(s)))
+                            - mp.log(mp.barnesg(mp.mpf(z))))
+                got = sf.log_barnes_g_ratio(z, s)
+                assert abs(got - ref) <= self.tolerance(z, s) * max(1.0, abs(ref)), (z, s)
+
+    def test_domain(self):
+        with pytest.raises(sf.DomainError):
+            sf.log_barnes_g_ratio(0.0, 1.0)
+        with pytest.raises(sf.DomainError):
+            sf.log_barnes_g_ratio(0.5, -0.5)
+
+
 def orbital_family():
     # (a, c) of every 2F1(a, 3/4; c; z) the orbital identities evaluate:
     # a = 1/4 - k with c in {5/4, 1/4, -3/4}, and the raised a + 1 at c = 5/4
