@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import poch
 
 from . import fisherhartwig as fh
 from .exact import (
@@ -127,6 +126,10 @@ def duality_rhs(case: DualityCase) -> float:
     in log space, and the m! cancels against M_m(0, 0) = m!.  Raises
     `DomainError` on a non-finite result.
     """
+    # scipy.special is imported where it is called, not at module level, to
+    # keep it out of the CLI's start-up
+    from scipy.special import poch
+
     l1, l2 = case.params.lambda1, case.params.lambda2
     n, m, t = case.n, case.m, case.t
     ks = np.arange(1 - m, m, dtype=float)

@@ -45,10 +45,14 @@ def _fmt(x) -> str:
 
 
 def _csv_field(x) -> str:
-    text = _fmt(x)
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    # the text of an int or a float cannot hold a comma, a quote or a
+    # newline, so only other values are scanned
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    text = str(x)
+    if isinstance(x, int) or not ("," in text or '"' in text or "\n" in text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _document(config: dict, results: list, seed) -> dict:
@@ -72,7 +76,7 @@ def render(document: dict, fmt: str) -> str:
         columns = list(results[0])
         lines.append(",".join(columns))
         for row in results:
-            lines.append(",".join(_csv_field(row[c]) for c in columns))
+            lines.append(",".join([_csv_field(row[c]) for c in columns]))
     return "\n".join(lines) + "\n"
 
 

@@ -144,19 +144,6 @@ def selberg_log_ratio(n: int, s: float, a: float, b: float) -> float:
     return math.fsum(terms)
 
 
-def selberg_closed_barnes(nu: float, a: float, b: float) -> LogMagnitude:
-    """log S_nu(a, b, 1) continued to non-integer size via Barnes G ratios."""
-    if a <= -1.0 or b <= -1.0:
-        raise DomainError(f"Selberg exponents must exceed -1, got ({a}, {b})")
-    if nu <= 0.0:
-        raise DomainError(f"Selberg size must be positive, got {nu}")
-    total = (log_barnes_g(nu + 1.0 + a) - log_barnes_g(1.0 + a)
-             + log_barnes_g(nu + 1.0 + b) - log_barnes_g(1.0 + b)
-             + log_barnes_g(nu + 1.0 + a + b) - log_barnes_g(2.0 * nu + 1.0 + a + b)
-             + log_barnes_g(nu + 2.0))
-    return LogMagnitude(total)
-
-
 def morris_closed(p: MorrisParams) -> LogMagnitude:
     """log M_n(a, b, 1), the Morris integral at unitary coupling.
 
@@ -184,15 +171,25 @@ def eta_exponents(params: EnsembleParams) -> tuple:
 
 
 def duality_constant_A(params: EnsembleParams, m: int) -> LogMagnitude:
-    """log of the t-independent constant linking the Jacobi and circular sides."""
+    """log of the t-independent constant linking the Jacobi and circular
+    sides, log S_n(l1, l2+m) - log S_n(l1, l2) + log M_m(0,0) - log M_m(eta2, eta1).
+
+    The two Selberg totals are each of order n^2, and their difference was
+    off by up to 4e-9 at n = 1024.  Shifting l2 by m telescopes the sum over
+    j < n to m terms; with c = l1 + l2 + 1 = eta1 + eta2 + 1 - n, the
+    Morris factor's Gamma(c+n+i) and Gamma(l2+1+i) cancel those terms, and
+    what is left is O(m) gamma logs,
+    log m! + sum_{i<m} [lgG(l1+1+n+i) + lgG(l2+1+n+i) - lgG(c+2n+i) - lgG(2+i)].
+    """
     if m < 2 or m % 2 != 0:
         raise DomainError(f"m must be a positive even integer, got {m}")
-    eta1, eta2 = eta_exponents(params)
-    num = selberg_closed(params.n, params.lambda1, params.lambda2 + m)
-    den = selberg_closed(params.n, params.lambda1, params.lambda2)
-    mor0 = morris_closed(MorrisParams(m, 0.0, 0.0))
-    mor = morris_closed(MorrisParams(m, eta2, eta1))
-    return LogMagnitude(num.log_abs - den.log_abs + mor0.log_abs - mor.log_abs)
+    n, a, b = params.n, params.lambda1, params.lambda2
+    c = a + b + 1.0
+    terms = [log_gamma(m + 1.0)]
+    for i in range(m):
+        terms += [log_gamma(a + 1.0 + n + i), log_gamma(b + 1.0 + n + i),
+                  -log_gamma(c + 2.0 * n + i), -log_gamma(2.0 + i)]
+    return LogMagnitude(math.fsum(terms))
 
 
 def log_g4_half3() -> float:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaln
 
 from . import quadrature as quad
 from .exact import EnsembleParams, LogMagnitude, selberg_log_ratio
@@ -191,7 +190,10 @@ def _log_central_coeff(a: float) -> float:
     # log Gamma(2a+1) / Gamma(a+1)^2 = -log(2a+1) - log B(a+1, a+1): no
     # difference of two lgamma values, whose rounding the closed forms
     # multiply by N, and, unlike a ratio of math.gamma values, finite at
-    # large a
+    # large a.  scipy.special is imported here to keep it out of the CLI's
+    # start-up.
+    from scipy.special import betaln
+
     return -math.log1p(2.0 * a) - float(betaln(a + 1.0, a + 1.0))
 
 

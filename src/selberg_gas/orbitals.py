@@ -10,6 +10,10 @@ S_j, their differential-operator images and contiguity defects behind the
 operator/differential-operator commutation argument, all from scipy's
 `hyp2f1`.  The kernel image of the j-th mode is
 Omega_j [S_j(X) + (-1)^j S_j(1-X)].
+
+scipy.special is imported inside the functions that call it, once per
+call and never per node, so the occupations and normalizations, which
+need none of it, keep it out of the CLI's start-up.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_gegenbauer, hyp2f1
 
 from .quadrature import singular_integrate
 from .specfun import DomainError, log_gamma
@@ -88,6 +91,8 @@ def orbital(j: int, L: float = 1.0) -> Orbital:
     norm = math.exp(log_norm)
 
     def evaluate(X):
+        from scipy.special import eval_gegenbauer
+
         X = np.asarray(X, dtype=float)
         return norm * (X * (1.0 - X)) ** 0.125 * eval_gegenbauer(j, 0.25, 2.0 * X - 1.0)
 
@@ -96,6 +101,8 @@ def orbital(j: int, L: float = 1.0) -> Orbital:
 
 def eigen_residual(j: int, X: float, tol: float = 1e-8) -> float:
     """Scaled defect of the eigenrelation for the j-th Gegenbauer mode at X."""
+    from scipy.special import eval_gegenbauer
+
     lhs = apply_kernel(EIGEN_KERNEL, lambda Y: eval_gegenbauer(j, 0.25, 2.0 * Y - 1.0),
                        X, tol)
     rhs = scaled_occupation(j) * float(eval_gegenbauer(j, 0.25, 2.0 * X - 1.0))
@@ -142,6 +149,8 @@ def appendix_s(j: int, z: float) -> float:
         raise DomainError(f"index must be >= 0, got {j}")
     if not 0.0 < z < 1.0:
         raise DomainError(f"argument must lie in (0,1), got {z}")
+    from scipy.special import hyp2f1
+
     coeff = _series_coefficients(j)
     zq = z**0.25
     return float(sum(c * zq * hyp2f1(0.25 - k, 0.75, 1.25, z)
@@ -155,6 +164,8 @@ def l_operator_on_term(k: int, z: float) -> float:
     Both derivatives come from the parameter-shift differentiation rule,
     which collapses back to 2F1 values at shifted lower parameters.
     """
+    from scipy.special import hyp2f1
+
     a = 0.25 - k
     pref = -(3.0 / 16.0) * z**0.25 / z
     return float(pref * ((1.0 - z) * hyp2f1(a, 0.75, -0.75, z)
@@ -170,6 +181,8 @@ def l_operator_on_s(j: int, z: float) -> float:
 def contiguity_residuals(k: int, z: float) -> tuple:
     """Defects of the two contiguity relations tying the shifted-parameter
     2F1 values together; both vanish identically."""
+    from scipy.special import hyp2f1
+
     a = 0.25 - k
     f_m34 = hyp2f1(a, 0.75, -0.75, z)
     f_14 = hyp2f1(a, 0.75, 0.25, z)

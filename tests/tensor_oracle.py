@@ -11,7 +11,18 @@ import math
 import numpy as np
 
 from selberg_gas import quadrature as quad
-from selberg_gas.exact import EnsembleParams, selberg_closed, selberg_closed_barnes
+from selberg_gas.exact import EnsembleParams, selberg_closed
+from selberg_gas.specfun import log_barnes_g
+
+
+def selberg_closed_barnes(nu: float, a: float, b: float) -> float:
+    """log S_nu(a, b, 1) continued to a real size nu > 0 through Barnes G:
+    prod_{j<nu} Gamma(a+1+j) = G(nu+a+1)/G(a+1), and likewise for b, 2 and
+    a+b+1+nu."""
+    return (log_barnes_g(nu + 1.0 + a) - log_barnes_g(1.0 + a)
+            + log_barnes_g(nu + 1.0 + b) - log_barnes_g(1.0 + b)
+            + log_barnes_g(nu + 1.0 + a + b) - log_barnes_g(2.0 * nu + 1.0 + a + b)
+            + log_barnes_g(nu + 2.0))
 
 
 def vandermonde_sq(*coords):
@@ -75,5 +86,5 @@ def partition_ratio(params: EnsembleParams, charges, order: int = 48) -> float:
     if q_total == round(q_total):
         log_den = selberg_closed(n + int(q_total), l1, l2).log_abs
     else:
-        log_den = selberg_closed_barnes(n + q_total, l1, l2).log_abs
+        log_den = selberg_closed_barnes(n + q_total, l1, l2)
     return raw * math.exp(log_pref - log_den)

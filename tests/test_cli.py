@@ -171,6 +171,19 @@ class TestRendering:
         # inner quotes are doubled
         assert cli._csv_field(value) == text
 
+    def test_csv_bytes_with_quoted_field(self):
+        # the whole rendered text, for a row that mixes a string needing
+        # quotes with int, float and bool fields, which are never scanned
+        doc = {"config": {"subcommand": "demo", "label": "a,b"},
+               "results": [{"name": 'say "hi", twice', "n": 3, "value": 0.1, "ok": True},
+                           {"name": "plain", "n": -1, "value": -2.5e-300, "ok": False}],
+               "provenance": {"seed": None, "version": "v"}}
+        assert cli.render(doc, "csv").encode() == (
+            b"# label=a,b\n# subcommand=demo\n# seed=None\n# version=v\n"
+            b"name,n,value,ok\n"
+            b'"say ""hi"", twice",3,0.10000000000000001,True\n'
+            b"plain,-1,-2.5e-300,False\n")
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_sample_jue_threads_keep_bytes(self, extra, monkeypatch, capsys):
         # blocks depend on n alone, so M = B - 1 is one partial block and
@@ -326,18 +339,48 @@ class TestParserCache:
                             "format": "json", "out": None}
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    # importing scipy.linalg would add to the start-up cost of every CLI
-    # call; the Gauss-Jacobi rules import it on their first use.  Import
-    # plus parser is the whole of a request's set-up.
+def scipy_loaded_after(statements: str) -> list:
+    """The scipy modules loaded in a fresh interpreter after it imports the
+    CLI, builds its parser and runs `statements`."""
     src = str(Path(selberg_gas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = ("import sys, selberg_gas.cli as cli; cli.build_parser(); "
-             "print('scipy.linalg' in sys.modules)")
+    probe = ("import sys, selberg_gas.cli as cli; cli.build_parser()\n" + statements
+             + "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.split()
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # importing scipy (scipy.special alone is about 0.35 s) would add to the
+    # start-up cost of every CLI call; the functions that need it import it
+    # on their first use.  Import plus parser is the whole of a request's
+    # set-up.
+    assert scipy_loaded_after("") == []
+
+
+# small runs of the subcommands that call no scipy function
+SCIPY_FREE_RUNS = [
+    ["selberg", "--n", "3", "--lambda1", "0.5", "--lambda2", "-0.5"],
+    ["morris", "--n", "3", "--lambda1", "0.5", "--lambda2", "1"],
+    ["dm-asym", "--n", "14", "--x", "0.2", "--y", "0.8"],
+    ["dm-mc", "--n", "3", "--x", "0.3", "--y", "0.7", "--m-samples", "100",
+     "--boundary", "neumann"],
+    ["table1", "--n", "4", "--m-samples", "100"],
+    ["orbitals", "--j-max", "3"],
+    ["sample-jue", "--n", "3", "--m-samples", "2", "--format", "csv"],
+]
+
+
+def test_scipy_free_subcommands_load_no_scipy():
+    assert {run[0] for run in SCIPY_FREE_RUNS} <= set(cli._SUBCOMMANDS)
+    runs = ("import contextlib, io\n"
+            f"for argv in {SCIPY_FREE_RUNS!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        if cli.main(argv) != 0:\n"
+            "            raise SystemExit(f'failed: {argv}')\n")
+    assert scipy_loaded_after(runs) == []
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -17,7 +17,7 @@ from selberg_gas.exact import (
 )
 from selberg_gas.specfun import DomainError, log_barnes_g, log_gamma
 
-from tensor_oracle import vandermonde_sq
+from tensor_oracle import selberg_closed_barnes, vandermonde_sq
 
 EPS = 2.0**-52
 POSITIVE = st.floats(min_value=1e-150, max_value=1e150)
@@ -101,7 +101,7 @@ class TestSelberg:
         for n in (1, 2, 5, 9):
             for (a, b) in ((0.0, 0.0), (0.5, 0.5), (-0.5, 0.25)):
                 gamma_form = exact.selberg_closed(n, a, b).log_abs
-                barnes_form = exact.selberg_closed_barnes(float(n), a, b).log_abs
+                barnes_form = selberg_closed_barnes(float(n), a, b)
                 assert gamma_form == pytest.approx(barnes_form, abs=1e-10)
 
     def test_domain(self):
@@ -194,6 +194,37 @@ class TestDualityConstant:
             rhs = (exact.selberg_closed(2, l1, l2 + 2.0).log_abs
                    - exact.selberg_closed(2, l1, l2).log_abs)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @staticmethod
+    def mpmath_log_constant(n, m, l1, l2):
+        # 60-digit log A from its definition: two Selberg totals through
+        # Barnes G, and the Morris products M_m(0, 0) and M_m(l1 + n, l2)
+        with mp.workdps(60):
+            x, y = mp.mpf(l1), mp.mpf(l2)
+            lg = lambda z: mp.log(mp.barnesg(z))  # noqa: E731
+
+            def log_selberg(b):
+                return (lg(n + x + 1) - lg(x + 1) + lg(n + b + 1) - lg(b + 1) + lg(n + 2)
+                        + lg(n + x + b + 1) - lg(2 * n + x + b + 1))
+
+            def log_morris(a, b):
+                return mp.fsum(mp.loggamma(a + b + 1 + j) + mp.loggamma(2 + j)
+                               - mp.loggamma(a + 1 + j) - mp.loggamma(b + 1 + j)
+                               for j in range(m))
+
+            return float(log_selberg(y + m) - log_selberg(y) + log_morris(0, 0)
+                         - log_morris(x + n, y))
+
+    @pytest.mark.parametrize("lam", [0.5, -0.5])
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_large_n_against_mpmath(self, m, lam):
+        # the difference of two selberg_closed totals was off by up to
+        # 2.0e-9 at n = 512 and 4.2e-9 at n = 1024; the O(m) sum reaches
+        # about 3e-12
+        for n in (512, 1024):
+            params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
+            got = exact.duality_constant_A(params, m).log_abs
+            assert abs(got - self.mpmath_log_constant(n, m, lam, lam)) <= 1e-11, n
 
     def test_rejects_odd_power(self):
         params = EnsembleParams(n=1, lambda1=0.0, lambda2=0.0)
