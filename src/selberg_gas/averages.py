@@ -16,6 +16,7 @@ acceptance suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,9 +90,18 @@ def average_even_power_heine(params: EnsembleParams, t: float, m: int) -> LogMag
     return LogMagnitude(fh.hankel_log_ratio(params, symbol, params.n))
 
 
+def _normal(value: float, side: str) -> float:
+    # an underflowed side reads 0.0 or a subnormal, and two underflowed
+    # sides would compare as an exact agreement
+    if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
+        raise DomainError(f"duality {side} side is not a normal float: {value}")
+    return float(value)
+
+
 def duality_lhs(case: DualityCase) -> float:
-    """Jacobi-side average < prod (t - x_l)^m >."""
-    return average_even_power_heine(case.params, case.t, case.m).value()
+    """Jacobi-side average < prod (t - x_l)^m >.  Raises `DomainError` on a
+    zero or subnormal value."""
+    return _normal(average_even_power_heine(case.params, case.t, case.m).value(), "Jacobi")
 
 
 def _jacobi_p(n: int, alpha: np.ndarray, beta: np.ndarray, x: float) -> np.ndarray:
@@ -124,7 +134,7 @@ def duality_rhs(case: DualityCase) -> float:
     symbols (x)_k = Gamma(x+k)/Gamma(x) that vanish in the denominator's
     poles.  The coefficients are real and exact to rounding; S^m is carried
     in log space, and the m! cancels against M_m(0, 0) = m!.  Raises
-    `DomainError` on a non-finite result.
+    `DomainError` on a non-finite, zero or subnormal result.
     """
     # scipy.special is imported where it is called, not at module level, to
     # keep it out of the CLI's start-up
@@ -141,9 +151,7 @@ def duality_rhs(case: DualityCase) -> float:
     log_scale = (log_gamma(l1 + l2 + n + 1.0) + log_gamma(n + 1.0)
                  - log_gamma(a0) - log_gamma(b0))
     value = det * math.exp(duality_constant_A(case.params, m).log_abs + m * log_scale)
-    if not math.isfinite(value):
-        raise DomainError(f"duality circular side is not finite: {value}")
-    return float(value)
+    return _normal(value, "circular")
 
 
 def _dm_prefactor(query: DensityMatrixQuery) -> float:
@@ -172,8 +180,8 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
         raise DomainError(f"M must be >= 100 for meaningful error bars, got {M}")
     if not queries:
         raise DomainError("need at least one query")
-    if len({(q.N, q.boundary, q.L) for q in queries}) != 1:
-        raise DomainError("table queries must share N, boundary and L")
+    if len({(q.N, q.boundary) for q in queries}) != 1:
+        raise DomainError("table queries must share N and boundary")
 
     lam = queries[0].weight_exponent()
     params = EnsembleParams(n=queries[0].N, lambda1=lam, lambda2=lam)

@@ -1,10 +1,10 @@
 """Command-line interface: every computation as a subcommand.
 
 Output is a JSON document or CSV table embedding the resolved
-configuration and seed.  Execution-resource flags (--threads, --out) are
-not part of the reproducibility header, so identical (config, seed) runs
-produce byte-identical output regardless of worker count.  Only the
-seeded subcommands take --threads.
+configuration and seed.  The configuration is the parsed namespace minus
+the run flags (--format, --out, --seed, --threads), so identical
+(config, seed) runs produce byte-identical output regardless of worker
+count.  Only the seeded subcommands take --threads.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import functools
 import itertools
 import json
-import os
 import sys
 
 from . import __version__, acceptance
@@ -55,14 +54,6 @@ def _csv_field(x) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _document(config: dict, results: list, seed) -> dict:
-    return {
-        "config": config,
-        "results": results,
-        "provenance": {"seed": seed, "version": __version__},
-    }
-
-
 def render(document: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -81,36 +72,27 @@ def render(document: dict, fmt: str) -> str:
 
 
 def _run_selberg(ns):
-    config = {"subcommand": "selberg", "n": ns.n, "lambda1": ns.lambda1,
-              "lambda2": ns.lambda2}
     val = selberg_closed(ns.n, ns.lambda1, ns.lambda2)
-    return config, [{"log_value": val.log_abs, "value": val.value()}]
+    return [{"log_value": val.log_abs, "value": val.value()}]
 
 
 def _run_morris(ns):
-    config = {"subcommand": "morris", "n": ns.n, "a": ns.lambda1, "b": ns.lambda2}
-    val = morris_closed(MorrisParams(ns.n, ns.lambda1, ns.lambda2))
-    return config, [{"log_value": val.log_abs, "value": val.value()}]
+    val = morris_closed(MorrisParams(ns.n, ns.a, ns.b))
+    return [{"log_value": val.log_abs, "value": val.value()}]
 
 
 def _run_dm_asym(ns):
-    config = {"subcommand": "dm-asym", "n": ns.n, "x": ns.x, "y": ns.y,
-              "boundary": ns.boundary}
     query = DensityMatrixQuery(N=ns.n, X=ns.x, Y=ns.y, boundary=ns.boundary)
-    return config, [{"value": density_matrix_asymptote(query)}]
+    return [{"value": density_matrix_asymptote(query)}]
 
 
 def _run_dm_mc(ns):
-    config = {"subcommand": "dm-mc", "n": ns.n, "x": ns.x, "y": ns.y,
-              "boundary": ns.boundary, "m_samples": ns.m_samples}
     query = DensityMatrixQuery(N=ns.n, X=ns.x, Y=ns.y, boundary=ns.boundary)
     est = mc_density_matrix(query, ns.m_samples, ns.seed, ns.threads)
-    return config, [{"value": est.value, "std_error": est.std_error,
-                     "m_samples": est.m_samples}]
+    return [{"value": est.value, "std_error": est.std_error, "m_samples": est.m_samples}]
 
 
 def _run_table1(ns):
-    config = {"subcommand": "table1", "n": ns.n, "m_samples": ns.m_samples}
     queries = [DensityMatrixQuery(N=ns.n, X=x, Y=1.0 - x) for x in acceptance.TABLE1_XS]
     estimates = mc_density_matrix_table(queries, ns.m_samples, ns.seed, ns.threads)
     rows = []
@@ -118,22 +100,18 @@ def _run_table1(ns):
         asym = density_matrix_asymptote(query)
         rows.append({"X": query.X, "mc_value": est.value, "std_error": est.std_error,
                      "asymptote": asym, "ratio": est.value / asym})
-    return config, rows
+    return rows
 
 
 def _run_duality(ns):
-    config = {"subcommand": "duality-check", "n": ns.n, "m": ns.m, "t": ns.t,
-              "lambda1": ns.lambda1, "lambda2": ns.lambda2}
     params = EnsembleParams(n=ns.n, lambda1=ns.lambda1, lambda2=ns.lambda2)
     case = DualityCase(n=ns.n, m=ns.m, t=ns.t, params=params)
     lhs = duality_lhs(case)
     rhs = duality_rhs(case)
-    return config, [{"lhs": lhs, "rhs": rhs,
-                     "rel_diff": abs(lhs - rhs) / max(1e-300, abs(lhs))}]
+    return [{"lhs": lhs, "rhs": rhs, "rel_diff": abs(lhs - rhs) / max(1e-300, abs(lhs))}]
 
 
 def _run_orbitals(ns):
-    config = {"subcommand": "orbitals", "j_max": ns.j_max, "n": ns.n}
     rows = []
     for j in range(ns.j_max + 1):
         rows.append({
@@ -142,11 +120,10 @@ def _run_orbitals(ns):
             "occupation": occupation_number(j, ns.n),
             "normalization": orbital(j).normalization,
         })
-    return config, rows
+    return rows
 
 
 def _run_sample_jue(ns):
-    config = {"subcommand": "sample-jue", "n": ns.n, "m_samples": ns.m_samples}
     params = EnsembleParams(n=ns.n, lambda1=0.5, lambda2=0.5)
     samples = map_sample_blocks(lambda spectra: spectra.tolist(), params, ns.seed,
                                 ns.m_samples, ns.threads)
@@ -154,19 +131,7 @@ def _run_sample_jue(ns):
     for k, pts in enumerate(itertools.chain.from_iterable(samples)):
         for i, x in enumerate(pts):
             rows.append({"sample": k, "index": i, "eigenvalue": x})
-    return config, rows
-
-
-def _thread_count(text: str) -> int:
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise argparse.ArgumentTypeError(
-            f"thread count (--threads or SELBERG_GAS_THREADS) must be an integer "
-            f">= 1, got {text!r}")
-    return threads
+    return rows
 
 
 def _parse_sizes(text: str):
@@ -187,8 +152,6 @@ def _int_at_least(low: int):
 
 
 def _run_fh_jacobi(ns):
-    config = {"subcommand": "fh-jacobi", "sizes": ",".join(map(str, ns.sizes)),
-              "q": ns.q, "y": ns.y, "lambda1": ns.lambda1, "lambda2": ns.lambda2}
     symbol = fh.SymbolSpec(singularities=((ns.y, ns.q),))
     params = EnsembleParams(n=max(ns.sizes), lambda1=ns.lambda1, lambda2=ns.lambda2)
     exact = fh.hankel_balanced_log_ratios(params, symbol, ns.sizes).tolist()
@@ -201,19 +164,17 @@ def _run_fh_jacobi(ns):
         tail = [abs(row["delta"]) for row in rows[-3:]]
         for row in rows:
             row["decreasing_tail"] = tail[0] > tail[1] > tail[2]
-    return config, rows
+    return rows
 
 
 def _run_fh_toeplitz(ns):
-    config = {"subcommand": "fh-toeplitz", "sizes": ",".join(map(str, ns.sizes)),
-              "q": ns.q}
     symbol = fh.SymbolSpec(singularities=((0.0, ns.q),))
     rows = []
     for N, log_exact in zip(ns.sizes, fh.toeplitz_log_dets(symbol, ns.sizes).tolist()):
         pred = fh.toeplitz_fh_asymptote(symbol, N)
         rows.append({"N": N, "log_exact": log_exact, "log_predicted": pred,
                      "delta": log_exact - pred})
-    return config, rows
+    return rows
 
 
 def _run_validate(ns):
@@ -226,8 +187,7 @@ def _run_validate(ns):
             print(f"     {res.detail}", file=sys.stderr)
         rows.append({"criterion": res.number, "name": res.name,
                      "passed": res.passed, "detail": res.detail})
-    config = {"subcommand": "validate"}
-    return config, rows
+    return rows
 
 
 _SUBCOMMANDS = {
@@ -245,16 +205,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process and per value of
-    SELBERG_GAS_THREADS.  The variable is read on every call, so a changed
-    value still changes the --threads default; parsing leaves no state on
-    the parser, so callers share it."""
-    return _parser(os.environ.get("SELBERG_GAS_THREADS", "1"))
-
-
-@functools.lru_cache(maxsize=4)
-def _parser(default_threads: str) -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves no state on
+    it, so callers share it."""
     parser = argparse.ArgumentParser(
         prog="selberg-gas",
         description="Jacobi-ensemble averages, duality checks, and the "
@@ -266,9 +220,7 @@ def _parser(default_threads: str) -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if seed:
             p.add_argument("--seed", type=int, default=42)
-            # a string default goes through _thread_count on every parse
-            # without --threads, so a bad variable is a usage error only here
-            p.add_argument("--threads", type=_thread_count, default=default_threads)
+            p.add_argument("--threads", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("selberg", help="closed-form Selberg integral")
     p.add_argument("--n", type=int, required=True)
@@ -278,8 +230,8 @@ def _parser(default_threads: str) -> argparse.ArgumentParser:
 
     p = sub.add_parser("morris", help="closed-form Morris integral")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda1", type=float, required=True, help="exponent a")
-    p.add_argument("--lambda2", type=float, required=True, help="exponent b")
+    p.add_argument("--lambda1", dest="a", type=float, required=True, help="exponent a")
+    p.add_argument("--lambda2", dest="b", type=float, required=True, help="exponent b")
     common(p, seed=False)
 
     p = sub.add_parser("dm-asym", help="asymptotic density matrix value")
@@ -340,10 +292,20 @@ def _parser(default_threads: str) -> argparse.ArgumentParser:
     return parser
 
 
+# options that choose how a run executes or where its output goes, not
+# what it computes
+_RUN_FLAGS = ("format", "out", "seed", "threads")
+
+
 def execute(ns) -> dict:
-    config, results = _SUBCOMMANDS[ns.subcommand](ns)
-    seed = getattr(ns, "seed", None)
-    return _document(config, results, seed)
+    config = {key: value for key, value in vars(ns).items() if key not in _RUN_FLAGS}
+    if "sizes" in config:
+        config["sizes"] = ",".join(map(str, config["sizes"]))
+    return {
+        "config": config,
+        "results": _SUBCOMMANDS[ns.subcommand](ns),
+        "provenance": {"seed": getattr(ns, "seed", None), "version": __version__},
+    }
 
 
 def main(argv=None) -> int:
@@ -351,13 +313,17 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         document = execute(ns)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = render(document, ns.format)
     if ns.out:
-        with open(ns.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(ns.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     if ns.subcommand == "validate" and not all(r["passed"] for r in document["results"]):

@@ -68,17 +68,17 @@ BOUNDARY_NEUMANN = "neumann"
 
 @dataclass(frozen=True)
 class DensityMatrixQuery:
-    """Point (X, Y) of the (N+1)-particle density matrix on a box of length L.
+    """Point (X, Y) of the (N+1)-particle density matrix on the unit box.
 
-    N follows the convention that the system holds N+1 particles; the
-    density is rho = N / L.
+    N follows the convention that the system holds N+1 particles; on the
+    unit box the density is rho = N.  A box of length L scales
+    rho -> rho / L and each orbital phi_j -> phi_j / sqrt(L).
     """
 
     N: int
     X: float
     Y: float
     boundary: str = BOUNDARY_DIRICHLET
-    L: float = 1.0
 
     def __post_init__(self):
         if self.N < 1:
@@ -87,12 +87,10 @@ class DensityMatrixQuery:
             raise DomainError(f"X, Y must lie in (0,1), got ({self.X}, {self.Y})")
         if self.boundary not in (BOUNDARY_DIRICHLET, BOUNDARY_NEUMANN):
             raise DomainError(f"unknown boundary {self.boundary!r}")
-        if self.L <= 0.0:
-            raise DomainError(f"box length must be positive, got {self.L}")
 
     @property
     def rho(self) -> float:
-        return self.N / self.L
+        return float(self.N)
 
     def weight_exponent(self) -> float:
         """Jacobi exponent of the ensemble weight tied to the boundary."""
@@ -161,13 +159,6 @@ def morris_closed(p: MorrisParams) -> LogMagnitude:
     steps = (n - i) * np.log1p((a + b + i - a * b) / ((a + i) * (b + i)))
     log_t0 = log_gamma(a + b + 1.0) - log_gamma(a + 1.0) - log_gamma(b + 1.0)
     return LogMagnitude(n * log_t0 + math.fsum(steps))
-
-
-def eta_exponents(params: EnsembleParams) -> tuple:
-    """Circular-side Morris exponents (eta1, eta2) dual to the Jacobi weight."""
-    eta1 = params.lambda2
-    eta2 = params.lambda1 + params.n
-    return eta1, eta2
 
 
 def duality_constant_A(params: EnsembleParams, m: int) -> LogMagnitude:

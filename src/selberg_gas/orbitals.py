@@ -45,10 +45,9 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class Orbital:
-    """Normalized effective single-particle state on a box of length L."""
+    """Normalized effective single-particle state on the unit box."""
 
     j: int
-    L: float
     normalization: float
     evaluate: Callable
 
@@ -76,18 +75,17 @@ def scaled_occupation(j: int) -> float:
     return math.exp(0.5 * math.log(2.0 * math.pi) + log_gamma(j + 0.5) - log_gamma(j + 1.0))
 
 
-def orbital(j: int, L: float = 1.0) -> Orbital:
+def orbital(j: int) -> Orbital:
     """The normalized j-th orbital: const * (X(1-X))^{1/8} C_j^{1/4}(2X-1).
 
-    Normalized so that (L/pi) int phi_j^2 dX / sqrt(X(1-X)) = 1, positive
-    as X -> 1.
+    Normalized on the unit box, where rho = N, so that
+    (1/pi) int phi_j^2 dX / sqrt(X(1-X)) = 1, positive as X -> 1.  A box of
+    length L scales rho -> rho / L and phi_j -> phi_j / sqrt(L).
     """
     if j < 0:
         raise DomainError(f"orbital index must be >= 0, got {j}")
-    if L <= 0.0:
-        raise DomainError(f"box length must be positive, got {L}")
     log_norm = 0.5 * (log_gamma(j + 1.0) + math.log(j + 0.25)
-                      + 2.0 * log_gamma(0.25) - log_gamma(j + 0.5)) - 0.5 * math.log(L)
+                      + 2.0 * log_gamma(0.25) - log_gamma(j + 0.5))
     norm = math.exp(log_norm)
 
     def evaluate(X):
@@ -96,15 +94,14 @@ def orbital(j: int, L: float = 1.0) -> Orbital:
         X = np.asarray(X, dtype=float)
         return norm * (X * (1.0 - X)) ** 0.125 * eval_gegenbauer(j, 0.25, 2.0 * X - 1.0)
 
-    return Orbital(j=j, L=L, normalization=norm, evaluate=evaluate)
+    return Orbital(j=j, normalization=norm, evaluate=evaluate)
 
 
-def eigen_residual(j: int, X: float, tol: float = 1e-8) -> float:
+def eigen_residual(j: int, X: float) -> float:
     """Scaled defect of the eigenrelation for the j-th Gegenbauer mode at X."""
     from scipy.special import eval_gegenbauer
 
-    lhs = apply_kernel(EIGEN_KERNEL, lambda Y: eval_gegenbauer(j, 0.25, 2.0 * Y - 1.0),
-                       X, tol)
+    lhs = apply_kernel(EIGEN_KERNEL, lambda Y: eval_gegenbauer(j, 0.25, 2.0 * Y - 1.0), X)
     rhs = scaled_occupation(j) * float(eval_gegenbauer(j, 0.25, 2.0 * X - 1.0))
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
@@ -120,11 +117,11 @@ def porter_stirling_solution(nu: float) -> tuple:
     return math.cos(0.5 * math.pi * nu) / math.pi, 0.5 * (nu - 1.0)
 
 
-def porter_stirling_apply(nu: float, X: float, tol: float = 1e-8) -> float:
+def porter_stirling_apply(nu: float, X: float) -> float:
     """Apply the |x-t|^(-nu) kernel to the closed-form solution; exact value 1."""
     const, expo = porter_stirling_solution(nu)
     spec = KernelSpec(nu=nu, weight_exponent=expo)
-    return apply_kernel(spec, lambda Y: const * np.ones_like(Y), X, tol)
+    return apply_kernel(spec, lambda Y: const * np.ones_like(Y), X)
 
 
 def _series_coefficients(j: int) -> np.ndarray:

@@ -131,6 +131,54 @@ class TestSubcommands:
             rows[3]["log_exact"], rel=0.0, abs=1e-12)
 
 
+# one argv per subcommand and the keys and value types of its config; the
+# run flags --format, --out, --seed and --threads are never part of it
+CONFIGS = [
+    (["selberg", "--n", "2", "--lambda1", "0", "--lambda2", "0.5", "--format", "csv"],
+     {"subcommand": str, "n": int, "lambda1": float, "lambda2": float}),
+    (["morris", "--n", "1", "--lambda1", "2", "--lambda2", "1"],
+     {"subcommand": str, "n": int, "a": float, "b": float}),
+    (["dm-asym", "--n", "14", "--x", "0.2", "--y", "0.8"],
+     {"subcommand": str, "n": int, "x": float, "y": float, "boundary": str}),
+    (["dm-mc", "--n", "3", "--x", "0.3", "--y", "0.7", "--m-samples", "100",
+      "--seed", "3", "--threads", "2"],
+     {"subcommand": str, "n": int, "x": float, "y": float, "boundary": str,
+      "m_samples": int}),
+    (["table1", "--n", "4", "--m-samples", "100"],
+     {"subcommand": str, "n": int, "m_samples": int}),
+    (["duality-check", "--t", "0.3"],
+     {"subcommand": str, "n": int, "m": int, "t": float, "lambda1": float,
+      "lambda2": float}),
+    (["orbitals", "--j-max", "3"], {"subcommand": str, "j_max": int, "n": int}),
+    (["sample-jue", "--n", "3", "--m-samples", "2"],
+     {"subcommand": str, "n": int, "m_samples": int}),
+    (["fh-jacobi"],
+     {"subcommand": str, "sizes": str, "q": float, "y": float, "lambda1": float,
+      "lambda2": float}),
+    (["fh-toeplitz", "--sizes", "4,8", "--q", "0.5"],
+     {"subcommand": str, "sizes": str, "q": float}),
+    (["validate", "--seed", "1"], {"subcommand": str}),
+]
+
+
+def test_configs_cover_every_subcommand():
+    assert {argv[0] for argv, _ in CONFIGS} == set(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv, types", CONFIGS, ids=[argv[0] for argv, _ in CONFIGS])
+def test_config_keys_and_types(argv, types, monkeypatch):
+    monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: [])
+    doc, _ = run_document(argv)
+    config = doc["config"]
+    assert sorted(config) == sorted(types)
+    assert {key: type(value) for key, value in config.items()} == types
+    assert config["subcommand"] == argv[0]
+    if argv[0] == "fh-jacobi":
+        assert config["sizes"] == "8,16,32,48"
+    if argv[0] == "fh-toeplitz":
+        assert config["sizes"] == "4,8"
+
+
 class TestRendering:
     def test_json_round_trip_idempotent(self):
         doc, _ = run_document(["selberg", "--n", "2", "--lambda1", "0.5",
@@ -227,16 +275,13 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_thread_count_is_usage_error(self, monkeypatch):
+    def test_bad_thread_count_is_usage_error(self):
         argv = ["dm-mc", "--n", "2", "--x", "0.2", "--y", "0.8", "--m-samples", "100"]
         for bad in ("0", "-3"):
             with pytest.raises(SystemExit) as err:
                 cli.build_parser().parse_args(argv + ["--threads", bad])
             assert err.value.code == 2
-        monkeypatch.setenv("SELBERG_GAS_THREADS", "abc")
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
-        assert err.value.code == 2
+        assert cli.build_parser().parse_args(argv).threads == 1
         assert cli.build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
 
     def test_threads_only_on_seeded_subcommands(self, capsys):
@@ -247,11 +292,25 @@ class TestErrors:
         assert err.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
-    def test_bad_thread_variable_ignored_without_seed(self, monkeypatch, capsys):
-        monkeypatch.setenv("SELBERG_GAS_THREADS", "abc")
-        assert cli.main(["selberg", "--n", "2", "--lambda1", "0", "--lambda2", "0"]) == 0
-        assert json.loads(capsys.readouterr().out)["results"][0]["value"] == pytest.approx(
-            1.0 / 6.0, rel=1e-13)
+    @pytest.mark.parametrize("argv", [["duality-check", "--n", "400", "--t", "0.3"],
+                                      ["duality-check", "--n", "200", "--m", "4", "--t", "0.3"]])
+    def test_underflowed_duality_sides_are_an_error(self, argv, capsys):
+        # both sides underflow to 0.0 here, which would print rel_diff 0.0
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+    def test_overflowing_value_is_an_error(self, capsys):
+        assert cli.main(["morris", "--n", "200", "--lambda1", "5", "--lambda2", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+    def test_out_into_a_missing_directory_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert cli.main(["dm-mc", "--n", "2", "--x", "0.2", "--y", "0.8",
+                         "--m-samples", "100", "--out", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not path.parent.exists()
 
     @pytest.mark.parametrize("argv", [["fh-toeplitz", "--sizes", "0,4,8,16"],
                                       ["fh-jacobi", "--sizes", "8,4,-1,16"],
@@ -277,14 +336,10 @@ class TestParserCache:
     SEEDED = ["sample-jue", "--n", "2", "--m-samples", "1", "--seed", "4"]
     PLAIN = ["selberg", "--n", "2", "--lambda1", "0", "--lambda2", "0"]
 
-    def test_one_parser_for_a_fixed_environment(self, monkeypatch):
-        monkeypatch.delenv("SELBERG_GAS_THREADS", raising=False)
-        assert cli.build_parser() is cli.build_parser()
-        monkeypatch.setenv("SELBERG_GAS_THREADS", "2")
+    def test_one_parser_for_a_fixed_environment(self):
         assert cli.build_parser() is cli.build_parser()
 
     def test_two_calls_build_one_parser(self, monkeypatch, capsys):
-        monkeypatch.delenv("SELBERG_GAS_THREADS", raising=False)
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -293,38 +348,14 @@ class TestParserCache:
             init(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         assert cli.main(self.PLAIN) == 0
         # the top-level parser and its subparsers, once
         assert built.count("selberg-gas") == 1 and len(built) == 1 + len(cli._SUBCOMMANDS)
         assert cli.main(self.SEEDED) == 0
         assert len(built) == 1 + len(cli._SUBCOMMANDS)
 
-    def test_changed_variable_changes_the_default(self, monkeypatch, capsys):
-        seen = []
-        real = cli._SUBCOMMANDS["sample-jue"]
-        monkeypatch.setitem(cli._SUBCOMMANDS, "sample-jue",
-                            lambda ns: seen.append(ns.threads) or real(ns))
-        monkeypatch.delenv("SELBERG_GAS_THREADS", raising=False)
-        assert cli.main(self.SEEDED) == 0
-        monkeypatch.setenv("SELBERG_GAS_THREADS", "3")
-        assert cli.main(self.SEEDED) == 0
-        monkeypatch.delenv("SELBERG_GAS_THREADS")
-        assert cli.main(self.SEEDED) == 0
-        assert seen == [1, 3, 1]
-
-    def test_bad_variable_after_a_good_call(self, monkeypatch, capsys):
-        monkeypatch.delenv("SELBERG_GAS_THREADS", raising=False)
-        assert cli.main(self.SEEDED) == 0
-        monkeypatch.setenv("SELBERG_GAS_THREADS", "abc")
-        with pytest.raises(SystemExit) as err:
-            cli.main(self.SEEDED)
-        assert err.value.code == 2
-        assert "SELBERG_GAS_THREADS" in capsys.readouterr().err
-        assert cli.main(self.PLAIN) == 0
-
-    def test_usage_error_leaves_no_state(self, monkeypatch, capsys):
-        monkeypatch.delenv("SELBERG_GAS_THREADS", raising=False)
+    def test_usage_error_leaves_no_state(self, capsys):
         assert cli.main(self.PLAIN) == 0
         expected = capsys.readouterr().out
         with pytest.raises(SystemExit) as err:

@@ -63,8 +63,8 @@ class TestParams:
             EnsembleParams(n=2, lambda1=-1.0, lambda2=0.0)
 
     def test_density_matrix_query(self):
-        q = DensityMatrixQuery(N=14, X=0.2, Y=0.8, L=2.0)
-        assert q.rho == 7.0
+        q = DensityMatrixQuery(N=14, X=0.2, Y=0.8)
+        assert q.rho == 14.0
         assert q.weight_exponent() == 0.5
         assert DensityMatrixQuery(N=2, X=0.1, Y=0.9,
                                   boundary="neumann").weight_exponent() == -0.5
@@ -187,7 +187,8 @@ class TestDualityConstant:
         # A * M(eta2, eta1)/M(0,0) telescopes to the Selberg ratio at t = 1
         for (l1, l2) in ((0.5, 0.5), (-0.5, -0.5), (0.25, 0.75)):
             params = EnsembleParams(n=2, lambda1=l1, lambda2=l2)
-            eta1, eta2 = exact.eta_exponents(params)
+            # the circular-side Morris exponents dual to the Jacobi weight
+            eta1, eta2 = params.lambda2, params.lambda1 + params.n
             lhs = (exact.duality_constant_A(params, 2).log_abs
                    + exact.morris_closed(MorrisParams(2, eta2, eta1)).log_abs
                    - exact.morris_closed(MorrisParams(2, 0.0, 0.0)).log_abs)
@@ -244,7 +245,7 @@ class TestDualityConstant:
             return (16.0 * r2 - r1) / 15.0
 
         params = EnsembleParams(n=2, lambda1=lam, lambda2=lam)
-        eta1, eta2 = exact.eta_exponents(params)
+        eta1, eta2 = params.lambda2, params.lambda1 + params.n
         lhs_t1 = selberg_quadrature(2, lam, lam + 2.0) / selberg_quadrature(2, lam, lam)
         morris_ratio = morris_extrapolated(2, eta2, eta1) / morris_extrapolated(2, 0.0, 0.0)
         oracle = lhs_t1 / morris_ratio
