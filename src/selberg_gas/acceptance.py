@@ -17,7 +17,7 @@ import numpy as np
 from . import fisherhartwig as fh
 from . import quadrature as quad
 from .averages import DualityCase, duality_lhs, duality_rhs, mc_density_matrix_table
-from .ensembles import sample_jue_block
+from .ensembles import map_sample_blocks
 from .exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -257,8 +257,8 @@ def criterion_9_samplers(seed: int = 42) -> CriterionResult:
     (1/2, 1/2) law at n = 1, and the mean sum at n = 2 for the (1/2, 1/2)
     and (-1/2, -1/2) laws against tensor quadrature."""
     m1 = 100_000
-    vals = sample_jue_block(EnsembleParams(n=1, lambda1=0.5, lambda2=0.5),
-                            seed, range(m1))[:, 0]
+    vals = np.concatenate(map_sample_blocks(
+        lambda spectra: spectra[:, 0], EnsembleParams(n=1, lambda1=0.5, lambda2=0.5), seed, m1))
     mean_se = vals.std(ddof=1) / math.sqrt(m1)
     mean_ok = abs(vals.mean() - 0.5) <= 3.0 * mean_se
     sq = (vals - vals.mean()) ** 2
@@ -271,7 +271,7 @@ def criterion_9_samplers(seed: int = 42) -> CriterionResult:
     m2 = 10_000
     for offset, lam in ((1, 0.5), (2, -0.5)):
         params = EnsembleParams(n=2, lambda1=lam, lambda2=lam)
-        sums = sample_jue_block(params, seed + offset, range(m2)).sum(axis=1)
+        sums = np.concatenate(map_sample_blocks(lambda s: s.sum(1), params, seed + offset, m2))
         axis = quad.power_panel(0.0, 1.0, lam, lam, 40)
         num = quad.tensor_integrate(lambda x, y: (x + y) * (y - x) ** 2, [axis, axis])
         den = quad.tensor_integrate(lambda x, y: (y - x) ** 2, [axis, axis])

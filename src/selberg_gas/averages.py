@@ -101,7 +101,8 @@ def _normal(value: float, side: str) -> float:
 def duality_lhs(case: DualityCase) -> float:
     """Jacobi-side average < prod (t - x_l)^m >.  Raises `DomainError` on a
     zero or subnormal value."""
-    return _normal(average_even_power_heine(case.params, case.t, case.m).value(), "Jacobi")
+    return _normal(average_even_power_heine(case.params, case.t, case.m).value(
+        "duality Jacobi side"), "Jacobi")
 
 
 def _jacobi_p(n: int, alpha: np.ndarray, beta: np.ndarray, x: float) -> np.ndarray:
@@ -171,10 +172,10 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
                             master_seed: int, threads: int = 1) -> list:
     """Monte Carlo estimates for several (X, Y) points off one sample set.
 
-    Sample k is generated from stream (master_seed, k), and
-    `ensembles.map_sample_blocks` spreads the samples over `threads`, so
-    the result for each query is bit-identical to a standalone run with the
-    same seed, independent of the thread count.
+    `ensembles.map_sample_blocks` draws samples 0..M-1, each a function of
+    (N, boundary, master_seed, k) alone, and spreads their blocks over
+    `threads`, so the result for each query is bit-identical to a
+    standalone run with the same seed, independent of the thread count.
     """
     if M < 100:
         raise DomainError(f"M must be >= 100 for meaningful error bars, got {M}")

@@ -44,14 +44,15 @@ def _fmt(x) -> str:
 
 
 def _csv_field(x) -> str:
-    # the text of an int or a float cannot hold a comma, a quote or a
-    # newline, so only other values are scanned
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    text = str(x)
-    if isinstance(x, int) or not ("," in text or '"' in text or "\n" in text):
-        return text
-    return '"' + text.replace('"', '""') + '"'
+    # quoted when its text holds a comma, a quote or a newline
+    text = _fmt(x)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# a column of one of these exact types is formatted without a quote scan
+_CSV_FORMATS = {float: "{:.17g}".format, int: str, bool: str}
 
 
 def render(document: dict, fmt: str) -> str:
@@ -66,19 +67,24 @@ def render(document: dict, fmt: str) -> str:
     if results:
         columns = list(results[0])
         lines.append(",".join(columns))
-        for row in results:
-            lines.append(",".join([_csv_field(row[c]) for c in columns]))
+        texts = []
+        for c in columns:
+            values = [row[c] for row in results]
+            kinds = set(map(type, values))
+            field = _CSV_FORMATS.get(kinds.pop(), _csv_field) if len(kinds) == 1 else _csv_field
+            texts.append(map(field, values))
+        lines.extend(map(",".join, zip(*texts)))
     return "\n".join(lines) + "\n"
 
 
 def _run_selberg(ns):
     val = selberg_closed(ns.n, ns.lambda1, ns.lambda2)
-    return [{"log_value": val.log_abs, "value": val.value()}]
+    return [{"log_value": val.log_abs, "value": val.value("Selberg integral")}]
 
 
 def _run_morris(ns):
     val = morris_closed(MorrisParams(ns.n, ns.a, ns.b))
-    return [{"log_value": val.log_abs, "value": val.value()}]
+    return [{"log_value": val.log_abs, "value": val.value("Morris integral")}]
 
 
 def _run_dm_asym(ns):

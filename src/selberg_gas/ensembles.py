@@ -4,8 +4,8 @@ One sampler covers every weight x^lambda1 (1-x)^lambda2 with squared
 Vandermonde: the beta = 2 bidiagonal Jacobi matrix model of Edelman &
 Sutton (Found. Comput. Math. 8, 2008) and Killip & Nenciu (IMRN 2004),
 whose independent Beta-distributed entries make the eigenvalues an exact
-ensemble draw.  Reproducibility is managed through (master_seed,
-stream_index) pairs.
+ensemble draw.  Block b of the samples of a run with seed s draws every
+variate from the one stream (s, b); see `map_sample_blocks`.
 """
 
 from __future__ import annotations
@@ -43,17 +43,15 @@ class RngStream:
         return self._gen
 
 
-def _spectra(params: EnsembleParams, generators: list) -> np.ndarray:
-    # one row of eigenvalues per generator; see sample_jue_block
-    n, rows = params.n, len(generators)
+def _spectra(params: EnsembleParams, gen: np.random.Generator, rows: int) -> np.ndarray:
+    # `rows` rows of eigenvalues from one generator; see sample_jue_block
+    n = params.n
     j = np.arange(n, 0, -1.0)
-    # one call draws the c_j^2 and then the c'_j^2, element by element in the
-    # stream's order, as two consecutive calls would
+    # one call draws row by row, each row the c_j^2 and then the c'_j^2, in
+    # the order of consecutive one-row calls
     a = np.concatenate((params.lambda1 + j, j[1:]))
     b = np.concatenate((params.lambda2 + j, params.lambda1 + params.lambda2 + 1.0 + j[1:]))
-    variates = np.empty((rows, 2 * n - 1))
-    for row, gen in enumerate(generators):
-        variates[row] = gen.beta(a, b)
+    variates = gen.beta(a, b, size=(rows, 2 * n - 1))
     c_sq, cp_sq = variates[:, :n], variates[:, n:]
     diag = np.arange(n)
     bidiagonal = np.zeros((rows, n, n))
@@ -72,49 +70,50 @@ def _spectra(params: EnsembleParams, generators: list) -> np.ndarray:
     return points
 
 
-def sample_jue_block(params: EnsembleParams, master_seed: int, ks) -> np.ndarray:
-    """Exact samples of the n-point Jacobi ensemble with weight
-    x^lambda1 (1-x)^lambda2, one sorted row of shape (n,) per stream index
-    in `ks`, drawn from stream (master_seed, k).
+def sample_jue_block(params: EnsembleParams, master_seed: int, block: int,
+                     rows: int) -> np.ndarray:
+    """The first `rows` exact samples of block `block` of the n-point Jacobi
+    ensemble with weight x^lambda1 (1-x)^lambda2, one sorted row of shape
+    (n,) each, all drawn from the one stream (master_seed, block).
 
     Each sample is the spectrum of B B^T, with B upper bidiagonal of diagonal
     (c_n, c_{n-1} s'_{n-1}, ..., c_1 s'_1) and superdiagonal
     (-s_n c'_{n-1}, ..., -s_2 c'_1), where c_j^2 ~ Beta(lambda1 + j,
     lambda2 + j), c'_j^2 ~ Beta(j, lambda1 + lambda2 + 1 + j), s = sqrt(1 - c^2)
-    and every variate is independent.  The c_j are drawn first, then the
-    c'_j, each for descending j; that order fixes the stream's replay.  The
-    variates are drawn stream by stream and the spectra taken as one stacked
-    `eigvalsh`, so a row does not depend on the block it is drawn in.
+    and every variate is independent.  The stream is drawn row by row, each
+    row the c_j and then the c'_j, both for descending j, so fewer rows are
+    a prefix of more.  The spectra are taken as one stacked `eigvalsh`.
     Raises `SamplingError` if any row is not strictly increasing in (0, 1).
     """
-    return _spectra(params, [RngStream(master_seed, int(k)).generator() for k in ks])
+    return _spectra(params, RngStream(master_seed, block).generator(), rows)
 
 
 def map_sample_blocks(fn, params: EnsembleParams, master_seed: int, M: int,
                       threads: int = 1) -> list:
-    """[fn(sample_jue_block(params, master_seed, block)) for block in blocks],
-    in block order, where the blocks cut the stream indices 0..M-1.
+    """[fn(sample_jue_block(params, master_seed, b, rows_b)) for each block b],
+    in block order, where the blocks cut the samples 0..M-1.
 
     This is the one place that cuts blocks and the one thread pool.  A block
-    holds 32 consecutive indices, fewer once its (rows, n, n) matrix stack
-    would pass 4 MB; the size depends on n alone, so block boundaries never
-    move with M or the thread count.  With threads > 1 the blocks are mapped
-    to a pool of that many threads; a result depends on its block alone.
+    holds B = 32 samples, fewer once its (B, n, n) matrix stack would pass
+    4 MB; B depends on n alone.  Sample k is row k mod B of block k // B, so
+    it depends on (params, master_seed, k) alone, never on M or the thread
+    count.  With threads > 1 the blocks are mapped to a pool of that many
+    threads; a result depends on its block alone.
     """
-    rows = max(1, min(32, (1 << 19) // (params.n * params.n)))
+    size = max(1, min(32, (1 << 19) // (params.n * params.n)))
 
-    def run(start: int):
-        return fn(sample_jue_block(params, master_seed, range(start, min(start + rows, M))))
+    def run(block: int):
+        return fn(sample_jue_block(params, master_seed, block, min(size, M - block * size)))
 
-    starts = range(0, M, rows)
+    blocks = range(-(-M // size))
     if threads <= 1:
-        return [run(start) for start in starts]
+        return [run(block) for block in blocks]
     with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, starts))
+        return list(pool.map(run, blocks))
 
 
 # kept because perfbench/tests/test_bench_tracer.py checks that averages imports it
 def sample_jue_halfhalf(n: int, stream: RngStream) -> np.ndarray:
     """Exact sample of the n-point Jacobi ensemble with exponents (1/2, 1/2),
     the Dirichlet-boundary law, drawn from the stream's current position."""
-    return _spectra(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), [stream.generator()])[0]
+    return _spectra(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), stream.generator(), 1)[0]

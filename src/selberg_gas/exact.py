@@ -13,6 +13,7 @@ so that ensemble sizes up to 10^4 stay in range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,16 @@ class LogMagnitude:
 
     log_abs: float
 
-    def value(self) -> float:
-        return math.exp(self.log_abs)
+    def value(self, quantity: str = "value") -> float:
+        """exp(log_abs).  Raises `DomainError`, naming `quantity` and giving
+        the log, if that overflows or is below the smallest normal float."""
+        try:
+            value = math.exp(self.log_abs)
+        except OverflowError:
+            raise DomainError(f"{quantity} overflows a float: log {self.log_abs!r}") from None
+        if value < sys.float_info.min:
+            raise DomainError(f"{quantity} underflows a float: log {self.log_abs!r}")
+        return value
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,7 @@ from selberg_gas.averages import (
 )
 from selberg_gas import averages
 from selberg_gas.acceptance import TABLE1_XS
-from selberg_gas.ensembles import (
-    RngStream,
-    map_sample_blocks,
-    sample_jue_block,
-    sample_jue_halfhalf,
-)
+from selberg_gas.ensembles import map_sample_blocks
 from selberg_gas.exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -37,6 +32,7 @@ from selberg_gas.exact import (
 from selberg_gas.specfun import DomainError
 
 import tensor_oracle
+from sampler_oracle import reference_samples
 
 
 def engine_average(params, charges):
@@ -496,8 +492,8 @@ class TestMonteCarloDensityMatrix:
         rho = query.rho
         pref = 8.0 * rho / (N + 1) * (X * (1.0 - X))
         vals = np.empty(M)
-        for k in range(M):
-            pts = sample_jue_halfhalf(N, RngStream(seed, k))
+        samples = reference_samples(EnsembleParams(n=N, lambda1=0.5, lambda2=0.5), seed, M)
+        for k, pts in enumerate(samples):
             logp = (np.log(np.abs(4.0 * X - 4.0 * pts)).sum()
                     + np.log(np.abs(4.0 * (1.0 - X) - 4.0 * pts)).sum())
             vals[k] = pref * math.exp(logp)
@@ -537,7 +533,7 @@ class TestMonteCarloDensityMatrix:
         N, M, seed = 14, 5000, 42
         lam = 0.5 if boundary == "dirichlet" else -0.5
         params = EnsembleParams(n=N, lambda1=lam, lambda2=lam)
-        samples = [sample_jue_block(params, seed, [k])[0] for k in range(M)]
+        samples = reference_samples(params, seed, M)
         queries = [DensityMatrixQuery(N=N, X=X, Y=1.0 - X, boundary=boundary)
                    for X in TABLE1_XS]
         point = DensityMatrixQuery(N=N, X=0.2, Y=0.8, boundary=boundary)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import selberg_gas
@@ -232,6 +233,16 @@ class TestRendering:
             b'"say ""hi"", twice",3,0.10000000000000001,True\n'
             b"plain,-1,-2.5e-300,False\n")
 
+    def test_csv_columns_of_mixed_types_keep_the_field_text(self):
+        # a column that mixes types, or holds a subclass such as numpy's
+        # float64, is formatted value by value; the text is _csv_field's
+        rows = [{"x": 0.1, "k": 3, "s": True},
+                {"x": np.float64(0.1), "k": np.int64(-3), "s": None},
+                {"x": 2.5, "k": 7, "s": "a,b"}]
+        text = cli.render({"config": {}, "provenance": {}, "results": rows}, "csv")
+        assert text == ("x,k,s\n0.10000000000000001,3,True\n"
+                        '0.10000000000000001,-3,None\n2.5,7,"a,b"\n')
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_sample_jue_threads_keep_bytes(self, extra, monkeypatch, capsys):
         # blocks depend on n alone, so M = B - 1 is one partial block and
@@ -303,7 +314,14 @@ class TestErrors:
     def test_overflowing_value_is_an_error(self, capsys):
         assert cli.main(["morris", "--n", "200", "--lambda1", "5", "--lambda2", "5"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err.startswith("error: Morris integral overflows a float: log 958.67")
+
+    def test_underflowing_value_is_an_error(self, capsys):
+        # the value would print as 0.0 beside its finite log
+        assert cli.main(["selberg", "--n", "300", "--lambda1", "5", "--lambda2", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "error: Selberg integral underflows a float: log -126854.76")
 
     def test_out_into_a_missing_directory_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.json"

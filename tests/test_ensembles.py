@@ -15,9 +15,15 @@ from selberg_gas.ensembles import (
 from selberg_gas.exact import EnsembleParams
 from selberg_gas.specfun import DomainError
 
+from sampler_oracle import block_size, reference_rows, reference_samples
 from tensor_oracle import vandermonde_sq
 
 WEIGHTS = ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 2.0))
+
+
+def draw(params, seed, M):
+    # samples 0..M-1 of a run, as the Monte Carlo estimators see them
+    return np.concatenate(map_sample_blocks(lambda rows: rows, params, seed, M))
 
 
 def jue_average(fn, n, lambda1, lambda2, order=40):
@@ -33,8 +39,8 @@ class TestStreams:
         b = sample_jue_halfhalf(14, RngStream(42, 5))
         assert np.array_equal(a, b)
         params = EnsembleParams(n=14, lambda1=-0.5, lambda2=-0.5)
-        a = sample_jue_block(params, 42, [5])[0]
-        b = sample_jue_block(params, 42, [5])[0]
+        a = sample_jue_block(params, 42, 5, 32)
+        b = sample_jue_block(params, 42, 5, 32)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
@@ -67,7 +73,7 @@ class TestRecurrenceSampler:
     def test_pair_moments_match_quadrature(self, n, lambda1, lambda2):
         m = 6000
         params = EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2)
-        pts = np.array([sample_jue_block(params, 17, [k])[0] for k in range(m)])
+        pts = draw(params, 17, m)
         for fn, label in (((lambda *x: sum(x)), "sum"),
                           ((lambda *x: sum(xi ** 2 for xi in x)), "squares"),
                           ((lambda *x: math.prod(x)), "prod")):
@@ -86,25 +92,12 @@ class TestRecurrenceSampler:
         # unclipped, about 3% of these draws round an eigenvalue onto 1.0
         for lambda1, lambda2 in ((0.5, -0.9), (-0.9, -0.9)):
             params = EnsembleParams(n=14, lambda1=lambda1, lambda2=lambda2)
-            for k in range(2000):
-                pts = sample_jue_block(params, 29, [k])[0]
-                assert pts[0] > 0.0 and pts[-1] < 1.0
+            pts = draw(params, 29, 2000)
+            assert np.all(pts[:, 0] > 0.0) and np.all(pts[:, -1] < 1.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_jue_halfhalf(0, RngStream(1))
-
-
-def one_stream_reference(params, stream):
-    # the bidiagonal model for one stream, written out on its own n x n matrix
-    gen = stream.generator()
-    j = np.arange(params.n, 0, -1)
-    c_sq = gen.beta(params.lambda1 + j, params.lambda2 + j)
-    cp_sq = gen.beta(j[1:], params.lambda1 + params.lambda2 + 1.0 + j[1:])
-    bidiagonal = (np.diag(np.sqrt(c_sq * np.concatenate(([1.0], 1.0 - cp_sq))))
-                  + np.diag(-np.sqrt((1.0 - c_sq[:-1]) * cp_sq), 1))
-    points = np.linalg.eigvalsh(bidiagonal @ bidiagonal.T)
-    return np.clip(points, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
 def with_row_three(monkeypatch, row):
@@ -118,56 +111,78 @@ def with_row_three(monkeypatch, row):
         return points
 
     monkeypatch.setattr(ensembles.np.linalg, "eigvalsh", replaced)
-    return sample_jue_block(EnsembleParams(n=4, lambda1=0.5, lambda2=0.5), 1, range(8))
+    return sample_jue_block(EnsembleParams(n=4, lambda1=0.5, lambda2=0.5), 1, 0, 8)
 
 
 class TestBlockSampler:
-    KS = (0, 3, 4, 17, 40, 41, 99)
-
     @pytest.mark.parametrize("lambda1,lambda2", ((0.5, 0.5), (-0.5, -0.5), (-0.5, 2.0)))
     @pytest.mark.parametrize("n", (1, 2, 14, 50))
     def test_rows_are_the_streams_samples(self, n, lambda1, lambda2):
         params = EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2)
-        block = sample_jue_block(params, 42, self.KS)
-        assert block.shape == (len(self.KS), n)
-        for row, k in zip(block, self.KS):
-            assert np.array_equal(row, sample_jue_block(params, 42, [k])[0])
-            assert np.array_equal(row, one_stream_reference(params, RngStream(42, k)))
+        for block, rows in ((0, 32), (3, 7), (41, 1)):
+            got = sample_jue_block(params, 42, block, rows)
+            assert got.shape == (rows, n)
+            assert np.array_equal(got, reference_rows(params, 42, block, rows))
 
     def test_rows_do_not_depend_on_the_cut(self):
+        # a short block is a prefix of the full one, and a run of M samples
+        # is the reference's first M
         params = EnsembleParams(n=14, lambda1=0.5, lambda2=0.5)
-        whole = sample_jue_block(params, 7, range(70))
-        for cuts in ((0, 5, 37, 70), (0, 1, 2, 69, 70)):
-            parts = [sample_jue_block(params, 7, range(a, b)) for a, b in zip(cuts, cuts[1:])]
-            assert np.array_equal(np.concatenate(parts), whole)
-        fixed = map_sample_blocks(lambda rows: rows, params, 7, 70)
-        assert np.array_equal(np.concatenate(fixed), whole)
-        assert np.array_equal(np.concatenate(map_sample_blocks(lambda rows: rows, params, 7, 70,
-                                                               threads=3)), whole)
+        whole = sample_jue_block(params, 7, 2, 32)
+        for rows in (1, 5, 31):
+            assert np.array_equal(sample_jue_block(params, 7, 2, rows), whole[:rows])
+        reference = reference_samples(params, 7, 70)
+        for threads in (1, 3):
+            got = map_sample_blocks(lambda rows: rows, params, 7, 70, threads)
+            assert np.array_equal(np.concatenate(got), reference)
+
+    @pytest.mark.parametrize("threads", (1, 2, 4))
+    def test_samples_are_a_prefix_whatever_m(self, threads):
+        # sample k is the same whatever M and the thread count: the last block
+        # one row short, full, one row long and five rows long
+        params = EnsembleParams(n=6, lambda1=-0.5, lambda2=-0.5)
+        B = block_size(6)
+        longest = draw(params, 11, 4 * B)
+        for M in (B - 1, B, B + 1, 3 * B + 5):
+            got = np.concatenate(map_sample_blocks(lambda rows: rows, params, 11, M, threads))
+            assert np.array_equal(got, longest[:M])
+
+    @pytest.mark.parametrize("M", (1, 31, 32, 33, 100))
+    def test_one_generator_per_block(self, monkeypatch, M):
+        built = []
+        generator = RngStream.generator
+
+        def counting(stream):
+            built.append(stream.stream_index)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", counting)
+        params = EnsembleParams(n=14, lambda1=0.5, lambda2=0.5)
+        assert len(draw(params, 3, M)) == M
+        assert sorted(built) == list(range(-(-M // block_size(14))))
 
     @staticmethod
     def blocks(monkeypatch, n, M, threads=1):
-        # the stream indices of each block, in the order map_sample_blocks
-        # returns them, with the sampler replaced by its index list
-        monkeypatch.setattr(ensembles, "sample_jue_block", lambda params, seed, ks: list(ks))
+        # the (block, rows) of each call, in the order map_sample_blocks
+        # returns them, with the sampler replaced by its arguments
+        monkeypatch.setattr(ensembles, "sample_jue_block",
+                            lambda params, seed, block, rows: (block, rows))
         params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-        return map_sample_blocks(lambda ks: ks, params, 1, M, threads)
+        return map_sample_blocks(lambda cut: cut, params, 1, M, threads)
 
     def test_blocks_cover_the_indices_in_order(self, monkeypatch):
-        params = EnsembleParams(n=3, lambda1=0.5, lambda2=0.5)
-        whole = sample_jue_block(params, 1, range(100))
-        for threads in (1, 2):
-            got = map_sample_blocks(lambda rows: rows, params, 1, 100, threads)
-            assert np.array_equal(np.concatenate(got), whole)
         for n, M in ((14, 1), (14, 100), (50, 161), (200, 40)):
             blocks = self.blocks(monkeypatch, n, M)
-            assert [k for block in blocks for k in block] == list(range(M))
-            assert len({len(block) for block in blocks[:-1]}) <= 1
+            B = blocks[0][1]
+            assert [block for block, _ in blocks] == list(range(len(blocks)))
+            assert all(rows == B for _, rows in blocks[:-1])
+            assert 1 <= blocks[-1][1] <= B
+            assert sum(rows for _, rows in blocks) == M
             assert self.blocks(monkeypatch, n, M, threads=2) == blocks
 
     def test_block_size_depends_on_n_alone(self, monkeypatch):
         def rows(n, M=1000):
-            return len(self.blocks(monkeypatch, n, M)[0])
+            return self.blocks(monkeypatch, n, M)[0][1]
 
         assert rows(1) == rows(14) == rows(50) == rows(50, 100_000) == 32
         # the (rows, n, n) stack stays within 4 MB once n passes 128
@@ -175,6 +190,8 @@ class TestBlockSampler:
             assert 1 <= rows(n) < 32
             assert rows(n) * n * n * 8 <= 4 << 20
         assert rows(2000) == 1
+        for n in (1, 14, 128, 129, 200, 724, 2000):
+            assert rows(n) == block_size(n)
 
     def test_bad_row_in_a_block_raises(self, monkeypatch):
         # one bad row fails the whole block of eight

@@ -56,6 +56,15 @@ class TestLogMagnitude:
     def test_round_trip_property(self, x):
         assert abs(LogMagnitude(math.log(x)).value() - x) <= log_rounding(x) * x
 
+    def test_out_of_range_names_the_quantity(self):
+        with pytest.raises(DomainError, match=r"^S overflows a float: log 710\.0$"):
+            LogMagnitude(710.0).value("S")
+        # a subnormal result is an underflow too
+        for log in (-708.5, -800.0):
+            with pytest.raises(DomainError, match=f"^value underflows a float: log {log}$"):
+                LogMagnitude(log).value()
+        assert LogMagnitude(-708.0).value() == math.exp(-708.0)
+
 
 class TestParams:
     def test_rejects_bad_exponents(self):
