@@ -28,7 +28,7 @@ from .averages import (
     duality_rhs,
     mc_density_matrix,
 )
-from .ensembles import RngStream, map_sample_blocks, sample_jue_block, sample_jue_halfhalf
+from .ensembles import map_sample_blocks, rng_stream, sample_jue_block, sample_jue_halfhalf
 from .orbitals import KernelSpec, Orbital, apply_kernel, orbital, scaled_occupation
 from .fisherhartwig import (
     SymbolSpec,

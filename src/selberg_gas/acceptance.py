@@ -77,7 +77,7 @@ def criterion_2_duality() -> CriterionResult:
     for l in (0.5, -0.5):
         for t in (0.3, 0.7):
             params = EnsembleParams(n=2, lambda1=l, lambda2=l)
-            case = DualityCase(n=2, m=2, t=t, params=params)
+            case = DualityCase(m=2, t=t, params=params)
             lhs = duality_lhs(case)
             rhs = duality_rhs(case)
             worst = max(worst, abs(lhs - rhs) / abs(lhs))

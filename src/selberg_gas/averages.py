@@ -38,19 +38,17 @@ from .specfun import DomainError, log_gamma
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte Carlo value with its standard error and seed provenance."""
+    """Monte Carlo value with its standard error."""
 
     value: float
     std_error: float
-    m_samples: int
-    master_seed: int
 
 
 @dataclass(frozen=True)
 class DualityCase:
-    """One instance (n, m, t) of the Jacobi-to-circular duality identity."""
+    """One instance (n, m, t) of the Jacobi-to-circular duality identity;
+    the size n is params.n."""
 
-    n: int
     m: int
     t: float
     params: EnsembleParams
@@ -58,8 +56,6 @@ class DualityCase:
     def __post_init__(self):
         if self.m < 2 or self.m % 2 != 0:
             raise DomainError(f"duality power m must be even and >= 2, got {self.m}")
-        if self.params.n != self.n:
-            raise DomainError("DualityCase.n must match its EnsembleParams.n")
 
 
 def pairwise_sum(values) -> float:
@@ -142,7 +138,7 @@ def duality_rhs(case: DualityCase) -> float:
     from scipy.special import poch
 
     l1, l2 = case.params.lambda1, case.params.lambda2
-    n, m, t = case.n, case.m, case.t
+    n, m, t = case.params.n, case.m, case.t
     ks = np.arange(1 - m, m, dtype=float)
     a0, b0 = l1 + n + 1.0, l2 + n + 1.0
     c = ((-1.0) ** n * _jacobi_p(n, l1 + ks, l2 - ks, 1.0 - 2.0 * t)
@@ -207,8 +203,7 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
         vals = pref * products[:, i]
         mean = pairwise_sum(vals) / M
         var = pairwise_sum((vals - mean) ** 2) / (M - 1)
-        estimates.append(MCEstimate(value=mean, std_error=math.sqrt(var / M),
-                                    m_samples=M, master_seed=master_seed))
+        estimates.append(MCEstimate(value=mean, std_error=math.sqrt(var / M)))
     return estimates
 
 

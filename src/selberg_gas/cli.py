@@ -95,7 +95,7 @@ def _run_dm_asym(ns):
 def _run_dm_mc(ns):
     query = DensityMatrixQuery(N=ns.n, X=ns.x, Y=ns.y, boundary=ns.boundary)
     est = mc_density_matrix(query, ns.m_samples, ns.seed, ns.threads)
-    return [{"value": est.value, "std_error": est.std_error, "m_samples": est.m_samples}]
+    return [{"value": est.value, "std_error": est.std_error, "m_samples": ns.m_samples}]
 
 
 def _run_table1(ns):
@@ -111,7 +111,7 @@ def _run_table1(ns):
 
 def _run_duality(ns):
     params = EnsembleParams(n=ns.n, lambda1=ns.lambda1, lambda2=ns.lambda2)
-    case = DualityCase(n=ns.n, m=ns.m, t=ns.t, params=params)
+    case = DualityCase(m=ns.m, t=ns.t, params=params)
     lhs = duality_lhs(case)
     rhs = duality_rhs(case)
     return [{"lhs": lhs, "rhs": rhs, "rel_diff": abs(lhs - rhs) / max(1e-300, abs(lhs))}]

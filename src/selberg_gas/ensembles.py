@@ -5,13 +5,12 @@ Vandermonde: the beta = 2 bidiagonal Jacobi matrix model of Edelman &
 Sutton (Found. Comput. Math. 8, 2008) and Killip & Nenciu (IMRN 2004),
 whose independent Beta-distributed entries make the eigenvalues an exact
 ensemble draw.  Block b of the samples of a run with seed s draws every
-variate from the one stream (s, b); see `map_sample_blocks`.
+variate from the one stream `rng_stream(s, b)`; see `map_sample_blocks`.
 """
 
 from __future__ import annotations
 
 from concurrent import futures
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,25 +21,15 @@ class SamplingError(RuntimeError):
     """A sampler failed to produce a valid configuration."""
 
 
-@dataclass
-class RngStream:
-    """Deterministic, platform-independent random stream.
+def rng_stream(master_seed: int, index: int) -> np.random.Generator:
+    """The generator of stream (master_seed, index): PCG64 seeded by
+    SeedSequence(entropy=master_seed, spawn_key=(index,)).
 
-    Distinct (master_seed, stream_index) pairs give statistically
-    independent streams; equal pairs replay the same sequence regardless
-    of thread count or platform.
+    Distinct pairs give statistically independent streams; equal pairs
+    replay the same sequence regardless of thread count or platform.
     """
-
-    master_seed: int
-    stream_index: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, default=None)
-
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            seq = np.random.SeedSequence(
-                entropy=self.master_seed, spawn_key=(self.stream_index,))
-            self._gen = np.random.Generator(np.random.PCG64(seq))
-        return self._gen
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _spectra(params: EnsembleParams, gen: np.random.Generator, rows: int) -> np.ndarray:
@@ -85,7 +74,7 @@ def sample_jue_block(params: EnsembleParams, master_seed: int, block: int,
     a prefix of more.  The spectra are taken as one stacked `eigvalsh`.
     Raises `SamplingError` if any row is not strictly increasing in (0, 1).
     """
-    return _spectra(params, RngStream(master_seed, block).generator(), rows)
+    return _spectra(params, rng_stream(master_seed, block), rows)
 
 
 def map_sample_blocks(fn, params: EnsembleParams, master_seed: int, M: int,
@@ -113,7 +102,7 @@ def map_sample_blocks(fn, params: EnsembleParams, master_seed: int, M: int,
 
 
 # kept because perfbench/tests/test_bench_tracer.py checks that averages imports it
-def sample_jue_halfhalf(n: int, stream: RngStream) -> np.ndarray:
+def sample_jue_halfhalf(n: int, gen: np.random.Generator) -> np.ndarray:
     """Exact sample of the n-point Jacobi ensemble with exponents (1/2, 1/2),
-    the Dirichlet-boundary law, drawn from the stream's current position."""
-    return _spectra(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), stream.generator(), 1)[0]
+    the Dirichlet-boundary law, drawn from `gen` at its current position."""
+    return _spectra(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), gen, 1)[0]

@@ -9,7 +9,8 @@ orbitals and their occupations, and evaluates the hypergeometric sums
 S_j, their differential-operator images and contiguity defects behind the
 operator/differential-operator commutation argument, all from scipy's
 `hyp2f1`.  The kernel image of the j-th mode is
-Omega_j [S_j(X) + (-1)^j S_j(1-X)].
+Omega_j [S_j(X) + (-1)^j S_j(1-X)], with
+Omega_j = Gamma(3/4) Gamma(j+1/2) / (Gamma(5/4) j!).
 
 scipy.special is imported inside the functions that call it, once per
 call and never per node, so the occupations and normalizations, which
@@ -47,7 +48,6 @@ class KernelSpec:
 class Orbital:
     """Normalized effective single-particle state on the unit box."""
 
-    j: int
     normalization: float
     evaluate: Callable
 
@@ -94,7 +94,7 @@ def orbital(j: int) -> Orbital:
         X = np.asarray(X, dtype=float)
         return norm * (X * (1.0 - X)) ** 0.125 * eval_gegenbauer(j, 0.25, 2.0 * X - 1.0)
 
-    return Orbital(j=j, normalization=norm, evaluate=evaluate)
+    return Orbital(normalization=norm, evaluate=evaluate)
 
 
 def eigen_residual(j: int, X: float) -> float:
@@ -131,13 +131,6 @@ def _series_coefficients(j: int) -> np.ndarray:
     for k in range(j):
         out[k + 1] = out[k] * (-j + k) * (j + 0.5 + k) / ((k + 1.0) * (0.75 + k))
     return out
-
-
-def omega(j: int) -> float:
-    """Prefactor Omega_j = Gamma(3/4)/Gamma(5/4) * Gamma(j+1/2)/j! of the
-    kernel image Omega_j [S_j(X) + (-1)^j S_j(1-X)]."""
-    return math.exp(log_gamma(0.75) - log_gamma(1.25)
-                    + log_gamma(j + 0.5) - log_gamma(j + 1.0))
 
 
 def appendix_s(j: int, z: float) -> float:

@@ -5,8 +5,8 @@ from the Jacobi recurrence; the charge rule, which
 splits (0, 1) at every power-law singularity |y - x|^(2q) so that each
 panel absorbs the powers at its two edges, and integrates against it to a
 certified tolerance by order doubling; tensor-product integration up to
-three dimensions, equal-weight periodic rules on (-pi, pi)^m, and the
-Jacobi three-term recurrence with its orthonormal polynomials.
+three dimensions, equal-weight periodic rules on (-pi, pi)^m, m <= 2,
+and the Jacobi three-term recurrence.
 
 These serve both as production evaluators and as the independent oracles
 the closed forms are tested against.
@@ -93,30 +93,19 @@ def tensor_integrate(f: Callable, rules: Sequence[QuadratureRule]) -> float:
 
 
 def periodic_integrate(f: Callable, m: int, points_per_axis: int):
-    """Equal-weight rule for a 2pi-periodic integrand over (-pi, pi)^m, m <= 3.
+    """Equal-weight rule for a 2pi-periodic integrand over (-pi, pi)^m, m <= 2.
 
     Uses the midpoint-offset grid; spectrally accurate for smooth periodic
-    integrands.  The integrand may return complex values.  Evaluation is
-    chunked along the first axis to about 4M grid points to bound memory.
+    integrands.  The integrand may return complex values and is evaluated
+    on the whole grid at once.
     """
-    if m not in (1, 2, 3):
-        raise DomainError(f"periodic_integrate supports 1 <= m <= 3, got {m}")
+    if m not in (1, 2):
+        raise DomainError(f"periodic_integrate supports 1 <= m <= 2, got {m}")
     n = points_per_axis
     h = 2.0 * math.pi / n
     theta = -math.pi + (np.arange(n) + 0.5) * h
-    if m == 1:
-        return complex(np.sum(f(theta))) * h
-
-    rows_per_chunk = max(1, (1 << 22) // n ** (m - 1))
-    total = 0.0 + 0.0j
-    for start in range(0, n, rows_per_chunk):
-        block = theta[start : start + rows_per_chunk]
-        if m == 2:
-            vals = f(block[:, None], theta[None, :])
-        else:
-            vals = f(block[:, None, None], theta[None, :, None], theta[None, None, :])
-        total += complex(np.sum(vals))
-    return total * h**m
+    axes = (theta,) if m == 1 else (theta[:, None], theta[None, :])
+    return complex(np.sum(f(*axes))) * h**m
 
 
 def _grading(a: float, b: float, points: Sequence, order: int) -> list:
@@ -240,16 +229,3 @@ def jacobi_recurrence(n_terms: int, lambda1: float, lambda2: float):
                     / (c * c * (c + 1.0) * (c - 1.0))) / 2.0
     mu0 = math.exp(log_beta(lambda1 + 1.0, lambda2 + 1.0))
     return a, b, mu0
-
-
-def orthonormal_polynomials(n_max: int, lambda1: float, lambda2: float, x) -> np.ndarray:
-    """Values p_j(x), j = 0..n_max, orthonormal against x^lambda1 (1-x)^lambda2."""
-    x = np.asarray(x, dtype=float)
-    a, b, mu0 = jacobi_recurrence(n_max + 1, lambda1, lambda2)
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0 / math.sqrt(mu0)
-    if n_max >= 1:
-        out[1] = (x - a[0]) * out[0] / b[1]
-    for k in range(1, n_max):
-        out[k + 1] = ((x - a[k]) * out[k] - b[k] * out[k - 1]) / b[k + 1]
-    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -305,12 +306,13 @@ class TestPartitionRatioBruteForce:
 
 def _duality_grid_sum(case, points):
     # the circular side's m-fold product integrand on the full periodic grid
-    e = (case.params.lambda1 - case.params.lambda2 - case.n) / 2.0
-    p = case.params.lambda1 + case.params.lambda2 + case.n
+    n = case.params.n
+    e = (case.params.lambda1 - case.params.lambda2 - n) / 2.0
+    p = case.params.lambda1 + case.params.lambda2 + n
 
     def f(theta):
         return (np.exp(1j * e * theta) * (2.0 * np.cos(0.5 * theta)) ** p
-                * (case.t * (1.0 + np.exp(1j * theta)) - 1.0) ** case.n)
+                * (case.t * (1.0 + np.exp(1j * theta)) - 1.0) ** n)
 
     def integrand(*thetas):
         val = 1.0
@@ -329,14 +331,14 @@ class TestDuality:
     @pytest.mark.parametrize("t", [0.3, 0.7])
     def test_identity(self, lam, t):
         params = EnsembleParams(n=2, lambda1=lam, lambda2=lam)
-        case = DualityCase(n=2, m=2, t=t, params=params)
+        case = DualityCase(m=2, t=t, params=params)
         lhs = duality_lhs(case)
         rhs = duality_rhs(case)
         assert abs(lhs - rhs) <= 1e-6 * abs(lhs)
 
     def test_large_n_routes_through_heine(self):
         params = EnsembleParams(n=8, lambda1=0.5, lambda2=0.5)
-        case = DualityCase(n=8, m=2, t=0.4, params=params)
+        case = DualityCase(m=2, t=0.4, params=params)
         val = duality_lhs(case)
         assert val == pytest.approx(
             average_even_power_heine(params, 0.4, 2).value(), rel=1e-12)
@@ -345,13 +347,13 @@ class TestDuality:
         # periodic grids lost up to 1.5e-5 to cancellation at n = 40 near the
         # edges of t, and were 4e-9 off here
         params = EnsembleParams(n=40, lambda1=-0.5, lambda2=-0.5)
-        case = DualityCase(n=40, m=2, t=0.1, params=params)
+        case = DualityCase(m=2, t=0.1, params=params)
         lhs = duality_lhs(case)
         assert abs(duality_rhs(case) - lhs) <= 1e-10 * abs(lhs)
 
     def test_unequal_exponents(self):
         params = EnsembleParams(n=1, lambda1=-0.7, lambda2=0.2)
-        case = DualityCase(n=1, m=2, t=0.4, params=params)
+        case = DualityCase(m=2, t=0.4, params=params)
         lhs = duality_lhs(case)
         assert abs(duality_rhs(case) - lhs) <= 1e-12 * abs(lhs)
 
@@ -363,14 +365,14 @@ class TestDuality:
     def test_charge_near_an_endpoint(self, n, m, l1, l2, t, tol):
         # the Jacobi side's panel from t to the far endpoint is graded toward
         # the near endpoint; ungraded it was off by 1.0e-6, 3.1e-7 and 2.0e-9
-        case = DualityCase(n=n, m=m, t=t, params=EnsembleParams(n=n, lambda1=l1, lambda2=l2))
+        case = DualityCase(m=m, t=t, params=EnsembleParams(n=n, lambda1=l1, lambda2=l2))
         lhs = duality_lhs(case)
         assert abs(duality_rhs(case) - lhs) <= tol * abs(lhs)
 
     def test_odd_power_rejected(self):
         params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
         with pytest.raises(DomainError):
-            DualityCase(n=2, m=3, t=0.5, params=params)
+            DualityCase(m=3, t=0.5, params=params)
 
     @pytest.mark.parametrize("points", [64, 128])
     @pytest.mark.parametrize("lam", [-0.5, 0.5])
@@ -382,7 +384,7 @@ class TestDuality:
         # integrand is its exact integral.
         l1 = lam + 0.5
         params = EnsembleParams(n=n, lambda1=l1, lambda2=l1 + n)
-        case = DualityCase(n=n, m=2, t=0.3, params=params)
+        case = DualityCase(m=2, t=0.3, params=params)
         log_const = (duality_constant_A(params, 2).log_abs
                      - morris_closed(MorrisParams(2, 0.0, 0.0)).log_abs)
         oracle = math.exp(log_const) * _duality_grid_sum(case, points)
@@ -408,7 +410,7 @@ class TestDuality:
             det = mp.det(mp.matrix([[coeff(i - j) for j in range(m)] for i in range(m)]))
         params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
         ref = float(det) * math.exp(duality_constant_A(params, m).log_abs)
-        val = duality_rhs(DualityCase(n=n, m=m, t=t, params=params))
+        val = duality_rhs(DualityCase(m=m, t=t, params=params))
         assert abs(val / ref - 1.0) <= 1e-12
 
     @settings(max_examples=50, deadline=None)
@@ -417,7 +419,7 @@ class TestDuality:
     @example(n=2, m=4, lam=-0.375, t=0.125)
     def test_identity_property(self, n, m, lam, t):
         params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
-        case = DualityCase(n=n, m=m, t=t, params=params)
+        case = DualityCase(m=m, t=t, params=params)
         lhs = duality_lhs(case)
         assert abs(duality_rhs(case) - lhs) <= 1e-6 * abs(lhs)
 
@@ -551,5 +553,6 @@ class TestMonteCarloDensityMatrix:
     def test_estimate_metadata(self):
         query = DensityMatrixQuery(N=3, X=0.3, Y=0.6)
         est = mc_density_matrix(query, M=150, master_seed=99)
-        assert est.m_samples == 150 and est.master_seed == 99
+        # the sample count and seed are the caller's arguments, not repeated here
+        assert [f.name for f in dataclasses.fields(est)] == ["value", "std_error"]
         assert est.std_error > 0.0

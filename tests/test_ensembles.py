@@ -6,9 +6,9 @@ import pytest
 from selberg_gas import ensembles
 from selberg_gas import quadrature as quad
 from selberg_gas.ensembles import (
-    RngStream,
     SamplingError,
     map_sample_blocks,
+    rng_stream,
     sample_jue_block,
     sample_jue_halfhalf,
 )
@@ -35,8 +35,8 @@ def jue_average(fn, n, lambda1, lambda2, order=40):
 
 class TestStreams:
     def test_bit_reproducibility(self):
-        a = sample_jue_halfhalf(14, RngStream(42, 5))
-        b = sample_jue_halfhalf(14, RngStream(42, 5))
+        a = sample_jue_halfhalf(14, rng_stream(42, 5))
+        b = sample_jue_halfhalf(14, rng_stream(42, 5))
         assert np.array_equal(a, b)
         params = EnsembleParams(n=14, lambda1=-0.5, lambda2=-0.5)
         a = sample_jue_block(params, 42, 5, 32)
@@ -44,15 +44,22 @@ class TestStreams:
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_jue_halfhalf(6, RngStream(42, 0))
-        b = sample_jue_halfhalf(6, RngStream(42, 1))
+        a = sample_jue_halfhalf(6, rng_stream(42, 0))
+        b = sample_jue_halfhalf(6, rng_stream(42, 1))
         assert not np.array_equal(a, b)
 
     def test_sequence_advances(self):
-        stream = RngStream(9)
-        a = sample_jue_halfhalf(3, stream)
-        b = sample_jue_halfhalf(3, stream)
+        gen = rng_stream(9, 0)
+        a = sample_jue_halfhalf(3, gen)
+        b = sample_jue_halfhalf(3, gen)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", (1, 14))
+    def test_one_row_is_row_zero_of_the_block(self, n):
+        # the one-row path draws what the block sampler draws first
+        params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
+        assert np.array_equal(sample_jue_halfhalf(n, rng_stream(42, 5)),
+                              sample_jue_block(params, 42, 5, 32)[0])
 
 
 class TestRecurrenceSampler:
@@ -60,8 +67,7 @@ class TestRecurrenceSampler:
     three-term recurrence whose zeros carry the ensemble law."""
 
     def test_single_point_is_beta(self):
-        vals = np.array([sample_jue_halfhalf(1, RngStream(3, k))[0]
-                         for k in range(20000)])
+        vals = draw(EnsembleParams(n=1, lambda1=0.5, lambda2=0.5), 3, 20000)[:, 0]
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 0.5) <= 3.0 * se
         sq = (vals - vals.mean()) ** 2
@@ -84,7 +90,7 @@ class TestRecurrenceSampler:
 
     def test_support_and_order(self):
         for k in range(300):
-            pts = sample_jue_halfhalf(14, RngStream(23, k))
+            pts = sample_jue_halfhalf(14, rng_stream(23, k))
             assert pts[0] > 0.0 and pts[-1] < 1.0
             assert np.all(np.diff(pts) > 0.0)
 
@@ -97,7 +103,7 @@ class TestRecurrenceSampler:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sample_jue_halfhalf(0, RngStream(1))
+            sample_jue_halfhalf(0, rng_stream(1, 0))
 
 
 def with_row_three(monkeypatch, row):
@@ -150,13 +156,12 @@ class TestBlockSampler:
     @pytest.mark.parametrize("M", (1, 31, 32, 33, 100))
     def test_one_generator_per_block(self, monkeypatch, M):
         built = []
-        generator = RngStream.generator
 
-        def counting(stream):
-            built.append(stream.stream_index)
-            return generator(stream)
+        def counting(master_seed, index):
+            built.append(index)
+            return rng_stream(master_seed, index)
 
-        monkeypatch.setattr(RngStream, "generator", counting)
+        monkeypatch.setattr(ensembles, "rng_stream", counting)
         params = EnsembleParams(n=14, lambda1=0.5, lambda2=0.5)
         assert len(draw(params, 3, M)) == M
         assert sorted(built) == list(range(-(-M // block_size(14))))

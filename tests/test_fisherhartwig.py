@@ -16,6 +16,7 @@ from selberg_gas.exact import (
 from selberg_gas.specfun import DomainError, log_barnes_g, log_beta
 
 import tensor_oracle
+from polynomial_oracle import orthonormal_polynomials
 
 
 def params_for(n, l1=0.5, l2=0.5):
@@ -151,7 +152,7 @@ def explicit_log_det(symbol, N):
 def gram_matrix(params, symbol, n_max):
     # the Gram matrix the ladder factorises, built the same way
     rule = quad.charge_rule(params.lambda1, params.lambda2, symbol.singularities, n_max + 30)
-    p = quad.orthonormal_polynomials(n_max - 1, params.lambda1, params.lambda2, rule.nodes)
+    p = orthonormal_polynomials(n_max - 1, params.lambda1, params.lambda2, rule.nodes)
     return (p * rule.weights) @ p.T
 
 

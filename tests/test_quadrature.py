@@ -8,6 +8,8 @@ from scipy.special import roots_jacobi
 from selberg_gas import quadrature as quad
 from selberg_gas.specfun import DomainError, log_beta
 
+from polynomial_oracle import orthonormal_polynomials
+
 
 class TestGaussRules:
     def test_legendre_two_point(self):
@@ -36,7 +38,7 @@ class TestGaussRules:
         order = 16
         l1, l2 = 0.5, -0.25
         rule = quad.power_panel(0.0, 1.0, l1, l2, order)
-        polys = quad.orthonormal_polynomials(order, l1, l2, rule.nodes)
+        polys = orthonormal_polynomials(order, l1, l2, rule.nodes)
         for k in range(1, order + 1):
             assert abs(float(np.sum(rule.weights * polys[k]))) <= 1e-12
 
@@ -129,7 +131,7 @@ class TestTensorIntegrate:
 
 class TestPeriodicIntegrate:
     def test_normalization(self):
-        for m in (1, 2, 3):
+        for m in (1, 2):
             val = quad.periodic_integrate(
                 lambda *t: np.broadcast_arrays(*t)[0] * 0.0 + (2.0 * math.pi) ** -m,
                 m, 16)
@@ -145,6 +147,12 @@ class TestPeriodicIntegrate:
             lambda a, b: np.abs(np.exp(1j * b) - np.exp(1j * a)) ** 2
             / (2.0 * math.pi) ** 2, 2, 48)
         assert complex(val).real == pytest.approx(2.0, rel=1e-13)
+
+    def test_dimension_cap(self):
+        # the whole m <= 2 grid is one array; no caller integrates in more
+        for m in (0, 3):
+            with pytest.raises(DomainError, match="1 <= m <= 2"):
+                quad.periodic_integrate(lambda *t: 1.0, m, 4)
 
     def test_trig_polynomial_exactness(self):
         points = 32
@@ -258,6 +266,6 @@ class TestRecurrence:
     def test_orthonormality(self):
         l1, l2 = -0.5, 0.5
         rule = quad.power_panel(0.0, 1.0, l1, l2, 40)
-        polys = quad.orthonormal_polynomials(10, l1, l2, rule.nodes)
+        polys = orthonormal_polynomials(10, l1, l2, rule.nodes)
         gram = (polys * rule.weights) @ polys.T
         assert np.abs(gram - np.eye(11)).max() <= 1e-12
