@@ -26,7 +26,6 @@ from .averages import (
     density_matrix_exact,
     duality_lhs,
     duality_rhs,
-    mc_density_matrix,
 )
 from .ensembles import map_sample_blocks, rng_stream, sample_jue_block, sample_jue_halfhalf
 from .orbitals import KernelSpec, Orbital, apply_kernel, orbital, scaled_occupation

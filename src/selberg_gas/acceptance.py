@@ -55,12 +55,12 @@ def criterion_1_table1(seed: int = 42, threads: int = 1) -> CriterionResult:
     """Ten MC/asymptote ratios at N = 14 from 5000 samples at the standard X
     grid, bands [0.88, 1.17] pointwise and [0.97, 1.06] on the mean;
     single-threaded runtime cap."""
-    start = time.time()
+    start = time.perf_counter()
     queries = [DensityMatrixQuery(N=14, X=x, Y=1.0 - x) for x in TABLE1_XS]
     estimates = mc_density_matrix_table(queries, 5000, seed, threads)
     ratios = [est.value / density_matrix_asymptote(q)
               for q, est in zip(queries, estimates)]
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     in_band = all(0.88 <= r <= 1.17 for r in ratios)
     mean = sum(ratios) / len(ratios)
     mean_ok = 0.97 <= mean <= 1.06

@@ -58,21 +58,6 @@ class DualityCase:
             raise DomainError(f"duality power m must be even and >= 2, got {self.m}")
 
 
-def pairwise_sum(values) -> float:
-    """Fixed-order pairwise reduction; bit-stable across worker counts."""
-    a = np.asarray(values, dtype=float).ravel().copy()
-    if a.size == 0:
-        return 0.0
-    size = 1
-    while size < a.size:
-        size <<= 1
-    if size != a.size:
-        a = np.concatenate([a, np.zeros(size - a.size)])
-    while a.size > 1:
-        a = a[0::2] + a[1::2]
-    return float(a[0])
-
-
 def average_even_power_heine(params: EnsembleParams, t: float, m: int) -> LogMagnitude:
     """< prod_l (t - x_l)^m > for even m by Heine's identity.
 
@@ -156,22 +141,22 @@ def _dm_prefactor(query: DensityMatrixQuery) -> float:
     # and the exact value
     X, Y = query.X, query.Y
     if query.boundary == BOUNDARY_DIRICHLET:
-        # on the Table 1 line Y = 1 - X the root is X(1 - X); the rounded
-        # product under the root would miss it by an ulp
-        root = (X * (1.0 - X) if Y == 1.0 - X
-                else math.sqrt((X * (1.0 - X)) * (Y * (1.0 - Y))))
-        return 8.0 * query.rho / (query.N + 1) * root
+        return 8.0 * query.rho / (query.N + 1) * math.sqrt((X * (1.0 - X)) * (Y * (1.0 - Y)))
     return 0.5 * query.rho / (query.N + 1)
 
 
 def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
                             master_seed: int, threads: int = 1) -> list:
-    """Monte Carlo estimates for several (X, Y) points off one sample set.
+    """Monte Carlo density-matrix estimates for several (X, Y) points off
+    one sample set.
 
     `ensembles.map_sample_blocks` draws samples 0..M-1, each a function of
-    (N, boundary, master_seed, k) alone, and spreads their blocks over
-    `threads`, so the result for each query is bit-identical to a
-    standalone run with the same seed, independent of the thread count.
+    (N, boundary, master_seed, k) alone, spreads their blocks over
+    `threads` and returns each block's log-products in block order.  They
+    are joined into one (queries, M) array whose samples axis is
+    contiguous, so each estimate is one numpy mean and standard deviation
+    along it: bit for bit the reduction of the samples taken one at a
+    time, whatever the thread count.
     """
     if M < 100:
         raise DomainError(f"M must be >= 100 for meaningful error bars, got {M}")
@@ -185,36 +170,24 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
     xs4 = 4.0 * np.array([[q.X] for q in queries])
     ys4 = 4.0 * np.array([[q.Y] for q in queries])
 
-    def block_products(spectra: np.ndarray) -> np.ndarray:
-        # prod_l 16 |X - x_l| |Y - x_l| for every (sample, query) of a block
-        # of spectra, summed in log space along the contiguous last axis of a
-        # (rows, queries, N) array; math.exp, not np.exp, gives each value
-        # the bits of a scalar loop
+    def block_log_products(spectra: np.ndarray) -> np.ndarray:
+        # log prod_l 16 |X - x_l| |Y - x_l| for every (sample, query) of a
+        # block of spectra, summed along the contiguous last axis of a
+        # (rows, queries, N) array
         pts4 = 4.0 * spectra[:, None, :]
-        logp = (np.log(np.abs(xs4 - pts4)).sum(axis=-1)
+        return (np.log(np.abs(xs4 - pts4)).sum(axis=-1)
                 + np.log(np.abs(ys4 - pts4)).sum(axis=-1))
-        return np.array([math.exp(v) for v in logp.ravel().tolist()]).reshape(logp.shape)
 
-    products = np.concatenate(map_sample_blocks(block_products, params, master_seed, M, threads))
-
-    estimates = []
-    for i, query in enumerate(queries):
-        pref = _dm_prefactor(query)
-        vals = pref * products[:, i]
-        mean = pairwise_sum(vals) / M
-        var = pairwise_sum((vals - mean) ** 2) / (M - 1)
-        estimates.append(MCEstimate(value=mean, std_error=math.sqrt(var / M)))
-    return estimates
-
-
-def mc_density_matrix(query: DensityMatrixQuery, M: int, master_seed: int,
-                      threads: int = 1) -> MCEstimate:
-    """Monte Carlo density-matrix estimator at one point (X, Y).
-
-    Per-sample eigenvalue products are accumulated in log space; the
-    reduction over samples is a fixed-order pairwise sum.
-    """
-    return mc_density_matrix_table([query], M, master_seed, threads)[0]
+    # numpy reduces a contiguous axis in the order it reduces a 1-D array;
+    # a strided one it would sum in another order
+    logp = np.ascontiguousarray(
+        np.concatenate(map_sample_blocks(block_log_products, params, master_seed, M,
+                                         threads)).T)
+    prefactors = np.array([[_dm_prefactor(q)] for q in queries])
+    vals = prefactors * np.exp(logp)
+    means = vals.mean(axis=1).tolist()
+    errors = (vals.std(axis=1, ddof=1) / math.sqrt(M)).tolist()
+    return [MCEstimate(value=m, std_error=e) for m, e in zip(means, errors)]
 
 
 def density_matrix_exact(query: DensityMatrixQuery) -> float:

@@ -21,7 +21,6 @@ from .averages import (
     DualityCase,
     duality_lhs,
     duality_rhs,
-    mc_density_matrix,
     mc_density_matrix_table,
 )
 from .ensembles import map_sample_blocks
@@ -94,7 +93,7 @@ def _run_dm_asym(ns):
 
 def _run_dm_mc(ns):
     query = DensityMatrixQuery(N=ns.n, X=ns.x, Y=ns.y, boundary=ns.boundary)
-    est = mc_density_matrix(query, ns.m_samples, ns.seed, ns.threads)
+    est = mc_density_matrix_table([query], ns.m_samples, ns.seed, ns.threads)[0]
     return [{"value": est.value, "std_error": est.std_error, "m_samples": ns.m_samples}]
 
 

@@ -92,7 +92,7 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     x, w = rule.nodes, rule.weights
     mass = float(np.sum(w))
     if not (mass > 0.0 and math.isfinite(mass)):
-        raise DomainError(f"Gram determinant lost positivity below n = {n_max}")
+        raise DomainError("Hankel ladder lost positivity below n = 1")
     v, v_prev = np.sqrt(w / mass), np.zeros_like(w)
     log_b = np.empty(n_max)
     log_b[0] = 0.5 * math.log(mass / mu0)
@@ -105,7 +105,7 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
         # residual below sqrt(eps) keeps less than half its digits, and a
         # rule with too few nodes leaves about 1e-16
         if not (b_cur > _RESIDUAL_FLOOR and math.isfinite(b_cur)):
-            raise DomainError(f"Gram determinant lost positivity below n = {n_max}")
+            raise DomainError(f"Hankel ladder lost positivity below n = {k + 1}")
         log_b[k] = math.log(b_cur) - math.log(b[k])
         v_prev, v, b_prev = v, r / b_cur, b_cur
     logs = np.concatenate(([0.0], np.cumsum(2.0 * np.cumsum(log_b))))

@@ -15,9 +15,7 @@ from selberg_gas.averages import (
     density_matrix_exact,
     duality_lhs,
     duality_rhs,
-    mc_density_matrix,
     mc_density_matrix_table,
-    pairwise_sum,
 )
 from selberg_gas import averages
 from selberg_gas.acceptance import TABLE1_XS
@@ -44,23 +42,6 @@ def engine_average(params, charges):
 def balanced_ratio(params, charges):
     return math.exp(fh.hankel_balanced_log_ratio(
         params, fh.SymbolSpec(singularities=charges), params.n))
-
-
-class TestPairwiseSum:
-    def test_matches_fsum(self):
-        rng = np.random.default_rng(3)
-        vals = rng.standard_normal(777) * 10.0**rng.integers(-3, 3, 777)
-        assert pairwise_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-13)
-
-    def test_empty(self):
-        assert pairwise_sum([]) == 0.0
-
-    @given(st.lists(st.floats(-1e200, 1e200), min_size=1, max_size=300))
-    def test_matches_fsum_property(self, vals):
-        # pairwise error bound: ceil(log2 n) roundings along each path
-        depth = math.ceil(math.log2(len(vals)))
-        bound = depth * 2.0**-52 * math.fsum(abs(v) for v in vals)
-        assert abs(pairwise_sum(vals) - math.fsum(vals)) <= bound
 
 
 class TestBruteForce:
@@ -455,8 +436,8 @@ class TestExactDensityMatrix:
         off = density_matrix_exact(
             DensityMatrixQuery(N=6, X=0.3, Y=0.3 + 1e-9, boundary=boundary))
         assert abs(on - off) <= 1e-8 * on
-        est = mc_density_matrix(DensityMatrixQuery(N=6, X=0.3, Y=0.3, boundary=boundary),
-                                M=4000, master_seed=1)
+        est = mc_density_matrix_table(
+            [DensityMatrixQuery(N=6, X=0.3, Y=0.3, boundary=boundary)], 4000, 1)[0]
         assert abs(est.value - on) <= 3.5 * est.std_error
 
     def test_large_n_approaches_asymptote(self):
@@ -472,34 +453,19 @@ class TestMonteCarloDensityMatrix:
     def test_matches_bruteforce_small_system(self):
         query = DensityMatrixQuery(N=2, X=0.3, Y=0.7)
         exact_val = density_matrix_exact(query)
-        est = mc_density_matrix(query, M=4000, master_seed=11)
+        est = mc_density_matrix_table([query], 4000, 11)[0]
         assert abs(est.value - exact_val) <= 3.5 * est.std_error
 
     def test_neumann_matches_bruteforce(self):
         query = DensityMatrixQuery(N=2, X=0.25, Y=0.75, boundary="neumann")
         exact_val = density_matrix_exact(query)
-        est = mc_density_matrix(query, M=600, master_seed=13)
+        est = mc_density_matrix_table([query], 600, 13)[0]
         assert abs(est.value - exact_val) <= 3.5 * est.std_error
 
-    def test_specialized_diagonal_path_bitwise(self):
-        # the general (X, Y) estimator at Y = 1-X reproduces the specialized
-        # X(1-X) prefactor exactly, bit for bit
-        N, X, M, seed = 5, 0.2, 64, 21
-        query = DensityMatrixQuery(N=N, X=X, Y=1.0 - X)
-        with pytest.raises(DomainError):
-            mc_density_matrix(query, M=M, master_seed=seed)  # M below floor
-        M = 128
-        est = mc_density_matrix(query, M=M, master_seed=seed)
-
-        rho = query.rho
-        pref = 8.0 * rho / (N + 1) * (X * (1.0 - X))
-        vals = np.empty(M)
-        samples = reference_samples(EnsembleParams(n=N, lambda1=0.5, lambda2=0.5), seed, M)
-        for k, pts in enumerate(samples):
-            logp = (np.log(np.abs(4.0 * X - 4.0 * pts)).sum()
-                    + np.log(np.abs(4.0 * (1.0 - X) - 4.0 * pts)).sum())
-            vals[k] = pref * math.exp(logp)
-        assert pairwise_sum(vals) / M == est.value
+    def test_m_below_floor_is_a_domain_error(self):
+        query = DensityMatrixQuery(N=5, X=0.2, Y=0.8)
+        with pytest.raises(DomainError, match="M must be >= 100"):
+            mc_density_matrix_table([query], 99, 21)
 
     def test_empty_query_list_rejected(self):
         with pytest.raises(DomainError, match="at least one query"):
@@ -507,7 +473,7 @@ class TestMonteCarloDensityMatrix:
 
     def test_no_overflow_long_products(self):
         query = DensityMatrixQuery(N=100, X=0.49, Y=0.51)
-        est = mc_density_matrix(query, M=100, master_seed=3)
+        est = mc_density_matrix_table([query], 100, 3)[0]
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
         assert est.value > 0.0
 
@@ -531,7 +497,7 @@ class TestMonteCarloDensityMatrix:
     @pytest.mark.parametrize("boundary", ("dirichlet", "neumann"))
     def test_readme_seed_matches_per_sample_loop(self, boundary):
         # the README's Table 1 run (N = 14, M = 5000, seed 42) and its dm-mc
-        # point, against one sample and one scalar log-sum at a time
+        # point, against one sample, one log-sum and one exp at a time
         N, M, seed = 14, 5000, 42
         lam = 0.5 if boundary == "dirichlet" else -0.5
         params = EnsembleParams(n=N, lambda1=lam, lambda2=lam)
@@ -539,20 +505,20 @@ class TestMonteCarloDensityMatrix:
         queries = [DensityMatrixQuery(N=N, X=X, Y=1.0 - X, boundary=boundary)
                    for X in TABLE1_XS]
         point = DensityMatrixQuery(N=N, X=0.2, Y=0.8, boundary=boundary)
-        got = mc_density_matrix_table(queries, M, seed) + [mc_density_matrix(point, M, seed)]
+        got = (mc_density_matrix_table(queries, M, seed)
+               + mc_density_matrix_table([point], M, seed))
         for query, est in zip(queries + [point], got):
             vals = np.array([
                 averages._dm_prefactor(query)
-                * math.exp(np.log(np.abs(4.0 * query.X - 4.0 * pts)).sum()
-                           + np.log(np.abs(4.0 * query.Y - 4.0 * pts)).sum())
+                * np.exp(np.log(np.abs(4.0 * query.X - 4.0 * pts)).sum()
+                         + np.log(np.abs(4.0 * query.Y - 4.0 * pts)).sum())
                 for pts in samples])
-            mean = pairwise_sum(vals) / M
-            var = pairwise_sum((vals - mean) ** 2) / (M - 1)
-            assert est.value == mean and est.std_error == math.sqrt(var / M)
+            assert est.value == vals.mean()
+            assert est.std_error == vals.std(ddof=1) / math.sqrt(M)
 
     def test_estimate_metadata(self):
         query = DensityMatrixQuery(N=3, X=0.3, Y=0.6)
-        est = mc_density_matrix(query, M=150, master_seed=99)
+        est = mc_density_matrix_table([query], 150, 99)[0]
         # the sample count and seed are the caller's arguments, not repeated here
         assert [f.name for f in dataclasses.fields(est)] == ["value", "std_error"]
         assert est.std_error > 0.0

@@ -211,6 +211,9 @@ class TestLadders:
             fh.hankel_log_ratios(params_for(3), fh.SymbolSpec(), (1, 2, 3)), 0.0, atol=1e-14)
         with pytest.raises(DomainError, match="lost positivity below n = 4"):
             fh.hankel_log_ratios(params_for(4), fh.SymbolSpec(), (4,))
+        # the message names the rung that failed, not the largest size asked for
+        with pytest.raises(DomainError, match="^Hankel ladder lost positivity below n = 4$"):
+            fh.hankel_log_ratios(params_for(6), fh.SymbolSpec(), (2, 6))
 
     def test_non_finite_weights_are_a_domain_error(self, monkeypatch):
         def poisoned(lambda1, lambda2, charges, order):
