@@ -30,7 +30,7 @@ from .exact import (
     LogMagnitude,
     duality_constant_A,
 )
-from .ensembles import map_sample_blocks
+from .ensembles import map_sample_blocks, tridiagonal_block, tridiagonal_log_dets
 # perfbench/tests/test_bench_tracer.py checks that this name is re-exported here
 from .ensembles import sample_jue_halfhalf  # noqa: F401
 from .specfun import DomainError, log_gamma
@@ -152,11 +152,15 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
 
     `ensembles.map_sample_blocks` draws samples 0..M-1, each a function of
     (N, boundary, master_seed, k) alone, spreads their blocks over
-    `threads` and returns each block's log-products in block order.  They
-    are joined into one (queries, M) array whose samples axis is
-    contiguous, so each estimate is one numpy mean and standard deviation
-    along it: bit for bit the reduction of the samples taken one at a
-    time, whatever the thread count.
+    `threads` and returns each block's Jacobi matrices T as tridiagonal
+    pairs, in block order.  Each sample's log prod_l 16 |X - x_l| |Y - x_l|
+    is log |det(4X - 4T)| + log |det(4Y - 4T)|, taken without eigenvalues
+    by the pivot recurrence `ensembles.tridiagonal_log_dets`, in one call
+    over the M samples joined (16 M N bytes) and every X and Y.  That gives
+    one (queries, M) array whose samples axis is contiguous, so each
+    estimate is one numpy mean and standard deviation along it: bit for bit
+    the reduction of the samples taken one at a time, whatever the thread
+    count.
     """
     if M < 100:
         raise DomainError(f"M must be >= 100 for meaningful error bars, got {M}")
@@ -167,22 +171,15 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
 
     lam = queries[0].weight_exponent()
     params = EnsembleParams(n=queries[0].N, lambda1=lam, lambda2=lam)
-    xs4 = 4.0 * np.array([[q.X] for q in queries])
-    ys4 = 4.0 * np.array([[q.Y] for q in queries])
-
-    def block_log_products(spectra: np.ndarray) -> np.ndarray:
-        # log prod_l 16 |X - x_l| |Y - x_l| for every (sample, query) of a
-        # block of spectra, summed along the contiguous last axis of a
-        # (rows, queries, N) array
-        pts4 = 4.0 * spectra[:, None, :]
-        return (np.log(np.abs(xs4 - pts4)).sum(axis=-1)
-                + np.log(np.abs(ys4 - pts4)).sum(axis=-1))
-
-    # numpy reduces a contiguous axis in the order it reduces a 1-D array;
-    # a strided one it would sum in another order
-    logp = np.ascontiguousarray(
-        np.concatenate(map_sample_blocks(block_log_products, params, master_seed, M,
-                                         threads)).T)
+    pairs = map_sample_blocks(lambda pair: pair, params, master_seed, M, threads,
+                              draw=tridiagonal_block)
+    diag, off_sq = (np.concatenate(part) for part in zip(*pairs))
+    # scaling by 4 and 16 is exact; the pivots are those of X - T times 4
+    points = 4.0 * np.array([q.X for q in queries] + [q.Y for q in queries])
+    log_dets = tridiagonal_log_dets(points, 4.0 * diag, 16.0 * off_sq)
+    # (queries, M), samples axis contiguous: numpy reduces it in the order it
+    # reduces a 1-D array, a strided one it would sum in another order
+    logp = log_dets[:len(queries)] + log_dets[len(queries):]
     prefactors = np.array([[_dm_prefactor(q)] for q in queries])
     vals = prefactors * np.exp(logp)
     means = vals.mean(axis=1).tolist()

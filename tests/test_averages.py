@@ -19,7 +19,7 @@ from selberg_gas.averages import (
 )
 from selberg_gas import averages
 from selberg_gas.acceptance import TABLE1_XS
-from selberg_gas.ensembles import map_sample_blocks
+from selberg_gas.ensembles import map_sample_blocks, tridiagonal_block, tridiagonal_log_dets
 from selberg_gas.exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -31,7 +31,7 @@ from selberg_gas.exact import (
 from selberg_gas.specfun import DomainError
 
 import tensor_oracle
-from sampler_oracle import reference_samples
+from sampler_oracle import reference_log_det, reference_pairs, reference_samples
 
 
 def engine_average(params, charges):
@@ -497,11 +497,13 @@ class TestMonteCarloDensityMatrix:
     @pytest.mark.parametrize("boundary", ("dirichlet", "neumann"))
     def test_readme_seed_matches_per_sample_loop(self, boundary):
         # the README's Table 1 run (N = 14, M = 5000, seed 42) and its dm-mc
-        # point, against one sample, one log-sum and one exp at a time
+        # point, against one sample, one scalar pivot loop and one exp at a
+        # time
         N, M, seed = 14, 5000, 42
         lam = 0.5 if boundary == "dirichlet" else -0.5
         params = EnsembleParams(n=N, lambda1=lam, lambda2=lam)
-        samples = reference_samples(params, seed, M)
+        pairs = [(4.0 * diag, 16.0 * off_sq)
+                 for diag, off_sq in reference_pairs(params, seed, M)]
         queries = [DensityMatrixQuery(N=N, X=X, Y=1.0 - X, boundary=boundary)
                    for X in TABLE1_XS]
         point = DensityMatrixQuery(N=N, X=0.2, Y=0.8, boundary=boundary)
@@ -510,11 +512,36 @@ class TestMonteCarloDensityMatrix:
         for query, est in zip(queries + [point], got):
             vals = np.array([
                 averages._dm_prefactor(query)
-                * np.exp(np.log(np.abs(4.0 * query.X - 4.0 * pts)).sum()
-                         + np.log(np.abs(4.0 * query.Y - 4.0 * pts)).sum())
-                for pts in samples])
+                * np.exp(reference_log_det(4.0 * query.X, *pair)
+                         + reference_log_det(4.0 * query.Y, *pair))
+                for pair in pairs])
             assert est.value == vals.mean()
             assert est.std_error == vals.std(ddof=1) / math.sqrt(M)
+
+    @pytest.mark.parametrize("N,boundary,M", ((14, "dirichlet", 300), (14, "neumann", 300),
+                                              (50, "dirichlet", 100), (200, "dirichlet", 30)))
+    def test_recurrence_matches_eigenvalues(self, N, boundary, M):
+        # each sample's log prod_l 16 |X - x_l| |Y - x_l| by the pivot
+        # recurrence against the sum over the reference's eigenvalues
+        # (measured worst 5.8e-11)
+        lam = 0.5 if boundary == "dirichlet" else -0.5
+        params = EnsembleParams(n=N, lambda1=lam, lambda2=lam)
+        pairs = map_sample_blocks(lambda pair: pair, params, 9, M, draw=tridiagonal_block)
+        diag, off_sq = (np.concatenate(part) for part in zip(*pairs))
+        xs = 4.0 * np.array(TABLE1_XS + (0.5, 0.975))
+        got = tridiagonal_log_dets(xs, 4.0 * diag, 16.0 * off_sq)
+        pts4 = 4.0 * reference_samples(params, 9, M)
+        want = np.log(np.abs(xs[:, None, None] - pts4[None])).sum(axis=-1)
+        assert np.max(np.abs(got - want)) <= 1e-8
+
+    def test_takes_no_eigenvalues(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the Monte Carlo called eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        query = DensityMatrixQuery(N=20, X=0.2, Y=0.8)
+        est = mc_density_matrix_table([query], 100, 4, threads=2)[0]
+        assert math.isfinite(est.value) and est.value > 0.0
 
     def test_estimate_metadata(self):
         query = DensityMatrixQuery(N=3, X=0.3, Y=0.6)

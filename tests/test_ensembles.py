@@ -11,6 +11,8 @@ from selberg_gas.ensembles import (
     rng_stream,
     sample_jue_block,
     sample_jue_halfhalf,
+    tridiagonal_block,
+    tridiagonal_log_dets,
 )
 from selberg_gas.exact import EnsembleParams
 from selberg_gas.specfun import DomainError
@@ -228,3 +230,43 @@ class TestSampleValidation:
         got = with_row_three(monkeypatch, row)[3]
         assert 0.0 < got[0] and got[-1] < 1.0
         assert np.array_equal(got[1:3], row[1:3])
+
+
+class TestPivotRecurrence:
+    def test_log_det_of_a_constructed_matrix(self):
+        # T = [[0.3, 0.1], [0.1, 0.6]]: det(x - T) = (x - 0.3)(x - 0.6) - 0.01
+        got = tridiagonal_log_dets(np.array([0.0, 0.45, 1.0]), np.array([[0.3, 0.6]]),
+                                   np.array([[0.01]]))
+        want = [math.log(abs((x - 0.3) * (x - 0.6) - 0.01)) for x in (0.0, 0.45, 1.0)]
+        assert got.shape == (3, 1)
+        assert np.allclose(got[:, 0], want, rtol=0.0, atol=1e-15)
+
+    def test_zero_pivot_raises(self):
+        # the leading 1 x 1 block equals x: log 0, an infinite next pivot,
+        # and inf - inf in the sum
+        diag, off_sq = np.array([[0.3, 0.6], [0.5, 0.6]]), np.array([[0.01], [0.01]])
+        with pytest.raises(SamplingError):
+            tridiagonal_log_dets(np.array([0.3]), diag, off_sq)
+
+    def test_x_an_eigenvalue_reads_minus_inf(self):
+        # a last pivot of exactly 0.0 is a zero determinant, not an error
+        got = tridiagonal_log_dets(np.array([0.25]), np.array([[0.25]]), np.zeros((1, 0)))
+        assert got[0, 0] == -np.inf
+
+    # numpy warns of the infinities the bad variate spreads
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 5, 13, 14, 26])
+    def test_rejects_non_finite_variates(self, monkeypatch, bad, column):
+        # one bad c_j^2 (columns < 14) or c'_j^2 in the fourth row of a block
+        beta_variates = ensembles._beta_variates
+
+        def replaced(params, gen, rows):
+            c_sq, cp_sq = beta_variates(params, gen, rows)
+            (c_sq if column < params.n else cp_sq)[3, column % params.n] = bad
+            return c_sq, cp_sq
+
+        monkeypatch.setattr(ensembles, "_beta_variates", replaced)
+        diag, off_sq = tridiagonal_block(EnsembleParams(n=14, lambda1=0.5, lambda2=0.5), 1, 0, 8)
+        with pytest.raises(SamplingError):
+            tridiagonal_log_dets(np.array([0.2, 0.8]), diag, off_sq)
