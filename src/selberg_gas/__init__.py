@@ -27,7 +27,7 @@ from .averages import (
     duality_lhs,
     duality_rhs,
 )
-from .ensembles import map_sample_blocks, rng_stream, sample_jue_block, sample_jue_halfhalf
+from .ensembles import rng_stream, sample_bidiagonal, sample_jue_halfhalf, spectra, tridiagonal
 from .orbitals import KernelSpec, Orbital, apply_kernel, orbital, scaled_occupation
 from .fisherhartwig import (
     SymbolSpec,

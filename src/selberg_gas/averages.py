@@ -30,7 +30,7 @@ from .exact import (
     LogMagnitude,
     duality_constant_A,
 )
-from .ensembles import map_sample_blocks, tridiagonal_block, tridiagonal_log_dets
+from .ensembles import sample_bidiagonal, tridiagonal, tridiagonal_log_dets
 # perfbench/tests/test_bench_tracer.py checks that this name is re-exported here
 from .ensembles import sample_jue_halfhalf  # noqa: F401
 from .specfun import DomainError, log_gamma
@@ -150,11 +150,11 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
     """Monte Carlo density-matrix estimates for several (X, Y) points off
     one sample set.
 
-    `ensembles.map_sample_blocks` draws samples 0..M-1, each a function of
-    (N, boundary, master_seed, k) alone, spreads their blocks over
-    `threads` and returns each block's Jacobi matrices T as tridiagonal
-    pairs, in block order.  Each sample's log prod_l 16 |X - x_l| |Y - x_l|
-    is log |det(4X - 4T)| + log |det(4Y - 4T)|, taken without eigenvalues
+    `ensembles.sample_bidiagonal` draws samples 0..M-1, each a function of
+    (N, boundary, master_seed, k) alone, on `threads` threads, and
+    `ensembles.tridiagonal` gives their Jacobi matrices T.  Each sample's
+    log prod_l 16 |X - x_l| |Y - x_l| is
+    log |det(4X - 4T)| + log |det(4Y - 4T)|, taken without eigenvalues
     by the pivot recurrence `ensembles.tridiagonal_log_dets`, in one call
     over the M samples joined (16 M N bytes) and every X and Y.  That gives
     one (queries, M) array whose samples axis is contiguous, so each
@@ -171,9 +171,7 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
 
     lam = queries[0].weight_exponent()
     params = EnsembleParams(n=queries[0].N, lambda1=lam, lambda2=lam)
-    pairs = map_sample_blocks(lambda pair: pair, params, master_seed, M, threads,
-                              draw=tridiagonal_block)
-    diag, off_sq = (np.concatenate(part) for part in zip(*pairs))
+    diag, off_sq = tridiagonal(*sample_bidiagonal(params, master_seed, M, threads))
     # scaling by 4 and 16 is exact; the pivots are those of X - T times 4
     points = 4.0 * np.array([q.X for q in queries] + [q.Y for q in queries])
     log_dets = tridiagonal_log_dets(points, 4.0 * diag, 16.0 * off_sq)

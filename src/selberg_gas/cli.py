@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -23,7 +22,7 @@ from .averages import (
     duality_rhs,
     mc_density_matrix_table,
 )
-from .ensembles import map_sample_blocks
+from .ensembles import sample_bidiagonal, spectra
 from .exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -130,10 +129,9 @@ def _run_orbitals(ns):
 
 def _run_sample_jue(ns):
     params = EnsembleParams(n=ns.n, lambda1=0.5, lambda2=0.5)
-    samples = map_sample_blocks(lambda spectra: spectra.tolist(), params, ns.seed,
-                                ns.m_samples, ns.threads)
+    samples = spectra(*sample_bidiagonal(params, ns.seed, ns.m_samples, ns.threads)).tolist()
     rows = []
-    for k, pts in enumerate(itertools.chain.from_iterable(samples)):
+    for k, pts in enumerate(samples):
         for i, x in enumerate(pts):
             rows.append({"sample": k, "index": i, "eigenvalue": x})
     return rows
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if seed:
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--seed", type=_int_at_least(0), default=42)
             p.add_argument("--threads", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("selberg", help="closed-form Selberg integral")

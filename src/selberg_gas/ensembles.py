@@ -4,12 +4,12 @@ One sampler covers every weight x^lambda1 (1-x)^lambda2 with squared
 Vandermonde: the beta = 2 bidiagonal Jacobi matrix model of Edelman &
 Sutton (Found. Comput. Math. 8, 2008) and Killip & Nenciu (IMRN 2004),
 whose independent Beta-distributed entries make the eigenvalues of the
-tridiagonal T = B B^T an exact ensemble draw.  Block b of the samples of a
-run with seed s draws every variate from the one stream `rng_stream(s, b)`;
-see `map_sample_blocks`.  A sample comes in two forms from the same
-variates: its spectrum (`sample_jue_block`, one stacked `eigvalsh`, for
-`sample-jue` and the sampler criterion), or T itself as its diagonal and
-squared off-diagonal (`tridiagonal_block`), whose log |det(x - T)| the
+tridiagonal T = B B^T an exact ensemble draw.  A run draws each sample
+once, as the squared entries (d^2, e^2) of its B (`sample_bidiagonal`,
+block b of a run with seed s from the one stream `rng_stream(s, b)`), and
+derives from them either its spectrum (`spectra`, a stacked `eigvalsh`,
+for `sample-jue` and the sampler criterion) or T itself as its diagonal
+and squared off-diagonal (`tridiagonal`), whose log |det(x - T)| the
 Monte Carlo takes by the O(n) pivot recurrence `tridiagonal_log_dets`,
 with no eigenvalues and no n x n matrix.
 """
@@ -38,29 +38,72 @@ def rng_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _beta_variates(params: EnsembleParams, gen: np.random.Generator, rows: int) -> tuple:
-    # the (rows, n) c_j^2 and (rows, n - 1) c'_j^2 of `rows` samples from one
-    # generator; see sample_jue_block
+def _block_rows(n: int) -> int:
+    # B(n): 32 rows, fewer once a (rows, n, n) matrix stack would pass 4 MB
+    return max(1, min(32, (1 << 19) // (n * n)))
+
+
+def _draw(params: EnsembleParams, gen: np.random.Generator, rows: int) -> tuple:
+    # the (d^2, e^2) of `rows` samples drawn from `gen`; see sample_bidiagonal
     n = params.n
     j = np.arange(n, 0, -1.0)
-    # one call draws row by row, each row the c_j^2 and then the c'_j^2, in
-    # the order of consecutive one-row calls
+    # one call draws what consecutive one-row calls would
     a = np.concatenate((params.lambda1 + j, j[1:]))
     b = np.concatenate((params.lambda2 + j, params.lambda1 + params.lambda2 + 1.0 + j[1:]))
     variates = gen.beta(a, b, size=(rows, 2 * n - 1))
-    return variates[:, :n], variates[:, n:]
+    c_sq, cp_sq = variates[:, :n], variates[:, n:]
+    return (c_sq * np.concatenate((np.ones((rows, 1)), 1.0 - cp_sq), axis=1),
+            (1.0 - c_sq[:, :-1]) * cp_sq)
 
 
-def _spectra(params: EnsembleParams, gen: np.random.Generator, rows: int) -> np.ndarray:
-    # `rows` rows of eigenvalues from one generator; see sample_jue_block
-    n = params.n
-    c_sq, cp_sq = _beta_variates(params, gen, rows)
+def sample_bidiagonal(params: EnsembleParams, master_seed: int, M: int,
+                      threads: int = 1) -> tuple:
+    """Exact samples 0..M-1 of the n-point Jacobi ensemble with weight
+    x^lambda1 (1-x)^lambda2, each as the squared diagonal d^2 and squared
+    superdiagonal e^2 of its upper bidiagonal B, shapes (M, n) and
+    (M, n - 1); the sample is the spectrum of B B^T.
+
+    B has diagonal (c_n, c_{n-1} s'_{n-1}, ..., c_1 s'_1) and superdiagonal
+    (-s_n c'_{n-1}, ..., -s_2 c'_1), where c_j^2 ~ Beta(lambda1 + j,
+    lambda2 + j), c'_j^2 ~ Beta(j, lambda1 + lambda2 + 1 + j), s = sqrt(1 - c^2)
+    and every variate is independent.  Block b of B(n) rows draws from the
+    one stream `rng_stream(master_seed, b)` in one `beta` call, row by row,
+    each row the c_j and then the c'_j, both for descending j, so sample k
+    is row k mod B(n) of block k // B(n) whatever M and `threads`, the size
+    of the pool that draws the blocks.
+    """
+    size = _block_rows(params.n)
+
+    def run(block: int) -> tuple:
+        return _draw(params, rng_stream(master_seed, block), min(size, M - block * size))
+
+    blocks = range(-(-M // size))
+    if threads <= 1:
+        parts = [run(block) for block in blocks]
+    else:
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, blocks))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def spectra(d_sq: np.ndarray, e_sq: np.ndarray) -> np.ndarray:
+    """The sorted eigenvalues of B B^T, shape (rows, n), for each row of
+    B's squared diagonal `d_sq` (rows, n) and superdiagonal `e_sq`
+    (rows, n - 1): one stacked `eigvalsh` per B(n) rows, the block of
+    `sample_bidiagonal`; a row's spectrum does not depend on the stacking.
+    Raises `SamplingError` if any row is not strictly increasing in (0, 1).
+    """
+    rows, n = d_sq.shape
+    size = _block_rows(n)
     diag = np.arange(n)
-    bidiagonal = np.zeros((rows, n, n))
-    bidiagonal[:, diag, diag] = np.sqrt(
-        c_sq * np.concatenate((np.ones((rows, 1)), 1.0 - cp_sq), axis=1))
-    bidiagonal[:, diag[:-1], diag[1:]] = -np.sqrt((1.0 - c_sq[:, :-1]) * cp_sq)
-    points = np.linalg.eigvalsh(bidiagonal @ bidiagonal.transpose(0, 2, 1))
+    points = np.empty((rows, n))
+    for start in range(0, rows, size):
+        d, e = d_sq[start:start + size], e_sq[start:start + size]
+        bidiagonal = np.zeros((len(d), n, n))
+        bidiagonal[:, diag, diag] = np.sqrt(d)
+        bidiagonal[:, diag[:-1], diag[1:]] = -np.sqrt(e)
+        points[start:start + size] = np.linalg.eigvalsh(
+            bidiagonal @ bidiagonal.transpose(0, 2, 1))
     # eigenvalues within rounding of an edge, common when an exponent is
     # near -1, are kept just inside (0, 1)
     np.clip(points, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=points)
@@ -72,37 +115,11 @@ def _spectra(params: EnsembleParams, gen: np.random.Generator, rows: int) -> np.
     return points
 
 
-def sample_jue_block(params: EnsembleParams, master_seed: int, block: int,
-                     rows: int) -> np.ndarray:
-    """The first `rows` exact samples of block `block` of the n-point Jacobi
-    ensemble with weight x^lambda1 (1-x)^lambda2, one sorted row of shape
-    (n,) each, all drawn from the one stream (master_seed, block).
-
-    Each sample is the spectrum of B B^T, with B upper bidiagonal of diagonal
-    (c_n, c_{n-1} s'_{n-1}, ..., c_1 s'_1) and superdiagonal
-    (-s_n c'_{n-1}, ..., -s_2 c'_1), where c_j^2 ~ Beta(lambda1 + j,
-    lambda2 + j), c'_j^2 ~ Beta(j, lambda1 + lambda2 + 1 + j), s = sqrt(1 - c^2)
-    and every variate is independent.  The stream is drawn row by row, each
-    row the c_j and then the c'_j, both for descending j, so fewer rows are
-    a prefix of more.  The spectra are taken as one stacked `eigvalsh`.
-    Raises `SamplingError` if any row is not strictly increasing in (0, 1).
-    """
-    return _spectra(params, rng_stream(master_seed, block), rows)
-
-
-def tridiagonal_block(params: EnsembleParams, master_seed: int, block: int,
-                      rows: int) -> tuple:
-    """The Jacobi matrices T = B B^T of the samples
-    `sample_jue_block(params, master_seed, block, rows)`, drawn from the same
-    variates, as the pair (diagonal, squared off-diagonal) of shapes
-    (rows, n) and (rows, n - 1): with d and e the diagonal and superdiagonal
-    of B, T_kk = d_k^2 + e_k^2 and T_{k,k+1}^2 = e_k^2 d_{k+1}^2, each square
-    taken from the variates without a square root.  About 16 rows n bytes;
-    no n x n matrix is built.
-    """
-    c_sq, cp_sq = _beta_variates(params, rng_stream(master_seed, block), rows)
-    d_sq = c_sq * np.concatenate((np.ones((rows, 1)), 1.0 - cp_sq), axis=1)
-    e_sq = (1.0 - c_sq[:, :-1]) * cp_sq
+def tridiagonal(d_sq: np.ndarray, e_sq: np.ndarray) -> tuple:
+    """The Jacobi matrices T = B B^T of the rows of `sample_bidiagonal`, as
+    (diagonal, squared off-diagonal), shapes (rows, n) and (rows, n - 1):
+    T_kk = d_k^2 + e_k^2 and T_{k,k+1}^2 = e_k^2 d_{k+1}^2, with no square
+    root and no n x n matrix."""
     diag = d_sq.copy()
     diag[:, :-1] += e_sq
     return diag, e_sq * d_sq[:, 1:]
@@ -141,35 +158,8 @@ def tridiagonal_log_dets(points: np.ndarray, diag: np.ndarray,
     return total
 
 
-def map_sample_blocks(fn, params: EnsembleParams, master_seed: int, M: int,
-                      threads: int = 1, draw=None) -> list:
-    """[fn(draw(params, master_seed, b, rows_b)) for each block b], in block
-    order, where the blocks cut the samples 0..M-1; `draw` is
-    `sample_jue_block` (spectra) unless given, or `tridiagonal_block`.
-
-    This is the one place that cuts blocks and the one thread pool.  A block
-    holds B = 32 samples, fewer once the (B, n, n) matrix stack of
-    `sample_jue_block` would pass 4 MB; B depends on n alone.  Sample k is
-    row k mod B of block k // B, so it depends on (params, master_seed, k)
-    alone, never on M or the thread count.  With threads > 1 the blocks are
-    mapped to a pool of that many threads; a result depends on its block
-    alone.
-    """
-    size = max(1, min(32, (1 << 19) // (params.n * params.n)))
-    draw = draw or sample_jue_block
-
-    def run(block: int):
-        return fn(draw(params, master_seed, block, min(size, M - block * size)))
-
-    blocks = range(-(-M // size))
-    if threads <= 1:
-        return [run(block) for block in blocks]
-    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, blocks))
-
-
 # kept because perfbench/tests/test_bench_tracer.py checks that averages imports it
 def sample_jue_halfhalf(n: int, gen: np.random.Generator) -> np.ndarray:
     """Exact sample of the n-point Jacobi ensemble with exponents (1/2, 1/2),
     the Dirichlet-boundary law, drawn from `gen` at its current position."""
-    return _spectra(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), gen, 1)[0]
+    return spectra(*_draw(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), gen, 1))[0]

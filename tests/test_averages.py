@@ -19,7 +19,7 @@ from selberg_gas.averages import (
 )
 from selberg_gas import averages
 from selberg_gas.acceptance import TABLE1_XS
-from selberg_gas.ensembles import map_sample_blocks, tridiagonal_block, tridiagonal_log_dets
+from selberg_gas.ensembles import sample_bidiagonal, tridiagonal, tridiagonal_log_dets
 from selberg_gas.exact import (
     DensityMatrixQuery,
     EnsembleParams,
@@ -31,7 +31,7 @@ from selberg_gas.exact import (
 from selberg_gas.specfun import DomainError
 
 import tensor_oracle
-from sampler_oracle import reference_log_det, reference_pairs, reference_samples
+from sampler_oracle import block_size, reference_log_det, reference_pairs, reference_samples
 
 
 def engine_average(params, charges):
@@ -486,7 +486,7 @@ class TestMonteCarloDensityMatrix:
     def test_block_boundaries_and_thread_counts_agree_bitwise(self):
         # the last block full, one row short, one row long and five rows long;
         # M >= 100 is the estimator's floor
-        B = map_sample_blocks(len, EnsembleParams(n=6, lambda1=0.5, lambda2=0.5), 5, 100)[0]
+        B = block_size(6)
         queries = [DensityMatrixQuery(N=6, X=0.2, Y=0.8), DensityMatrixQuery(N=6, X=0.1, Y=0.45)]
         for M in (4 * B - 1, 4 * B, 4 * B + 1, 3 * B + 5):
             runs = [mc_density_matrix_table(queries, M, 5, threads=t) for t in (1, 2, 4)]
@@ -526,8 +526,7 @@ class TestMonteCarloDensityMatrix:
         # (measured worst 5.8e-11)
         lam = 0.5 if boundary == "dirichlet" else -0.5
         params = EnsembleParams(n=N, lambda1=lam, lambda2=lam)
-        pairs = map_sample_blocks(lambda pair: pair, params, 9, M, draw=tridiagonal_block)
-        diag, off_sq = (np.concatenate(part) for part in zip(*pairs))
+        diag, off_sq = tridiagonal(*sample_bidiagonal(params, 9, M))
         xs = 4.0 * np.array(TABLE1_XS + (0.5, 0.975))
         got = tridiagonal_log_dets(xs, 4.0 * diag, 16.0 * off_sq)
         pts4 = 4.0 * reference_samples(params, 9, M)

@@ -13,8 +13,9 @@ import pytest
 
 import selberg_gas
 from selberg_gas import acceptance, cli
-from selberg_gas.ensembles import map_sample_blocks
-from selberg_gas.exact import EnsembleParams
+from selberg_gas import ensembles
+
+from sampler_oracle import block_size
 
 
 def run_document(argv):
@@ -247,14 +248,14 @@ class TestRendering:
     def test_sample_jue_threads_keep_bytes(self, extra, monkeypatch, capsys):
         # blocks depend on n alone, so M = B - 1 is one partial block and
         # M = B + 1 a full block plus one row
-        block = map_sample_blocks(len, EnsembleParams(n=3, lambda1=0.5, lambda2=0.5), 9, 100)[0]
+        block = block_size(3)
         seen = []
 
-        def recording(fn, params, master_seed, M, threads):
+        def recording(params, master_seed, M, threads):
             seen.append(threads)
-            return map_sample_blocks(fn, params, master_seed, M, threads)
+            return ensembles.sample_bidiagonal(params, master_seed, M, threads)
 
-        monkeypatch.setattr(cli, "map_sample_blocks", recording)
+        monkeypatch.setattr(cli, "sample_bidiagonal", recording)
         outputs = []
         for threads in (1, 2, 4):
             assert cli.main(["sample-jue", "--n", "3", "--m-samples", str(block + extra),
@@ -294,6 +295,18 @@ class TestErrors:
             assert err.value.code == 2
         assert cli.build_parser().parse_args(argv).threads == 1
         assert cli.build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["dm-mc", "--n", "2", "--x", "0.2", "--y", "0.8", "--m-samples", "100", "--seed", "-1"],
+        ["validate", "--seed", "-3"]])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        # rejected by the parser, not by numpy's seeding after the run began
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        out, message = capsys.readouterr()
+        assert out == "" and f"argument --seed: must be an integer >= 0, got '{argv[-1]}'" in message
+        assert cli.build_parser().parse_args(argv[:-1] + ["0"]).seed == 0
 
     def test_threads_only_on_seeded_subcommands(self, capsys):
         # --threads is read only where the work is seeded

@@ -7,25 +7,25 @@ from selberg_gas import ensembles
 from selberg_gas import quadrature as quad
 from selberg_gas.ensembles import (
     SamplingError,
-    map_sample_blocks,
     rng_stream,
-    sample_jue_block,
+    sample_bidiagonal,
     sample_jue_halfhalf,
-    tridiagonal_block,
+    spectra,
+    tridiagonal,
     tridiagonal_log_dets,
 )
 from selberg_gas.exact import EnsembleParams
 from selberg_gas.specfun import DomainError
 
-from sampler_oracle import block_size, reference_rows, reference_samples
+from sampler_oracle import block_size, reference_samples
 from tensor_oracle import vandermonde_sq
 
 WEIGHTS = ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 2.0))
 
 
 def draw(params, seed, M):
-    # samples 0..M-1 of a run, as the Monte Carlo estimators see them
-    return np.concatenate(map_sample_blocks(lambda rows: rows, params, seed, M))
+    # the spectra of samples 0..M-1 of a run
+    return spectra(*sample_bidiagonal(params, seed, M))
 
 
 def jue_average(fn, n, lambda1, lambda2, order=40):
@@ -41,9 +41,9 @@ class TestStreams:
         b = sample_jue_halfhalf(14, rng_stream(42, 5))
         assert np.array_equal(a, b)
         params = EnsembleParams(n=14, lambda1=-0.5, lambda2=-0.5)
-        a = sample_jue_block(params, 42, 5, 32)
-        b = sample_jue_block(params, 42, 5, 32)
-        assert np.array_equal(a, b)
+        a = sample_bidiagonal(params, 42, 70)
+        b = sample_bidiagonal(params, 42, 70)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_distinct_streams_differ(self):
         a = sample_jue_halfhalf(6, rng_stream(42, 0))
@@ -58,10 +58,9 @@ class TestStreams:
 
     @pytest.mark.parametrize("n", (1, 14))
     def test_one_row_is_row_zero_of_the_block(self, n):
-        # the one-row path draws what the block sampler draws first
+        # the one-row path draws what a run draws first from block 0
         params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-        assert np.array_equal(sample_jue_halfhalf(n, rng_stream(42, 5)),
-                              sample_jue_block(params, 42, 5, 32)[0])
+        assert np.array_equal(sample_jue_halfhalf(n, rng_stream(42, 0)), draw(params, 42, 1)[0])
 
 
 class TestRecurrenceSampler:
@@ -109,7 +108,7 @@ class TestRecurrenceSampler:
 
 
 def with_row_three(monkeypatch, row):
-    # a block of eight whose fourth row of eigenvalues is replaced before the
+    # a run of eight whose fourth row of eigenvalues is replaced before the
     # sampler clips and checks it
     eigvalsh = np.linalg.eigvalsh
 
@@ -119,41 +118,58 @@ def with_row_three(monkeypatch, row):
         return points
 
     monkeypatch.setattr(ensembles.np.linalg, "eigvalsh", replaced)
-    return sample_jue_block(EnsembleParams(n=4, lambda1=0.5, lambda2=0.5), 1, 0, 8)
+    return draw(EnsembleParams(n=4, lambda1=0.5, lambda2=0.5), 1, 8)
 
 
 class TestBlockSampler:
     @pytest.mark.parametrize("lambda1,lambda2", ((0.5, 0.5), (-0.5, -0.5), (-0.5, 2.0)))
     @pytest.mark.parametrize("n", (1, 2, 14, 50))
     def test_rows_are_the_streams_samples(self, n, lambda1, lambda2):
+        # three blocks, the last of seven rows
         params = EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2)
-        for block, rows in ((0, 32), (3, 7), (41, 1)):
-            got = sample_jue_block(params, 42, block, rows)
-            assert got.shape == (rows, n)
-            assert np.array_equal(got, reference_rows(params, 42, block, rows))
+        M = 2 * block_size(n) + 7
+        got = draw(params, 42, M)
+        assert got.shape == (M, n)
+        assert np.array_equal(got, reference_samples(params, 42, M))
 
     def test_rows_do_not_depend_on_the_cut(self):
-        # a short block is a prefix of the full one, and a run of M samples
-        # is the reference's first M
+        # a run of M samples is the reference's first M, its last block
+        # short, full or one row long
         params = EnsembleParams(n=14, lambda1=0.5, lambda2=0.5)
-        whole = sample_jue_block(params, 7, 2, 32)
-        for rows in (1, 5, 31):
-            assert np.array_equal(sample_jue_block(params, 7, 2, rows), whole[:rows])
         reference = reference_samples(params, 7, 70)
-        for threads in (1, 3):
-            got = map_sample_blocks(lambda rows: rows, params, 7, 70, threads)
-            assert np.array_equal(np.concatenate(got), reference)
+        for M in (1, 5, 31, 32, 33, 70):
+            assert np.array_equal(draw(params, 7, M), reference[:M])
 
     @pytest.mark.parametrize("threads", (1, 2, 4))
     def test_samples_are_a_prefix_whatever_m(self, threads):
-        # sample k is the same whatever M and the thread count: the last block
-        # one row short, full, one row long and five rows long
-        params = EnsembleParams(n=6, lambda1=-0.5, lambda2=-0.5)
-        B = block_size(6)
-        longest = draw(params, 11, 4 * B)
-        for M in (B - 1, B, B + 1, 3 * B + 5):
-            got = np.concatenate(map_sample_blocks(lambda rows: rows, params, 11, M, threads))
-            assert np.array_equal(got, longest[:M])
+        # the thread contract: (d^2, e^2) of sample k are the same bytes
+        # whatever M and the thread count, the last block one row short,
+        # full, one row long and five rows long, at B = 32 and B = 13
+        for n in (14, 200):
+            params = EnsembleParams(n=n, lambda1=-0.5, lambda2=-0.5)
+            B = block_size(n)
+            longest = sample_bidiagonal(params, 11, 4 * B)
+            for M in (B - 1, B, B + 1, 3 * B + 5):
+                got = sample_bidiagonal(params, 11, M, threads)
+                for part, whole in zip(got, longest):
+                    assert part.tobytes() == whole[:M].tobytes()
+
+    @pytest.mark.parametrize("n, M", ((1, 45), (14, 45), (200, 30)))
+    def test_spectra_do_not_depend_on_stacking(self, monkeypatch, n, M):
+        # spectra stacks the B(n) matrices of a block per eigvalsh; numpy's
+        # stacked matmul and eigvalsh act matrix by matrix, so a row's
+        # spectrum is the same alone, in its block, or in a chunk that
+        # straddles two blocks
+        d_sq, e_sq = sample_bidiagonal(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), 8, M)
+        stacks, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(ensembles.np.linalg, "eigvalsh",
+                            lambda matrices: stacks.append(len(matrices)) or eigvalsh(matrices))
+        whole = spectra(d_sq, e_sq)
+        B = block_size(n)
+        assert stacks == [B] * (M // B) + [M % B]
+        alone = np.concatenate([spectra(d_sq[k:k + 1], e_sq[k:k + 1]) for k in range(M)])
+        assert whole.tobytes() == alone.tobytes()
+        assert spectra(d_sq[3:], e_sq[3:]).tobytes() == whole[3:].tobytes()
 
     @pytest.mark.parametrize("M", (1, 31, 32, 33, 100))
     def test_one_generator_per_block(self, monkeypatch, M):
@@ -170,12 +186,15 @@ class TestBlockSampler:
 
     @staticmethod
     def blocks(monkeypatch, n, M, threads=1):
-        # the (block, rows) of each call, in the order map_sample_blocks
-        # returns them, with the sampler replaced by its arguments
-        monkeypatch.setattr(ensembles, "sample_jue_block",
-                            lambda params, seed, block, rows: (block, rows))
+        # the (block, rows) of each draw, in the order sample_bidiagonal
+        # joins them, with each draw replaced by rows of its block's index
+        monkeypatch.setattr(ensembles, "rng_stream", lambda seed, block: block)
+        monkeypatch.setattr(ensembles, "_draw", lambda params, block, rows: (
+            np.full((rows, 1), block), np.zeros((rows, 0))))
         params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-        return map_sample_blocks(lambda cut: cut, params, 1, M, threads)
+        ids = sample_bidiagonal(params, 1, M, threads)[0][:, 0]
+        starts = np.flatnonzero(np.diff(ids, prepend=-1))
+        return [(int(ids[s]), int(c)) for s, c in zip(starts, np.diff(starts, append=M))]
 
     def test_blocks_cover_the_indices_in_order(self, monkeypatch):
         for n, M in ((14, 1), (14, 100), (50, 161), (200, 40)):
@@ -201,7 +220,7 @@ class TestBlockSampler:
             assert rows(n) == block_size(n)
 
     def test_bad_row_in_a_block_raises(self, monkeypatch):
-        # one bad row fails the whole block of eight
+        # one bad row fails the whole run of eight
         with pytest.raises(SamplingError):
             with_row_three(monkeypatch, (0.1, np.nan, 0.3, 0.4))
 
@@ -259,14 +278,19 @@ class TestPivotRecurrence:
     @pytest.mark.parametrize("column", [0, 5, 13, 14, 26])
     def test_rejects_non_finite_variates(self, monkeypatch, bad, column):
         # one bad c_j^2 (columns < 14) or c'_j^2 in the fourth row of a block
-        beta_variates = ensembles._beta_variates
+        stream = ensembles.rng_stream
 
-        def replaced(params, gen, rows):
-            c_sq, cp_sq = beta_variates(params, gen, rows)
-            (c_sq if column < params.n else cp_sq)[3, column % params.n] = bad
-            return c_sq, cp_sq
+        class Spoiled:
+            def __init__(self, master_seed, index):
+                self.gen = stream(master_seed, index)
 
-        monkeypatch.setattr(ensembles, "_beta_variates", replaced)
-        diag, off_sq = tridiagonal_block(EnsembleParams(n=14, lambda1=0.5, lambda2=0.5), 1, 0, 8)
+            def beta(self, a, b, size):
+                variates = self.gen.beta(a, b, size=size)
+                variates[3, column] = bad
+                return variates
+
+        monkeypatch.setattr(ensembles, "rng_stream", Spoiled)
+        diag, off_sq = tridiagonal(*sample_bidiagonal(
+            EnsembleParams(n=14, lambda1=0.5, lambda2=0.5), 1, 8))
         with pytest.raises(SamplingError):
             tridiagonal_log_dets(np.array([0.2, 0.8]), diag, off_sq)
