@@ -10,7 +10,10 @@ A Hankel ratio is a product of ratios of monic orthogonal-polynomial
 norms.  The charged norms come from a discretised Stieltjes sweep on
 `quadrature.charge_rule`, which absorbs the weight and every zero into
 Gauss-Jacobi panels, the bare ones from the Jacobi recurrence, and every
-size of a ladder from one sweep to the largest size.  The Toeplitz determinant
+size of a ladder from one sweep to the largest size.  From a largest size
+of 98 on, a zero of non-integer exponent sits in two short collars, so the
+full-order panels depend on the weight alone: a process builds them once
+per (weight, largest size) and every later zero reuses them.  The Toeplitz determinant
 of one zero is the circular Morris integral, D_N = M_N(a, a) / N!, in
 closed form at every N.
 
@@ -83,7 +86,10 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     current orthonormal polynomial's values times the square roots of the
     weights, each step takes r = x v - (x v . v) v - b~_{k-1} v_prev and
     b~_k = |r|.  One sweep to the largest size gives every rung, in O(N)
-    memory for an N-node rule.
+    memory for an N-node rule.  The rule has n_max + 30 nodes per panel; from
+    n_max = 98 on, a charge of non-integer 2q adds two 16-node collars
+    instead of keying the full-order panels, which are then cached by the
+    weight's exponents alone.
     """
     sizes = _check_sizes(sizes)
     n_max = int(sizes.max())

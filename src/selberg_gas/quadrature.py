@@ -4,7 +4,10 @@ Gauss-Jacobi panels that absorb endpoint powers, built by Golub-Welsch
 from the Jacobi recurrence; the charge rule, which
 splits (0, 1) at every power-law singularity |y - x|^(2q) so that each
 panel absorbs the powers at its two edges, and integrates against it to a
-certified tolerance by order doubling; tensor-product integration up to
+certified tolerance by order doubling.  At high orders a charge with a
+non-integer exponent is absorbed by a short collar panel of a few nodes
+instead, so the full-order panels depend on the weight alone and their
+cached rules serve every charge.  Also tensor-product integration up to
 three dimensions, equal-weight periodic rules on (-pi, pi)^m, m <= 2,
 and the Jacobi three-term recurrence.
 
@@ -40,6 +43,9 @@ class QuadratureRule:
             raise ValueError("quadrature nodes must be strictly increasing")
 
 
+_DENSE_EIGEN_ORDERS = 130
+
+
 @lru_cache(maxsize=512)
 def _jacobi_nodes_weights(order: int, alpha: float, beta: float):
     # Gauss rule for (1-x)^alpha (1+x)^beta on (-1, 1) by Golub & Welsch,
@@ -47,15 +53,20 @@ def _jacobi_nodes_weights(order: int, alpha: float, beta: float):
     # Jacobi matrix, the weights the Christoffel function
     # mass / sum_{k<order} p_k(x)^2 with p_0 = 1, which keeps the tiny end
     # weights relatively accurate where eigenvector components do not.
-    # scipy.linalg is imported here, not at module level, to keep it out of
-    # the CLI's start-up.
+    # Below _DENSE_EIGEN_ORDERS numpy's dense solver on the lower triangle
+    # returns the same bits as scipy's tridiagonal one in under 1 ms, so a
+    # process that builds only small rules never imports scipy.linalg (about
+    # 0.3 s), which is imported here rather than at module level.
     if order < 1:
         raise DomainError(f"Gauss rule order must be >= 1, got {order}")
-    from scipy.linalg import eigvalsh_tridiagonal
-
     a, b, mu0 = jacobi_recurrence(order, beta, alpha)
     diag, off = 2.0 * a - 1.0, 2.0 * b[1:]
-    x = eigvalsh_tridiagonal(diag, off)
+    if order < _DENSE_EIGEN_ORDERS:
+        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    else:
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        x = eigvalsh_tridiagonal(diag, off)
     prev, cur = np.zeros(order), np.ones(order)
     christoffel = np.ones(order)
     for k in range(order - 1):
@@ -136,6 +147,28 @@ def _grading(a: float, b: float, points: Sequence, order: int) -> list:
             right.append(hi)
 
 
+# Panels of at least _COLLAR_MIN_ORDER nodes leave a charge with a
+# non-integer exponent to a collar of _COLLAR_NODES nodes on each side.
+_COLLAR_MIN_ORDER = 128
+_COLLAR_NODES = 16
+
+
+def _collar_width(y: float, p: float, length: float, order: int) -> float:
+    # Width of the collar beside the singular point (y, p) on the side of a
+    # panel of `length`, or 0.0 where the panel absorbs p itself.  The long
+    # piece then meets the charge's factor at distance w from its end, which
+    # Gauss at `order` resolves to rho^(-2 order) ~ exp(-4 order sqrt(w / length))
+    # = e^-72 at w = (18 / order)^2 length.  Near a wall the collar is capped at
+    # 4 sqrt(y (1 - y)) / order, so that its nodes still resolve the
+    # degree-2 order polynomials the long piece resolves; a long piece that
+    # the cap leaves too close to the charge is graded like any other panel.
+    # An integer exponent keeps its full-order panel, whose rule recurs from
+    # charge to charge anyway.
+    if order < _COLLAR_MIN_ORDER or not 0.0 < y < 1.0 or float(p).is_integer():
+        return 0.0
+    return min((18.0 / order) ** 2 * length, 4.0 * math.sqrt(y * (1.0 - y)) / order)
+
+
 def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
                 order: int) -> QuadratureRule:
     """Rule on (0, 1) whose weights absorb x^lambda1 (1-x)^lambda2 and every
@@ -145,9 +178,14 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
     sign-definite per panel; a charge at 0 or 1 raises that endpoint's
     exponent instead.  A negative charge q = -nu/2 absorbs a weakly singular
     kernel |y - x|^(-nu) exactly as a positive one absorbs a zero.  Every
-    resulting exponent must exceed -1.  A panel whose edge lies too close to
-    another singular point for Gauss at `order` to resolve that point's
-    factor is graded geometrically toward it.
+    resulting exponent must exceed -1.  From order 128 on, an interior
+    charge whose exponent 2q is not an integer is absorbed by a collar of 16
+    nodes on each side, a piece much shorter than its panel, and the long
+    piece beyond it evaluates the charge's factor: the full-order rules then
+    depend on the order and the weight's exponents alone, and their cache
+    serves every such charge.  A piece whose edge lies too close to another
+    singular point for Gauss at its order to resolve that point's factor is
+    graded geometrically toward it.
     """
     l1, l2 = lambda1, lambda2
     interior = []
@@ -163,13 +201,21 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
     edges = [(0.0, l1)] + interior + [(1.0, l2)]
     if min(p for _, p in edges) <= -1.0:
         raise DomainError(f"absorbed exponents must exceed -1, got {[p for _, p in edges]}")
-    # factors not absorbed at a panel's edges are evaluated, charges first
+    panels = []  # (lo, p_lo, hi, p_hi, nodes)
+    for (a, pa), (b, pb) in zip(edges, edges[1:]):
+        wa, wb = _collar_width(a, pa, b - a, order), _collar_width(b, pb, b - a, order)
+        if wa:
+            panels.append((a, pa, a + wa, 0.0, _COLLAR_NODES))
+        panels.append((a + wa, 0.0 if wa else pa, b - wb, 0.0 if wb else pb, order))
+        if wb:
+            panels.append((b - wb, 0.0, b, pb, _COLLAR_NODES))
+    # factors not absorbed at a piece's edges are evaluated, charges first
     points = interior + [(0.0, l1), (1.0, l2)]
     nodes, weights = [], []
-    for (a, pa), (b, pb) in zip(edges, edges[1:]):
-        pieces = [(a, pa)] + [(c, 0.0) for c in _grading(a, b, points, order)] + [(b, pb)]
+    for a, pa, b, pb, k in panels:
+        pieces = [(a, pa)] + [(c, 0.0) for c in _grading(a, b, points, k)] + [(b, pb)]
         for (lo, p_lo), (hi, p_hi) in zip(pieces, pieces[1:]):
-            rule = power_panel(lo, hi, p_lo, p_hi, order)
+            rule = power_panel(lo, hi, p_lo, p_hi, k)
             w = rule.weights.copy()
             for y, p in points:
                 if y != lo and y != hi:

@@ -432,6 +432,7 @@ SCIPY_FREE_RUNS = [
     ["table1", "--n", "4", "--m-samples", "100"],
     ["orbitals", "--j-max", "3"],
     ["sample-jue", "--n", "3", "--m-samples", "2", "--format", "csv"],
+    ["fh-jacobi"],  # rules of order 78, below the dense eigensolver's limit
 ]
 
 

@@ -16,6 +16,7 @@ from selberg_gas.exact import (
 from selberg_gas.specfun import DomainError, log_barnes_g, log_beta
 
 import tensor_oracle
+from charge_rule_oracle import uncollared_charge_rule
 from polynomial_oracle import orthonormal_polynomials
 
 
@@ -225,6 +226,88 @@ class TestLadders:
         for n in (1, 5):
             with pytest.raises(DomainError, match="lost positivity"):
                 fh.hankel_log_ratios(params_for(n), fh.SymbolSpec(), (n,))
+
+
+COLLAR_SIZES = (16, 98, 128, 200, 256, 512)
+# each weight exponent once on each side
+COLLAR_WEIGHTS = ((-0.5, 0.5), (0.0, 1.0), (0.5, -0.5), (1.0, 0.0))
+
+
+def ladder_on(rule, params, symbol):
+    # the same sweep on another charge rule
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fh.quad, "charge_rule", rule)
+        return fh.hankel_log_ratios(params, symbol, COLLAR_SIZES)
+
+
+class TestCollaredLadder:
+    # From n_max = 98 (rule order 128) a non-integer charge sits in two
+    # 16-node collars.  Measured worst gaps to the un-collared rule, in the
+    # log: 6.8e-11 over the single charges, 9.4e-11 for the close pair.  The
+    # un-collared rule itself moves by up to 9.1e-11 at these sizes when
+    # each of its panels gains 100 nodes.
+
+    @pytest.mark.parametrize("q", [0.15, 0.5, 0.85, 1.7])
+    def test_ladder_matches_uncollared_rule(self, q):
+        for y in (1e-3, 0.01, 0.05, 0.3, 0.95, 0.99, 0.999):
+            for l1, l2 in COLLAR_WEIGHTS:
+                params, symbol = params_for(1, l1, l2), fh.SymbolSpec(singularities=((y, q),))
+                got = fh.hankel_log_ratios(params, symbol, COLLAR_SIZES)
+                ref = ladder_on(uncollared_charge_rule, params, symbol)
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9,
+                                           err_msg=f"y={y}, weight=({l1}, {l2})")
+
+    def test_close_charges_match_uncollared_rule(self):
+        symbol = fh.SymbolSpec(singularities=((0.3, 0.35), (0.3004, 0.6)))
+        for l1 in (-0.5, 0.0, 0.5, 1.0):
+            for l2 in (-0.5, 0.0, 0.5, 1.0):
+                params = params_for(1, l1, l2)
+                np.testing.assert_allclose(
+                    fh.hankel_log_ratios(params, symbol, COLLAR_SIZES),
+                    ladder_on(uncollared_charge_rule, params, symbol), rtol=0.0, atol=1e-9,
+                    err_msg=f"weight=({l1}, {l2})")
+
+    @pytest.mark.parametrize("y", [1e-4, 1.0 - 1e-4])
+    def test_collars_near_a_wall_resolve_the_polynomials(self, y):
+        # the reference is the un-collared rule with 100 more nodes per
+        # panel.  Measured gaps to it: 9.8e-8 collared, 9.0e-8 un-collared
+        # at the ladder's own order, and 3.0e-4 with collars of the full
+        # width (18 / K)^2 L, too wide for 16 nodes to resolve polynomials
+        # of degree 2K this close to a wall
+        def refined(lambda1, lambda2, charges, order):
+            return uncollared_charge_rule(lambda1, lambda2, charges, order + 100)
+
+        for q in (0.15, 0.85, 1.7):
+            for l1, l2 in COLLAR_WEIGHTS:
+                params, symbol = params_for(1, l1, l2), fh.SymbolSpec(singularities=((y, q),))
+                got = fh.hankel_log_ratios(params, symbol, COLLAR_SIZES)
+                ref = ladder_on(refined, params, symbol)
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6,
+                                           err_msg=f"q={q}, weight=({l1}, {l2})")
+
+    def test_new_charge_builds_no_full_order_rule(self, monkeypatch):
+        params = params_for(1, 0.5, -0.5)
+        fh.hankel_log_ratios(params, fh.SymbolSpec(singularities=((0.41, 0.37),)), (512,))
+        cached, misses = quad._jacobi_nodes_weights, []
+
+        def counting(order, alpha, beta):
+            before = cached.cache_info().misses
+            out = cached(order, alpha, beta)
+            if cached.cache_info().misses > before:
+                misses.append(order)
+            return out
+
+        monkeypatch.setattr(quad, "_jacobi_nodes_weights", counting)
+        fh.hankel_log_ratios(params, fh.SymbolSpec(singularities=((0.6317, 0.7131),)), (512,))
+        # the two collars are the only new rules
+        assert misses == [quad._COLLAR_NODES] * 2
+
+    def test_results_do_not_depend_on_the_cache(self):
+        params = params_for(1, -0.5, 1.0)
+        symbol = fh.SymbolSpec(singularities=((0.27, 0.43), (0.81, 1.2)))
+        warm = fh.hankel_log_ratios(params, symbol, COLLAR_SIZES)
+        quad._jacobi_nodes_weights.cache_clear()
+        np.testing.assert_array_equal(fh.hankel_log_ratios(params, symbol, COLLAR_SIZES), warm)
 
 
 class TestMorrisReference:

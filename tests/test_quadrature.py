@@ -3,11 +3,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import roots_jacobi
 
 from selberg_gas import quadrature as quad
 from selberg_gas.specfun import DomainError, log_beta
 
+from charge_rule_oracle import uncollared_charge_rule
 from polynomial_oracle import orthonormal_polynomials
 
 
@@ -64,6 +66,19 @@ class TestGaussRules:
             x_ref, w_ref = roots_jacobi(order, alpha, beta)
             assert np.abs(x - x_ref).max() <= 1e-14, order
             assert np.abs(w / w_ref - 1.0).max() <= 1e-11, order
+
+    def test_dense_eigensolver_matches_tridiagonal_bits(self):
+        # below _DENSE_EIGEN_ORDERS the nodes come from numpy's dense solver,
+        # which keeps scipy.linalg out of small requests; it must return the
+        # bits scipy's tridiagonal solver returns, or every small rule would
+        # move with the switch (another LAPACK build could break this)
+        rng = np.random.default_rng(2)
+        for order in range(1, quad._DENSE_EIGEN_ORDERS):
+            alpha, beta = rng.uniform(-0.99, 3.0, 2)
+            a, b, _ = quad.jacobi_recurrence(order, beta, alpha)
+            x, _ = quad._jacobi_nodes_weights(order, alpha, beta)
+            np.testing.assert_array_equal(x, eigvalsh_tridiagonal(2.0 * a - 1.0, 2.0 * b[1:]),
+                                          err_msg=f"order {order}")
 
     @staticmethod
     def mpmath_rule(order, alpha, beta):
@@ -188,6 +203,26 @@ class TestSingularIntegrate:
         quad.singular_integrate(f, 0.0, 0.0, ((0.41, -0.25),), 1e-12)
         assert len(orders) >= 2 and orders[1] == 2 * orders[0]
 
+    def test_certifies_through_a_collared_order(self):
+        # cos(150 y) needs order 128, where the charge's exponent -1/2 moves
+        # into two 16-node collars; the certified value stays within the
+        # tolerance of the un-collared rule's (measured gap 4.1e-14)
+        nodes = []
+
+        def f(y):
+            nodes.append(len(y))
+            return np.cos(150.0 * y)
+
+        charges = ((0.41, -0.25),)
+        val = quad.singular_integrate(f, -0.25, -0.25, charges, 1e-12)
+        assert nodes == [64, 128, 2 * 128 + 2 * quad._COLLAR_NODES]
+        nodes.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quad, "charge_rule", uncollared_charge_rule)
+            ref = quad.singular_integrate(f, -0.25, -0.25, charges, 1e-12)
+        assert nodes == [64, 128, 256]
+        assert abs(val - ref) <= 1e-12
+
     def test_rejects_unreachable_tolerance(self):
         with pytest.raises(DomainError):
             quad.singular_integrate(np.ones_like, 0.0, 0.0, (), 1e-15)
@@ -206,18 +241,47 @@ class TestChargeRule:
     def test_interior_charge_rule_is_two_panels(self, order):
         # a charge in [0.1, 0.9] needs no grading: the rule is the two
         # Gauss-Jacobi panels split at it, each evaluating the far endpoint's
-        # power, bit for bit
+        # power, bit for bit.  From order 128 on a non-integer exponent (here
+        # 2q = 0.6) is absorbed by two 16-node collars instead, and the long
+        # pieces absorb only the weight's exponents.
         for l1 in (-0.5, 0.0, 0.5, 1.0):
             for l2 in (-0.5, 0.0, 0.5, 1.0):
                 for y, q in ((0.1, 0.5), (0.37, 1.0), (0.9, 0.3)):
                     rule = quad.charge_rule(l1, l2, ((y, q),), order)
-                    left = quad.power_panel(0.0, y, l1, 2.0 * q, order)
-                    right = quad.power_panel(y, 1.0, 2.0 * q, l2, order)
+                    p = 2.0 * q
+                    if order >= 128 and not p.is_integer():
+                        self.check_collared(rule, l1, l2, y, p, order)
+                        continue
+                    left = quad.power_panel(0.0, y, l1, p, order)
+                    right = quad.power_panel(y, 1.0, p, l2, order)
                     np.testing.assert_array_equal(
                         rule.nodes, np.concatenate((left.nodes, right.nodes)))
                     np.testing.assert_array_equal(rule.weights, np.concatenate(
                         (left.weights * (1.0 - left.nodes) ** l2,
                          right.weights * right.nodes ** l1)))
+
+    @staticmethod
+    def check_collared(rule, l1, l2, y, p, order):
+        # long piece, collar, collar, long piece; each long piece equals
+        # power_panel with the endpoint exponent and evaluates the charge
+        k, kc = order, quad._COLLAR_NODES
+        assert len(rule.nodes) == 2 * k + 2 * kc
+        cut_left = y - quad._collar_width(y, p, y, order)
+        cut_right = y + quad._collar_width(y, p, 1.0 - y, order)
+        assert y - 0.02 * y < cut_left < y < cut_right < y + 0.02 * (1.0 - y)
+        left = quad.power_panel(0.0, cut_left, l1, 0.0, k)
+        right = quad.power_panel(cut_right, 1.0, 0.0, l2, k)
+        np.testing.assert_array_equal(rule.nodes[:k], left.nodes)
+        np.testing.assert_array_equal(rule.nodes[-k:], right.nodes)
+        np.testing.assert_array_equal(
+            rule.weights[:k], left.weights * np.abs(y - left.nodes) ** p
+            * np.abs(1.0 - left.nodes) ** l2)
+        np.testing.assert_array_equal(
+            rule.weights[-k:], right.weights * np.abs(y - right.nodes) ** p
+            * np.abs(0.0 - right.nodes) ** l1)
+        collars = rule.nodes[k:-k]
+        assert np.all((cut_left < collars[:kc]) & (collars[:kc] < y))
+        assert np.all((y < collars[kc:]) & (collars[kc:] < cut_right))
 
     @pytest.mark.parametrize("l1, t, order", [(-0.428, 0.0053, 38), (-0.5, 1e-4, 40)])
     def test_charge_near_an_endpoint(self, l1, t, order):
