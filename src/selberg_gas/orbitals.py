@@ -52,11 +52,13 @@ class Orbital:
     evaluate: Callable
 
 
-def apply_kernel(spec: KernelSpec, f: Callable, X: float, tol: float = 1e-8) -> float:
+def apply_kernel(spec: KernelSpec, f: Callable, X: float, tol: float = 1e-8):
     """Integral of f(Y) |X-Y|^(-nu) [Y(1-Y)]^w over (0,1) at interior X.
 
     f must stay bounded on (0,1); singular endpoint behavior belongs in
-    the weight exponent.
+    the weight exponent.  A scalar f gives a float.  An f that returns a
+    stack of shape (k, nodes) gives the k integrals as an array, from one
+    charge rule per order, certified once every component meets tol.
     """
     if not 0.0 < X < 1.0:
         raise DomainError(f"kernel argument must lie in (0,1), got {X}")
@@ -97,13 +99,17 @@ def orbital(j: int) -> Orbital:
     return Orbital(normalization=norm, evaluate=evaluate)
 
 
-def eigen_residual(j: int, X: float) -> float:
-    """Scaled defect of the eigenrelation for the j-th Gegenbauer mode at X."""
+def eigen_residuals(j_max: int, X: float) -> np.ndarray:
+    """Scaled defects of the eigenrelation for the Gegenbauer modes
+    j = 0..j_max at X, from one kernel application to the stacked modes."""
     from scipy.special import eval_gegenbauer
 
-    lhs = apply_kernel(EIGEN_KERNEL, lambda Y: eval_gegenbauer(j, 0.25, 2.0 * Y - 1.0), X)
-    rhs = scaled_occupation(j) * float(eval_gegenbauer(j, 0.25, 2.0 * X - 1.0))
-    return abs(lhs - rhs) / (1.0 + abs(rhs))
+    modes = np.arange(j_max + 1)
+    lhs = apply_kernel(EIGEN_KERNEL,
+                       lambda Y: eval_gegenbauer(modes[:, None], 0.25, 2.0 * Y - 1.0), X)
+    occupations = np.array([scaled_occupation(j) for j in range(j_max + 1)])
+    rhs = occupations * eval_gegenbauer(modes, 0.25, 2.0 * X - 1.0)
+    return np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
 
 
 def porter_stirling_solution(nu: float) -> tuple:

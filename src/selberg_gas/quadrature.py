@@ -226,29 +226,33 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
 
 
 def singular_integrate(f: Callable, lambda1: float, lambda2: float, charges: Sequence,
-                       tol: float = 1e-10) -> float:
+                       tol: float = 1e-10):
     """Integral over (0, 1) of f(y) y^lambda1 (1-y)^lambda2 prod_r |y_r - y|^(2 q_r)
     to certified tol, for f smooth on [0, 1].
 
     `charge_rule` absorbs every power exactly; accuracy is certified by
     order doubling from 32 to 512 nodes per panel, until two successive
-    orders agree to tol (relative once the value exceeds 1).
+    orders agree to tol (relative once the value exceeds 1).  f may return
+    a stack of shape (k, nodes), k integrands on one rule, summed along the
+    last axis: the k integrals come back as an array, all from the order at
+    which every component's gap has met tol.  A scalar f returns a float.
     """
     if tol < 1e-14:
         raise DomainError(f"tolerance {tol} below attainable precision")
 
     def evaluate(order):
         rule = charge_rule(lambda1, lambda2, charges, order)
-        return float(np.sum(rule.weights * f(rule.nodes)))
+        return np.sum(rule.weights * f(rule.nodes), axis=-1)
 
     prev = evaluate(32)
     for order in (64, 128, 256, 512):
         cur = evaluate(order)
-        gap = abs(cur - prev)
-        if gap <= tol * max(1.0, abs(cur)):
-            return cur
+        gap = np.abs(cur - prev)
+        if np.all(gap <= tol * np.maximum(1.0, np.abs(cur))):
+            return float(cur) if cur.ndim == 0 else cur
         prev = cur
-    raise QuadratureError(f"singular_integrate did not converge to {tol} (last gap {gap})")
+    raise QuadratureError(f"singular_integrate did not converge to {tol} "
+                          f"(last gap {float(np.max(gap))})")
 
 
 def jacobi_recurrence(n_terms: int, lambda1: float, lambda2: float):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selberg_gas import exact
+from selberg_gas import acceptance, exact
 from selberg_gas import fisherhartwig as fh
 from selberg_gas import quadrature as quad
 from selberg_gas.exact import (
@@ -173,6 +173,39 @@ class TestMorris:
         for (n, a, b, pts) in cases:
             closed = math.exp(exact.morris_closed(MorrisParams(n, a, b)).log_abs)
             assert closed == pytest.approx(morris_quadrature(n, a, b, pts), rel=1e-10)
+
+    @staticmethod
+    def certified_grids(n, a, b, cap):
+        # the acceptance oracle's value and the grids it evaluated
+        grids = []
+        periodic = quad.periodic_integrate
+
+        def counting(f, m, points):
+            grids.append(points)
+            return periodic(f, m, points)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quad, "periodic_integrate", counting)
+            return acceptance._morris_quadrature(n, a, b, cap), grids
+
+    @pytest.mark.parametrize("n, a, b, cap", [(1, 0.0, 0.0, 512), (1, 2.0, 1.0, 8192),
+                                              (2, 1.0, 1.0, 512)])
+    def test_certified_grid_matches_fixed_grid(self, n, a, b, cap):
+        # criterion 3's cases: a Laurent polynomial of degree <= 3 is exact
+        # from 4 points on, so 16 and 32 agree and the fixed grid's bits return
+        val, grids = self.certified_grids(n, a, b, cap)
+        assert grids == [16, 32]
+        assert val == morris_quadrature(n, a, b, cap)
+
+    def test_kinked_integrand_runs_to_the_cap(self):
+        val, grids = self.certified_grids(1, 0.5, 0.0, 8192)
+        assert grids == [16 << i for i in range(10)]
+        assert val == morris_quadrature(1, 0.5, 0.0, 8192)
+
+    def test_cap_below_first_grid_is_the_one_grid(self):
+        val, grids = self.certified_grids(1, 0.5, 0.0, 8)
+        assert grids == [8]
+        assert val == morris_quadrature(1, 0.5, 0.0, 8)
 
     @pytest.mark.parametrize("a", [0.3, 1.0, 1.7])
     def test_large_n_against_mpmath(self, a):

@@ -55,15 +55,30 @@ class TestApplyKernel:
 
 class TestEigenrelation:
     def test_low_modes_at_interior_points(self):
-        for j in range(6):
-            for X in (0.1, 0.3, 0.5, 0.7, 0.9):
-                assert orb.eigen_residual(j, X) <= 1e-4
+        for X in (0.1, 0.3, 0.5, 0.7, 0.9):
+            assert orb.eigen_residuals(5, X).max() <= 1e-4
 
     def test_expansion_identity_projection(self):
         # the kernel expansion identity projected against C_k^{1/4} reduces
         # to each mode's eigenrelation
-        assert max(orb.eigen_residual(k, 0.25) for k in range(4)) <= 1e-5
-        assert orb.eigen_residual(0, 0.5) <= 1e-6
+        assert orb.eigen_residuals(3, 0.25).max() <= 1e-5
+        assert orb.eigen_residuals(0, 0.5)[0] <= 1e-6
+
+    @pytest.mark.parametrize("X", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_stacked_modes_match_single_mode_bits(self, X):
+        # criterion 7's 30 (j, X) pairs: one kernel application to the
+        # stacked modes returns each mode's own integral and defect bit for bit
+        stacked = orb.apply_kernel(
+            orb.EIGEN_KERNEL,
+            lambda Y: eval_gegenbauer(np.arange(6)[:, None], 0.25, 2.0 * Y - 1.0), X)
+        residuals = orb.eigen_residuals(5, X)
+        assert stacked.shape == residuals.shape == (6,)
+        for j in range(6):
+            lhs = orb.apply_kernel(orb.EIGEN_KERNEL,
+                                   lambda Y: eval_gegenbauer(j, 0.25, 2.0 * Y - 1.0), X)
+            rhs = orb.scaled_occupation(j) * float(eval_gegenbauer(j, 0.25, 2.0 * X - 1.0))
+            assert stacked[j] == lhs
+            assert residuals[j] == abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
 class TestOrbitals:

@@ -223,6 +223,40 @@ class TestSingularIntegrate:
         assert nodes == [64, 128, 256]
         assert abs(val - ref) <= 1e-12
 
+    def test_stacked_integrands_wait_for_the_slowest(self):
+        # the constant certifies at order 64 alone; stacked with cos(150 y)
+        # both come from the order where the oscillating one certifies
+        nodes = []
+
+        def stack(y):
+            nodes.append(len(y))
+            return np.stack([np.ones_like(y), np.cos(150.0 * y)])
+
+        charges, tol = ((0.41, -0.25),), 1e-12
+        val = quad.singular_integrate(stack, -0.25, -0.25, charges, tol)
+        assert isinstance(val, np.ndarray) and val.shape == (2,)
+        assert nodes == [64, 128, 2 * 128 + 2 * quad._COLLAR_NODES]
+        ones = quad.singular_integrate(np.ones_like, -0.25, -0.25, charges, tol)
+        wave = quad.singular_integrate(lambda y: np.cos(150.0 * y), -0.25, -0.25,
+                                       charges, tol)
+        assert abs(val[0] - ones) <= tol * max(1.0, abs(ones))
+        assert val[1] == wave
+        rule = quad.charge_rule(-0.25, -0.25, charges, 128)
+        assert val[0] == np.sum(rule.weights)
+
+    def test_scalar_integrand_returns_a_float(self):
+        val = quad.singular_integrate(np.ones_like, 0.0, 0.0, ((0.3, -0.25),), 1e-11)
+        assert type(val) is float
+
+    def test_unconverged_gap_is_one_number(self):
+        def stack(y):
+            return np.stack([np.ones_like(y), np.cos(2000.0 * y), np.cos(1000.0 * y)])
+
+        with pytest.raises(quad.QuadratureError,
+                           match=r"^singular_integrate did not converge to 1e-12 "
+                                 r"\(last gap \d\.\d+(e-\d+)?\)$"):
+            quad.singular_integrate(stack, 0.0, 0.0, ((0.41, -0.25),), 1e-12)
+
     def test_rejects_unreachable_tolerance(self):
         with pytest.raises(DomainError):
             quad.singular_integrate(np.ones_like, 0.0, 0.0, (), 1e-15)
