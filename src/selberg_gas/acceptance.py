@@ -51,13 +51,13 @@ class CriterionResult:
     detail: str
 
 
-def criterion_1_table1(seed: int = 42, threads: int = 1) -> CriterionResult:
+def criterion_1_table1(seed: int = 42) -> CriterionResult:
     """Ten MC/asymptote ratios at N = 14 from 5000 samples at the standard X
     grid, bands [0.88, 1.17] pointwise and [0.97, 1.06] on the mean, and
-    a 300 s runtime cap at `threads` threads."""
+    a 300 s runtime cap."""
     start = time.perf_counter()
     queries = [DensityMatrixQuery(N=14, X=x, Y=1.0 - x) for x in TABLE1_XS]
-    estimates = mc_density_matrix_table(queries, 5000, seed, threads)
+    estimates = mc_density_matrix_table(queries, 5000, seed)
     ratios = [est.value / density_matrix_asymptote(q)
               for q, est in zip(queries, estimates)]
     elapsed = time.perf_counter() - start
@@ -323,9 +323,9 @@ def criterion_10_determinism(seed: int = 42) -> CriterionResult:
                            if identical else "outputs differ across thread counts")
 
 
-def run_all(seed: int = 42, threads: int = 1) -> list:
+def run_all(seed: int = 42) -> list:
     return [
-        criterion_1_table1(seed=seed, threads=threads),
+        criterion_1_table1(seed=seed),
         criterion_2_duality(),
         criterion_3_closed_forms(),
         criterion_4_partition_ratio(),

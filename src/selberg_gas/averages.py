@@ -146,21 +146,19 @@ def _dm_prefactor(query: DensityMatrixQuery) -> float:
 
 
 def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
-                            master_seed: int, threads: int = 1) -> list:
+                            master_seed: int) -> list:
     """Monte Carlo density-matrix estimates for several (X, Y) points off
     one sample set.
 
     `ensembles.sample_bidiagonal` draws samples 0..M-1, each a function of
-    (N, boundary, master_seed, k) alone, on `threads` threads, and
-    `ensembles.tridiagonal` gives their Jacobi matrices T.  Each sample's
-    log prod_l 16 |X - x_l| |Y - x_l| is
-    log |det(4X - 4T)| + log |det(4Y - 4T)|, taken without eigenvalues
+    (N, boundary, master_seed, k) alone, and `ensembles.tridiagonal` gives
+    their Jacobi matrices T.  Each sample's log prod_l 16 |X - x_l| |Y - x_l|
+    is log |det(4X - 4T)| + log |det(4Y - 4T)|, taken without eigenvalues
     by the pivot recurrence `ensembles.tridiagonal_log_dets`, in one call
-    over the M samples joined (16 M N bytes) and every X and Y.  That gives
+    over all M samples (16 M N bytes) and every X and Y.  That gives
     one (queries, M) array whose samples axis is contiguous, so each
     estimate is one numpy mean and standard deviation along it: bit for bit
-    the reduction of the samples taken one at a time, whatever the thread
-    count.
+    the reduction of the samples taken one at a time.
     """
     if M < 100:
         raise DomainError(f"M must be >= 100 for meaningful error bars, got {M}")
@@ -171,7 +169,7 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
 
     lam = queries[0].weight_exponent()
     params = EnsembleParams(n=queries[0].N, lambda1=lam, lambda2=lam)
-    diag, off_sq = tridiagonal(*sample_bidiagonal(params, master_seed, M, threads))
+    diag, off_sq = tridiagonal(*sample_bidiagonal(params, master_seed, M))
     # scaling by 4 and 16 is exact; the pivots are those of X - T times 4
     points = 4.0 * np.array([q.X for q in queries] + [q.Y for q in queries])
     log_dets = tridiagonal_log_dets(points, 4.0 * diag, 16.0 * off_sq)

@@ -3,14 +3,16 @@
 Output is a JSON document or CSV table embedding the resolved
 configuration and seed.  The configuration is the parsed namespace minus
 the run flags (--format, --out, --seed, --threads), so identical
-(config, seed) runs produce byte-identical output regardless of worker
-count.  Only the seeded subcommands take --threads.
+(config, seed) runs produce byte-identical output.  Only the seeded
+subcommands take --threads, which is accepted and has no effect: every
+run draws its samples on the calling thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -49,8 +51,9 @@ def _csv_field(x) -> str:
     return text
 
 
-# a column of one of these exact types is formatted without a quote scan
-_CSV_FORMATS = {float: "{:.17g}".format, int: str, bool: str}
+# the %-spec of a column of one exact type, whose text needs no quote scan;
+# any other column is formatted by _csv_field and spliced in by %s
+_CSV_SPECS = {float: "%.17g", int: "%d", bool: "%s"}
 
 
 def render(document: dict, fmt: str) -> str:
@@ -62,17 +65,21 @@ def render(document: dict, fmt: str) -> str:
     for key in sorted(document["provenance"]):
         lines.append(f"# {key}={_fmt(document['provenance'][key])}")
     results = document["results"]
+    body = ""
     if results:
         columns = list(results[0])
         lines.append(",".join(columns))
-        texts = []
+        specs, fields = [], []
         for c in columns:
             values = [row[c] for row in results]
             kinds = set(map(type, values))
-            field = _CSV_FORMATS.get(kinds.pop(), _csv_field) if len(kinds) == 1 else _csv_field
-            texts.append(map(field, values))
-        lines.extend(map(",".join, zip(*texts)))
-    return "\n".join(lines) + "\n"
+            spec = _CSV_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
+            specs.append(spec or "%s")
+            fields.append(values if spec else list(map(_csv_field, values)))
+        # the template holds only specs, so no value's text is read as one
+        body = (",".join(specs) + "\n") * len(results) % tuple(
+            itertools.chain.from_iterable(zip(*fields)))
+    return "\n".join(lines) + "\n" + body
 
 
 def _run_selberg(ns):
@@ -92,13 +99,13 @@ def _run_dm_asym(ns):
 
 def _run_dm_mc(ns):
     query = DensityMatrixQuery(N=ns.n, X=ns.x, Y=ns.y, boundary=ns.boundary)
-    est = mc_density_matrix_table([query], ns.m_samples, ns.seed, ns.threads)[0]
+    est = mc_density_matrix_table([query], ns.m_samples, ns.seed)[0]
     return [{"value": est.value, "std_error": est.std_error, "m_samples": ns.m_samples}]
 
 
 def _run_table1(ns):
     queries = [DensityMatrixQuery(N=ns.n, X=x, Y=1.0 - x) for x in acceptance.TABLE1_XS]
-    estimates = mc_density_matrix_table(queries, ns.m_samples, ns.seed, ns.threads)
+    estimates = mc_density_matrix_table(queries, ns.m_samples, ns.seed)
     rows = []
     for query, est in zip(queries, estimates):
         asym = density_matrix_asymptote(query)
@@ -129,7 +136,7 @@ def _run_orbitals(ns):
 
 def _run_sample_jue(ns):
     params = EnsembleParams(n=ns.n, lambda1=0.5, lambda2=0.5)
-    samples = spectra(*sample_bidiagonal(params, ns.seed, ns.m_samples, ns.threads)).tolist()
+    samples = spectra(*sample_bidiagonal(params, ns.seed, ns.m_samples)).tolist()
     rows = []
     for k, pts in enumerate(samples):
         for i, x in enumerate(pts):
@@ -181,7 +188,7 @@ def _run_fh_toeplitz(ns):
 
 
 def _run_validate(ns):
-    results = acceptance.run_all(seed=ns.seed, threads=ns.threads)
+    results = acceptance.run_all(seed=ns.seed)
     rows = []
     for res in results:
         line = f"{'PASS' if res.passed else 'FAIL'} criterion {res.number}: {res.name}"
@@ -223,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if seed:
             p.add_argument("--seed", type=_int_at_least(0), default=42)
-            p.add_argument("--threads", type=_int_at_least(1), default=1)
+            p.add_argument("--threads", type=_int_at_least(1), default=1,
+                           help="accepted and ignored: runs draw on the calling thread")
 
     p = sub.add_parser("selberg", help="closed-form Selberg integral")
     p.add_argument("--n", type=int, required=True)

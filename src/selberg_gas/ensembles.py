@@ -16,8 +16,6 @@ with no eigenvalues and no n x n matrix.
 
 from __future__ import annotations
 
-from concurrent import futures
-
 import numpy as np
 
 from .exact import EnsembleParams
@@ -32,7 +30,7 @@ def rng_stream(master_seed: int, index: int) -> np.random.Generator:
     SeedSequence(entropy=master_seed, spawn_key=(index,)).
 
     Distinct pairs give statistically independent streams; equal pairs
-    replay the same sequence regardless of thread count or platform.
+    replay the same sequence on any platform.
     """
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(seq))
@@ -43,21 +41,23 @@ def _block_rows(n: int) -> int:
     return max(1, min(32, (1 << 19) // (n * n)))
 
 
-def _draw(params: EnsembleParams, gen: np.random.Generator, rows: int) -> tuple:
-    # the (d^2, e^2) of `rows` samples drawn from `gen`; see sample_bidiagonal
-    n = params.n
-    j = np.arange(n, 0, -1.0)
-    # one call draws what consecutive one-row calls would
-    a = np.concatenate((params.lambda1 + j, j[1:]))
-    b = np.concatenate((params.lambda2 + j, params.lambda1 + params.lambda2 + 1.0 + j[1:]))
-    variates = gen.beta(a, b, size=(rows, 2 * n - 1))
+def _beta_shapes(params: EnsembleParams) -> tuple:
+    # the Beta parameters (a, b) of one row's 2n - 1 variates: the c_j^2 and
+    # then the c'_j^2, both for descending j; see sample_bidiagonal
+    j = np.arange(params.n, 0, -1.0)
+    return (np.concatenate((params.lambda1 + j, j[1:])),
+            np.concatenate((params.lambda2 + j, params.lambda1 + params.lambda2 + 1.0 + j[1:])))
+
+
+def _squares(variates: np.ndarray, n: int) -> tuple:
+    # the (d^2, e^2) of each row of (rows, 2n - 1) variates; see sample_bidiagonal
     c_sq, cp_sq = variates[:, :n], variates[:, n:]
-    return (c_sq * np.concatenate((np.ones((rows, 1)), 1.0 - cp_sq), axis=1),
-            (1.0 - c_sq[:, :-1]) * cp_sq)
+    d_sq = c_sq.copy()
+    d_sq[:, 1:] *= 1.0 - cp_sq
+    return d_sq, (1.0 - c_sq[:, :-1]) * cp_sq
 
 
-def sample_bidiagonal(params: EnsembleParams, master_seed: int, M: int,
-                      threads: int = 1) -> tuple:
+def sample_bidiagonal(params: EnsembleParams, master_seed: int, M: int) -> tuple:
     """Exact samples 0..M-1 of the n-point Jacobi ensemble with weight
     x^lambda1 (1-x)^lambda2, each as the squared diagonal d^2 and squared
     superdiagonal e^2 of its upper bidiagonal B, shapes (M, n) and
@@ -69,21 +69,17 @@ def sample_bidiagonal(params: EnsembleParams, master_seed: int, M: int,
     and every variate is independent.  Block b of B(n) rows draws from the
     one stream `rng_stream(master_seed, b)` in one `beta` call, row by row,
     each row the c_j and then the c'_j, both for descending j, so sample k
-    is row k mod B(n) of block k // B(n) whatever M and `threads`, the size
-    of the pool that draws the blocks.
+    is row k mod B(n) of block k // B(n) whatever M.  The blocks fill one
+    (M, 2n - 1) array of variates in order, on the calling thread, and
+    (d^2, e^2) are taken from it in one pass.
     """
     size = _block_rows(params.n)
-
-    def run(block: int) -> tuple:
-        return _draw(params, rng_stream(master_seed, block), min(size, M - block * size))
-
-    blocks = range(-(-M // size))
-    if threads <= 1:
-        parts = [run(block) for block in blocks]
-    else:
-        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, blocks))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    a, b = _beta_shapes(params)
+    variates = np.empty((M, len(a)))
+    for block, start in enumerate(range(0, M, size)):
+        rows = variates[start:start + size]
+        rows[...] = rng_stream(master_seed, block).beta(a, b, size=rows.shape)
+    return _squares(variates, params.n)
 
 
 def spectra(d_sq: np.ndarray, e_sq: np.ndarray) -> np.ndarray:
@@ -162,4 +158,5 @@ def tridiagonal_log_dets(points: np.ndarray, diag: np.ndarray,
 def sample_jue_halfhalf(n: int, gen: np.random.Generator) -> np.ndarray:
     """Exact sample of the n-point Jacobi ensemble with exponents (1/2, 1/2),
     the Dirichlet-boundary law, drawn from `gen` at its current position."""
-    return spectra(*_draw(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), gen, 1))[0]
+    a, b = _beta_shapes(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5))
+    return spectra(*_squares(gen.beta(a, b, size=(1, len(a))), n))[0]

@@ -192,9 +192,8 @@ def duality_constant_A(params: EnsembleParams, m: int) -> LogMagnitude:
     return LogMagnitude(math.fsum(terms))
 
 
-def log_g4_half3() -> float:
-    """log of G(3/2)^4, the universal constant of the density-matrix asymptote."""
-    return 4.0 * log_barnes_g(1.5)
+# log of G(3/2)^4, the universal constant of the density-matrix asymptote
+LOG_G4_HALF3 = 4.0 * log_barnes_g(1.5)
 
 
 def density_matrix_asymptote(query: DensityMatrixQuery) -> float:
@@ -206,7 +205,7 @@ def density_matrix_asymptote(query: DensityMatrixQuery) -> float:
     X, Y = query.X, query.Y
     if X == Y:
         raise DomainError("asymptotic density matrix diverges at X = Y")
-    return (query.rho * math.exp(log_g4_half3()) / math.sqrt(2.0 * query.N)
+    return (query.rho * math.exp(LOG_G4_HALF3) / math.sqrt(2.0 * query.N)
             * (X * (1.0 - X)) ** 0.125 * (Y * (1.0 - Y)) ** 0.125
             / math.sqrt(abs(X - Y)))
 
@@ -217,6 +216,6 @@ def occupation_number(j: int, N: int) -> float:
         raise DomainError(f"orbital index must be >= 0, got {j}")
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    log_val = (log_g4_half3() + log_gamma(j + 0.5)
+    log_val = (LOG_G4_HALF3 + log_gamma(j + 0.5)
                - 0.5 * math.log(math.pi) - log_gamma(j + 1.0))
     return math.exp(log_val) * math.sqrt(N)

@@ -477,46 +477,45 @@ class TestMonteCarloDensityMatrix:
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
         assert est.value > 0.0
 
-    def test_thread_counts_agree_bitwise(self):
-        query = DensityMatrixQuery(N=6, X=0.2, Y=0.8)
-        one = mc_density_matrix_table([query], 300, 7, threads=1)[0]
-        two = mc_density_matrix_table([query], 300, 7, threads=3)[0]
-        assert one.value == two.value and one.std_error == two.std_error
-
-    def test_block_boundaries_and_thread_counts_agree_bitwise(self):
-        # the last block full, one row short, one row long and five rows long;
-        # M >= 100 is the estimator's floor
-        B = block_size(6)
-        queries = [DensityMatrixQuery(N=6, X=0.2, Y=0.8), DensityMatrixQuery(N=6, X=0.1, Y=0.45)]
-        for M in (4 * B - 1, 4 * B, 4 * B + 1, 3 * B + 5):
-            runs = [mc_density_matrix_table(queries, M, 5, threads=t) for t in (1, 2, 4)]
-            for est in runs[1:]:
-                assert [(e.value, e.std_error) for e in est] == \
-                    [(e.value, e.std_error) for e in runs[0]]
-
-    @pytest.mark.parametrize("boundary", ("dirichlet", "neumann"))
-    def test_readme_seed_matches_per_sample_loop(self, boundary):
-        # the README's Table 1 run (N = 14, M = 5000, seed 42) and its dm-mc
-        # point, against one sample, one scalar pivot loop and one exp at a
-        # time
-        N, M, seed = 14, 5000, 42
-        lam = 0.5 if boundary == "dirichlet" else -0.5
-        params = EnsembleParams(n=N, lambda1=lam, lambda2=lam)
+    @staticmethod
+    def per_sample_loop(queries, M, seed):
+        # the (value, std_error) of each query from one sample, one scalar
+        # pivot loop and one exp at a time
+        lam = queries[0].weight_exponent()
+        params = EnsembleParams(n=queries[0].N, lambda1=lam, lambda2=lam)
         pairs = [(4.0 * diag, 16.0 * off_sq)
                  for diag, off_sq in reference_pairs(params, seed, M)]
-        queries = [DensityMatrixQuery(N=N, X=X, Y=1.0 - X, boundary=boundary)
-                   for X in TABLE1_XS]
-        point = DensityMatrixQuery(N=N, X=0.2, Y=0.8, boundary=boundary)
-        got = (mc_density_matrix_table(queries, M, seed)
-               + mc_density_matrix_table([point], M, seed))
-        for query, est in zip(queries + [point], got):
+        estimates = []
+        for query in queries:
             vals = np.array([
                 averages._dm_prefactor(query)
                 * np.exp(reference_log_det(4.0 * query.X, *pair)
                          + reference_log_det(4.0 * query.Y, *pair))
                 for pair in pairs])
-            assert est.value == vals.mean()
-            assert est.std_error == vals.std(ddof=1) / math.sqrt(M)
+            estimates.append((vals.mean(), vals.std(ddof=1) / math.sqrt(M)))
+        return estimates
+
+    def test_block_boundaries_agree_bitwise(self):
+        # the last block full, one row short, one row long and five rows long;
+        # M >= 100 is the estimator's floor
+        B = block_size(6)
+        queries = [DensityMatrixQuery(N=6, X=0.2, Y=0.8), DensityMatrixQuery(N=6, X=0.1, Y=0.45)]
+        for M in (4 * B - 1, 4 * B, 4 * B + 1, 3 * B + 5):
+            got = mc_density_matrix_table(queries, M, 5)
+            assert [(e.value, e.std_error) for e in got] == self.per_sample_loop(queries, M, 5)
+
+    @pytest.mark.parametrize("boundary", ("dirichlet", "neumann"))
+    def test_readme_seed_matches_per_sample_loop(self, boundary):
+        # the README's Table 1 run (N = 14, M = 5000, seed 42) and its dm-mc
+        # point, against the per-sample loop
+        N, M, seed = 14, 5000, 42
+        queries = [DensityMatrixQuery(N=N, X=X, Y=1.0 - X, boundary=boundary)
+                   for X in TABLE1_XS]
+        point = DensityMatrixQuery(N=N, X=0.2, Y=0.8, boundary=boundary)
+        got = (mc_density_matrix_table(queries, M, seed)
+               + mc_density_matrix_table([point], M, seed))
+        want = self.per_sample_loop(queries + [point], M, seed)
+        assert [(e.value, e.std_error) for e in got] == want
 
     @pytest.mark.parametrize("N,boundary,M", ((14, "dirichlet", 300), (14, "neumann", 300),
                                               (50, "dirichlet", 100), (200, "dirichlet", 30)))
@@ -539,7 +538,7 @@ class TestMonteCarloDensityMatrix:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         query = DensityMatrixQuery(N=20, X=0.2, Y=0.8)
-        est = mc_density_matrix_table([query], 100, 4, threads=2)[0]
+        est = mc_density_matrix_table([query], 100, 4)[0]
         assert math.isfinite(est.value) and est.value > 0.0
 
     def test_estimate_metadata(self):

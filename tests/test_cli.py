@@ -6,15 +6,19 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import selberg_gas
 from selberg_gas import acceptance, cli
 from selberg_gas import ensembles
 
+from csv_oracle import render_csv
 from sampler_oracle import block_size
 
 
@@ -181,6 +185,27 @@ def test_config_keys_and_types(argv, types, monkeypatch):
         assert config["sizes"] == "4,8"
 
 
+CSV_SPECIAL_FLOATS = (math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                      2.2250738585072009e-308, 0.1, -2.5e-300, 1e300)
+CSV_TEXT = st.text(alphabet=st.sampled_from('ab,"\n%sd é'), max_size=8)
+CSV_FLOATS = st.one_of(st.sampled_from(CSV_SPECIAL_FLOATS), st.floats())
+# the values of one column: Python floats, ints, bools, None and strings,
+# numpy scalars, or any of these mixed
+CSV_KINDS = (CSV_FLOATS, st.integers(), st.booleans(), st.none(), CSV_TEXT,
+             CSV_FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+             st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_))
+CSV_KINDS += (st.one_of(*CSV_KINDS),)
+
+
+@st.composite
+def csv_documents(draw):
+    kinds = draw(st.lists(st.sampled_from(CSV_KINDS), min_size=1, max_size=4))
+    names = draw(st.lists(CSV_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
+    rows = draw(st.lists(st.tuples(*kinds), min_size=1, max_size=6))
+    return {"config": {"label": draw(CSV_TEXT)}, "provenance": {"seed": draw(st.none())},
+            "results": [dict(zip(names, row)) for row in rows]}
+
+
 class TestRendering:
     def test_json_round_trip_idempotent(self):
         doc, _ = run_document(["selberg", "--n", "2", "--lambda1", "0.5",
@@ -251,9 +276,9 @@ class TestRendering:
         block = block_size(3)
         seen = []
 
-        def recording(params, master_seed, M, threads):
-            seen.append(threads)
-            return ensembles.sample_bidiagonal(params, master_seed, M, threads)
+        def recording(params, master_seed, M):
+            seen.append((master_seed, M))
+            return ensembles.sample_bidiagonal(params, master_seed, M)
 
         monkeypatch.setattr(cli, "sample_bidiagonal", recording)
         outputs = []
@@ -262,10 +287,17 @@ class TestRendering:
                              "--seed", "9", "--format", "csv",
                              "--threads", str(threads)]) == 0
             outputs.append(capsys.readouterr().out)
-        assert seen == [1, 2, 4]
+        # every run reaches the sampler with the same request
+        assert seen == [(9, block + extra)] * 3
         # five header comments, the column line and n rows per sample
         assert outputs[0].count("\n") == 6 + 3 * (block + extra)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @given(document=csv_documents())
+    @example(document={"config": {}, "provenance": {}, "results": [
+        {"x": x, "s": "%s%d%%"} for x in CSV_SPECIAL_FLOATS]})
+    def test_csv_matches_per_field_writer(self, document):
+        assert cli.render(document, "csv") == render_csv(document)
 
     def test_thread_flag_does_not_change_bytes(self):
         args = ["dm-mc", "--n", "4", "--x", "0.2", "--y", "0.8",
@@ -467,3 +499,24 @@ def test_readme_command_line_parses(line):
     except SystemExit:
         pytest.fail(f"README line does not parse: {line}")
     assert ns.subcommand == argv[0]
+
+
+@pytest.mark.parametrize("line", [line for line in README_LINES if "--seed" in line],
+                         ids=lambda line: line.split()[1])
+def test_readme_seeded_runs_match_per_field_writer(line):
+    doc, _ = run_document(shlex.split(line, comments=True)[1:])
+    assert cli.render(doc, "csv") == render_csv(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dm-mc", "--n", "14", "--x", "0.2", "--y", "0.8", "--m-samples", "200"],
+    ["table1", "--n", "6", "--m-samples", "100"],
+    ["sample-jue", "--n", "3", "--m-samples", "70"]], ids=lambda argv: argv[0])
+def test_seeded_runs_start_no_thread(argv, monkeypatch, capsys):
+    # --threads is accepted and every run draws on the calling thread
+    def refused(thread):
+        raise AssertionError(f"a run started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    assert cli.main(argv + ["--seed", "3", "--threads", "4"]) == 0
+    assert capsys.readouterr().out

@@ -140,17 +140,16 @@ class TestBlockSampler:
         for M in (1, 5, 31, 32, 33, 70):
             assert np.array_equal(draw(params, 7, M), reference[:M])
 
-    @pytest.mark.parametrize("threads", (1, 2, 4))
-    def test_samples_are_a_prefix_whatever_m(self, threads):
-        # the thread contract: (d^2, e^2) of sample k are the same bytes
-        # whatever M and the thread count, the last block one row short,
-        # full, one row long and five rows long, at B = 32 and B = 13
+    def test_samples_are_a_prefix_whatever_m(self):
+        # (d^2, e^2) of sample k are the same bytes whatever M, the last
+        # block one row short, full, one row long and five rows long, at
+        # B = 32 and B = 13
         for n in (14, 200):
             params = EnsembleParams(n=n, lambda1=-0.5, lambda2=-0.5)
             B = block_size(n)
             longest = sample_bidiagonal(params, 11, 4 * B)
             for M in (B - 1, B, B + 1, 3 * B + 5):
-                got = sample_bidiagonal(params, 11, M, threads)
+                got = sample_bidiagonal(params, 11, M)
                 for part, whole in zip(got, longest):
                     assert part.tobytes() == whole[:M].tobytes()
 
@@ -184,15 +183,21 @@ class TestBlockSampler:
         assert len(draw(params, 3, M)) == M
         assert sorted(built) == list(range(-(-M // block_size(14))))
 
-    @staticmethod
-    def blocks(monkeypatch, n, M, threads=1):
+    class BlockIndex:
+        # a generator whose every Beta variate is its block's index
+        def __init__(self, block):
+            self.block = block
+
+        def beta(self, a, b, size):
+            return np.full(size, float(self.block))
+
+    @classmethod
+    def blocks(cls, monkeypatch, n, M):
         # the (block, rows) of each draw, in the order sample_bidiagonal
-        # joins them, with each draw replaced by rows of its block's index
-        monkeypatch.setattr(ensembles, "rng_stream", lambda seed, block: block)
-        monkeypatch.setattr(ensembles, "_draw", lambda params, block, rows: (
-            np.full((rows, 1), block), np.zeros((rows, 0))))
+        # lays them out, read off d^2_1 = c_n^2, the index of its block
+        monkeypatch.setattr(ensembles, "rng_stream", lambda seed, block: cls.BlockIndex(block))
         params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-        ids = sample_bidiagonal(params, 1, M, threads)[0][:, 0]
+        ids = sample_bidiagonal(params, 1, M)[0][:, 0]
         starts = np.flatnonzero(np.diff(ids, prepend=-1))
         return [(int(ids[s]), int(c)) for s, c in zip(starts, np.diff(starts, append=M))]
 
@@ -204,7 +209,6 @@ class TestBlockSampler:
             assert all(rows == B for _, rows in blocks[:-1])
             assert 1 <= blocks[-1][1] <= B
             assert sum(rows for _, rows in blocks) == M
-            assert self.blocks(monkeypatch, n, M, threads=2) == blocks
 
     def test_block_size_depends_on_n_alone(self, monkeypatch):
         def rows(n, M=1000):

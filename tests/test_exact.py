@@ -279,7 +279,9 @@ class TestDualityConstant:
         # A = [Selberg ratio by tensor quadrature] / [Morris ratio by
         # periodic quadrature], both sides fully independent of the
         # closed forms; the periodic rule is Richardson-extrapolated over
-        # a doubling ladder to clear the wrap-point kink
+        # a doubling ladder to clear the wrap-point kink of M_2(lam + 2, lam),
+        # while M_2(0, 0), a trigonometric polynomial, is exact on the
+        # certified doubling grid
         def morris_extrapolated(n, a, b):
             ladder = [morris_quadrature(n, a, b, 512 << i) for i in range(3)]
             r1 = (4.0 * ladder[1] - ladder[0]) / 3.0
@@ -289,7 +291,8 @@ class TestDualityConstant:
         params = EnsembleParams(n=2, lambda1=lam, lambda2=lam)
         eta1, eta2 = params.lambda2, params.lambda1 + params.n
         lhs_t1 = selberg_quadrature(2, lam, lam + 2.0) / selberg_quadrature(2, lam, lam)
-        morris_ratio = morris_extrapolated(2, eta2, eta1) / morris_extrapolated(2, 0.0, 0.0)
+        morris_ratio = (morris_extrapolated(2, eta2, eta1)
+                        / acceptance._morris_quadrature(2, 0.0, 0.0, 512))
         oracle = lhs_t1 / morris_ratio
         closed = math.exp(exact.duality_constant_A(params, 2).log_abs)
         assert closed == pytest.approx(oracle, rel=1e-8)
@@ -341,6 +344,10 @@ class TestDensityMatrixAsymptote:
         q = DensityMatrixQuery(N=14, X=0.025, Y=0.975)
         assert exact.density_matrix_asymptote(q) == pytest.approx(
             1.4018320102620347, rel=1e-12)
+
+    def test_constant_is_four_log_g_of_three_halves(self):
+        # computed once at import, bit for bit the per-call value it replaced
+        assert exact.LOG_G4_HALF3 == 4.0 * log_barnes_g(1.5)
 
     def test_symmetry_and_boundary_independence(self):
         a = exact.density_matrix_asymptote(DensityMatrixQuery(N=9, X=0.3, Y=0.6))
