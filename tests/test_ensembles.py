@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from selberg_gas import ensembles
+from selberg_gas import cli, ensembles
 from selberg_gas import quadrature as quad
 from selberg_gas.ensembles import (
     SamplingError,
@@ -140,18 +140,27 @@ class TestBlockSampler:
         for M in (1, 5, 31, 32, 33, 70):
             assert np.array_equal(draw(params, 7, M), reference[:M])
 
-    def test_samples_are_a_prefix_whatever_m(self):
+    @pytest.mark.parametrize("threads", (1, 2, 4))
+    def test_samples_are_a_prefix_whatever_m(self, threads):
         # (d^2, e^2) of sample k are the same bytes whatever M, the last
         # block one row short, full, one row long and five rows long, at
-        # B = 32 and B = 13
+        # B = 32 and B = 13; so are the (1/2, 1/2) sample-jue rows of
+        # sample k at each --threads value the CLI accepts
+        def sample_jue(n, M):
+            argv = ["sample-jue", "--n", str(n), "--m-samples", str(M),
+                    "--seed", "11", "--threads", str(threads)]
+            return cli.execute(cli.build_parser().parse_args(argv))["results"]
+
         for n in (14, 200):
             params = EnsembleParams(n=n, lambda1=-0.5, lambda2=-0.5)
             B = block_size(n)
             longest = sample_bidiagonal(params, 11, 4 * B)
+            longest_rows = sample_jue(n, 4 * B)
             for M in (B - 1, B, B + 1, 3 * B + 5):
                 got = sample_bidiagonal(params, 11, M)
                 for part, whole in zip(got, longest):
                     assert part.tobytes() == whole[:M].tobytes()
+                assert sample_jue(n, M) == longest_rows[:n * M]
 
     @pytest.mark.parametrize("n, M", ((1, 45), (14, 45), (200, 30)))
     def test_spectra_do_not_depend_on_stacking(self, monkeypatch, n, M):
