@@ -20,7 +20,6 @@ from .exact import (
     selberg_closed,
 )
 from .averages import (
-    DualityCase,
     MCEstimate,
     average_even_power_heine,
     density_matrix_exact,

@@ -44,20 +44,6 @@ class MCEstimate:
     std_error: float
 
 
-@dataclass(frozen=True)
-class DualityCase:
-    """One instance (n, m, t) of the Jacobi-to-circular duality identity;
-    the size n is params.n."""
-
-    m: int
-    t: float
-    params: EnsembleParams
-
-    def __post_init__(self):
-        if self.m < 2 or self.m % 2 != 0:
-            raise DomainError(f"duality power m must be even and >= 2, got {self.m}")
-
-
 def average_even_power_heine(params: EnsembleParams, t: float, m: int) -> LogMagnitude:
     """< prod_l (t - x_l)^m > for even m by Heine's identity.
 
@@ -68,7 +54,7 @@ def average_even_power_heine(params: EnsembleParams, t: float, m: int) -> LogMag
     if m < 2 or m % 2 != 0:
         raise DomainError(f"power m must be even and >= 2, got {m}")
     symbol = fh.SymbolSpec(singularities=((t, m / 2),))
-    return LogMagnitude(fh.hankel_log_ratio(params, symbol, params.n))
+    return LogMagnitude(float(fh.hankel_log_ratios(params, symbol, (params.n,))[0]))
 
 
 def _normal(value: float, side: str) -> float:
@@ -79,10 +65,10 @@ def _normal(value: float, side: str) -> float:
     return float(value)
 
 
-def duality_lhs(case: DualityCase) -> float:
-    """Jacobi-side average < prod (t - x_l)^m >.  Raises `DomainError` on a
-    zero or subnormal value."""
-    return _normal(average_even_power_heine(case.params, case.t, case.m).value(
+def duality_lhs(params: EnsembleParams, t: float, m: int) -> float:
+    """Jacobi-side average < prod (t - x_l)^m > at size params.n, m even and
+    >= 2.  Raises `DomainError` on an odd m or a zero or subnormal value."""
+    return _normal(average_even_power_heine(params, t, m).value(
         "duality Jacobi side"), "Jacobi")
 
 
@@ -99,8 +85,9 @@ def _jacobi_p(n: int, alpha: np.ndarray, beta: np.ndarray, x: float) -> np.ndarr
     return cur
 
 
-def duality_rhs(case: DualityCase) -> float:
-    """Circular-side value of the duality formula, in closed form.
+def duality_rhs(params: EnsembleParams, t: float, m: int) -> float:
+    """Circular-side value of the duality formula at size params.n, m even
+    and >= 2, in closed form.
 
     By Andreief's identity the m-fold circular integral of
     prod_j F(theta_j) |Delta(e^{i theta})|^2 is m! det[c_{j-k}] with
@@ -116,14 +103,14 @@ def duality_rhs(case: DualityCase) -> float:
     symbols (x)_k = Gamma(x+k)/Gamma(x) that vanish in the denominator's
     poles.  The coefficients are real and exact to rounding; S^m is carried
     in log space, and the m! cancels against M_m(0, 0) = m!.  Raises
-    `DomainError` on a non-finite, zero or subnormal result.
+    `DomainError` on an odd m or a non-finite, zero or subnormal result.
     """
     # scipy.special is imported where it is called, not at module level, to
     # keep it out of the CLI's start-up
     from scipy.special import poch
 
-    l1, l2 = case.params.lambda1, case.params.lambda2
-    n, m, t = case.params.n, case.m, case.t
+    log_a = duality_constant_A(params, m).log_abs
+    l1, l2, n = params.lambda1, params.lambda2, params.n
     ks = np.arange(1 - m, m, dtype=float)
     a0, b0 = l1 + n + 1.0, l2 + n + 1.0
     c = ((-1.0) ** n * _jacobi_p(n, l1 + ks, l2 - ks, 1.0 - 2.0 * t)
@@ -132,13 +119,16 @@ def duality_rhs(case: DualityCase) -> float:
     det = np.linalg.det(c[(m - 1) + idx[:, None] - idx[None, :]])
     log_scale = (log_gamma(l1 + l2 + n + 1.0) + log_gamma(n + 1.0)
                  - log_gamma(a0) - log_gamma(b0))
-    value = det * math.exp(duality_constant_A(case.params, m).log_abs + m * log_scale)
+    value = det * math.exp(log_a + m * log_scale)
     return _normal(value, "circular")
 
 
 def _dm_prefactor(query: DensityMatrixQuery) -> float:
-    # the density-matrix normalisation, shared by the Monte Carlo estimator
-    # and the exact value
+    """The density-matrix normalisation, shared by the Monte Carlo estimator
+    and the exact value.  It makes every value N/(N+1) times the physical
+    density matrix of the N+1 particles, whose trace is N+1: the convention
+    of the paper's Table 1, on which criterion 1's bands are centred.  The
+    tests hold it to Lenard's determinant up to N = 200."""
     X, Y = query.X, query.Y
     if query.boundary == BOUNDARY_DIRICHLET:
         return 8.0 * query.rho / (query.N + 1) * math.sqrt((X * (1.0 - X)) * (Y * (1.0 - Y)))
@@ -187,13 +177,15 @@ def density_matrix_exact(query: DensityMatrixQuery) -> float:
     """Exact finite-N density matrix at any N: the Monte Carlo estimator's
     prefactor times its average < prod_l 16 |X - x_l| |Y - x_l| >, taken
     as the Hankel ratio of the two half charges (X, 1/2) and (Y, 1/2), which
-    merge into one unit charge (X, 1) on the diagonal X = Y, the density."""
+    merge into one unit charge (X, 1) on the diagonal X = Y, the density.
+    Like the estimator it returns N/(N+1) times the physical density matrix
+    of the N+1 particles (see `_dm_prefactor`)."""
     params = EnsembleParams(n=query.N, lambda1=query.weight_exponent(),
                             lambda2=query.weight_exponent())
     charges = ((query.X, 1.0),) if query.X == query.Y else ((query.X, 0.5), (query.Y, 0.5))
     symbol = fh.SymbolSpec(singularities=charges)
     return _dm_prefactor(query) * math.exp(
-        2 * query.N * math.log(4.0) + fh.hankel_log_ratio(params, symbol, query.N))
+        2 * query.N * math.log(4.0) + fh.hankel_log_ratios(params, symbol, (query.N,))[0])
 
 
 # Former names still called by the benchmark's oracle tests
@@ -204,4 +196,4 @@ density_matrix_bruteforce = density_matrix_exact
 
 def average_product_bruteforce(params: EnsembleParams, charges: fh.SymbolSpec) -> float:
     """< prod_l prod_r |y_r - x_l|^(2 q_r) > by the Hankel engine."""
-    return math.exp(fh.hankel_log_ratio(params, charges, params.n))
+    return math.exp(fh.hankel_log_ratios(params, charges, (params.n,))[0])

@@ -14,16 +14,12 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 
 from . import __version__, acceptance
 from . import fisherhartwig as fh
-from .averages import (
-    DualityCase,
-    duality_lhs,
-    duality_rhs,
-    mc_density_matrix_table,
-)
+from .averages import duality_lhs, duality_rhs, mc_density_matrix_table
 from .ensembles import sample_bidiagonal, spectra
 from .exact import (
     DensityMatrixQuery,
@@ -104,22 +100,15 @@ def _run_dm_mc(ns):
 
 
 def _run_table1(ns):
-    queries = [DensityMatrixQuery(N=ns.n, X=x, Y=1.0 - x) for x in acceptance.TABLE1_XS]
-    estimates = mc_density_matrix_table(queries, ns.m_samples, ns.seed)
-    rows = []
-    for query, est in zip(queries, estimates):
-        asym = density_matrix_asymptote(query)
-        rows.append({"X": query.X, "mc_value": est.value, "std_error": est.std_error,
-                     "asymptote": asym, "ratio": est.value / asym})
-    return rows
+    return acceptance.table1_rows(ns.n, ns.m_samples, ns.seed)
 
 
 def _run_duality(ns):
     params = EnsembleParams(n=ns.n, lambda1=ns.lambda1, lambda2=ns.lambda2)
-    case = DualityCase(m=ns.m, t=ns.t, params=params)
-    lhs = duality_lhs(case)
-    rhs = duality_rhs(case)
-    return [{"lhs": lhs, "rhs": rhs, "rel_diff": abs(lhs - rhs) / max(1e-300, abs(lhs))}]
+    lhs = duality_lhs(params, ns.t, ns.m)
+    rhs = duality_rhs(params, ns.t, ns.m)
+    # both sides are normal floats, so lhs is never 0
+    return [{"lhs": lhs, "rhs": rhs, "rel_diff": abs(lhs - rhs) / abs(lhs)}]
 
 
 def _run_orbitals(ns):
@@ -159,6 +148,17 @@ def _int_at_least(low: int):
         return value
 
     return integer
+
+
+def _finite_float(text: str) -> float:
+    # float() also reads "nan" and "inf", which no computation here accepts
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _run_fh_jacobi(ns):
@@ -235,27 +235,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selberg", help="closed-form Selberg integral")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda1", type=float, required=True)
-    p.add_argument("--lambda2", type=float, required=True)
+    p.add_argument("--lambda1", type=_finite_float, required=True)
+    p.add_argument("--lambda2", type=_finite_float, required=True)
     common(p, seed=False)
 
     p = sub.add_parser("morris", help="closed-form Morris integral")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda1", dest="a", type=float, required=True, help="exponent a")
-    p.add_argument("--lambda2", dest="b", type=float, required=True, help="exponent b")
+    p.add_argument("--lambda1", dest="a", type=_finite_float, required=True, help="exponent a")
+    p.add_argument("--lambda2", dest="b", type=_finite_float, required=True, help="exponent b")
     common(p, seed=False)
 
     p = sub.add_parser("dm-asym", help="asymptotic density matrix value")
     p.add_argument("--n", type=int, required=True, help="N (system holds N+1 particles)")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--y", type=_finite_float, required=True)
     p.add_argument("--boundary", choices=("dirichlet", "neumann"), default="dirichlet")
     common(p, seed=False)
 
     p = sub.add_parser("dm-mc", help="Monte Carlo density matrix estimate")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--y", type=_finite_float, required=True)
     p.add_argument("--boundary", choices=("dirichlet", "neumann"), default="dirichlet")
     p.add_argument("--m-samples", type=int, default=5000)
     common(p)
@@ -268,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duality-check", help="both sides of the duality identity")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m", type=int, default=2, help="even power m >= 2")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--lambda1", type=float, default=0.5)
-    p.add_argument("--lambda2", type=float, default=0.5)
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--lambda1", type=_finite_float, default=0.5)
+    p.add_argument("--lambda2", type=_finite_float, default=0.5)
     common(p, seed=False)
 
     p = sub.add_parser("orbitals", help="orbital occupations and normalizations")
@@ -286,15 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fh-jacobi", help="Jacobi-weight determinant drift vs the "
                        "Deift-Its-Krasovsky asymptote")
     p.add_argument("--sizes", type=_parse_sizes, default=(8, 16, 32, 48))
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--y", type=float, default=0.5)
-    p.add_argument("--lambda1", type=float, default=0.5)
-    p.add_argument("--lambda2", type=float, default=0.5)
+    p.add_argument("--q", type=_finite_float, default=0.5)
+    p.add_argument("--y", type=_finite_float, default=0.5)
+    p.add_argument("--lambda1", type=_finite_float, default=0.5)
+    p.add_argument("--lambda2", type=_finite_float, default=0.5)
     common(p, seed=False)
 
     p = sub.add_parser("fh-toeplitz", help="Toeplitz determinant drift vs classical form")
     p.add_argument("--sizes", type=_parse_sizes, default=(8, 16, 32, 48))
-    p.add_argument("--q", type=float, default=0.5, help="singularity strength")
+    p.add_argument("--q", type=_finite_float, default=0.5, help="singularity strength")
     common(p, seed=False)
 
     p = sub.add_parser("validate", help="run the acceptance suite")

@@ -118,11 +118,6 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     return logs[sizes]
 
 
-def hankel_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
-    """log of H_n[symbol] / H_n[1]: the one-size view of `hankel_log_ratios`."""
-    return float(hankel_log_ratios(params, symbol, (n,))[0])
-
-
 def hankel_balanced_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
                                sizes: Sequence[int]) -> np.ndarray:
     """log of the charge-balanced exact ratio the Jacobi-weight asymptote
@@ -155,7 +150,8 @@ def hankel_balanced_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
 
 
 def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
-    """The one-size view of `hankel_balanced_log_ratios`."""
+    """The one-size view of `hankel_balanced_log_ratios`, kept for the
+    benchmark's oracle tests; the package calls the ladder with `(n,)`."""
     return float(hankel_balanced_log_ratios(params, symbol, (n,))[0])
 
 
@@ -232,7 +228,8 @@ def toeplitz_log_dets(symbol: SymbolSpec, sizes: Sequence[int]) -> np.ndarray:
 
 
 def toeplitz_determinant(symbol: SymbolSpec, N: int) -> LogMagnitude:
-    """Exact Toeplitz determinant: the one-size view of `toeplitz_log_dets`."""
+    """Exact Toeplitz determinant: the one-size view of `toeplitz_log_dets`,
+    kept for the benchmark's oracle tests; the package calls the ladder."""
     return LogMagnitude(float(toeplitz_log_dets(symbol, (N,))[0]))
 
 

@@ -1,6 +1,6 @@
 """Tensor-product quadrature oracle for Jacobi-ensemble averages at n <= 3.
 
-Independent of the library's Gram-determinant engine except for the 1-D
+Independent of the library's Stieltjes ladder except for the 1-D
 Gauss-Jacobi panels of `quadrature.power_panel`: the n-fold integral of
 prod_l w(x_l) prod_r |y_r - x_l|^(2 q_r) |Delta(x)|^2 is summed on the full
 tensor grid of one split axis rule.

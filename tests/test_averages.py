@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from selberg_gas import fisherhartwig as fh
 from selberg_gas import quadrature as quad
 from selberg_gas.averages import (
-    DualityCase,
     average_even_power_heine,
     density_matrix_exact,
     duality_lhs,
@@ -30,13 +29,14 @@ from selberg_gas.exact import (
 )
 from selberg_gas.specfun import DomainError
 
+import lenard_oracle
 import tensor_oracle
 from sampler_oracle import block_size, reference_log_det, reference_pairs, reference_samples
 
 
 def engine_average(params, charges):
-    return math.exp(fh.hankel_log_ratio(params, fh.SymbolSpec(singularities=charges),
-                                        params.n))
+    return math.exp(fh.hankel_log_ratios(params, fh.SymbolSpec(singularities=charges),
+                                         (params.n,))[0])
 
 
 def balanced_ratio(params, charges):
@@ -45,7 +45,7 @@ def balanced_ratio(params, charges):
 
 
 class TestBruteForce:
-    """The Gram engine against closed values and the tensor-product oracle."""
+    """The Stieltjes ladder against closed values and the tensor-product oracle."""
 
     def test_flat_weight_signed_at_one(self):
         # a charge at 1 raises that endpoint's exponent: <1 - x> = 1/2
@@ -193,7 +193,7 @@ class TestMpmathReference:
     @pytest.mark.parametrize("m, lam, t", [(2, -0.5, 0.8), (4, 0.5, 0.2)])
     def test_engine_at_n_512(self, m, lam, t):
         # the averages are near 1e-600, so logs: 5.1e-11 and 3.2e-11 off,
-        # the worst of the twelve cases above at n = 512 (the Gram engine: 8.0e-7)
+        # the worst of the twelve cases above at n = 512 (the former Gram-matrix engine: 8.0e-7)
         params = EnsembleParams(n=512, lambda1=lam, lambda2=lam)
         ref = christoffel_log_average(512, m, lam, lam, t)
         assert abs(average_even_power_heine(params, t, m).log_abs - ref) <= 2e-10
@@ -238,8 +238,8 @@ class TestUnitChargeOracle:
 
     @pytest.mark.parametrize("lam1, lam2", [(0.5, 0.5), (-0.5, -0.5), (0.0, 1.0)])
     def test_ladder_at_large_n(self, lam1, lam2):
-        # measured worst 4.0e-11 over the nine cases; the Gram engine on
-        # scipy's Gauss-Jacobi weights was 1.5e-9 off
+        # measured worst 4.0e-11 over the nine cases; the former Gram-matrix
+        # engine on scipy's Gauss-Jacobi weights was 1.5e-9 off
         sizes = (256, 512)
         for t in (0.2, 0.5, 0.77):
             params = EnsembleParams(n=512, lambda1=lam1, lambda2=lam2)
@@ -281,30 +281,30 @@ class TestPartitionRatioBruteForce:
         val = balanced_ratio(params, ((0.3, 0.5), (0.7, 0.5)))
         assert val > 0.0
         # frozen from tensor-quadrature order-doubling runs (stable to 4e-12
-        # across orders 44-80); the Gram engine reads ...286
+        # across orders 44-80); the Stieltjes ladder reads ...286
         assert val == pytest.approx(0.2458555838089300, rel=1e-9)
 
 
-def _duality_grid_sum(case, points):
+def _duality_grid_sum(params, t, m, points):
     # the circular side's m-fold product integrand on the full periodic grid
-    n = case.params.n
-    e = (case.params.lambda1 - case.params.lambda2 - n) / 2.0
-    p = case.params.lambda1 + case.params.lambda2 + n
+    n = params.n
+    e = (params.lambda1 - params.lambda2 - n) / 2.0
+    p = params.lambda1 + params.lambda2 + n
 
     def f(theta):
         return (np.exp(1j * e * theta) * (2.0 * np.cos(0.5 * theta)) ** p
-                * (case.t * (1.0 + np.exp(1j * theta)) - 1.0) ** n)
+                * (t * (1.0 + np.exp(1j * theta)) - 1.0) ** n)
 
     def integrand(*thetas):
         val = 1.0
         for th in thetas:
             val = val * f(th)
-        for j in range(case.m):
-            for k in range(j + 1, case.m):
+        for j in range(m):
+            for k in range(j + 1, m):
                 val = val * (2.0 - 2.0 * np.cos(thetas[k] - thetas[j]))
         return val
 
-    return quad.periodic_integrate(integrand, case.m, points) / (2.0 * math.pi) ** case.m
+    return quad.periodic_integrate(integrand, m, points) / (2.0 * math.pi) ** m
 
 
 class TestDuality:
@@ -312,15 +312,13 @@ class TestDuality:
     @pytest.mark.parametrize("t", [0.3, 0.7])
     def test_identity(self, lam, t):
         params = EnsembleParams(n=2, lambda1=lam, lambda2=lam)
-        case = DualityCase(m=2, t=t, params=params)
-        lhs = duality_lhs(case)
-        rhs = duality_rhs(case)
+        lhs = duality_lhs(params, t, 2)
+        rhs = duality_rhs(params, t, 2)
         assert abs(lhs - rhs) <= 1e-6 * abs(lhs)
 
     def test_large_n_routes_through_heine(self):
         params = EnsembleParams(n=8, lambda1=0.5, lambda2=0.5)
-        case = DualityCase(m=2, t=0.4, params=params)
-        val = duality_lhs(case)
+        val = duality_lhs(params, 0.4, 2)
         assert val == pytest.approx(
             average_even_power_heine(params, 0.4, 2).value(), rel=1e-12)
 
@@ -328,15 +326,13 @@ class TestDuality:
         # periodic grids lost up to 1.5e-5 to cancellation at n = 40 near the
         # edges of t, and were 4e-9 off here
         params = EnsembleParams(n=40, lambda1=-0.5, lambda2=-0.5)
-        case = DualityCase(m=2, t=0.1, params=params)
-        lhs = duality_lhs(case)
-        assert abs(duality_rhs(case) - lhs) <= 1e-10 * abs(lhs)
+        lhs = duality_lhs(params, 0.1, 2)
+        assert abs(duality_rhs(params, 0.1, 2) - lhs) <= 1e-10 * abs(lhs)
 
     def test_unequal_exponents(self):
         params = EnsembleParams(n=1, lambda1=-0.7, lambda2=0.2)
-        case = DualityCase(m=2, t=0.4, params=params)
-        lhs = duality_lhs(case)
-        assert abs(duality_rhs(case) - lhs) <= 1e-12 * abs(lhs)
+        lhs = duality_lhs(params, 0.4, 2)
+        assert abs(duality_rhs(params, 0.4, 2) - lhs) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("n, m, l1, l2, t, tol", [
         (8, 2, -0.428, 2.891, 0.0053, 1e-12),
@@ -346,14 +342,15 @@ class TestDuality:
     def test_charge_near_an_endpoint(self, n, m, l1, l2, t, tol):
         # the Jacobi side's panel from t to the far endpoint is graded toward
         # the near endpoint; ungraded it was off by 1.0e-6, 3.1e-7 and 2.0e-9
-        case = DualityCase(m=m, t=t, params=EnsembleParams(n=n, lambda1=l1, lambda2=l2))
-        lhs = duality_lhs(case)
-        assert abs(duality_rhs(case) - lhs) <= tol * abs(lhs)
+        params = EnsembleParams(n=n, lambda1=l1, lambda2=l2)
+        lhs = duality_lhs(params, t, m)
+        assert abs(duality_rhs(params, t, m) - lhs) <= tol * abs(lhs)
 
     def test_odd_power_rejected(self):
         params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
-        with pytest.raises(DomainError):
-            DualityCase(m=3, t=0.5, params=params)
+        for side in (duality_lhs, duality_rhs):
+            with pytest.raises(DomainError):
+                side(params, 0.5, 3)
 
     @pytest.mark.parametrize("points", [64, 128])
     @pytest.mark.parametrize("lam", [-0.5, 0.5])
@@ -365,12 +362,11 @@ class TestDuality:
         # integrand is its exact integral.
         l1 = lam + 0.5
         params = EnsembleParams(n=n, lambda1=l1, lambda2=l1 + n)
-        case = DualityCase(m=2, t=0.3, params=params)
         log_const = (duality_constant_A(params, 2).log_abs
                      - morris_closed(MorrisParams(2, 0.0, 0.0)).log_abs)
-        oracle = math.exp(log_const) * _duality_grid_sum(case, points)
+        oracle = math.exp(log_const) * _duality_grid_sum(params, 0.3, 2, points)
         assert abs(oracle.imag) <= 1e-14 * abs(oracle.real)
-        assert abs(duality_rhs(case) - oracle.real) <= 1e-12 * abs(oracle.real)
+        assert abs(duality_rhs(params, 0.3, 2) - oracle.real) <= 1e-12 * abs(oracle.real)
 
     @pytest.mark.parametrize("n,m,lam,t", [
         (40, 2, -0.5, 0.05), (40, 2, -0.5, 0.07), (40, 2, -0.5, 0.1), (40, 2, -0.5, 0.93),
@@ -391,7 +387,7 @@ class TestDuality:
             det = mp.det(mp.matrix([[coeff(i - j) for j in range(m)] for i in range(m)]))
         params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
         ref = float(det) * math.exp(duality_constant_A(params, m).log_abs)
-        val = duality_rhs(DualityCase(m=m, t=t, params=params))
+        val = duality_rhs(params, t, m)
         assert abs(val / ref - 1.0) <= 1e-12
 
     @settings(max_examples=50, deadline=None)
@@ -400,9 +396,8 @@ class TestDuality:
     @example(n=2, m=4, lam=-0.375, t=0.125)
     def test_identity_property(self, n, m, lam, t):
         params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
-        case = DualityCase(m=m, t=t, params=params)
-        lhs = duality_lhs(case)
-        assert abs(duality_rhs(case) - lhs) <= 1e-6 * abs(lhs)
+        lhs = duality_lhs(params, t, m)
+        assert abs(duality_rhs(params, t, m) - lhs) <= 1e-6 * abs(lhs)
 
 
 class TestExactDensityMatrix:
@@ -439,6 +434,18 @@ class TestExactDensityMatrix:
         est = mc_density_matrix_table(
             [DensityMatrixQuery(N=6, X=0.3, Y=0.3, boundary=boundary)], 4000, 1)[0]
         assert abs(est.value - on) <= 3.5 * est.std_error
+
+    @pytest.mark.parametrize("N", [1, 2, 14, 50, 200])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_is_n_over_n_plus_one_of_lenards_determinant(self, boundary, N):
+        # the package's convention: N/(N+1) times the physical density
+        # matrix of N + 1 bosons at physical points x, y, X = sin^2(pi x / 2);
+        # measured worst 5.4e-12 (Dirichlet) and 7.1e-12 (Neumann) at N = 200
+        for x, y in ((0.1, 0.35), (0.3, 0.45), (0.2, 0.8), (0.05, 0.6)):
+            X, Y = math.sin(0.5 * math.pi * x) ** 2, math.sin(0.5 * math.pi * y) ** 2
+            query = DensityMatrixQuery(N=N, X=X, Y=Y, boundary=boundary)
+            oracle = lenard_oracle.density_matrix(boundary, N, x, y)
+            assert abs(density_matrix_exact(query) * (N + 1) / N / oracle - 1.0) <= 1e-10
 
     def test_large_n_approaches_asymptote(self):
         # beyond the oracle's reach: at N = 200 on the Table 1 line the exact

@@ -22,6 +22,27 @@ from csv_oracle import render_csv
 from sampler_oracle import block_size
 
 
+# the float options of each subcommand, and arguments that parse without them
+FLOAT_OPTIONS = {
+    "selberg": ["--lambda1", "--lambda2"],
+    "morris": ["--lambda1", "--lambda2"],
+    "dm-asym": ["--x", "--y"],
+    "dm-mc": ["--x", "--y"],
+    "duality-check": ["--t", "--lambda1", "--lambda2"],
+    "fh-jacobi": ["--q", "--y", "--lambda1", "--lambda2"],
+    "fh-toeplitz": ["--q"],
+}
+FLOAT_BASE_ARGV = {
+    "selberg": ["selberg", "--n", "2", "--lambda1", "0", "--lambda2", "0"],
+    "morris": ["morris", "--n", "1", "--lambda1", "2", "--lambda2", "1"],
+    "dm-asym": ["dm-asym", "--n", "4", "--x", "0.2", "--y", "0.8"],
+    "dm-mc": ["dm-mc", "--n", "4", "--x", "0.2", "--y", "0.8", "--m-samples", "100"],
+    "duality-check": ["duality-check", "--t", "0.3"],
+    "fh-jacobi": ["fh-jacobi"],
+    "fh-toeplitz": ["fh-toeplitz"],
+}
+
+
 def run_document(argv):
     ns = cli.build_parser().parse_args(argv)
     return cli.execute(ns), ns
@@ -70,6 +91,14 @@ class TestSubcommands:
                          "--lambda1", "-0.375", "--lambda2", "-0.375"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["results"][0]["rel_diff"] <= 1e-12
+
+    def test_duality_check_rel_diff_below_1e_300(self):
+        # lhs is about 4.6e-302: a floor of 1e-300 on the divisor printed
+        # 3.87e-15 here, against the true 8.36e-14
+        doc, _ = run_document(["duality-check", "--n", "252", "--t", "0.5"])
+        row = doc["results"][0]
+        assert 0.0 < row["lhs"] < 1e-300
+        assert row["rel_diff"] == abs(row["lhs"] - row["rhs"]) / row["lhs"]
 
     def test_validate_document_is_json(self, monkeypatch, capsys):
         # criterion 6 computes its verdict from numpy values
@@ -388,6 +417,30 @@ class TestErrors:
             cli.main(argv)
         assert err.value.code == 2
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("subcommand, option", [
+        (sub, option) for sub, options in FLOAT_OPTIONS.items() for option in options])
+    def test_non_finite_float_is_usage_error(self, subcommand, option, bad, capsys):
+        # float() reads these; the computations behind them failed with
+        # messages that named neither the option nor the value.  "--q -inf"
+        # would read -inf as an option, so the value is joined by "="
+        with pytest.raises(SystemExit) as err:
+            cli.main(FLOAT_BASE_ARGV[subcommand] + [f"{option}={bad}"])
+        assert err.value.code == 2
+        out, message = capsys.readouterr()
+        assert out == "" and f"argument {option}: must be a finite number, got '{bad}'" in message
+
+    def test_every_float_option_is_checked_finite(self):
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        found = {}
+        for sub, parser in subparsers.choices.items():
+            for action in parser._actions:
+                assert action.type is not float, (sub, action.option_strings)
+                if action.type is cli._finite_float:
+                    found.setdefault(sub, []).append(action.option_strings[0])
+        assert found == FLOAT_OPTIONS
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:

@@ -307,3 +307,60 @@ class TestPivotRecurrence:
             EnsembleParams(n=14, lambda1=0.5, lambda2=0.5), 1, 8))
         with pytest.raises(SamplingError):
             tridiagonal_log_dets(np.array([0.2, 0.8]), diag, off_sq)
+
+
+def scaled_monic(n, lambda1, lambda2, x):
+    """4^n pi_n(x), pi_n the monic orthogonal polynomial of the weight
+    x^lambda1 (1-x)^lambda2, by the recurrence p_{k+1} = 4(x - a_k) p_k -
+    16 b_k^2 p_{k-1}; the factor 4, one over the capacity of [0, 1], keeps
+    it from underflowing at large n."""
+    a, b, _ = quad.jacobi_recurrence(n, lambda1, lambda2)
+    prev, cur = 1.0, 4.0 * (x - a[0])
+    for k in range(1, n):
+        prev, cur = cur, 4.0 * (x - a[k]) * cur - 16.0 * b[k] ** 2 * prev
+    return cur
+
+
+def scaled_products(x, diag, off_sq):
+    """prod_l 4(x - x_l) = det(4x - 4T) of each row, signed: the pivots of
+    `tridiagonal_log_dets` with their signs kept."""
+    pivot = 4.0 * (x - diag[:, 0])
+    sign, log_abs = np.sign(pivot), np.log(np.abs(pivot))
+    for k in range(1, diag.shape[1]):
+        pivot = 4.0 * (x - diag[:, k]) - 16.0 * off_sq[:, k - 1] / pivot
+        sign *= np.sign(pivot)
+        log_abs += np.log(np.abs(pivot))
+    return sign * np.exp(log_abs)
+
+
+HEINE_WEIGHTS = ((0.5, 0.5), (-0.5, -0.5), (1.3, -0.9))
+
+
+class TestHeineMean:
+    """< prod_l (X - x_l) > = pi_n(X) (Heine), a sampler test at any n."""
+
+    @pytest.mark.parametrize("lambda1, lambda2", HEINE_WEIGHTS)
+    def test_scaled_monic_against_scipy(self, lambda1, lambda2):
+        # pi_n(x) = P_n^(lambda1, lambda2)(1 - 2x) / ((-2)^n k_n), k_n the
+        # leading coefficient of the standard Jacobi polynomial
+        from scipy.special import eval_jacobi
+
+        n, s = 14, lambda1 + lambda2
+        log_k = (math.lgamma(2 * n + s + 1) - n * math.log(2.0) - math.lgamma(n + 1)
+                 - math.lgamma(n + s + 1))
+        for x in (0.05, 0.3, 0.5, 0.93):
+            want = (-2.0) ** n * eval_jacobi(n, lambda1, lambda2, 1.0 - 2.0 * x) / math.exp(log_k)
+            assert scaled_monic(n, lambda1, lambda2, x) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [14, 50, 200])
+    @pytest.mark.parametrize("lambda1, lambda2", HEINE_WEIGHTS)
+    def test_sample_mean(self, lambda1, lambda2, n):
+        # fixed seed and bound, never re-seeded; measured worst |z| 2.27
+        M = 20_000
+        diag, off_sq = tridiagonal(*sample_bidiagonal(
+            EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2), 3, M))
+        for x in (0.05, 0.3, 0.5):
+            vals = scaled_products(x, diag, off_sq)
+            z = (vals.mean() - scaled_monic(n, lambda1, lambda2, x)) / (
+                vals.std(ddof=1) / math.sqrt(M))
+            assert abs(z) <= 4.5, (x, z)

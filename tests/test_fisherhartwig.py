@@ -24,12 +24,16 @@ def params_for(n, l1=0.5, l2=0.5):
     return EnsembleParams(n=n, lambda1=l1, lambda2=l2)
 
 
+def ladder_at(params, symbol, n):
+    return fh.hankel_log_ratios(params, symbol, (n,))[0]
+
+
 class TestHankel:
     def test_bare_weight_matches_selberg(self):
         # no insertion: H_n[1] / H_n[1] = S_n / S_n, so the Gram matrix in the
         # basis orthonormal for the Selberg weight is the identity
         for n in (1, 2, 4, 7, 10):
-            assert fh.hankel_log_ratio(params_for(n), fh.SymbolSpec(), n) == pytest.approx(
+            assert ladder_at(params_for(n), fh.SymbolSpec(), n) == pytest.approx(
                 0.0, abs=1e-9)
 
     def test_single_moment(self):
@@ -37,17 +41,17 @@ class TestHankel:
         rule = quad.power_panel(0.0, 1.0, 0.5, 0.5, 60)
         sym = fh.SymbolSpec(singularities=((0.5, 1.0),))
         direct = float(np.sum(rule.weights * np.abs(0.5 - rule.nodes) ** 2))
-        assert fh.hankel_log_ratio(params_for(1), sym, 1) == pytest.approx(
+        assert ladder_at(params_for(1), sym, 1) == pytest.approx(
             math.log(direct) - log_beta(1.5, 1.5), abs=1e-12)
 
     def test_even_insertion_matches_heine(self):
         sym = fh.SymbolSpec(singularities=((0.5, 1.0),))
         for n in (2, 5, 10):
             avg = average_even_power_heine(params_for(n), 0.5, 2)
-            assert fh.hankel_log_ratio(params_for(n), sym, n) == pytest.approx(
+            assert ladder_at(params_for(n), sym, n) == pytest.approx(
                 avg.log_abs, abs=1e-9)
         oracle = tensor_oracle.average(params_for(2), sym.singularities)
-        assert fh.hankel_log_ratio(params_for(2), sym, 2) == pytest.approx(
+        assert ladder_at(params_for(2), sym, 2) == pytest.approx(
             math.log(oracle), abs=1e-12)
 
     def test_endpoint_charges_shift_the_exponents(self):
@@ -57,7 +61,7 @@ class TestHankel:
         sym = fh.SymbolSpec(singularities=((1.0, q1), (0.0, q0)))
         expected = (selberg_closed(n, 0.5 + 2 * q0, -0.25 + 2 * q1).log_abs
                     - selberg_closed(n, 0.5, -0.25).log_abs)
-        assert fh.hankel_log_ratio(params_for(n, 0.5, -0.25), sym, n) == pytest.approx(
+        assert ladder_at(params_for(n, 0.5, -0.25), sym, n) == pytest.approx(
             expected, abs=1e-12)
 
     def test_balanced_ratio_needs_interior_charges(self):
@@ -68,10 +72,8 @@ class TestHankel:
 
     def test_reflection_symmetry(self):
         # singularity at y with (l1, l2) equals singularity at 1-y with (l2, l1)
-        a = fh.hankel_log_ratio(params_for(6, 0.5, -0.25),
-                                fh.SymbolSpec(singularities=((0.3, 0.5),)), 6)
-        b = fh.hankel_log_ratio(params_for(6, -0.25, 0.5),
-                                fh.SymbolSpec(singularities=((0.7, 0.5),)), 6)
+        a = ladder_at(params_for(6, 0.5, -0.25), fh.SymbolSpec(singularities=((0.3, 0.5),)), 6)
+        b = ladder_at(params_for(6, -0.25, 0.5), fh.SymbolSpec(singularities=((0.7, 0.5),)), 6)
         assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -177,8 +179,6 @@ class TestLadders:
     def test_one_size_views_agree_with_ladders(self):
         params = params_for(12)
         symbol = fh.SymbolSpec(singularities=((0.4, 0.5),))
-        assert fh.hankel_log_ratio(params, symbol, 12) == fh.hankel_log_ratios(
-            params, symbol, (12,))[0]
         assert fh.hankel_balanced_log_ratio(params, symbol, 12) == (
             fh.hankel_balanced_log_ratios(params, symbol, (12,))[0])
         circle = fh.SymbolSpec(singularities=((0.0, 0.5),))
