@@ -27,7 +27,7 @@ from .averages import (
     duality_rhs,
 )
 from .ensembles import rng_stream, sample_bidiagonal, sample_jue_halfhalf, spectra, tridiagonal
-from .orbitals import KernelSpec, Orbital, apply_kernel, orbital, scaled_occupation
+from .orbitals import apply_kernel, orbital, orbital_normalization, scaled_occupation
 from .fisherhartwig import (
     SymbolSpec,
     jacobi_fh_asymptote,

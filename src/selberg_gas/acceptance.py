@@ -27,7 +27,6 @@ from .exact import (
     selberg_closed,
 )
 from .orbitals import (
-    EIGEN_KERNEL,
     apply_kernel,
     contiguity_residuals,
     eigen_residuals,
@@ -236,7 +235,7 @@ def criterion_7_orbitals() -> CriterionResult:
     eig_worst = max(float(eigen_residuals(5, X).max()) for X in (0.1, 0.3, 0.5, 0.7, 0.9))
     eig_ok = eig_worst <= 1e-4
 
-    ground = apply_kernel(EIGEN_KERNEL, lambda Y: np.ones_like(Y), 0.5, tol=1e-9)
+    ground = apply_kernel(0.5, lambda Y: np.ones_like(Y), 0.5, tol=1e-9)
     ground_def = abs(ground - math.pi * math.sqrt(2.0)) / (math.pi * math.sqrt(2.0))
     ground_ok = ground_def <= 1e-6
 
@@ -246,7 +245,7 @@ def criterion_7_orbitals() -> CriterionResult:
     ps_ok = ps_worst <= 1e-6
 
     rule = quad.power_panel(0.0, 1.0, -0.25, -0.25, 80)
-    shapes = np.array([orbital(j).evaluate(rule.nodes)
+    shapes = np.array([orbital(j, rule.nodes)
                        / (rule.nodes * (1.0 - rule.nodes)) ** 0.125 for j in range(9)])
     gram = (shapes * rule.weights) @ shapes.T / math.pi
     gram_dev = float(np.abs(gram - np.eye(9)).max())

@@ -30,7 +30,8 @@ from .exact import (
     occupation_number,
     selberg_closed,
 )
-from .orbitals import orbital, scaled_occupation
+from .orbitals import orbital_normalization, scaled_occupation
+from .specfun import DomainError
 
 
 def _fmt(x) -> str:
@@ -118,7 +119,7 @@ def _run_orbitals(ns):
             "j": j,
             "scaled_occupation": scaled_occupation(j),
             "occupation": occupation_number(j, ns.n),
-            "normalization": orbital(j).normalization,
+            "normalization": orbital_normalization(j),
         })
     return rows
 
@@ -312,9 +313,21 @@ def execute(ns) -> dict:
     config = {key: value for key, value in vars(ns).items() if key not in _RUN_FLAGS}
     if "sizes" in config:
         config["sizes"] = ",".join(map(str, config["sizes"]))
+    results = _SUBCOMMANDS[ns.subcommand](ns)
+    # a NaN or an infinity is no result, and a JSON document cannot hold one;
+    # one pass per column keeps this cheap at thousands of rows
+    for column in results[0] if results else ():
+        values = [row[column] for row in results]
+        try:
+            finite = all(map(math.isfinite, values))
+        except TypeError:  # a text column
+            continue
+        if not finite:
+            bad = next(v for v in values if not math.isfinite(v))
+            raise DomainError(f"{ns.subcommand} {column} is not finite: {bad!r}")
     return {
         "config": config,
-        "results": _SUBCOMMANDS[ns.subcommand](ns),
+        "results": results,
         "provenance": {"seed": getattr(ns, "seed", None), "version": __version__},
     }
 

@@ -54,6 +54,8 @@ class SymbolSpec:
         for loc, strength in self.singularities:
             if strength <= 0.0:
                 raise DomainError(f"singularity strength must be positive, got {strength}")
+            if 2.0 * strength == math.inf:
+                raise DomainError(f"singularity exponent 2q overflows a float at q = {strength!r}")
 
 
 _RESIDUAL_FLOOR = math.sqrt(np.finfo(float).eps)
@@ -156,9 +158,10 @@ def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int
 
 
 def jacobi_fh_asymptote(symbol: SymbolSpec, n: int) -> float:
-    """Large-n log of H_n[symbol] / H_n[1], the Jacobi-weight Fisher-Hartwig
-    asymptote of Deift, Its & Krasovsky, Ann. of Math. 174 (2011),
-    arXiv:0905.0443.
+    """Large-n limit of the charge-balanced log ratio of
+    `hankel_balanced_log_ratios` (not of log H_n[symbol] / H_n[1], which
+    decays exponentially), the Jacobi-weight Fisher-Hartwig asymptote of
+    Deift, Its & Krasovsky, Ann. of Math. 174 (2011), arXiv:0905.0443.
 
     Combines the (2n)-power from each singularity, the pair terms and the
     local Barnes-G constants.  For a product of zeros the weight exponents
@@ -222,7 +225,11 @@ def toeplitz_log_dets(symbol: SymbolSpec, sizes: Sequence[int]) -> np.ndarray:
     """
     sizes = _check_sizes(sizes)
     _, a = _one_zero(symbol)
-    steps = np.log1p(-a * a / (a + np.arange(1.0, sizes.max())) ** 2)
+    # from a ~ 1e16 on a step rounds to log1p(-1) = -inf, and from a ~ 1e154
+    # on a * a overflows to NaN: those entries come back as they are, for
+    # the caller to reject, with no warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        steps = np.log1p(-a * a / (a + np.arange(1.0, sizes.max())) ** 2)
     log_r = _log_central_coeff(a) + np.concatenate(([0.0], np.cumsum(steps)))
     return np.concatenate(([0.0], np.cumsum(log_r)))[sizes]
 

@@ -20,7 +20,6 @@ need none of it, keep it out of the CLI's start-up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,44 +28,21 @@ from .quadrature import singular_integrate
 from .specfun import DomainError, log_gamma
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel |X-Y|^(-nu) [Y(1-Y)]^weight_exponent on (0,1)."""
+def apply_kernel(nu: float, f: Callable, X: float, tol: float = 1e-8):
+    """Integral of f(Y) |X-Y|^(-nu) [Y(1-Y)]^((nu-1)/2) over (0,1) at
+    interior X: the Porter-Stirling weight, which at nu = 1/2 gives the
+    kernel of the asymptotic density matrix.
 
-    nu: float
-    weight_exponent: float
-
-    def __post_init__(self):
-        if not 0.0 < self.nu < 1.0:
-            raise DomainError(f"singularity exponent must lie in (0,1), got {self.nu}")
-        if self.weight_exponent <= -1.0:
-            raise DomainError(
-                f"weight exponent must exceed -1, got {self.weight_exponent}")
-
-
-@dataclass(frozen=True)
-class Orbital:
-    """Normalized effective single-particle state on the unit box."""
-
-    normalization: float
-    evaluate: Callable
-
-
-def apply_kernel(spec: KernelSpec, f: Callable, X: float, tol: float = 1e-8):
-    """Integral of f(Y) |X-Y|^(-nu) [Y(1-Y)]^w over (0,1) at interior X.
-
-    f must stay bounded on (0,1); singular endpoint behavior belongs in
-    the weight exponent.  A scalar f gives a float.  An f that returns a
-    stack of shape (k, nodes) gives the k integrals as an array, from one
-    charge rule per order, certified once every component meets tol.
+    f must stay bounded on (0,1).  A scalar f gives a float.  An f that
+    returns a stack of shape (k, nodes) gives the k integrals as an array,
+    from one charge rule per order, certified once every component meets
+    tol.  A nu outside (-1, 1), where the kernel or the weight is not
+    integrable, is a `DomainError` from `charge_rule`.
     """
     if not 0.0 < X < 1.0:
         raise DomainError(f"kernel argument must lie in (0,1), got {X}")
-    return singular_integrate(f, spec.weight_exponent, spec.weight_exponent,
-                              ((X, -0.5 * spec.nu),), tol)
-
-
-EIGEN_KERNEL = KernelSpec(nu=0.5, weight_exponent=-0.25)
+    weight = 0.5 * (nu - 1.0)
+    return singular_integrate(f, weight, weight, ((X, -0.5 * nu),), tol)
 
 
 def scaled_occupation(j: int) -> float:
@@ -77,8 +53,9 @@ def scaled_occupation(j: int) -> float:
     return math.exp(0.5 * math.log(2.0 * math.pi) + log_gamma(j + 0.5) - log_gamma(j + 1.0))
 
 
-def orbital(j: int) -> Orbital:
-    """The normalized j-th orbital: const * (X(1-X))^{1/8} C_j^{1/4}(2X-1).
+def orbital_normalization(j: int) -> float:
+    """The constant of the normalized j-th orbital
+    const * (X(1-X))^{1/8} C_j^{1/4}(2X-1).
 
     Normalized on the unit box, where rho = N, so that
     (1/pi) int phi_j^2 dX / sqrt(X(1-X)) = 1, positive as X -> 1.  A box of
@@ -86,17 +63,17 @@ def orbital(j: int) -> Orbital:
     """
     if j < 0:
         raise DomainError(f"orbital index must be >= 0, got {j}")
-    log_norm = 0.5 * (log_gamma(j + 1.0) + math.log(j + 0.25)
-                      + 2.0 * log_gamma(0.25) - log_gamma(j + 0.5))
-    norm = math.exp(log_norm)
+    return math.exp(0.5 * (log_gamma(j + 1.0) + math.log(j + 0.25)
+                           + 2.0 * log_gamma(0.25) - log_gamma(j + 0.5)))
 
-    def evaluate(X):
-        from scipy.special import eval_gegenbauer
 
-        X = np.asarray(X, dtype=float)
-        return norm * (X * (1.0 - X)) ** 0.125 * eval_gegenbauer(j, 0.25, 2.0 * X - 1.0)
+def orbital(j: int, X):
+    """Values of the normalized j-th orbital at X (see `orbital_normalization`)."""
+    from scipy.special import eval_gegenbauer
 
-    return Orbital(normalization=norm, evaluate=evaluate)
+    norm = orbital_normalization(j)
+    X = np.asarray(X, dtype=float)
+    return norm * (X * (1.0 - X)) ** 0.125 * eval_gegenbauer(j, 0.25, 2.0 * X - 1.0)
 
 
 def eigen_residuals(j_max: int, X: float) -> np.ndarray:
@@ -105,29 +82,18 @@ def eigen_residuals(j_max: int, X: float) -> np.ndarray:
     from scipy.special import eval_gegenbauer
 
     modes = np.arange(j_max + 1)
-    lhs = apply_kernel(EIGEN_KERNEL,
-                       lambda Y: eval_gegenbauer(modes[:, None], 0.25, 2.0 * Y - 1.0), X)
+    lhs = apply_kernel(0.5, lambda Y: eval_gegenbauer(modes[:, None], 0.25, 2.0 * Y - 1.0), X)
     occupations = np.array([scaled_occupation(j) for j in range(j_max + 1)])
     rhs = occupations * eval_gegenbauer(modes, 0.25, 2.0 * X - 1.0)
     return np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
 
 
-def porter_stirling_solution(nu: float) -> tuple:
-    """Closed-form solution of  int phi(t) |x-t|^(-nu) dt = 1  on (0,1).
-
-    Returns (constant, endpoint exponent): phi(t) = const * [t(1-t)]^expo
-    with const = cos(pi nu / 2) / pi and expo = (nu - 1)/2.
-    """
-    if not 0.0 < nu < 1.0:
-        raise DomainError(f"nu must lie in (0,1), got {nu}")
-    return math.cos(0.5 * math.pi * nu) / math.pi, 0.5 * (nu - 1.0)
-
-
 def porter_stirling_apply(nu: float, X: float) -> float:
-    """Apply the |x-t|^(-nu) kernel to the closed-form solution; exact value 1."""
-    const, expo = porter_stirling_solution(nu)
-    spec = KernelSpec(nu=nu, weight_exponent=expo)
-    return apply_kernel(spec, lambda Y: const * np.ones_like(Y), X)
+    """Apply the |x-t|^(-nu) kernel to the closed-form solution
+    phi(t) = cos(pi nu / 2) / pi [t(1-t)]^((nu-1)/2) of
+    int phi(t) |x-t|^(-nu) dt = 1 on (0,1); exact value 1."""
+    const = math.cos(0.5 * math.pi * nu) / math.pi
+    return apply_kernel(nu, lambda Y: const * np.ones_like(Y), X)
 
 
 def _series_coefficients(j: int) -> np.ndarray:

@@ -56,9 +56,16 @@ def _jacobi_nodes_weights(order: int, alpha: float, beta: float):
     # Below _DENSE_EIGEN_ORDERS numpy's dense solver on the lower triangle
     # returns the same bits as scipy's tridiagonal one in under 1 ms, so a
     # process that builds only small rules never imports scipy.linalg (about
-    # 0.3 s), which is imported here rather than at module level.
+    # 0.3 s), which is imported here rather than at module level.  Above it
+    # the dense solver still returns the same bits but costs 3 to 4 times
+    # as much (18 ms against 6 ms at order 542), and the large rules built
+    # cold land among the slowest exact-determinant requests: with numpy at
+    # every order their tail latency nearly doubled.
     if order < 1:
         raise DomainError(f"Gauss rule order must be >= 1, got {order}")
+    if not alpha + beta + 1.0 < 1024.0:
+        raise DomainError(f"Gauss-Jacobi exponents ({alpha!r}, {beta!r}) put the rule's "
+                          f"scale 2^(alpha + beta + 1) beyond a float")
     a, b, mu0 = jacobi_recurrence(order, beta, alpha)
     diag, off = 2.0 * a - 1.0, 2.0 * b[1:]
     if order < _DENSE_EIGEN_ORDERS:

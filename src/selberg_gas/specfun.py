@@ -35,7 +35,10 @@ def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma({x!r}) overflows a float") from None
 
 
 def log_beta(a: float, b: float) -> float:

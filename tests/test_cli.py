@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,34 @@ class TestErrors:
         assert cli.main(["morris", "--n", "200", "--lambda1", "5", "--lambda2", "5"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: Morris integral overflows a float: log 958.67")
+
+    @pytest.mark.parametrize("q", ["1e16", "1e200"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_is_an_error(self, q, fmt, capsys):
+        # log1p(-1) = -inf at q = 1e16, a * a overflows to NaN at 1e200;
+        # neither is a result, and JSON cannot hold either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["fh-toeplitz", "--q", q, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: fh-toeplitz log_exact is not finite: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fh-jacobi", "--q", "1e308"], "singularity exponent 2q overflows a float at q = 1e+308"),
+        (["fh-jacobi", "--q", "1e5", "--sizes", "8"],
+         "Gauss-Jacobi exponents (200000.0, 0.5) put the rule's scale"),
+        (["fh-toeplitz", "--q", "1e308"], "singularity exponent 2q overflows a float"),
+        (["selberg", "--n", "2", "--lambda1", "1e308", "--lambda2", "0"],
+         "log_gamma(1e+308) overflows a float"),
+        (["morris", "--n", "2", "--lambda1", "1e308", "--lambda2", "0"],
+         "log_gamma(1e+308) overflows a float"),
+    ])
+    def test_out_of_range_option_names_the_quantity(self, argv, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: " + message)
 
     def test_underflowing_value_is_an_error(self, capsys):
         # the value would print as 0.0 beside its finite log

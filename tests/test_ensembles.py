@@ -17,6 +17,7 @@ from selberg_gas.ensembles import (
 from selberg_gas.exact import EnsembleParams
 from selberg_gas.specfun import DomainError
 
+from haar_oracle import half_angle_points, haar_so_even, haar_usp, symplectic_form
 from sampler_oracle import block_size, reference_samples
 from tensor_oracle import vandermonde_sq
 
@@ -361,6 +362,29 @@ class TestHeineMean:
             EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2), 3, M))
         for x in (0.05, 0.3, 0.5):
             vals = scaled_products(x, diag, off_sq)
+            z = (vals.mean() - scaled_monic(n, lambda1, lambda2, x)) / (
+                vals.std(ddof=1) / math.sqrt(M))
+            assert abs(z) <= 4.5, (x, z)
+
+    @pytest.mark.parametrize("group, lambda1, lambda2", [("USp", 0.5, 0.5),
+                                                         ("SO", -0.5, -0.5)])
+    def test_haar_group_mean(self, group, lambda1, lambda2):
+        # the paper's first step from the groups themselves: Haar USp(2n)
+        # and SO(2n) eigenangles, mapped by x = sin^2(theta/2), give the
+        # (1/2, 1/2) and (-1/2, -1/2) Heine means; seed and bound fixed
+        # before the first run, never re-seeded
+        n, M = 10, 4000
+        rng = np.random.default_rng(11)
+        q = haar_usp(n, M, rng) if group == "USp" else haar_so_even(n, M, rng)
+        qt = np.swapaxes(q, 1, 2)
+        assert np.abs(np.conj(qt) @ q - np.eye(2 * n)).max() <= 1e-12
+        assert np.abs(np.linalg.det(q) - 1.0).max() <= 1e-12
+        if group == "USp":
+            J = symplectic_form(n)
+            assert np.abs(qt @ J @ q - J).max() <= 1e-12
+        points = half_angle_points(q)
+        for x in (0.05, 0.3, 0.5):
+            vals = np.prod(4.0 * (x - points), axis=1)
             z = (vals.mean() - scaled_monic(n, lambda1, lambda2, x)) / (
                 vals.std(ddof=1) / math.sqrt(M))
             assert abs(z) <= 4.5, (x, z)

@@ -20,13 +20,11 @@ class TestApplyKernel:
     def test_ground_eigenvalue_everywhere(self):
         # constant mode maps to pi*sqrt(2), independent of X
         for X in (0.1, 0.5, 0.85):
-            val = orb.apply_kernel(orb.EIGEN_KERNEL, lambda Y: np.ones_like(Y), X,
-                                   tol=1e-9)
+            val = orb.apply_kernel(0.5, lambda Y: np.ones_like(Y), X, tol=1e-9)
             assert val == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-8)
 
     def test_second_mode(self):
-        lhs = orb.apply_kernel(orb.EIGEN_KERNEL,
-                               lambda Y: eval_gegenbauer(2, 0.25, 2.0 * Y - 1.0),
+        lhs = orb.apply_kernel(0.5, lambda Y: eval_gegenbauer(2, 0.25, 2.0 * Y - 1.0),
                                0.3, tol=1e-9)
         lbar2 = math.sqrt(2.0 * math.pi) * math.gamma(2.5) / 2.0
         assert lhs == pytest.approx(lbar2 * eval_gegenbauer(2, 0.25, -0.4), rel=1e-8)
@@ -41,16 +39,18 @@ class TestApplyKernel:
                 1.0, abs=1e-8)
 
     def test_porter_stirling_family(self):
-        for nu in (0.25, 0.5, 0.75):
+        # nu <= 0 leaves a kernel that is not singular; the constancy
+        # continues analytically to -1 < nu < 1
+        for nu in (-0.5, 0.0, 0.25, 0.5, 0.75):
             for x in np.linspace(0.05, 0.95, 10):
                 assert orb.porter_stirling_apply(nu, float(x)) == pytest.approx(
                     1.0, abs=1e-6)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            orb.apply_kernel(orb.EIGEN_KERNEL, lambda Y: Y, 0.0)
+            orb.apply_kernel(0.5, lambda Y: Y, 0.0)
         with pytest.raises(DomainError):
-            orb.KernelSpec(nu=1.0, weight_exponent=0.0)
+            orb.apply_kernel(1.0, lambda Y: Y, 0.5)
 
 
 class TestEigenrelation:
@@ -69,13 +69,11 @@ class TestEigenrelation:
         # criterion 7's 30 (j, X) pairs: one kernel application to the
         # stacked modes returns each mode's own integral and defect bit for bit
         stacked = orb.apply_kernel(
-            orb.EIGEN_KERNEL,
-            lambda Y: eval_gegenbauer(np.arange(6)[:, None], 0.25, 2.0 * Y - 1.0), X)
+            0.5, lambda Y: eval_gegenbauer(np.arange(6)[:, None], 0.25, 2.0 * Y - 1.0), X)
         residuals = orb.eigen_residuals(5, X)
         assert stacked.shape == residuals.shape == (6,)
         for j in range(6):
-            lhs = orb.apply_kernel(orb.EIGEN_KERNEL,
-                                   lambda Y: eval_gegenbauer(j, 0.25, 2.0 * Y - 1.0), X)
+            lhs = orb.apply_kernel(0.5, lambda Y: eval_gegenbauer(j, 0.25, 2.0 * Y - 1.0), X)
             rhs = orb.scaled_occupation(j) * float(eval_gegenbauer(j, 0.25, 2.0 * X - 1.0))
             assert stacked[j] == lhs
             assert residuals[j] == abs(lhs - rhs) / (1.0 + abs(rhs))
@@ -84,22 +82,21 @@ class TestEigenrelation:
 class TestOrbitals:
     def test_ground_state_shape(self):
         # phi_0 = [X(1-X)]^{1/8} / sqrt(A), A = B(3/4,3/4)/pi for L = 1
-        phi0 = orb.orbital(0)
         a_const = math.exp(log_beta(0.75, 0.75)) / math.pi
         for X in (0.2, 0.5, 0.9):
             expected = (X * (1.0 - X)) ** 0.125 / math.sqrt(a_const)
-            assert float(phi0.evaluate(X)) == pytest.approx(expected, rel=1e-12)
+            assert float(orb.orbital(0, X)) == pytest.approx(expected, rel=1e-12)
 
     def test_positive_near_right_edge(self):
         for j in range(7):
-            assert float(orb.orbital(j).evaluate(0.999)) > 0.0
+            assert float(orb.orbital(j, 0.999)) > 0.0
 
     def test_orthogonality_and_norm(self):
         rule = quad.power_panel(0.0, 1.0, -0.25, -0.25, 60)
         weight_free = (rule.nodes * (1.0 - rule.nodes)) ** 0.125
-        phi1 = orb.orbital(1).evaluate(rule.nodes) / weight_free
-        phi2 = orb.orbital(2).evaluate(rule.nodes) / weight_free
-        phi3 = orb.orbital(3).evaluate(rule.nodes) / weight_free
+        phi1 = orb.orbital(1, rule.nodes) / weight_free
+        phi2 = orb.orbital(2, rule.nodes) / weight_free
+        phi3 = orb.orbital(3, rule.nodes) / weight_free
         cross = float(np.sum(rule.weights * phi1 * phi2)) / math.pi
         norm = float(np.sum(rule.weights * phi3 * phi3)) / math.pi
         assert abs(cross) <= 1e-10
@@ -150,8 +147,7 @@ class TestAppendixIdentities:
         for j in (0, 1, 4):
             for X in (0.3, 0.62):
                 direct = orb.apply_kernel(
-                    orb.EIGEN_KERNEL,
-                    lambda Y: eval_gegenbauer(j, 0.25, 2.0 * Y - 1.0), X, tol=1e-10)
+                    0.5, lambda Y: eval_gegenbauer(j, 0.25, 2.0 * Y - 1.0), X, tol=1e-10)
                 closed = omega(j) * (orb.appendix_s(j, X)
                                      + (-1) ** j * orb.appendix_s(j, 1.0 - X))
                 assert closed == pytest.approx(direct, rel=1e-9, abs=1e-11)
