@@ -16,16 +16,8 @@ import numpy as np
 
 from . import fisherhartwig as fh
 from . import quadrature as quad
-from .averages import duality_lhs, duality_rhs, mc_density_matrix_table
 from .ensembles import sample_bidiagonal, spectra
-from .exact import (
-    DensityMatrixQuery,
-    EnsembleParams,
-    MorrisParams,
-    density_matrix_asymptote,
-    morris_closed,
-    selberg_closed,
-)
+from .exact import EnsembleParams, MorrisParams, morris_closed, selberg_closed
 from .orbitals import (
     apply_kernel,
     contiguity_residuals,
@@ -50,25 +42,20 @@ class CriterionResult:
     detail: str
 
 
-def table1_rows(N: int, M: int, seed: int) -> list:
-    """The Dirichlet Monte Carlo estimate from M samples, its standard error,
-    the asymptote and their ratio at each (X, 1 - X) of the standard grid:
-    the rows of the CLI's `table1`, which criterion 1 bands."""
-    queries = [DensityMatrixQuery(N=N, X=x, Y=1.0 - x) for x in TABLE1_XS]
-    rows = []
-    for query, est in zip(queries, mc_density_matrix_table(queries, M, seed)):
-        asym = density_matrix_asymptote(query)
-        rows.append({"X": query.X, "mc_value": est.value, "std_error": est.std_error,
-                     "asymptote": asym, "ratio": est.value / asym})
-    return rows
+def _cli_rows(argv: list) -> list:
+    """The result rows the CLI prints for `argv`, computed in process."""
+    from . import cli
+
+    return cli.execute(cli.build_parser().parse_args(argv))["results"]
 
 
 def criterion_1_table1(seed: int = 42) -> CriterionResult:
-    """Ten MC/asymptote ratios at N = 14 from 5000 samples at the standard X
-    grid, bands [0.88, 1.17] pointwise and [0.97, 1.06] on the mean, and
-    a 300 s runtime cap."""
+    """Ten MC/asymptote ratios of `table1` at N = 14 from 5000 samples,
+    bands [0.88, 1.17] pointwise and [0.97, 1.06] on the mean, and a 300 s
+    runtime cap."""
     start = time.perf_counter()
-    ratios = [row["ratio"] for row in table1_rows(14, 5000, seed)]
+    rows = _cli_rows(["table1", "--n", "14", "--m-samples", "5000", "--seed", str(seed)])
+    ratios = [row["ratio"] for row in rows]
     elapsed = time.perf_counter() - start
     in_band = all(0.88 <= r <= 1.17 for r in ratios)
     mean = sum(ratios) / len(ratios)
@@ -81,14 +68,13 @@ def criterion_1_table1(seed: int = 42) -> CriterionResult:
 
 
 def criterion_2_duality() -> CriterionResult:
-    """Duality identity at n=m=2 for four (weight, t) cases, 1e-6 relative."""
+    """`duality-check` at n=m=2 for four (weight, t) cases, 1e-6 relative."""
     worst = 0.0
     for l in (0.5, -0.5):
         for t in (0.3, 0.7):
-            params = EnsembleParams(n=2, lambda1=l, lambda2=l)
-            lhs = duality_lhs(params, t, 2)
-            rhs = duality_rhs(params, t, 2)
-            worst = max(worst, abs(lhs - rhs) / abs(lhs))
+            row, = _cli_rows(["duality-check", "--n", "2", "--m", "2", "--t", str(t),
+                              "--lambda1", str(l), "--lambda2", str(l)])
+            worst = max(worst, row["rel_diff"])
     return CriterionResult(2, "Jacobi/circular duality identity", worst <= 1e-6,
                            f"worst relative defect {worst:.2e} (tol 1e-6)")
 
@@ -180,12 +166,11 @@ def criterion_4_partition_ratio() -> CriterionResult:
     the true convergence statement is covered by the unit suite.
     """
     target = 2.0 / math.pi
-    symbol = fh.SymbolSpec(singularities=((0.5, 1.0),))
     devs = {}
     for n in (5, 10, 40):
-        params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-        ratio = math.exp(fh.hankel_balanced_log_ratios(params, symbol, (n,))[0])
-        devs[n] = abs(ratio - target) / target
+        row, = _cli_rows(["fh-jacobi", "--sizes", str(n), "--q", "1", "--y", "0.5",
+                          "--lambda1", "0.5", "--lambda2", "0.5"])
+        devs[n] = abs(math.exp(row["log_exact"]) - target) / target
     within = devs[40] <= 0.02
     chain = devs[40] < devs[10] < devs[5]
     detail = (f"deviations n=5: {devs[5]:.3e}, n=10: {devs[10]:.3e}, "
@@ -197,12 +182,9 @@ def criterion_5_jacobi_drift() -> CriterionResult:
     """Charge-balanced Jacobi determinant ratio vs its Fisher-Hartwig
     asymptote (Deift, Its & Krasovsky, Ann. of Math. 174 (2011),
     arXiv:0905.0443): |delta_n| strictly decreasing over n = 8, 16, 32, 48."""
-    symbol = fh.SymbolSpec(singularities=((0.5, 0.5),))
-    sizes = (8, 16, 32, 48)
-    params = EnsembleParams(n=max(sizes), lambda1=0.5, lambda2=0.5)
-    exact = fh.hankel_balanced_log_ratios(params, symbol, sizes)
-    deltas = [abs(ex - fh.jacobi_fh_asymptote(symbol, n))
-              for n, ex in zip(sizes, exact)]
+    rows = _cli_rows(["fh-jacobi", "--sizes", "8,16,32,48", "--q", "0.5", "--y", "0.5",
+                      "--lambda1", "0.5", "--lambda2", "0.5"])
+    deltas = [abs(row["delta"]) for row in rows]
     decreasing = all(deltas[i] > deltas[i + 1] for i in range(len(deltas) - 1))
     return CriterionResult(5, "Jacobi-weight determinant drift", decreasing,
                            f"|delta| over sizes 8,16,32,48: "
@@ -210,20 +192,18 @@ def criterion_5_jacobi_drift() -> CriterionResult:
 
 
 def criterion_6_toeplitz() -> CriterionResult:
-    """Classical singular-symbol check: ln D_N - (1/4) ln N approaches
-    ln(G^2(3/2)/G(2)) monotonically with final gap <= 0.02.  The detail
-    also quotes the gap at N = 48 between the closed form D_N = M_N(1/2, 1/2) / N!
-    and the determinant of the explicit 48 x 48 Toeplitz matrix."""
-    symbol = fh.SymbolSpec(singularities=((0.0, 0.5),))
-    target = 2.0 * log_barnes_g(1.5) - log_barnes_g(2.0)
-    sizes = (8, 16, 32, 48)
-    log_dets = fh.toeplitz_log_dets(symbol, sizes)
-    gaps = [abs(log_d - 0.25 * math.log(N) - target) for N, log_d in zip(sizes, log_dets)]
+    """Classical singular-symbol check on the `fh-toeplitz` rows at q = 1/2:
+    ln D_N - (1/4) ln N approaches ln(G^2(3/2)/G(2)) monotonically with
+    final gap <= 0.02.  The detail also quotes the gap at N = 48 between the
+    closed form D_N = M_N(1/2, 1/2) / N! and the determinant of the explicit
+    48 x 48 Toeplitz matrix."""
+    rows = _cli_rows(["fh-toeplitz", "--sizes", "8,16,32,48", "--q", "0.5"])
+    gaps = [abs(row["delta"]) for row in rows]
     monotone = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
     final_ok = bool(gaps[-1] <= 0.02)
-    coeffs = fh._toeplitz_fourier_coeffs(symbol, 47)
+    coeffs = fh._toeplitz_fourier_coeffs(fh.SymbolSpec(singularities=((0.0, 0.5),)), 47)
     idx = 47 + np.arange(48)[:, None] - np.arange(48)[None, :]
-    explicit_gap = abs(log_dets[-1] - np.linalg.slogdet(coeffs[idx])[1])
+    explicit_gap = abs(rows[-1]["log_exact"] - np.linalg.slogdet(coeffs[idx])[1])
     return CriterionResult(6, "Toeplitz singular-symbol drift", monotone and final_ok,
                            f"gaps {[f'{g:.5f}' for g in gaps]}, final tol 0.02; "
                            f"gap to the explicit 48x48 determinant {explicit_gap:.1e}")

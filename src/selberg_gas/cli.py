@@ -101,7 +101,15 @@ def _run_dm_mc(ns):
 
 
 def _run_table1(ns):
-    return acceptance.table1_rows(ns.n, ns.m_samples, ns.seed)
+    # the Dirichlet estimate, its standard error, the asymptote and their
+    # ratio at each (X, 1 - X) of the standard grid, which criterion 1 bands
+    queries = [DensityMatrixQuery(N=ns.n, X=x, Y=1.0 - x) for x in acceptance.TABLE1_XS]
+    rows = []
+    for query, est in zip(queries, mc_density_matrix_table(queries, ns.m_samples, ns.seed)):
+        asym = density_matrix_asymptote(query)
+        rows.append({"X": query.X, "mc_value": est.value, "std_error": est.std_error,
+                     "asymptote": asym, "ratio": est.value / asym})
+    return rows
 
 
 def _run_duality(ns):

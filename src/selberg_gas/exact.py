@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DomainError, log_barnes_g, log_barnes_g_ratio, log_gamma
+from .specfun import (
+    DomainError,
+    log_barnes_g,
+    log_barnes_g_ratio,
+    log_gamma,
+    log_gamma_ratio,
+)
 
 
 @dataclass(frozen=True)
@@ -107,15 +113,21 @@ class DensityMatrixQuery:
 
 
 def selberg_closed(n: int, a: float, b: float) -> LogMagnitude:
-    """log S_n(a, b, 1), the Selberg integral at unitary coupling."""
+    """log S_n(a, b, 1), the Selberg integral at unitary coupling.
+
+    S_n = prod_{j<n} Gamma(a+1+j) Gamma(b+1+j) Gamma(2+j) / Gamma(a+b+1+n+j),
+    summed with the larger exponent's two gamma logs taken as one ratio,
+    `log_gamma_ratio`, so that a large exponent keeps its digits.
+    """
     if a <= -1.0 or b <= -1.0:
         raise DomainError(f"Selberg exponents must exceed -1, got ({a}, {b})")
     if n < 1 or n != int(n):
         raise DomainError(f"Selberg size must be a positive integer, got {n}")
+    big, small = max(a, b), min(a, b)
     total = 0.0
     for j in range(int(n)):
-        total += (log_gamma(a + 1.0 + j) + log_gamma(b + 1.0 + j)
-                  + log_gamma(2.0 + j) - log_gamma(a + b + 1.0 + n + j))
+        total += (log_gamma(small + 1.0 + j) + log_gamma(2.0 + j)
+                  - log_gamma_ratio(big + 1.0 + j, small + n))
     return LogMagnitude(total)
 
 
@@ -157,16 +169,24 @@ def morris_closed(p: MorrisParams) -> LogMagnitude:
     M_n = prod_{j<n} T_j with T_j = Gamma(a+b+1+j) Gamma(2+j) /
     (Gamma(a+1+j) Gamma(b+1+j)).  Summing log T_j directly adds gamma logs
     of size j log j whose rounding grows with n; instead the sum is
-    n log T_0 + sum_{0<i<n} (n-i) log(T_i / T_{i-1}), where
-    T_i / T_{i-1} = (a+b+i)(1+i) / ((a+i)(b+i)) = 1 + (a+b+i-ab) / ((a+i)(b+i)).
+    n log T_0 + sum_{0<i<n} (n-i) log(T_i / T_{i-1}).  With B >= A the
+    larger and smaller exponent, log T_0 = log_gamma_ratio(B+1, A) - lgG(A+1)
+    and T_i / T_{i-1} = (1 + A/(B+i)) (1 + x_i), x_i = (1-A)/(A+i), so no
+    large gamma log and no product of the exponents is formed.  Where x_i
+    nears -1, which log1p(x_i) would round to log 0, the ratio
+    (1+i)/(A+i) is taken as it is.
     """
     n, a, b = p.n, p.a, p.b
     for arg in (a + 1.0, b + 1.0):
         if arg <= 0.0:
             raise DomainError(f"Morris gamma argument {arg} <= 0")
+    big, small = max(a, b), min(a, b)
     i = np.arange(1.0, n)
-    steps = (n - i) * np.log1p((a + b + i - a * b) / ((a + i) * (b + i)))
-    log_t0 = log_gamma(a + b + 1.0) - log_gamma(a + 1.0) - log_gamma(b + 1.0)
+    x = (1.0 - small) / (small + i)
+    log1p_x = np.log1p(np.maximum(x, -0.5))
+    steps = (n - i) * (np.log1p(small / (big + i))
+                       + np.where(x > -0.5, log1p_x, np.log((1.0 + i) / (small + i))))
+    log_t0 = -log_gamma(small + 1.0) + log_gamma_ratio(big + 1.0, small)
     return LogMagnitude(n * log_t0 + math.fsum(steps))
 
 

@@ -88,14 +88,16 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     current orthonormal polynomial's values times the square roots of the
     weights, each step takes r = x v - (x v . v) v - b~_{k-1} v_prev and
     b~_k = |r|.  One sweep to the largest size gives every rung, in O(N)
-    memory for an N-node rule.  The rule has n_max + 30 nodes per panel; from
+    memory for an N-node rule.  The rule has n_max + quad.SPARE_ORDER
+    (30) nodes per panel, graded toward a wall until 30 nodes resolve it; from
     n_max = 98 on, a charge of non-integer 2q adds two 16-node collars
     instead of keying the full-order panels, which are then cached by the
     weight's exponents alone.
     """
     sizes = _check_sizes(sizes)
     n_max = int(sizes.max())
-    rule = quad.charge_rule(params.lambda1, params.lambda2, symbol.singularities, n_max + 30)
+    rule = quad.charge_rule(params.lambda1, params.lambda2, symbol.singularities,
+                           n_max + quad.SPARE_ORDER)
     _, b, mu0 = quad.jacobi_recurrence(n_max, params.lambda1, params.lambda2)
     x, w = rule.nodes, rule.weights
     mass = float(np.sum(w))

@@ -126,13 +126,24 @@ def periodic_integrate(f: Callable, m: int, points_per_axis: int):
     return complex(np.sum(f(*axes))) * h**m
 
 
+# Gauss order at which a piece must resolve a wall's factor y^lambda1 or
+# (1 - y)^lambda2.  The Hankel sweep's rule has n_max + SPARE_ORDER nodes a
+# panel and spends 2 n_max of their 2 (n_max + SPARE_ORDER) exact degrees on
+# its polynomials, which leaves about 2 SPARE_ORDER for the wall's factor.
+SPARE_ORDER = 30
+
+
 def _grading(a: float, b: float, points: Sequence, order: int) -> list:
     # Cuts grading (a, b) geometrically toward the singular points outside
     # it whose factors Gauss at `order` cannot resolve: the error bound
     # rho^(-2 order), rho of the Bernstein ellipse through the point, is
-    # above rounding.  The nearest such point is peeled off first, with a
-    # piece as long as its distance from that point, until the rest resolves
-    # or is itself no longer than that distance.
+    # above rounding.  A wall (0 or 1) is judged at min(order, SPARE_ORDER)
+    # nodes instead, so that a piece beside a charge near a wall still
+    # resolves the wall's factor times the sweep's polynomials; a charge
+    # keeps the full order, which its collars and panels are sized for.
+    # The nearest unresolved point is peeled off first, with a piece as
+    # long as its distance from that point, until the rest resolves or is
+    # itself no longer than that distance.
     lo, hi, left, right = a, b, [], []
     while True:
         near = None
@@ -141,7 +152,8 @@ def _grading(a: float, b: float, points: Sequence, order: int) -> list:
                 continue
             d = lo - s if s < a else s - hi
             u = 1.0 + 2.0 * d / (hi - lo)
-            resolved = (u + math.sqrt(u * u - 1.0)) ** (-2.0 * order) <= np.finfo(float).eps
+            k = min(order, SPARE_ORDER) if s in (0.0, 1.0) else order
+            resolved = (u + math.sqrt(u * u - 1.0)) ** (-2.0 * k) <= np.finfo(float).eps
             if not resolved and d < hi - lo and (near is None or d < near[0]):
                 near = (d, s < a)
         if near is None:
@@ -156,6 +168,12 @@ def _grading(a: float, b: float, points: Sequence, order: int) -> list:
 
 # Panels of at least _COLLAR_MIN_ORDER nodes leave a charge with a
 # non-integer exponent to a collar of _COLLAR_NODES nodes on each side.
+# Below it the fork stays for a measured reason: with collars at every
+# order, criterion 7's 72 kernel rules grew from 7,488 to 10,816 nodes and
+# its median from 6-12 ms to 14-20 ms (three alternating process pairs on
+# 2 vCPUs), while the collars would save only a ladder to n < 98 with a
+# fresh q (about 2.5-4.8 ms down to 1.0-1.9 ms at n = 64), which neither
+# the CLI's defaults nor the benchmark repeat.
 _COLLAR_MIN_ORDER = 128
 _COLLAR_NODES = 16
 
@@ -191,8 +209,8 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
     piece beyond it evaluates the charge's factor: the full-order rules then
     depend on the order and the weight's exponents alone, and their cache
     serves every such charge.  A piece whose edge lies too close to another
-    singular point for Gauss at its order to resolve that point's factor is
-    graded geometrically toward it.
+    singular point for Gauss at its order, or at SPARE_ORDER nodes for a
+    wall, to resolve that point's factor is graded geometrically toward it.
     """
     l1, l2 = lambda1, lambda2
     interior = []

@@ -10,7 +10,8 @@ orbitals are sqrt(2) sin(k pi x), k = 1..N+1, between Dirichlet walls and
     rho(x, y) = det(P) phi(x)^T P^-1 phi(y),  P_ij = delta_ij - 2 int_x^y phi_i phi_j,
 
 and every overlap is a closed-form trigonometric integral.  The trace of
-rho over the box is N + 1.
+rho over the box is N + 1.  On the diagonal rho is the free-fermion
+density, the sum of the orbitals' squares.
 """
 
 import math
@@ -52,3 +53,11 @@ def density_matrix(boundary: str, N: int, x: float, y: float) -> float:
     P = np.eye(len(k)) - 2.0 * overlaps
     sign, log_det = np.linalg.slogdet(P)
     return float(sign * math.exp(log_det) * (phi_x @ np.linalg.solve(P, phi_y)))
+
+
+def density(boundary: str, N: int, x: float) -> float:
+    """rho(x, x) of N + 1 hard-core bosons at a physical point 0 < x < 1:
+    sum_k 2 sin^2(k pi x) over k = 1..N+1 (Dirichlet) or
+    1 + sum_k 2 cos^2(k pi x) over k = 1..N (Neumann)."""
+    _, phi = _orbitals(boundary, N, x)
+    return float(phi @ phi)

@@ -238,10 +238,13 @@ class TestUnitChargeOracle:
 
     @pytest.mark.parametrize("lam1, lam2", [(0.5, 0.5), (-0.5, -0.5), (0.0, 1.0)])
     def test_ladder_at_large_n(self, lam1, lam2):
-        # measured worst 4.0e-11 over the nine cases; the former Gram-matrix
-        # engine on scipy's Gauss-Jacobi weights was 1.5e-9 off
-        sizes = (256, 512)
-        for t in (0.2, 0.5, 0.77):
+        # measured worst 4.0e-11 at t in {0.2, 0.5, 0.77}; the former
+        # Gram-matrix engine on scipy's Gauss-Jacobi weights was 1.5e-9 off.
+        # Near a wall, where the sweep's polynomials leave the wall's factor
+        # about 30 Gauss nodes, the worst is 6.8e-11 (8.4e-8 when pieces
+        # were judged to resolve the wall at the full order)
+        sizes = (128, 256, 512)
+        for t in (0.2, 0.5, 0.77, 1e-4, 1e-3, 1.0 - 1e-4):
             params = EnsembleParams(n=512, lambda1=lam1, lambda2=lam2)
             got = fh.hankel_log_ratios(params, fh.SymbolSpec(singularities=((t, 1.0),)), sizes)
             for n, log_avg in zip(sizes, got):
@@ -435,17 +438,33 @@ class TestExactDensityMatrix:
             [DensityMatrixQuery(N=6, X=0.3, Y=0.3, boundary=boundary)], 4000, 1)[0]
         assert abs(est.value - on) <= 3.5 * est.std_error
 
-    @pytest.mark.parametrize("N", [1, 2, 14, 50, 200])
+    @pytest.mark.parametrize("N", [1, 2, 14, 50, 200, 400])
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
     def test_is_n_over_n_plus_one_of_lenards_determinant(self, boundary, N):
         # the package's convention: N/(N+1) times the physical density
         # matrix of N + 1 bosons at physical points x, y, X = sin^2(pi x / 2);
-        # measured worst 5.4e-12 (Dirichlet) and 7.1e-12 (Neumann) at N = 200
-        for x, y in ((0.1, 0.35), (0.3, 0.45), (0.2, 0.8), (0.05, 0.6)):
+        # measured worst 5.4e-12 (Dirichlet) and 7.1e-12 (Neumann) at N = 200.
+        # The pairs within six spacings of a wall: 2.4e-11 at N = 400, where
+        # they were 1.0e-7 off while a wall was judged at the full order
+        walls = [(a / N, b / N) for a, b in ((0.5, 1.5), (1.0, 3.0), (2.0, 6.0)) if b < N]
+        for x, y in [(0.1, 0.35), (0.3, 0.45), (0.2, 0.8), (0.05, 0.6)] + walls:
             X, Y = math.sin(0.5 * math.pi * x) ** 2, math.sin(0.5 * math.pi * y) ** 2
             query = DensityMatrixQuery(N=N, X=X, Y=Y, boundary=boundary)
             oracle = lenard_oracle.density_matrix(boundary, N, x, y)
             assert abs(density_matrix_exact(query) * (N + 1) / N / oracle - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("N", [50, 200, 400, 800])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_diagonal_is_the_free_fermion_density(self, boundary, N):
+        # within a few spacings of a wall and in the bulk; measured worst
+        # 5.9e-11 (Dirichlet) and 5.7e-11 (Neumann) at N = 800, where the
+        # engine was 8.0e-6 and 7.4e-6 off while it judged a wall resolved
+        # at the panels' full order
+        for x in (0.5 / N, 2.0 / N, 6.0 / N, 0.003, 0.1, 0.5):
+            X = math.sin(0.5 * math.pi * x) ** 2
+            query = DensityMatrixQuery(N=N, X=X, Y=X, boundary=boundary)
+            oracle = lenard_oracle.density(boundary, N, x)
+            assert abs(density_matrix_exact(query) * (N + 1) / N / oracle - 1.0) <= 1e-9, x
 
     def test_large_n_approaches_asymptote(self):
         # beyond the oracle's reach: at N = 200 on the Table 1 line the exact

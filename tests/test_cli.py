@@ -407,12 +407,30 @@ class TestErrors:
         (["fh-jacobi", "--q", "1e5", "--sizes", "8"],
          "Gauss-Jacobi exponents (200000.0, 0.5) put the rule's scale"),
         (["fh-toeplitz", "--q", "1e308"], "singularity exponent 2q overflows a float"),
-        (["selberg", "--n", "2", "--lambda1", "1e308", "--lambda2", "0"],
+        # with both exponents at 1e308 the log itself, about -+2.8e308, is
+        # beyond a float; with one, the value is computed (see below)
+        (["selberg", "--n", "2", "--lambda1", "1e308", "--lambda2", "1e308"],
          "log_gamma(1e+308) overflows a float"),
-        (["morris", "--n", "2", "--lambda1", "1e308", "--lambda2", "0"],
+        (["morris", "--n", "2", "--lambda1", "1e308", "--lambda2", "1e308"],
          "log_gamma(1e+308) overflows a float"),
     ])
     def test_out_of_range_option_names_the_quantity(self, argv, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: " + message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["selberg", "--n", "2", "--lambda1", "1e308", "--lambda2", "0"],
+         "Selberg integral underflows a float: log -2836.09"),
+        (["morris", "--n", "2", "--lambda1", "1e154", "--lambda2", "1e154"],
+         "Morris integral overflows a float: log 2.77258872223"),
+    ])
+    def test_large_exponent_names_its_finite_log(self, argv, message, capsys):
+        # S_2(a, 0) = 2 / ((a+1)(a+2)^2(a+3)) and M_2(a, a) ~ 16^a / (pi a^2):
+        # formerly "log_gamma(1e+308) overflows a float", and for Morris
+        # "underflows a float: log -inf" with a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 1

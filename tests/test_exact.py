@@ -218,6 +218,48 @@ class TestMorris:
         assert abs(exact.morris_closed(MorrisParams(1024, a, a)).log_abs - float(ref)) <= 1e-11
 
 
+def mpmath_gamma_sum(n, a, b, terms):
+    # sum_{j<n} of signed loggamma values at a working precision wide
+    # enough for gamma logs of size a log a to keep 40 digits after
+    # cancelling; `terms(x, y, j)` lists (sign, argument) pairs
+    with mp.workdps(40 + int(math.log10(max(abs(a), abs(b), 1.0)))):
+        x, y = mp.mpf(a), mp.mpf(b)
+        return float(mp.fsum(sign * mp.loggamma(arg)
+                             for j in range(n) for sign, arg in terms(x, y, j)))
+
+
+@pytest.mark.parametrize("a", [1e6, 1e10, 1e20, 1e300])
+@pytest.mark.parametrize("n, b", [(2, 0.0), (5, 0.5), (2, 3.0), (3, -0.5)])
+class TestLargeExponent:
+    """One exponent far above the other: differences of two lgamma values of
+    size a log a lost their digits (log S_5(1e6, 1/2) was 7.6e-9 off, and
+    S_2(1e20, 0) came out as 1), so the closed forms take log-gamma ratios."""
+
+    def test_selberg_against_mpmath(self, n, a, b):
+        ref = mpmath_gamma_sum(n, a, b, lambda x, y, j: (
+            (1, x + 1 + j), (1, y + 1 + j), (1, 2 + j), (-1, x + y + 1 + n + j)))
+        for lam1, lam2 in ((a, b), (b, a)):
+            got = exact.selberg_closed(n, lam1, lam2).log_abs
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (lam1, lam2)
+
+    def test_morris_against_mpmath(self, n, a, b):
+        ref = mpmath_gamma_sum(n, a, b, lambda x, y, j: (
+            (1, x + y + 1 + j), (1, 2 + j), (-1, x + 1 + j), (-1, y + 1 + j)))
+        for lam1, lam2 in ((a, b), (b, a)):
+            got = exact.morris_closed(MorrisParams(n, lam1, lam2)).log_abs
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (lam1, lam2)
+
+
+def test_morris_with_two_large_exponents_is_finite():
+    # the step ratio (a + b + i - ab) / ((a + i)(b + i)) rounded to -1, whose
+    # log1p is -inf, and at 1e300 a * b overflowed to NaN
+    for a in (1e10, 1e154, 1e300):
+        ref = mpmath_gamma_sum(2, a, a, lambda x, y, j: (
+            (1, x + y + 1 + j), (1, 2 + j), (-2, x + 1 + j)))
+        got = exact.morris_closed(MorrisParams(2, a, a)).log_abs
+        assert abs(got - ref) <= 1e-13 * abs(ref), a
+
+
 class TestDualityConstant:
     def test_explicit_small_case(self):
         # n=1, m=2, flat weight: S_1(0,2)/S_1(0,0) * M_2(0,0)/M_2(1,0) = 1/3

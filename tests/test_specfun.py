@@ -94,6 +94,28 @@ class TestBarnesGRatio:
             sf.log_barnes_g_ratio(0.5, -0.5)
 
 
+class TestLogGammaRatio:
+    def test_against_mpmath(self):
+        # both sides of the cut at 17, where Stirling's expansion is
+        # differenced term by term instead of two lgamma values
+        for z in (0.4, 16.5, 17.0, 20.3, 123.4, 1000.7, 1e6, 1e12, 1e20, 1e300):
+            for s in (-0.5, 0.5, 2.7, 300.0):
+                if not min(z, z + s) > 0.0:
+                    continue
+                with mp.workdps(40 + int(math.log10(z + abs(s)))):
+                    ref = float(mp.loggamma(mp.mpf(z) + mp.mpf(s)) - mp.loggamma(mp.mpf(z)))
+                got = sf.log_gamma_ratio(z, s)
+                assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (z, s)
+
+    def test_domain(self):
+        with pytest.raises(sf.DomainError):
+            sf.log_gamma_ratio(0.0, 1.0)
+        with pytest.raises(sf.DomainError):
+            sf.log_gamma_ratio(2.0, -2.0)
+        with pytest.raises(sf.DomainError, match="overflows a float"):
+            sf.log_gamma_ratio(1e308, 1e308)
+
+
 def orbital_family():
     # (a, c) of every 2F1(a, 3/4; c; z) the orbital identities evaluate:
     # a = 1/4 - k with c in {5/4, 1/4, -3/4}, and the raised a + 1 at c = 5/4
