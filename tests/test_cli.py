@@ -533,12 +533,17 @@ class TestParserCache:
                             "format": "json", "out": None}
 
 
+def child_env(**variables) -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(selberg_gas.__file__).resolve().parents[1])
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def scipy_loaded_after(statements: str) -> list:
     """The scipy modules loaded in a fresh interpreter after it imports the
     CLI, builds its parser and runs `statements`."""
-    src = str(Path(selberg_gas.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = child_env()
     probe = ("import sys, selberg_gas.cli as cli; cli.build_parser()\n" + statements
              + "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -565,6 +570,7 @@ SCIPY_FREE_RUNS = [
     ["orbitals", "--j-max", "3"],
     ["sample-jue", "--n", "3", "--m-samples", "2", "--format", "csv"],
     ["fh-jacobi"],  # rules of order 78, below the dense eigensolver's limit
+    ["fh-jacobi", "--sizes", "8,16,32,99"],  # order 129, the last of numpy's steps
 ]
 
 
@@ -576,6 +582,33 @@ def test_scipy_free_subcommands_load_no_scipy():
             "        if cli.main(argv) != 0:\n"
             "            raise SystemExit(f'failed: {argv}')\n")
     assert scipy_loaded_after(runs) == []
+
+
+def test_ladders_across_the_blas_step_boundary_share_their_rungs():
+    # `--sizes 99` steps with numpy on a rule of order 129, `--sizes 99,100`
+    # with BLAS on one of order 130.  Measured worst gap 1.2e-12 at n = 99,
+    # of which the rule's extra node a panel makes 1.25e-12 on numpy's steps
+    # alone and BLAS's rounding at most 2.8e-13
+    for q, y in ((0.5, 0.5), (1.0, 0.1), (0.3, 0.001), (1.7, 0.5)):
+        flags = ["--q", repr(q), "--y", repr(y)]
+        short = run_document(["fh-jacobi", "--sizes", "99"] + flags)[0]["results"]
+        long = run_document(["fh-jacobi", "--sizes", "99,100"] + flags)[0]["results"]
+        assert [row["n"] for row in long] == [99, 100]
+        for key in ("log_exact", "delta"):
+            assert abs(long[0][key] - short[0][key]) <= 2.5e-12, (q, y, key)
+
+
+def test_output_does_not_depend_on_the_blas_thread_count():
+    # a 10,540-node rule: OpenBLAS splits a ddot over 10,000 entries across
+    # its threads, so an unblocked sweep printed 2.6628190506471583 under one
+    # thread and 2.6628190506467035 under two
+    argv = ["fh-jacobi", "--sizes", "1024", "--q", "1", "--y", "0.0005",
+            "--lambda1", "0.5", "--lambda2", "0.5"]
+    outputs = [subprocess.run([sys.executable, "-m", "selberg_gas.cli", *argv],
+                              env=child_env(OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, check=True).stdout for threads in ("1", "2")]
+    assert b'"log_exact"' in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

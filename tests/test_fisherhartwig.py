@@ -15,6 +15,7 @@ from selberg_gas.exact import (
 )
 from selberg_gas.specfun import DomainError, log_barnes_g, log_beta
 
+import stieltjes_oracle
 import tensor_oracle
 from charge_rule_oracle import uncollared_charge_rule
 from polynomial_oracle import orthonormal_polynomials
@@ -231,6 +232,94 @@ class TestLadders:
 COLLAR_SIZES = (16, 98, 128, 200, 256, 512)
 # each weight exponent once on each side
 COLLAR_WEIGHTS = ((-0.5, 0.5), (0.0, 1.0), (0.5, -0.5), (1.0, 0.0))
+
+# one charge of each kind the engine meets: a non-integer one (collared from
+# n_max = 98 on), a unit one, the density matrix's two half charges and one
+# a hundredth of a spacing from a wall
+SWEEP_SYMBOLS = [fh.SymbolSpec(singularities=charges) for charges in (
+    ((0.37, 0.43),), ((0.37, 1.0),), ((0.2, 0.5), (0.71, 0.5)), ((1e-4, 0.7),))]
+SWEEP_WEIGHTS = [(l1, l2) for l1 in (-0.5, 0.0, 0.5, 1.0) for l2 in (-0.5, 0.0, 0.5, 1.0)]
+# measured worst gaps of the BLAS steps to the numpy sweep, in the log, over
+# SWEEP_SYMBOLS and all sixteen weights: 2.3e-13 at n = 100, 5.7e-13 at 128,
+# 3.4e-12 at 512 and 1.05e-11 at 1024
+BLAS_STEP_GAP = {100: 1e-12, 128: 1.5e-12, 512: 1e-11, 1024: 3e-11}
+
+
+def outcome(ladder, params, symbol, sizes):
+    # the rungs, or the DomainError message
+    try:
+        return ladder(params, symbol, sizes)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestNumpySweep:
+    # Below rule order quad._DENSE_EIGEN_ORDERS the engine steps with numpy
+    # arithmetic, from it with in-place BLAS level-1 calls
+
+    def test_largest_numpy_ladder_is_n_99(self):
+        assert 99 + quad.SPARE_ORDER == quad._DENSE_EIGEN_ORDERS - 1
+
+    @pytest.mark.parametrize("symbol", SWEEP_SYMBOLS)
+    def test_numpy_steps_return_the_numpy_sweeps_bits(self, symbol):
+        sizes = (1, 5, 40, 97, 98, 99)
+        for l1, l2 in SWEEP_WEIGHTS:
+            params = params_for(1, l1, l2)
+            for ladder in (sizes, (97,), (99,)):
+                np.testing.assert_array_equal(
+                    fh.hankel_log_ratios(params, symbol, ladder),
+                    stieltjes_oracle.hankel_log_ratios(params, symbol, ladder),
+                    err_msg=f"weight=({l1}, {l2})")
+
+    @pytest.mark.parametrize("symbol", SWEEP_SYMBOLS)
+    def test_blas_steps_stay_near_the_numpy_sweep(self, symbol):
+        for l1, l2 in COLLAR_WEIGHTS:
+            params = params_for(1, l1, l2)
+            for ladder in ((100,), (128,), (512,), (1024,)):
+                got = fh.hankel_log_ratios(params, symbol, ladder)
+                ref = stieltjes_oracle.hankel_log_ratios(params, symbol, ladder)
+                n = ladder[0]
+                assert abs(got[0] - ref[0]) <= BLAS_STEP_GAP[n], (n, l1, l2, got[0] - ref[0])
+
+    def test_long_dots_sum_single_thread_blocks_in_order(self):
+        block = fh._DOT_BLOCK
+        assert fh._blocked(np.dot, block) is np.dot
+        rng = np.random.default_rng(7)
+        a, c = rng.standard_normal((2, 3 * block + 5))
+        expected = np.dot(a[:block], c[:block])
+        for i in (block, 2 * block, 3 * block):
+            expected += np.dot(a[i:i + block], c[i:i + block])
+        assert fh._blocked(np.dot, len(a))(a, c) == expected
+
+    @pytest.mark.parametrize("nodes, n_max", [(3, 100), (60, 100), (117, 128), (400, 512)])
+    def test_blas_steps_lose_positivity_at_the_numpy_rung(self, monkeypatch, nodes, n_max):
+        # a rule of `nodes` nodes carries that many orthogonal polynomials
+        def short(lambda1, lambda2, charges, order):
+            return quad.power_panel(0.0, 1.0, lambda1, lambda2, nodes)
+
+        monkeypatch.setattr(fh.quad, "charge_rule", short)
+        for sizes in ((n_max,), (2, nodes, n_max)):
+            message = outcome(stieltjes_oracle.hankel_log_ratios, params_for(1), fh.SymbolSpec(),
+                              sizes)
+            assert message == f"Hankel ladder lost positivity below n = {nodes + 1}"
+            assert outcome(fh.hankel_log_ratios, params_for(1), fh.SymbolSpec(),
+                           sizes) == message
+
+    @pytest.mark.parametrize("n_max", [5, 100, 512])
+    @pytest.mark.parametrize("poison", ["weights", "nodes"])
+    def test_non_finite_rules_are_a_domain_error_on_both_steps(self, monkeypatch, n_max,
+                                                               poison):
+        def poisoned(lambda1, lambda2, charges, order):
+            rule = quad.power_panel(0.0, 1.0, lambda1, lambda2, order)
+            x, w = rule.nodes.copy(), rule.weights.copy()
+            (w if poison == "weights" else x)[-1] = np.nan
+            return quad.QuadratureRule(x, w)
+
+        monkeypatch.setattr(fh.quad, "charge_rule", poisoned)
+        message = outcome(stieltjes_oracle.hankel_log_ratios, params_for(1), fh.SymbolSpec(),
+                          (n_max,))
+        assert isinstance(message, str) and "lost positivity" in message
+        assert outcome(fh.hankel_log_ratios, params_for(1), fh.SymbolSpec(), (n_max,)) == message
 
 
 def ladder_on(rule, params, symbol):
