@@ -175,8 +175,7 @@ def _run_fh_jacobi(ns):
     params = EnsembleParams(n=max(ns.sizes), lambda1=ns.lambda1, lambda2=ns.lambda2)
     exact = fh.hankel_balanced_log_ratios(params, symbol, ns.sizes).tolist()
     rows = []
-    for n, ex in zip(ns.sizes, exact):
-        pred = fh.jacobi_fh_asymptote(symbol, n)
+    for n, ex, pred in zip(ns.sizes, exact, fh.jacobi_fh_asymptotes(symbol, ns.sizes)):
         rows.append({"n": n, "log_exact": ex, "log_predicted": pred, "delta": ex - pred})
     if len(rows) >= 4:
         # whether |delta| strictly decreases over the last three requested sizes
@@ -189,8 +188,8 @@ def _run_fh_jacobi(ns):
 def _run_fh_toeplitz(ns):
     symbol = fh.SymbolSpec(singularities=((0.0, ns.q),))
     rows = []
-    for N, log_exact in zip(ns.sizes, fh.toeplitz_log_dets(symbol, ns.sizes).tolist()):
-        pred = fh.toeplitz_fh_asymptote(symbol, N)
+    exact = fh.toeplitz_log_dets(symbol, ns.sizes).tolist()
+    for N, log_exact, pred in zip(ns.sizes, exact, fh.toeplitz_fh_asymptotes(symbol, ns.sizes)):
         rows.append({"N": N, "log_exact": log_exact, "log_predicted": pred,
                      "delta": log_exact - pred})
     return rows

@@ -13,9 +13,10 @@ Gauss-Jacobi panels, the bare ones from the Jacobi recurrence, and every
 size of a ladder from one sweep to the largest size.  From a largest size
 of 98 on, a zero of non-integer exponent sits in two short collars, so the
 full-order panels depend on the weight alone: a process builds them once
-per (weight, largest size) and every later zero reuses them.  The Toeplitz determinant
-of one zero is the circular Morris integral, D_N = M_N(a, a) / N!, in
-closed form at every N.
+per (weight, largest size) and every later zero reuses them, and a rule
+with swapped exponents is the reflection of one already built.  The
+Toeplitz determinant of one zero is the circular Morris integral,
+D_N = M_N(a, a) / N!, in closed form at every N.
 
 Every symbol here is a product of algebraic zeros.  Smooth parts
 exp(h) or exp(g), like jump discontinuities, are out of scope.
@@ -141,7 +142,12 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     (30) nodes per panel, graded toward a wall until 30 nodes resolve it; from
     n_max = 98 on, a charge of non-integer 2q adds two 16-node collars
     instead of keying the full-order panels, which are then cached by the
-    weight's exponents alone.
+    weight's exponents alone.  The cache builds one rule per order and
+    unordered exponent pair and reflects it for the other orientation, so
+    the two collars are one build, and so are the panels either side of a
+    charge when lambda1 = lambda2.  Cold, the rules are most of a call: a
+    density-matrix pair (two half charges) at N = 1600 builds 2 rules of
+    1,630 nodes where it built 3, and takes 182-190 ms against 270-298 ms.
 
     Below rule order quad._DENSE_EIGEN_ORDERS (130, a largest size of 99)
     a step is numpy arithmetic: eight calls and five temporaries, and no
@@ -221,31 +227,45 @@ def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int
     return float(hankel_balanced_log_ratios(params, symbol, (n,))[0])
 
 
-def jacobi_fh_asymptote(symbol: SymbolSpec, n: int) -> float:
+def jacobi_fh_asymptotes(symbol: SymbolSpec, sizes: Sequence[int]) -> list:
     """Large-n limit of the charge-balanced log ratio of
     `hankel_balanced_log_ratios` (not of log H_n[symbol] / H_n[1], which
-    decays exponentially), the Jacobi-weight Fisher-Hartwig asymptote of
-    Deift, Its & Krasovsky, Ann. of Math. 174 (2011), arXiv:0905.0443.
+    decays exponentially) at every n in `sizes`, in request order: the
+    Jacobi-weight Fisher-Hartwig asymptote of Deift, Its & Krasovsky, Ann.
+    of Math. 174 (2011), arXiv:0905.0443.
 
     Combines the (2n)-power from each singularity, the pair terms and the
     local Barnes-G constants.  For a product of zeros the weight exponents
-    drop out, so none are taken.
+    drop out, so none are taken.  The constant's terms are taken once and
+    added one by one after the powers, in the order of the one-size sum, so
+    each entry has the bits of `jacobi_fh_asymptote`.
     """
     qs = symbol.singularities
-    total = 0.0
-    for _, q in qs:
-        total += (-q + q * q) * math.log(2.0 * n)
-
     # pair and local terms of the n-independent constant
+    constants = []
     for i in range(len(qs)):
         for j in range(i + 1, len(qs)):
-            total += -2.0 * qs[i][1] * qs[j][1] * math.log(abs(qs[j][0] - qs[i][0]))
+            constants.append(-2.0 * qs[i][1] * qs[j][1] * math.log(abs(qs[j][0] - qs[i][0])))
     for y, q in qs:
         if not 0.0 < y < 1.0:
             raise DomainError(f"the asymptote needs interior charges, got {y}")
-        total += -0.5 * q * q * math.log(y * (1.0 - y))
-        total += -q * math.log(math.pi) + 2.0 * log_barnes_g(q + 1.0) - log_barnes_g(2.0 * q + 1.0)
-    return total
+        constants.append(-0.5 * q * q * math.log(y * (1.0 - y)))
+        constants.append(-q * math.log(math.pi) + 2.0 * log_barnes_g(q + 1.0)
+                         - log_barnes_g(2.0 * q + 1.0))
+    totals = []
+    for n in sizes:
+        total = 0.0
+        for _, q in qs:
+            total += (-q + q * q) * math.log(2.0 * n)
+        for term in constants:
+            total += term
+        totals.append(total)
+    return totals
+
+
+def jacobi_fh_asymptote(symbol: SymbolSpec, n: int) -> float:
+    """The one-size view of `jacobi_fh_asymptotes`."""
+    return jacobi_fh_asymptotes(symbol, (n,))[0]
 
 
 def _one_zero(symbol: SymbolSpec) -> tuple:
@@ -304,7 +324,14 @@ def toeplitz_determinant(symbol: SymbolSpec, N: int) -> LogMagnitude:
     return LogMagnitude(float(toeplitz_log_dets(symbol, (N,))[0]))
 
 
-def toeplitz_fh_asymptote(symbol: SymbolSpec, N: int) -> float:
-    """Classical large-N log D_N of one zero a: a^2 log N + log G(1+a)^2 / G(1+2a)."""
+def toeplitz_fh_asymptotes(symbol: SymbolSpec, sizes: Sequence[int]) -> list:
+    """Classical large-N log D_N of one zero a, a^2 log N + log G(1+a)^2 / G(1+2a),
+    at every N in `sizes`, in request order; the two Barnes-G logs are taken once."""
     _, a = _one_zero(symbol)
-    return a * a * math.log(N) + 2.0 * log_barnes_g(1.0 + a) - log_barnes_g(1.0 + 2.0 * a)
+    g_single, g_double = 2.0 * log_barnes_g(1.0 + a), log_barnes_g(1.0 + 2.0 * a)
+    return [a * a * math.log(N) + g_single - g_double for N in sizes]
+
+
+def toeplitz_fh_asymptote(symbol: SymbolSpec, N: int) -> float:
+    """The one-size view of `toeplitz_fh_asymptotes`."""
+    return toeplitz_fh_asymptotes(symbol, (N,))[0]

@@ -7,7 +7,8 @@ panel absorbs the powers at its two edges, and integrates against it to a
 certified tolerance by order doubling.  At high orders a charge with a
 non-integer exponent is absorbed by a short collar panel of a few nodes
 instead, so the full-order panels depend on the weight alone and their
-cached rules serve every charge.  Also tensor-product integration up to
+cached rules serve every charge; a rule with its exponents swapped is the
+mirror image of one built before.  Also tensor-product integration up to
 three dimensions, equal-weight periodic rules on (-pi, pi)^m, m <= 2,
 and the Jacobi three-term recurrence.
 
@@ -48,9 +49,33 @@ _DENSE_EIGEN_ORDERS = 130
 
 @lru_cache(maxsize=512)
 def _jacobi_nodes_weights(order: int, alpha: float, beta: float):
-    # Gauss rule for (1-x)^alpha (1+x)^beta on (-1, 1) by Golub & Welsch,
-    # Math. Comp. 23 (1969) 221: the nodes are the eigenvalues of the
-    # Jacobi matrix, the weights the Christoffel function
+    # Gauss rule for (1-x)^alpha (1+x)^beta on (-1, 1).  The rule of
+    # (beta, alpha) is its mirror image under x -> -x, so a rule with
+    # alpha > beta is the reflection of the cached rule of (beta, alpha):
+    # one rule is built per unordered exponent pair, keyed (order, min, max),
+    # and its bits do not depend on which orientation a process asked for
+    # first.  A charge's panels (lambda1, p) left of it and (p, lambda2)
+    # right of it are one build when lambda1 = lambda2, and so are its two
+    # collars (0, 2q) and (2q, 0): a cold density-matrix pair builds 2
+    # full-order rules instead of 3 and took 182-190 ms against 270-298 ms
+    # at N = 1600 (2-vCPU Xeon).  The domain is checked here, in the
+    # caller's order.
+    if order < 1:
+        raise DomainError(f"Gauss rule order must be >= 1, got {order}")
+    if not alpha + beta + 1.0 < 1024.0:
+        raise DomainError(f"Gauss-Jacobi exponents ({alpha!r}, {beta!r}) put the rule's "
+                          f"scale 2^(alpha + beta + 1) beyond a float")
+    _check_weight_exponents(beta, alpha)
+    if alpha > beta:
+        x, w = _jacobi_nodes_weights(order, beta, alpha)
+        return -x[::-1], w[::-1]
+    return _golub_welsch(order, alpha, beta)
+
+
+def _golub_welsch(order: int, alpha: float, beta: float):
+    # Gauss rule for (1-x)^alpha (1+x)^beta by Golub & Welsch, Math. Comp.
+    # 23 (1969) 221: the nodes are the eigenvalues of the Jacobi matrix,
+    # the weights the Christoffel function
     # mass / sum_{k<order} p_k(x)^2 with p_0 = 1, which keeps the tiny end
     # weights relatively accurate where eigenvector components do not.
     # Below _DENSE_EIGEN_ORDERS numpy's dense solver on the lower triangle
@@ -60,12 +85,10 @@ def _jacobi_nodes_weights(order: int, alpha: float, beta: float):
     # the dense solver still returns the same bits but costs 3 to 4 times
     # as much (18 ms against 6 ms at order 542), and the large rules built
     # cold land among the slowest exact-determinant requests: with numpy at
-    # every order their tail latency nearly doubled.
-    if order < 1:
-        raise DomainError(f"Gauss rule order must be >= 1, got {order}")
-    if not alpha + beta + 1.0 < 1024.0:
-        raise DomainError(f"Gauss-Jacobi exponents ({alpha!r}, {beta!r}) put the rule's "
-                          f"scale 2^(alpha + beta + 1) beyond a float")
+    # every order their tail latency nearly doubled.  The Christoffel sums
+    # step in place on preallocated buffers with Python-float coefficients:
+    # the bits of the allocating loop in tests/christoffel_oracle.py, in
+    # about four fifths of its time (5.8 ms against 6.8 ms at order 542).
     a, b, mu0 = jacobi_recurrence(order, beta, alpha)
     diag, off = 2.0 * a - 1.0, 2.0 * b[1:]
     if order < _DENSE_EIGEN_ORDERS:
@@ -74,11 +97,19 @@ def _jacobi_nodes_weights(order: int, alpha: float, beta: float):
         from scipy.linalg import eigvalsh_tridiagonal
 
         x = eigvalsh_tridiagonal(diag, off)
-    prev, cur = np.zeros(order), np.ones(order)
+    d, o = diag.tolist(), off.tolist()
+    prev, cur, nxt, square = np.empty(order), np.ones(order), np.empty(order), np.empty(order)
     christoffel = np.ones(order)
     for k in range(order - 1):
-        prev, cur = cur, ((x - diag[k]) * cur - (off[k - 1] * prev if k else 0.0)) / off[k]
-        christoffel += cur * cur
+        # p_{k+1} = ((x - d_k) p_k - o_{k-1} p_{k-1}) / o_k
+        np.subtract(x, d[k], out=nxt)
+        nxt *= cur
+        if k:
+            prev *= o[k - 1]
+            nxt -= prev
+        nxt /= o[k]
+        prev, cur, nxt = cur, nxt, prev
+        christoffel += np.multiply(cur, cur, out=square)
     return x, 2.0 ** (alpha + beta + 1.0) * mu0 / christoffel
 
 
@@ -208,7 +239,11 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
     nodes on each side, a piece much shorter than its panel, and the long
     piece beyond it evaluates the charge's factor: the full-order rules then
     depend on the order and the weight's exponents alone, and their cache
-    serves every such charge.  A piece whose edge lies too close to another
+    serves every such charge.  The cache builds one rule per order and
+    unordered pair of exponents and reflects it for the other
+    orientation, so a charge's two collars are one build, and so are the
+    panels (lambda, 2q) and (2q, lambda) either side of it when
+    lambda1 = lambda2 = lambda.  A piece whose edge lies too close to another
     singular point for Gauss at its order, or at SPARE_ORDER nodes for a
     wall, to resolve that point's factor is graded geometrically toward it.
     """
@@ -280,14 +315,18 @@ def singular_integrate(f: Callable, lambda1: float, lambda2: float, charges: Seq
                           f"(last gap {float(np.max(gap))})")
 
 
+def _check_weight_exponents(lambda1: float, lambda2: float) -> None:
+    if lambda1 <= -1.0 or lambda2 <= -1.0:
+        raise DomainError(f"weight exponents must exceed -1, got ({lambda1}, {lambda2})")
+
+
 def jacobi_recurrence(n_terms: int, lambda1: float, lambda2: float):
     """Monic three-term recurrence for the weight x^lambda1 (1-x)^lambda2 on [0,1].
 
     Returns (a, b, mu0): pi_{k+1} = (x - a[k]) pi_k - b[k]^2 pi_{k-1} with
     b[0] unused, and mu0 the weight's total mass.
     """
-    if lambda1 <= -1.0 or lambda2 <= -1.0:
-        raise DomainError(f"weight exponents must exceed -1, got ({lambda1}, {lambda2})")
+    _check_weight_exponents(lambda1, lambda2)
     al, be = lambda2, lambda1  # standard-interval Jacobi exponents
     s = al + be
     k = np.arange(n_terms, dtype=float)

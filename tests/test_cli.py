@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import selberg_gas
 from selberg_gas import acceptance, cli
 from selberg_gas import ensembles
+from selberg_gas import quadrature as quad
 
 from csv_oracle import render_csv
 from sampler_oracle import block_size
@@ -608,6 +609,23 @@ def test_output_does_not_depend_on_the_blas_thread_count():
                               env=child_env(OPENBLAS_NUM_THREADS=threads),
                               capture_output=True, check=True).stdout for threads in ("1", "2")]
     assert b'"log_exact"' in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_output_does_not_depend_on_which_orientation_was_built_first(capsys):
+    # a charge 2q = 1 between weight exponents -1/2 asks for the panels
+    # (lambda1, 2q) left of it and (2q, lambda2) right of it, Gauss-Jacobi
+    # rules (1, -1/2) and (-1/2, 1) at order 542: one rule and its mirror
+    argv = ["fh-jacobi", "--sizes", "16,128,512", "--q", "0.5", "--y", "0.3",
+            "--lambda1", "-0.5", "--lambda2", "-0.5"]
+    outputs = []
+    for pair in ((1.0, -0.5), (-0.5, 1.0)):
+        quad._jacobi_nodes_weights.cache_clear()
+        quad._jacobi_nodes_weights(542, *pair)
+        quad._jacobi_nodes_weights(542, *pair[::-1])
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert '"log_exact"' in outputs[0]
     assert outputs[0] == outputs[1]
 
 

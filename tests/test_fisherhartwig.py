@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from selberg_gas import cli
 from selberg_gas import fisherhartwig as fh
 from selberg_gas import quadrature as quad
 from selberg_gas.averages import average_even_power_heine
@@ -76,6 +77,68 @@ class TestHankel:
         a = ladder_at(params_for(6, 0.5, -0.25), fh.SymbolSpec(singularities=((0.3, 0.5),)), 6)
         b = ladder_at(params_for(6, -0.25, 0.5), fh.SymbolSpec(singularities=((0.7, 0.5),)), 6)
         assert a == pytest.approx(b, abs=1e-10)
+
+
+def one_size_jacobi_asymptote(symbol, n):
+    # the per-size sum the ladders replace, kept term for term
+    qs = symbol.singularities
+    total = 0.0
+    for _, q in qs:
+        total += (-q + q * q) * math.log(2.0 * n)
+    for i in range(len(qs)):
+        for j in range(i + 1, len(qs)):
+            total += -2.0 * qs[i][1] * qs[j][1] * math.log(abs(qs[j][0] - qs[i][0]))
+    for y, q in qs:
+        total += -0.5 * q * q * math.log(y * (1.0 - y))
+        total += -q * math.log(math.pi) + 2.0 * log_barnes_g(q + 1.0) - log_barnes_g(2.0 * q + 1.0)
+    return total
+
+
+def one_size_toeplitz_asymptote(a, N):
+    return a * a * math.log(N) + 2.0 * log_barnes_g(1.0 + a) - log_barnes_g(1.0 + 2.0 * a)
+
+
+class TestAsymptoteLadders:
+    # the n-independent terms are taken once per ladder and added in the
+    # one-size order, so every entry keeps the one-size bits
+
+    def test_jacobi_ladder_matches_one_size_bits(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            ys = rng.choice(np.arange(1, 100) / 100.0, size=rng.integers(0, 4), replace=False)
+            symbol = fh.SymbolSpec(singularities=tuple(
+                (float(y), float(q)) for y, q in zip(ys, rng.uniform(0.01, 3.0, len(ys)))))
+            sizes = tuple(int(n) for n in rng.integers(1, 5000, rng.integers(1, 6)))
+            want = [one_size_jacobi_asymptote(symbol, n) for n in sizes]
+            assert fh.jacobi_fh_asymptotes(symbol, sizes) == want
+            assert [fh.jacobi_fh_asymptote(symbol, n) for n in sizes] == want
+
+    def test_toeplitz_ladder_matches_one_size_bits(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            a = float(rng.uniform(0.001, 5.0))
+            symbol = fh.SymbolSpec(singularities=((float(rng.uniform(-3.0, 3.0)), a),))
+            sizes = tuple(int(n) for n in rng.integers(1, 5000, rng.integers(1, 6)))
+            want = [one_size_toeplitz_asymptote(a, N) for N in sizes]
+            assert fh.toeplitz_fh_asymptotes(symbol, sizes) == want
+            assert [fh.toeplitz_fh_asymptote(symbol, N) for N in sizes] == want
+
+    def test_cli_takes_each_constant_once(self, monkeypatch, capsys):
+        # one charge: log G(q + 1) and log G(2q + 1), once per request
+        # rather than once per size
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return log_barnes_g(z)
+
+        monkeypatch.setattr(fh, "log_barnes_g", counting)
+        for argv in (["fh-jacobi", "--sizes", "8,16,32,48"],
+                     ["fh-toeplitz", "--sizes", "8,16,32,48"]):
+            calls.clear()
+            assert cli.main(argv) == 0
+            assert len(calls) == 2, argv
+        capsys.readouterr()
 
 
 class TestJacobiAsymptote:
@@ -377,19 +440,17 @@ class TestCollaredLadder:
     def test_new_charge_builds_no_full_order_rule(self, monkeypatch):
         params = params_for(1, 0.5, -0.5)
         fh.hankel_log_ratios(params, fh.SymbolSpec(singularities=((0.41, 0.37),)), (512,))
-        cached, misses = quad._jacobi_nodes_weights, []
+        build, builds = quad._golub_welsch, []
 
         def counting(order, alpha, beta):
-            before = cached.cache_info().misses
-            out = cached(order, alpha, beta)
-            if cached.cache_info().misses > before:
-                misses.append(order)
-            return out
+            builds.append(order)
+            return build(order, alpha, beta)
 
-        monkeypatch.setattr(quad, "_jacobi_nodes_weights", counting)
+        monkeypatch.setattr(quad, "_golub_welsch", counting)
         fh.hankel_log_ratios(params, fh.SymbolSpec(singularities=((0.6317, 0.7131),)), (512,))
-        # the two collars are the only new rules
-        assert misses == [quad._COLLAR_NODES] * 2
+        # the collars' rules, (0, 2q) left of the charge and (2q, 0) right
+        # of it, are one rule and its mirror: the only new build
+        assert builds == [quad._COLLAR_NODES]
 
     def test_results_do_not_depend_on_the_cache(self):
         params = params_for(1, -0.5, 1.0)

@@ -7,8 +7,11 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import roots_jacobi
 
 from selberg_gas import quadrature as quad
+from selberg_gas.averages import density_matrix_exact
+from selberg_gas.exact import BOUNDARY_DIRICHLET, BOUNDARY_NEUMANN, DensityMatrixQuery
 from selberg_gas.specfun import DomainError, log_beta
 
+import christoffel_oracle
 from charge_rule_oracle import uncollared_charge_rule
 from polynomial_oracle import orthonormal_polynomials
 
@@ -72,9 +75,11 @@ class TestGaussRules:
         # which keeps scipy.linalg out of small requests; it must return the
         # bits scipy's tridiagonal solver returns, or every small rule would
         # move with the switch (another LAPACK build could break this)
+        # (canonical pairs, alpha <= beta: the other orientation is their
+        # reflection, whose bits the next tests pin)
         rng = np.random.default_rng(2)
         for order in range(1, quad._DENSE_EIGEN_ORDERS):
-            alpha, beta = rng.uniform(-0.99, 3.0, 2)
+            alpha, beta = sorted(rng.uniform(-0.99, 3.0, 2))
             a, b, _ = quad.jacobi_recurrence(order, beta, alpha)
             x, _ = quad._jacobi_nodes_weights(order, alpha, beta)
             np.testing.assert_array_equal(x, eigvalsh_tridiagonal(2.0 * a - 1.0, 2.0 * b[1:]),
@@ -121,6 +126,91 @@ class TestGaussRules:
         x_ref, w_ref = self.mpmath_rule(order, alpha, beta)
         assert np.abs(x - x_ref).max() <= 2e-15
         assert np.abs(w / w_ref - 1.0).max() <= 2e-12
+
+
+def spy_on_rules(monkeypatch) -> tuple:
+    # (requested, built): the (order, alpha, beta) keys power_panel asks the
+    # cache for and the keys the cache builds, in call order, from a cold cache
+    requested, built = [], []
+    panel, build = quad.power_panel, quad._golub_welsch
+
+    def asking(a, b, p_left, p_right, order):
+        requested.append((order, p_right, p_left))
+        return panel(a, b, p_left, p_right, order)
+
+    def building(order, alpha, beta):
+        built.append((order, alpha, beta))
+        return build(order, alpha, beta)
+
+    monkeypatch.setattr(quad, "power_panel", asking)
+    monkeypatch.setattr(quad, "_golub_welsch", building)
+    quad._jacobi_nodes_weights.cache_clear()
+    return requested, built
+
+
+class TestMirroredRules:
+    # the rule of (beta, alpha) is the mirror image of the rule of
+    # (alpha, beta); the cache builds the one with alpha <= beta
+
+    PAIRS = ((1.0, -0.5), (2.0, 0.37), (0.5, 0.0), (2.6, -0.9))
+
+    @pytest.mark.parametrize("order", [1, 2, 17, 129, 130, 542])
+    def test_swapped_exponents_give_exact_mirrors(self, order, monkeypatch):
+        _, built = spy_on_rules(monkeypatch)
+        for alpha, beta in self.PAIRS:
+            for first, second in (((alpha, beta), (beta, alpha)), ((beta, alpha), (alpha, beta))):
+                quad._jacobi_nodes_weights.cache_clear()
+                built.clear()
+                x, w = quad._jacobi_nodes_weights(order, *first)
+                x_m, w_m = quad._jacobi_nodes_weights(order, *second)
+                np.testing.assert_array_equal(x, -x_m[::-1])
+                np.testing.assert_array_equal(w, w_m[::-1])
+                assert np.all(np.diff(x) > 0.0)
+                assert built == [(order, min(alpha, beta), max(alpha, beta))]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 17, 64, 129, 130, 131, 257, 542])
+    def test_christoffel_loop_matches_the_oracle(self, order):
+        # the in-place steps on Python floats against the allocating loop,
+        # in both orientations
+        for alpha, beta in self.PAIRS + ((0.25, 0.25),):
+            for pair in ((alpha, beta), (beta, alpha)):
+                x, w = quad._golub_welsch(order, *pair)
+                x_ref, w_ref = christoffel_oracle.jacobi_nodes_weights(order, *pair)
+                np.testing.assert_array_equal(x, x_ref)
+                np.testing.assert_array_equal(w, w_ref)
+
+    def test_checks_keep_the_callers_order(self):
+        # the messages name (beta, alpha) as weight exponents (lambda1,
+        # lambda2), and (alpha, beta) as Gauss-Jacobi exponents
+        for args, message in (((5, 0.0, -1.0), r"must exceed -1, got \(-1.0, 0.0\)"),
+                              ((5, -1.5, 0.0), r"must exceed -1, got \(0.0, -1.5\)"),
+                              ((5, 1100.0, 0.5), r"Gauss-Jacobi exponents \(1100.0, 0.5\)"),
+                              ((0, 1.0, 0.5), "order must be >= 1")):
+            with pytest.raises(DomainError, match=message):
+                quad._jacobi_nodes_weights(*args)
+            with pytest.raises(DomainError, match=message):
+                christoffel_oracle.jacobi_nodes_weights(*args)
+
+    def test_hankel_exponent_set_builds_one_rule_per_pair(self, monkeypatch):
+        # a Hankel request to n = 512 (rule order 542) with weight exponents
+        # in {-1/2, 0, 1/2, 1}, as the exact-determinant benchmark sends: a
+        # unit charge asks for the panels (lambda, 2) and (2, lambda), any
+        # other charge for (lambda, 0) and (0, lambda) beside its collars
+        requested, built = spy_on_rules(monkeypatch)
+        for lam in (-0.5, 0.0, 0.5, 1.0):
+            for q in (1.0, 0.37):
+                quad.charge_rule(lam, lam, [(0.4, q)], 542)
+        assert len({key for key in requested if key[0] == 542}) == 15
+        assert sorted(key for key in built if key[0] == 542) == sorted(
+            (542, min(lam, p), max(lam, p)) for lam in (-0.5, 0.0, 0.5, 1.0) for p in (0.0, 2.0))
+
+    @pytest.mark.parametrize("boundary", [BOUNDARY_DIRICHLET, BOUNDARY_NEUMANN])
+    def test_density_matrix_pair_builds_two_rules(self, boundary, monkeypatch):
+        # two half charges ask for (lambda, 1), (1, 1) and (1, lambda)
+        requested, built = spy_on_rules(monkeypatch)
+        density_matrix_exact(DensityMatrixQuery(N=200, X=0.3, Y=0.6, boundary=boundary))
+        assert len(set(requested)) == 3
+        assert len(built) == 2 and all(order == 230 for order, _, _ in built)
 
 
 class TestTensorIntegrate:
