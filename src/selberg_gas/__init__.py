@@ -28,9 +28,4 @@ from .averages import (
 )
 from .ensembles import rng_stream, sample_bidiagonal, sample_jue_halfhalf, spectra, tridiagonal
 from .orbitals import apply_kernel, orbital, orbital_normalization, scaled_occupation
-from .fisherhartwig import (
-    SymbolSpec,
-    jacobi_fh_asymptote,
-    toeplitz_determinant,
-    toeplitz_fh_asymptote,
-)
+from .fisherhartwig import SymbolSpec, toeplitz_determinant

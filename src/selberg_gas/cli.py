@@ -177,11 +177,6 @@ def _run_fh_jacobi(ns):
     rows = []
     for n, ex, pred in zip(ns.sizes, exact, fh.jacobi_fh_asymptotes(symbol, ns.sizes)):
         rows.append({"n": n, "log_exact": ex, "log_predicted": pred, "delta": ex - pred})
-    if len(rows) >= 4:
-        # whether |delta| strictly decreases over the last three requested sizes
-        tail = [abs(row["delta"]) for row in rows[-3:]]
-        for row in rows:
-            row["decreasing_tail"] = tail[0] > tail[1] > tail[2]
     return rows
 
 

@@ -3,7 +3,7 @@
 Selberg and Morris integrals (the former continued to non-integer size
 through Barnes G), the duality proportionality constant, the density-matrix
 asymptote and the asymptotic natural-orbital occupations.  The large-n
-partition-ratio asymptote is `fisherhartwig.jacobi_fh_asymptote` with one
+partition-ratio asymptote is `fisherhartwig.jacobi_fh_asymptotes` with one
 charge.
 
 Every product of gamma functions is carried in log space (LogMagnitude)

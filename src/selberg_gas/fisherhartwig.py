@@ -238,7 +238,8 @@ def jacobi_fh_asymptotes(symbol: SymbolSpec, sizes: Sequence[int]) -> list:
     local Barnes-G constants.  For a product of zeros the weight exponents
     drop out, so none are taken.  The constant's terms are taken once and
     added one by one after the powers, in the order of the one-size sum, so
-    each entry has the bits of `jacobi_fh_asymptote`.
+    each entry has the bits of that sum, which `tests/test_fisherhartwig.py`
+    keeps.
     """
     qs = symbol.singularities
     # pair and local terms of the n-independent constant
@@ -261,11 +262,6 @@ def jacobi_fh_asymptotes(symbol: SymbolSpec, sizes: Sequence[int]) -> list:
             total += term
         totals.append(total)
     return totals
-
-
-def jacobi_fh_asymptote(symbol: SymbolSpec, n: int) -> float:
-    """The one-size view of `jacobi_fh_asymptotes`."""
-    return jacobi_fh_asymptotes(symbol, (n,))[0]
 
 
 def _one_zero(symbol: SymbolSpec) -> tuple:
@@ -330,8 +326,3 @@ def toeplitz_fh_asymptotes(symbol: SymbolSpec, sizes: Sequence[int]) -> list:
     _, a = _one_zero(symbol)
     g_single, g_double = 2.0 * log_barnes_g(1.0 + a), log_barnes_g(1.0 + 2.0 * a)
     return [a * a * math.log(N) + g_single - g_double for N in sizes]
-
-
-def toeplitz_fh_asymptote(symbol: SymbolSpec, N: int) -> float:
-    """The one-size view of `toeplitz_fh_asymptotes`."""
-    return toeplitz_fh_asymptotes(symbol, (N,))[0]

@@ -16,10 +16,6 @@ class DomainError(ValueError):
     """Argument outside the supported domain of a special function."""
 
 
-# Glaisher-Kinkelin constant: zeta'(-1) = 1/12 - log(A).
-_LOG_GLAISHER = 0.24875447703378426
-_ZETA_PRIME_M1 = 1.0 / 12.0 - _LOG_GLAISHER
-
 # B_{2k+2}/(4k(k+1)) for k = 1..6: tail of the large-z expansion of log G(z+1).
 _BARNES_TAIL = (
     -1.0 / 240.0,
@@ -79,35 +75,19 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def _log_barnes_g_asymptotic(z: float) -> float:
-    # log G(z+1) for large z; truncation error < 1e-16 once z >= 16
-    w = z * z
-    s = 0.5 * w * math.log(z) - 0.75 * w + 0.5 * z * math.log(2.0 * math.pi)
-    s += -math.log(z) / 12.0 + _ZETA_PRIME_M1
-    zi = 1.0 / (z * z)
-    p = zi
-    for c in _BARNES_TAIL:
-        s += c * p
-        p *= zi
-    return s
-
-
 def log_barnes_g(z: float) -> float:
     """Natural log of the Barnes G-function for z > 0.
 
-    G satisfies G(z+1) = Gamma(z) G(z) with G(1) = 1.  Computed from the
-    large-argument expansion after shifting z upward by an integer, then
-    recursing back down through the functional equation.
+    G satisfies G(z+1) = Gamma(z) G(z) with G(1) = 1, so log G(z) is the
+    shifted ratio `log_barnes_g_ratio(1, z - 1)`: one expansion serves both,
+    and the Glaisher constant of the expansion cancels.  z - 1 is exact for
+    1/2 <= z < 2^53.
     """
     if not z > 0.0:
         raise DomainError(f"log_barnes_g requires z > 0, got {z}")
     if z in (1.0, 2.0, 3.0):
         return 0.0
-    shift = max(0, int(math.ceil(17.0 - z)))
-    acc = _log_barnes_g_asymptotic(z + shift - 1.0)  # log G((z+shift-1)+1)
-    for i in range(shift):
-        acc -= log_gamma(z + i)
-    return acc
+    return log_barnes_g_ratio(1.0, z - 1.0)
 
 
 def log_barnes_g_ratio(z: float, s: float) -> float:
@@ -126,10 +106,12 @@ def log_barnes_g_ratio(z: float, s: float) -> float:
     for i in range(shift):
         acc -= log_gamma(z + s + i) - log_gamma(z + i)
     u = z + shift - 1.0
-    grow = s * (2.0 * u + s)
-    acc += (0.5 * (grow * math.log(u) + (u + s) ** 2 * math.log1p(s / u)) - 0.75 * grow
+    # w * w, not w ** 2: past s ~ 1e154 the product reaches inf and the
+    # result is a NaN for the caller to reject, where ** raises OverflowError
+    w, grow = u + s, s * (2.0 * u + s)
+    acc += (0.5 * (grow * math.log(u) + w * w * math.log1p(s / u)) - 0.75 * grow
             + 0.5 * s * math.log(2.0 * math.pi) - math.log1p(s / u) / 12.0)
-    zi, zsi = 1.0 / (u * u), 1.0 / ((u + s) * (u + s))
+    zi, zsi = 1.0 / (u * u), 1.0 / (w * w)
     p, ps = zi, zsi
     for c in _BARNES_TAIL:
         acc += c * (ps - p)

@@ -344,7 +344,7 @@ def partition_asymptote(n, q, t):
     # the large-n single-insertion partition ratio: one charge (t, q) in the
     # Jacobi-weight asymptote
     symbol = fh.SymbolSpec(singularities=((t, q),))
-    return math.exp(fh.jacobi_fh_asymptote(symbol, n))
+    return math.exp(fh.jacobi_fh_asymptotes(symbol, (n,))[0])
 
 
 class TestAsymptoticPartitionRatio:
