@@ -141,13 +141,23 @@ class TestSubcommands:
         assert len(doc["results"]) == 4
         assert all("delta" in r for r in doc["results"])
 
-    def test_fh_jacobi_rows_carry_no_tail_verdict(self):
-        # a row's keys do not depend on how many sizes the request holds or
-        # on their order; criterion 5 judges the drift from `delta` itself
-        for sizes in ("8,16,32", "8,16,32,48", "48,8,32,16"):
+    def test_fh_jacobi_decreasing_tail_needs_four_sizes(self):
+        # rows carry no tail verdict, whatever the request's length;
+        # criterion 5 judges the drift from `delta` itself
+        for sizes in ("8,16,32", "8,16,32,48"):
             doc, _ = run_document(["fh-jacobi", "--sizes", sizes])
             for row in doc["results"]:
                 assert set(row) == {"n", "log_exact", "log_predicted", "delta"}, sizes
+
+    @pytest.mark.parametrize("sizes, expected", [("8,16,32,48", True), ("48,8,32,16", False)])
+    def test_fh_jacobi_decreasing_tail_follows_request_order(self, sizes, expected):
+        # strict decrease of the last three |delta| in request order, read
+        # from `delta`; no row carries a verdict of its own
+        doc, _ = run_document(["fh-jacobi", "--sizes", sizes])
+        rows = doc["results"]
+        tail = [abs(r["delta"]) for r in rows[-3:]]
+        assert (tail[0] > tail[1] > tail[2]) is expected
+        assert all("decreasing_tail" not in r for r in rows)
 
     @pytest.mark.parametrize("subcommand, key", [("fh-jacobi", "n"), ("fh-toeplitz", "N")])
     def test_ladder_rows_follow_request_order(self, subcommand, key):
