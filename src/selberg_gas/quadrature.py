@@ -40,8 +40,12 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.nodes) <= 0.0):
-            raise ValueError("quadrature nodes must be strictly increasing")
+        # strictly increasing between finite ends, stated in positive form so
+        # that NaN, which fails every comparison, is rejected too
+        x = np.asarray(self.nodes, dtype=float)
+        if not (x.size and math.isfinite(x[0]) and math.isfinite(x[-1])
+                and (x[1:] > x[:-1]).all()):
+            raise ValueError("quadrature nodes must be strictly increasing and finite")
 
 
 _DENSE_EIGEN_ORDERS = 130
@@ -113,15 +117,20 @@ def _golub_welsch(order: int, alpha: float, beta: float):
     return x, 2.0 ** (alpha + beta + 1.0) * mu0 / christoffel
 
 
+def _panel(lo: float, hi: float, p_lo: float, p_hi: float, order: int):
+    # (nodes, weights) of the Gauss rule on (lo, hi) whose weights absorb
+    # (y-lo)^p_lo (hi-y)^p_hi: fresh arrays, not yet validated, which the
+    # caller may scale in place
+    if not hi > lo:
+        raise DomainError(f"empty panel ({lo}, {hi})")
+    x, w = _jacobi_nodes_weights(order, p_hi, p_lo)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), w * half ** (p_lo + p_hi + 1.0)
+
+
 def power_panel(a: float, b: float, p_left: float, p_right: float, order: int) -> QuadratureRule:
     """Gauss rule on (a, b) whose weights absorb (y-a)^p_left (b-y)^p_right."""
-    if not b > a:
-        raise DomainError(f"empty panel ({a}, {b})")
-    x, w = _jacobi_nodes_weights(order, p_right, p_left)
-    half = 0.5 * (b - a)
-    nodes = a + half * (x + 1.0)
-    weights = w * half ** (p_left + p_right + 1.0)
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(*_panel(a, b, p_left, p_right, order))
 
 
 def tensor_integrate(f: Callable, rules: Sequence[QuadratureRule]) -> float:
@@ -163,6 +172,8 @@ def periodic_integrate(f: Callable, m: int, points_per_axis: int):
 # its polynomials, which leaves about 2 SPARE_ORDER for the wall's factor.
 SPARE_ORDER = 30
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _grading(a: float, b: float, points: Sequence, order: int) -> list:
     # Cuts grading (a, b) geometrically toward the singular points outside
@@ -184,7 +195,7 @@ def _grading(a: float, b: float, points: Sequence, order: int) -> list:
             d = lo - s if s < a else s - hi
             u = 1.0 + 2.0 * d / (hi - lo)
             k = min(order, SPARE_ORDER) if s in (0.0, 1.0) else order
-            resolved = (u + math.sqrt(u * u - 1.0)) ** (-2.0 * k) <= np.finfo(float).eps
+            resolved = (u + math.sqrt(u * u - 1.0)) ** (-2.0 * k) <= _EPS
             if not resolved and d < hi - lo and (near is None or d < near[0]):
                 near = (d, s < a)
         if near is None:
@@ -201,10 +212,10 @@ def _grading(a: float, b: float, points: Sequence, order: int) -> list:
 # non-integer exponent to a collar of _COLLAR_NODES nodes on each side.
 # Below it the fork stays for a measured reason: with collars at every
 # order, criterion 7's 72 kernel rules grew from 7,488 to 10,816 nodes and
-# its median from 6-12 ms to 14-20 ms (three alternating process pairs on
-# 2 vCPUs), while the collars would save only a ladder to n < 98 with a
-# fresh q (about 2.5-4.8 ms down to 1.0-1.9 ms at n = 64), which neither
-# the CLI's defaults nor the benchmark repeat.
+# its in-process median from 3.1-3.2 ms to 6.1-6.2 ms (five alternating
+# process pairs on 2 vCPUs), while the collars would save only a ladder to
+# n < 98 with a fresh q (about 2.5-4.8 ms down to 1.0-1.9 ms at n = 64),
+# which neither the CLI's defaults nor the benchmark repeat.
 _COLLAR_MIN_ORDER = 128
 _COLLAR_NODES = 16
 
@@ -246,6 +257,10 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
     lambda1 = lambda2 = lambda.  A piece whose edge lies too close to another
     singular point for Gauss at its order, or at SPARE_ORDER nodes for a
     wall, to resolve that point's factor is graded geometrically toward it.
+    Each piece is two plain arrays whose fresh weights take the factors it
+    does not absorb in place; only the concatenated rule is validated,
+    strictly increasing between finite ends, which covers every piece and
+    every boundary between pieces.
     """
     l1, l2 = lambda1, lambda2
     interior = []
@@ -275,12 +290,11 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
     for a, pa, b, pb, k in panels:
         pieces = [(a, pa)] + [(c, 0.0) for c in _grading(a, b, points, k)] + [(b, pb)]
         for (lo, p_lo), (hi, p_hi) in zip(pieces, pieces[1:]):
-            rule = power_panel(lo, hi, p_lo, p_hi, k)
-            w = rule.weights.copy()
+            x, w = _panel(lo, hi, p_lo, p_hi, k)
             for y, p in points:
                 if y != lo and y != hi:
-                    w *= np.abs(y - rule.nodes) ** p
-            nodes.append(rule.nodes)
+                    w *= np.abs(y - x) ** p
+            nodes.append(x)
             weights.append(w)
     return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 

@@ -453,6 +453,21 @@ class TestExactDensityMatrix:
             oracle = lenard_oracle.density_matrix(boundary, N, x, y)
             assert abs(density_matrix_exact(query) * (N + 1) / N / oracle - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("N, bound", [(800, 1e-10), (1600, 2e-9)])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_large_n_against_lenards_determinant(self, boundary, N, bound):
+        # the engine's known large-N error, not a tolerance it meets with
+        # room to spare: measured 2.4e-11 (Dirichlet) and 4.8e-12 (Neumann)
+        # at N = 800, 5.3e-10 and 5.2e-10 at N = 1600.  The gap is the
+        # engine's: at N = 1600 it breaks the mirror symmetry
+        # rho(x, y) = rho(1 - y, 1 - x) by 1.9e-10 to 3.2e-10, which Lenard
+        # keeps within 2e-14
+        x, y = 0.3, 0.45
+        X, Y = math.sin(0.5 * math.pi * x) ** 2, math.sin(0.5 * math.pi * y) ** 2
+        query = DensityMatrixQuery(N=N, X=X, Y=Y, boundary=boundary)
+        oracle = lenard_oracle.density_matrix(boundary, N, x, y)
+        assert abs(density_matrix_exact(query) * (N + 1) / N / oracle - 1.0) <= bound
+
     @pytest.mark.parametrize("N", [50, 200, 400, 800])
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
     def test_diagonal_is_the_free_fermion_density(self, boundary, N):

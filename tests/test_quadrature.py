@@ -12,7 +12,7 @@ from selberg_gas.exact import BOUNDARY_DIRICHLET, BOUNDARY_NEUMANN, DensityMatri
 from selberg_gas.specfun import DomainError, log_beta
 
 import christoffel_oracle
-from charge_rule_oracle import uncollared_charge_rule
+from charge_rule_oracle import piecewise_charge_rule, uncollared_charge_rule
 from polynomial_oracle import orthonormal_polynomials
 
 
@@ -57,6 +57,16 @@ class TestGaussRules:
             quad.power_panel(0.0, 1.0, 0.0, 0.0, 0)
         with pytest.raises(DomainError, match="order must be >= 1"):
             quad.power_panel(0.0, 1.0, 0.0, 0.0, 0)
+
+    def test_nodes_must_increase_between_finite_ends(self):
+        # NaN fails every comparison, so a check stated as "no step <= 0"
+        # let an interior NaN and a lone NaN node through
+        for nodes in ([0.1, math.nan, 0.3], [math.nan], [0.1, 0.3, math.inf],
+                      [-math.inf, 0.3], [0.3, 0.2], [0.2, 0.2], []):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                quad.QuadratureRule(np.array(nodes), np.ones(len(nodes)))
+        rule = quad.QuadratureRule(np.array([0.5]), np.array([1.0]))
+        assert rule.nodes.tolist() == [0.5]
 
     PAIRS = ((0.5, 0.5), (-0.5, -0.5), (-0.25, 1.5), (1.3, 0.7), (0.0, 0.0), (1.9, -0.5))
 
@@ -129,20 +139,21 @@ class TestGaussRules:
 
 
 def spy_on_rules(monkeypatch) -> tuple:
-    # (requested, built): the (order, alpha, beta) keys power_panel asks the
-    # cache for and the keys the cache builds, in call order, from a cold cache
+    # (requested, built): the (order, alpha, beta) keys a panel, of
+    # power_panel or of a charge rule's piece, asks the cache for and the
+    # keys the cache builds, in call order, from a cold cache
     requested, built = [], []
-    panel, build = quad.power_panel, quad._golub_welsch
+    panel, build = quad._panel, quad._golub_welsch
 
-    def asking(a, b, p_left, p_right, order):
-        requested.append((order, p_right, p_left))
-        return panel(a, b, p_left, p_right, order)
+    def asking(lo, hi, p_lo, p_hi, order):
+        requested.append((order, p_hi, p_lo))
+        return panel(lo, hi, p_lo, p_hi, order)
 
     def building(order, alpha, beta):
         built.append((order, alpha, beta))
         return build(order, alpha, beta)
 
-    monkeypatch.setattr(quad, "power_panel", asking)
+    monkeypatch.setattr(quad, "_panel", asking)
     monkeypatch.setattr(quad, "_golub_welsch", building)
     quad._jacobi_nodes_weights.cache_clear()
     return requested, built
@@ -406,6 +417,31 @@ class TestChargeRule:
         collars = rule.nodes[k:-k]
         assert np.all((cut_left < collars[:kc]) & (collars[:kc] < y))
         assert np.all((y < collars[kc:]) & (collars[kc:] < cut_right))
+
+    ASSEMBLY_CASES = (
+        (0.5, 0.5, ((0.37, 0.3),)),  # collared from order 128 on
+        (-0.25, 1.0, ((0.9, 0.3),)),
+        (-0.428, 0.0, ((0.0053, 1.0),)),  # graded toward the wall
+        (-0.5, 0.0, ((1e-4, 1.0),)),
+        (-0.5, 0.5, ((1e-4, 0.3),)),
+        (0.5, -0.25, ((0.0, 0.5), (1.0, 0.25))),  # charges at the walls
+        (0.5, 0.5, ((0.3, 0.5), (0.45, 0.5))),  # a density-matrix pair
+        (-0.5, -0.5, ((1e-4, 0.5), (9e-4, 0.5))),
+        (-0.375, -0.375, ((0.1, -0.125),)),  # kernels, q = -nu/2
+        (-0.25, -0.25, ((0.5, -0.25),)),
+        (-0.125, -0.125, ((0.01, -0.375),)),
+    )
+
+    @pytest.mark.parametrize("order", [32, 64, 128, 542])
+    def test_assembly_matches_the_piecewise_rule(self, order):
+        # the pieces are assembled as plain arrays and validated once; the
+        # reference validates each piece as a power_panel rule and scales a
+        # copy of its weights.  Same nodes, same weights, bit for bit.
+        for l1, l2, charges in self.ASSEMBLY_CASES:
+            rule = quad.charge_rule(l1, l2, charges, order)
+            ref = piecewise_charge_rule(l1, l2, charges, order)
+            np.testing.assert_array_equal(rule.nodes, ref.nodes)
+            np.testing.assert_array_equal(rule.weights, ref.weights)
 
     @pytest.mark.parametrize("l1, t, order", [(-0.428, 0.0053, 38), (-0.5, 1e-4, 40)])
     def test_charge_near_an_endpoint(self, l1, t, order):
