@@ -32,6 +32,7 @@ from .specfun import log_barnes_g
 
 # the ten standard X values of Table 1, each paired with Y = 1 - X
 TABLE1_XS = tuple(0.025 + 0.05 * i for i in range(10))
+_MORRIS_MAX_POINTS = 512  # the finest grid per axis of `_morris_quadrature`
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ def criterion_2_duality() -> CriterionResult:
                            f"worst relative defect {worst:.2e} (tol 1e-6)")
 
 
-def _selberg_quadrature(n: int, a: float, b: float, order: int = 60) -> float:
-    axis = quad.power_panel(0.0, 1.0, a, b, order)
+def _selberg_quadrature(n: int, a: float, b: float) -> float:
+    axis = quad.power_panel(0.0, 1.0, a, b, 60)
 
     def vdm2(*coords):
         out = 1.0
@@ -92,10 +93,10 @@ def _selberg_quadrature(n: int, a: float, b: float, order: int = 60) -> float:
     return quad.tensor_integrate(vdm2, [axis] * n)
 
 
-def _morris_quadrature(n: int, a: float, b: float, points: int) -> float:
+def _morris_quadrature(n: int, a: float, b: float) -> float:
     """Morris integral M_n(a, b) by the equal-weight periodic rule at 16, 32,
-    ... points per axis, `points` being the cap, until two successive grids
-    agree to 1e-13 relative.
+    ... points per axis, up to _MORRIS_MAX_POINTS, until two successive
+    grids agree to 1e-13 relative.
 
     The m-point midpoint-offset rule integrates e^(ik theta) exactly for
     0 < |k| < m.  At integer (a, b) the integrand
@@ -103,7 +104,7 @@ def _morris_quadrature(n: int, a: float, b: float, points: int) -> float:
     polynomial of degree at most max(a, b) + n - 1, so every grid past that
     degree returns the exact value and the doubling stops at the first
     repeat.  A non-integer pair has a kink at the wrap point, never
-    certifies early and runs to the cap; a cap below 16 is the one grid.
+    certifies early and runs to the cap.
     """
     def f(*thetas):
         val = 1.0
@@ -118,10 +119,9 @@ def _morris_quadrature(n: int, a: float, b: float, points: int) -> float:
     def grid_mean(m):
         return (quad.periodic_integrate(f, n, m) / (2.0 * math.pi) ** n).real
 
-    m = min(16, points)
-    prev = grid_mean(m)
-    while m < points:
-        m = min(2 * m, points)
+    m, prev = 16, grid_mean(16)
+    while m < _MORRIS_MAX_POINTS:
+        m *= 2
         cur = grid_mean(m)
         if abs(cur - prev) <= 1e-13 * abs(cur):
             return cur
@@ -138,9 +138,9 @@ def criterion_3_closed_forms() -> CriterionResult:
             closed = math.exp(selberg_closed(n, a, b).log_abs)
             oracle = _selberg_quadrature(n, a, b)
             worst = max(worst, abs(closed - oracle) / abs(oracle))
-    for (n, a, b, pts) in ((1, 0.0, 0.0, 512), (1, 2.0, 1.0, 8192), (2, 1.0, 1.0, 512)):
+    for (n, a, b) in ((1, 0.0, 0.0), (1, 2.0, 1.0), (2, 1.0, 1.0)):
         closed = math.exp(morris_closed(MorrisParams(n, a, b)).log_abs)
-        oracle = _morris_quadrature(n, a, b, pts)
+        oracle = _morris_quadrature(n, a, b)
         worst = max(worst, abs(closed - oracle) / abs(oracle))
     quad_ok = worst <= 1e-9
 

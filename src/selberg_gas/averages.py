@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fisherhartwig as fh
 from .exact import (
-    BOUNDARY_DIRICHLET,
+    BOX_EXPONENTS,
     DensityMatrixQuery,
     EnsembleParams,
     LogMagnitude,
@@ -54,7 +54,8 @@ def average_even_power_heine(params: EnsembleParams, t: float, m: int) -> LogMag
     if m < 2 or m % 2 != 0:
         raise DomainError(f"power m must be even and >= 2, got {m}")
     symbol = fh.SymbolSpec(singularities=((t, m / 2),))
-    return LogMagnitude(float(fh.hankel_log_ratios(params, symbol, (params.n,))[0]))
+    return LogMagnitude(float(fh.hankel_log_ratios(params.lambda1, params.lambda2, symbol,
+                                                   (params.n,))[0]))
 
 
 def _normal(value: float, side: str) -> float:
@@ -128,11 +129,12 @@ def _dm_prefactor(query: DensityMatrixQuery) -> float:
     and the exact value.  It makes every value N/(N+1) times the physical
     density matrix of the N+1 particles, whose trace is N+1: the convention
     of the paper's Table 1, on which criterion 1's bands are centred.  The
-    tests hold it to Lenard's determinant up to N = 200."""
-    X, Y = query.X, query.Y
-    if query.boundary == BOUNDARY_DIRICHLET:
-        return 8.0 * query.rho / (query.N + 1) * math.sqrt((X * (1.0 - X)) * (Y * (1.0 - Y)))
-    return 0.5 * query.rho / (query.N + 1)
+    tests hold it to Lenard's determinant up to N = 200.  It is a constant
+    times sqrt(w(X) w(Y)) (X(1-X) Y(1-Y))^(1/4), w the box's weight."""
+    lambda1, lambda2 = BOX_EXPONENTS[query.boundary]
+    e1, e2, X, Y = lambda1 + 0.5, lambda2 + 0.5, query.X, query.Y
+    return (2.0 ** (1.0 + 2.0 * (lambda1 + lambda2)) * query.rho / (query.N + 1)
+            * math.sqrt((X**e1 * (1.0 - X)**e2) * (Y**e1 * (1.0 - Y)**e2)))
 
 
 def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
@@ -157,8 +159,7 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
     if len({(q.N, q.boundary) for q in queries}) != 1:
         raise DomainError("table queries must share N and boundary")
 
-    lam = queries[0].weight_exponent()
-    params = EnsembleParams(n=queries[0].N, lambda1=lam, lambda2=lam)
+    params = EnsembleParams(queries[0].N, *BOX_EXPONENTS[queries[0].boundary])
     diag, off_sq = tridiagonal(*sample_bidiagonal(params, master_seed, M))
     # scaling by 4 and 16 is exact; the pivots are those of X - T times 4
     points = 4.0 * np.array([q.X for q in queries] + [q.Y for q in queries])
@@ -180,12 +181,11 @@ def density_matrix_exact(query: DensityMatrixQuery) -> float:
     merge into one unit charge (X, 1) on the diagonal X = Y, the density.
     Like the estimator it returns N/(N+1) times the physical density matrix
     of the N+1 particles (see `_dm_prefactor`)."""
-    params = EnsembleParams(n=query.N, lambda1=query.weight_exponent(),
-                            lambda2=query.weight_exponent())
     charges = ((query.X, 1.0),) if query.X == query.Y else ((query.X, 0.5), (query.Y, 0.5))
     symbol = fh.SymbolSpec(singularities=charges)
     return _dm_prefactor(query) * math.exp(
-        2 * query.N * math.log(4.0) + fh.hankel_log_ratios(params, symbol, (query.N,))[0])
+        2 * query.N * math.log(4.0)
+        + fh.hankel_log_ratios(*BOX_EXPONENTS[query.boundary], symbol, (query.N,))[0])
 
 
 # Former names still called by the benchmark's oracle tests
@@ -196,4 +196,5 @@ density_matrix_bruteforce = density_matrix_exact
 
 def average_product_bruteforce(params: EnsembleParams, charges: fh.SymbolSpec) -> float:
     """< prod_l prod_r |y_r - x_l|^(2 q_r) > by the Hankel engine."""
-    return math.exp(fh.hankel_log_ratios(params, charges, (params.n,))[0])
+    return math.exp(fh.hankel_log_ratios(params.lambda1, params.lambda2, charges,
+                                         (params.n,))[0])

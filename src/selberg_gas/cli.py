@@ -22,6 +22,8 @@ from . import fisherhartwig as fh
 from .averages import duality_lhs, duality_rhs, mc_density_matrix_table
 from .ensembles import sample_bidiagonal, spectra
 from .exact import (
+    BOUNDARY_DIRICHLET,
+    BOX_EXPONENTS,
     DensityMatrixQuery,
     EnsembleParams,
     MorrisParams,
@@ -172,8 +174,7 @@ def _finite_float(text: str) -> float:
 
 def _run_fh_jacobi(ns):
     symbol = fh.SymbolSpec(singularities=((ns.y, ns.q),))
-    params = EnsembleParams(n=max(ns.sizes), lambda1=ns.lambda1, lambda2=ns.lambda2)
-    exact = fh.hankel_balanced_log_ratios(params, symbol, ns.sizes).tolist()
+    exact = fh.hankel_balanced_log_ratios(ns.lambda1, ns.lambda2, symbol, ns.sizes).tolist()
     rows = []
     for n, ex, pred in zip(ns.sizes, exact, fh.jacobi_fh_asymptotes(symbol, ns.sizes)):
         rows.append({"n": n, "log_exact": ex, "log_predicted": pred, "delta": ex - pred})
@@ -252,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="N (system holds N+1 particles)")
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--y", type=_finite_float, required=True)
-    p.add_argument("--boundary", choices=("dirichlet", "neumann"), default="dirichlet")
+    p.add_argument("--boundary", choices=tuple(BOX_EXPONENTS), default=BOUNDARY_DIRICHLET)
     common(p, seed=False)
 
     p = sub.add_parser("dm-mc", help="Monte Carlo density matrix estimate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--y", type=_finite_float, required=True)
-    p.add_argument("--boundary", choices=("dirichlet", "neumann"), default="dirichlet")
+    p.add_argument("--boundary", choices=tuple(BOX_EXPONENTS), default=BOUNDARY_DIRICHLET)
     p.add_argument("--m-samples", type=int, default=5000)
     common(p)
 
@@ -339,7 +340,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         document = execute(ns)
-    except (ValueError, OverflowError, RuntimeError) as exc:
+    except (ValueError, OverflowError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = render(document, ns.format)

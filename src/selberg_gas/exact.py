@@ -79,6 +79,8 @@ class MorrisParams:
 
 BOUNDARY_DIRICHLET = "dirichlet"
 BOUNDARY_NEUMANN = "neumann"
+# (lambda1, lambda2) of each box's weight: USp(2n) and SO(2n) averages
+BOX_EXPONENTS = {BOUNDARY_DIRICHLET: (0.5, 0.5), BOUNDARY_NEUMANN: (-0.5, -0.5)}
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class DensityMatrixQuery:
             raise DomainError(f"N must be >= 1, got {self.N}")
         if not (0.0 < self.X < 1.0 and 0.0 < self.Y < 1.0):
             raise DomainError(f"X, Y must lie in (0,1), got ({self.X}, {self.Y})")
-        if self.boundary not in (BOUNDARY_DIRICHLET, BOUNDARY_NEUMANN):
+        if self.boundary not in BOX_EXPONENTS:
             raise DomainError(f"unknown boundary {self.boundary!r}")
 
     @property
@@ -108,8 +110,8 @@ class DensityMatrixQuery:
         return float(self.N)
 
     def weight_exponent(self) -> float:
-        """Jacobi exponent of the ensemble weight tied to the boundary."""
-        return 0.5 if self.boundary == BOUNDARY_DIRICHLET else -0.5
+        """lambda1 of the box's row of `BOX_EXPONENTS`."""
+        return BOX_EXPONENTS[self.boundary][0]
 
 
 def selberg_closed(n: int, a: float, b: float) -> LogMagnitude:

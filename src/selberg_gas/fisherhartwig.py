@@ -120,10 +120,10 @@ def _check_sizes(sizes: Sequence[int]) -> np.ndarray:
     return sizes
 
 
-def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
+def hankel_log_ratios(lambda1: float, lambda2: float, symbol: SymbolSpec,
                       sizes: Sequence[int]) -> np.ndarray:
     """log of H_n[symbol] / H_n[1] for every n in `sizes`, in request order,
-    for the Jacobi weight of `params`.
+    for the Jacobi weight x^lambda1 (1-x)^lambda2.
 
     By Heine's identity each entry is the ensemble average of
     prod_l prod_r |y_r - x_l|^(2 q_r), the package's one exact
@@ -142,12 +142,8 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     (30) nodes per panel, graded toward a wall until 30 nodes resolve it; from
     n_max = 98 on, a charge of non-integer 2q adds two 16-node collars
     instead of keying the full-order panels, which are then cached by the
-    weight's exponents alone.  The cache builds one rule per order and
-    unordered exponent pair and reflects it for the other orientation, so
-    the two collars are one build, and so are the panels either side of a
-    charge when lambda1 = lambda2.  Cold, the rules are most of a call: a
-    density-matrix pair (two half charges) at N = 1600 builds 2 rules of
-    1,630 nodes where it built 3, and takes 182-190 ms against 270-298 ms.
+    weight's exponents alone: `quadrature._jacobi_nodes_weights` builds one
+    rule per unordered exponent pair and quotes the cold cost.
 
     Below rule order quad._DENSE_EIGEN_ORDERS (130, a largest size of 99)
     a step is numpy arithmetic: eight calls and five temporaries, and no
@@ -165,8 +161,9 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     sizes = _check_sizes(sizes)
     n_max = int(sizes.max())
     order = n_max + quad.SPARE_ORDER
-    rule = quad.charge_rule(params.lambda1, params.lambda2, symbol.singularities, order)
-    _, b, mu0 = quad.jacobi_recurrence(n_max, params.lambda1, params.lambda2)
+    # the recurrence checks the weight before any rule is built
+    _, b, mu0 = quad.jacobi_recurrence(n_max, lambda1, lambda2)
+    rule = quad.charge_rule(lambda1, lambda2, symbol.singularities, order)
     x, w = rule.nodes, rule.weights
     mass = float(np.sum(w))
     if not (mass > 0.0 and math.isfinite(mass)):
@@ -190,7 +187,7 @@ def hankel_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     return logs[sizes]
 
 
-def hankel_balanced_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
+def hankel_balanced_log_ratios(lambda1: float, lambda2: float, symbol: SymbolSpec,
                                sizes: Sequence[int]) -> np.ndarray:
     """log of the charge-balanced exact ratio the Jacobi-weight asymptote
     targets, for every n in `sizes`, in request order.
@@ -203,28 +200,27 @@ def hankel_balanced_log_ratios(params: EnsembleParams, symbol: SymbolSpec,
     factors the shift changes, O(q) gamma logs for an integer total charge
     q and five Barnes-G ratios otherwise, never from two size-n totals.
     """
-    l1, l2 = params.lambda1, params.lambda2
     sing = symbol.singularities
     constant = 0.0
     for y, q in sing:
         if not 0.0 < y < 1.0:
             raise DomainError(f"balanced ratio needs interior charges, got {y}")
-        constant += q * (l1 * math.log(y) + l2 * math.log(1.0 - y))
+        constant += q * (lambda1 * math.log(y) + lambda2 * math.log(1.0 - y))
     for i in range(len(sing)):
         for j in range(i + 1, len(sing)):
             constant += 2.0 * sing[i][1] * sing[j][1] * math.log(abs(sing[j][0] - sing[i][0]))
     q_total = sum(q for _, q in sing)
     sizes = _check_sizes(sizes)
-    totals = hankel_log_ratios(params, symbol, sizes) + constant
+    totals = hankel_log_ratios(lambda1, lambda2, symbol, sizes) + constant
     for i, n in enumerate(sizes.tolist()):
-        totals[i] += selberg_log_ratio(n, q_total, l1, l2)
+        totals[i] += selberg_log_ratio(n, q_total, lambda1, lambda2)
     return totals
 
 
 def hankel_balanced_log_ratio(params: EnsembleParams, symbol: SymbolSpec, n: int) -> float:
     """The one-size view of `hankel_balanced_log_ratios`, kept for the
     benchmark's oracle tests; the package calls the ladder with `(n,)`."""
-    return float(hankel_balanced_log_ratios(params, symbol, (n,))[0])
+    return float(hankel_balanced_log_ratios(params.lambda1, params.lambda2, symbol, (n,))[0])
 
 
 def jacobi_fh_asymptotes(symbol: SymbolSpec, sizes: Sequence[int]) -> list:

@@ -15,7 +15,6 @@ import numpy as np
 
 from selberg_gas import acceptance
 from selberg_gas import fisherhartwig as fh
-from selberg_gas.exact import EnsembleParams
 
 
 def _report(result):
@@ -48,8 +47,7 @@ def test_criterion_4_parity_law():
     # 2/pi asymptote at every odd n and exactly 1/(n+1) above it at every
     # even n; measured worst 4.5e-11 (n = 970)
     n = np.arange(1, 1001)
-    logs = fh.hankel_balanced_log_ratios(EnsembleParams(n=1000, lambda1=0.5, lambda2=0.5),
-                                         fh.SymbolSpec(singularities=((0.5, 1.0),)), n)
+    logs = fh.hankel_balanced_log_ratios(0.5, 0.5, fh.SymbolSpec(singularities=((0.5, 1.0),)), n)
     deviation = np.abs(np.exp(logs) * (math.pi / 2.0) - 1.0)
     law = np.where(n % 2 == 0, 1.0 / (n + 1.0), 0.0)
     assert np.abs(deviation - law).max() <= 1e-10

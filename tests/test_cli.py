@@ -19,6 +19,7 @@ import selberg_gas
 from selberg_gas import acceptance, cli
 from selberg_gas import ensembles
 from selberg_gas import quadrature as quad
+from selberg_gas.exact import BOUNDARY_DIRICHLET, BOX_EXPONENTS
 
 from csv_oracle import render_csv
 from sampler_oracle import block_size
@@ -352,6 +353,22 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_exhausted_memory_is_an_error(self, monkeypatch, capsys):
+        # numpy's failed allocation raises a MemoryError subclass; the stand-in
+        # raises one without allocating anything
+        def exhausted(ns):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array")
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "sample-jue", exhausted)
+        assert cli.main(["sample-jue", "--n", "20000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: Unable to allocate 2.98 GiB for an array\n"
+
+    def test_bad_weight_names_the_weight(self, capsys):
+        assert cli.main(["fh-jacobi", "--lambda1", "-1.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: weight exponents must exceed -1, got (-1.5, 0.5)\n"
+
     def test_bad_thread_count_is_usage_error(self):
         argv = ["dm-mc", "--n", "2", "--x", "0.2", "--y", "0.8", "--m-samples", "100"]
         for bad in ("0", "-3"):
@@ -491,6 +508,15 @@ class TestErrors:
                 if action.type is cli._finite_float:
                     found.setdefault(sub, []).append(action.option_strings[0])
         assert found == FLOAT_OPTIONS
+
+    @pytest.mark.parametrize("subcommand", ["dm-asym", "dm-mc"])
+    def test_boundary_choices_are_the_box_rows(self, subcommand):
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        boundary, = (action for action in subparsers.choices[subcommand]._actions
+                     if action.dest == "boundary")
+        assert boundary.choices == tuple(BOX_EXPONENTS) == ("dirichlet", "neumann")
+        assert boundary.default == BOUNDARY_DIRICHLET
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:

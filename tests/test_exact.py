@@ -175,7 +175,7 @@ class TestMorris:
             assert closed == pytest.approx(morris_quadrature(n, a, b, pts), rel=1e-10)
 
     @staticmethod
-    def certified_grids(n, a, b, cap):
+    def certified_grids(n, a, b):
         # the acceptance oracle's value and the grids it evaluated
         grids = []
         periodic = quad.periodic_integrate
@@ -186,26 +186,21 @@ class TestMorris:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(quad, "periodic_integrate", counting)
-            return acceptance._morris_quadrature(n, a, b, cap), grids
+            return acceptance._morris_quadrature(n, a, b), grids
 
-    @pytest.mark.parametrize("n, a, b, cap", [(1, 0.0, 0.0, 512), (1, 2.0, 1.0, 8192),
-                                              (2, 1.0, 1.0, 512)])
-    def test_certified_grid_matches_fixed_grid(self, n, a, b, cap):
+    @pytest.mark.parametrize("n, a, b, points", [(1, 0.0, 0.0, 512), (1, 2.0, 1.0, 8192),
+                                                 (2, 1.0, 1.0, 512)])
+    def test_certified_grid_matches_fixed_grid(self, n, a, b, points):
         # criterion 3's cases: a Laurent polynomial of degree <= 3 is exact
-        # from 4 points on, so 16 and 32 agree and the fixed grid's bits return
-        val, grids = self.certified_grids(n, a, b, cap)
+        # from 4 points on, so 16 and 32 agree and a fine fixed grid's bits return
+        val, grids = self.certified_grids(n, a, b)
         assert grids == [16, 32]
-        assert val == morris_quadrature(n, a, b, cap)
+        assert val == morris_quadrature(n, a, b, points)
 
     def test_kinked_integrand_runs_to_the_cap(self):
-        val, grids = self.certified_grids(1, 0.5, 0.0, 8192)
-        assert grids == [16 << i for i in range(10)]
-        assert val == morris_quadrature(1, 0.5, 0.0, 8192)
-
-    def test_cap_below_first_grid_is_the_one_grid(self):
-        val, grids = self.certified_grids(1, 0.5, 0.0, 8)
-        assert grids == [8]
-        assert val == morris_quadrature(1, 0.5, 0.0, 8)
+        val, grids = self.certified_grids(1, 0.5, 0.0)
+        assert grids == [16 << i for i in range(6)]
+        assert val == morris_quadrature(1, 0.5, 0.0, acceptance._MORRIS_MAX_POINTS)
 
     @pytest.mark.parametrize("a", [0.3, 1.0, 1.7])
     def test_large_n_against_mpmath(self, a):
@@ -334,7 +329,7 @@ class TestDualityConstant:
         eta1, eta2 = params.lambda2, params.lambda1 + params.n
         lhs_t1 = selberg_quadrature(2, lam, lam + 2.0) / selberg_quadrature(2, lam, lam)
         morris_ratio = (morris_extrapolated(2, eta2, eta1)
-                        / acceptance._morris_quadrature(2, 0.0, 0.0, 512))
+                        / acceptance._morris_quadrature(2, 0.0, 0.0))
         oracle = lhs_t1 / morris_ratio
         closed = math.exp(exact.duality_constant_A(params, 2).log_abs)
         assert closed == pytest.approx(oracle, rel=1e-8)

@@ -28,7 +28,7 @@ def params_for(n, l1=0.5, l2=0.5):
 
 
 def ladder_at(params, symbol, n):
-    return fh.hankel_log_ratios(params, symbol, (n,))[0]
+    return fh.hankel_log_ratios(params.lambda1, params.lambda2, symbol, (n,))[0]
 
 
 class TestHankel:
@@ -238,14 +238,14 @@ class TestLadders:
             sign, logdet = np.linalg.slogdet(gram[:n, :n])
             assert sign == 1.0
             expected.append(logdet)
-        got = fh.hankel_log_ratios(params, symbol, LADDER_SIZES)
+        got = fh.hankel_log_ratios(params.lambda1, params.lambda2, symbol, LADDER_SIZES)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-11)
 
     def test_one_size_views_agree_with_ladders(self):
         params = params_for(12)
         symbol = fh.SymbolSpec(singularities=((0.4, 0.5),))
         assert fh.hankel_balanced_log_ratio(params, symbol, 12) == (
-            fh.hankel_balanced_log_ratios(params, symbol, (12,))[0])
+            fh.hankel_balanced_log_ratios(0.5, 0.5, symbol, (12,))[0])
         circle = fh.SymbolSpec(singularities=((0.0, 0.5),))
         det = fh.toeplitz_determinant(circle, 12)
         assert det.log_abs == fh.toeplitz_log_dets(circle, (12,))[0]
@@ -262,7 +262,7 @@ class TestLadders:
         symbol = fh.SymbolSpec(singularities=((0.3, 0.5),))
         for sizes in ((), (4, 0, 8), (-1,)):
             with pytest.raises(DomainError):
-                fh.hankel_log_ratios(params_for(4), symbol, sizes)
+                fh.hankel_log_ratios(0.5, 0.5, symbol, sizes)
             with pytest.raises(DomainError):
                 fh.toeplitz_log_dets(symbol, sizes)
 
@@ -274,12 +274,27 @@ class TestLadders:
 
         monkeypatch.setattr(fh.quad, "charge_rule", three_nodes)
         np.testing.assert_allclose(
-            fh.hankel_log_ratios(params_for(3), fh.SymbolSpec(), (1, 2, 3)), 0.0, atol=1e-14)
+            fh.hankel_log_ratios(0.5, 0.5, fh.SymbolSpec(), (1, 2, 3)), 0.0, atol=1e-14)
         with pytest.raises(DomainError, match="lost positivity below n = 4"):
-            fh.hankel_log_ratios(params_for(4), fh.SymbolSpec(), (4,))
+            fh.hankel_log_ratios(0.5, 0.5, fh.SymbolSpec(), (4,))
         # the message names the rung that failed, not the largest size asked for
         with pytest.raises(DomainError, match="^Hankel ladder lost positivity below n = 4$"):
-            fh.hankel_log_ratios(params_for(6), fh.SymbolSpec(), (2, 6))
+            fh.hankel_log_ratios(0.5, 0.5, fh.SymbolSpec(), (2, 6))
+
+    def test_weight_is_checked_before_any_rule_is_built(self, monkeypatch):
+        # the recurrence's check names the weight as given; a charge rule
+        # asked first would name its panels' absorbed exponents
+        requested, built = [], []
+        panel, build = quad._panel, quad._golub_welsch
+        monkeypatch.setattr(quad, "_panel", lambda *args: requested.append(args) or panel(*args))
+        monkeypatch.setattr(quad, "_golub_welsch",
+                            lambda *args: built.append(args) or build(*args))
+        symbol = fh.SymbolSpec(singularities=((0.5, 0.5),))
+        for ladder in (fh.hankel_log_ratios, fh.hankel_balanced_log_ratios):
+            with pytest.raises(DomainError, match=r"^weight exponents must exceed -1, "
+                                                  r"got \(-1\.5, 0\.5\)$"):
+                ladder(-1.5, 0.5, symbol, (8, 16, 32, 48))
+        assert requested == [] and built == []
 
     def test_non_finite_weights_are_a_domain_error(self, monkeypatch):
         def poisoned(lambda1, lambda2, charges, order):
@@ -290,7 +305,7 @@ class TestLadders:
         monkeypatch.setattr(fh.quad, "charge_rule", poisoned)
         for n in (1, 5):
             with pytest.raises(DomainError, match="lost positivity"):
-                fh.hankel_log_ratios(params_for(n), fh.SymbolSpec(), (n,))
+                fh.hankel_log_ratios(0.5, 0.5, fh.SymbolSpec(), (n,))
 
 
 COLLAR_SIZES = (16, 98, 128, 200, 256, 512)
@@ -309,10 +324,10 @@ SWEEP_WEIGHTS = [(l1, l2) for l1 in (-0.5, 0.0, 0.5, 1.0) for l2 in (-0.5, 0.0, 
 BLAS_STEP_GAP = {100: 1e-12, 128: 1.5e-12, 512: 1e-11, 1024: 3e-11}
 
 
-def outcome(ladder, params, symbol, sizes):
+def outcome(ladder, *args):
     # the rungs, or the DomainError message
     try:
-        return ladder(params, symbol, sizes)
+        return ladder(*args)
     except DomainError as exc:
         return str(exc)
 
@@ -331,7 +346,7 @@ class TestNumpySweep:
             params = params_for(1, l1, l2)
             for ladder in (sizes, (97,), (99,)):
                 np.testing.assert_array_equal(
-                    fh.hankel_log_ratios(params, symbol, ladder),
+                    fh.hankel_log_ratios(l1, l2, symbol, ladder),
                     stieltjes_oracle.hankel_log_ratios(params, symbol, ladder),
                     err_msg=f"weight=({l1}, {l2})")
 
@@ -340,7 +355,7 @@ class TestNumpySweep:
         for l1, l2 in COLLAR_WEIGHTS:
             params = params_for(1, l1, l2)
             for ladder in ((100,), (128,), (512,), (1024,)):
-                got = fh.hankel_log_ratios(params, symbol, ladder)
+                got = fh.hankel_log_ratios(l1, l2, symbol, ladder)
                 ref = stieltjes_oracle.hankel_log_ratios(params, symbol, ladder)
                 n = ladder[0]
                 assert abs(got[0] - ref[0]) <= BLAS_STEP_GAP[n], (n, l1, l2, got[0] - ref[0])
@@ -366,7 +381,7 @@ class TestNumpySweep:
             message = outcome(stieltjes_oracle.hankel_log_ratios, params_for(1), fh.SymbolSpec(),
                               sizes)
             assert message == f"Hankel ladder lost positivity below n = {nodes + 1}"
-            assert outcome(fh.hankel_log_ratios, params_for(1), fh.SymbolSpec(),
+            assert outcome(fh.hankel_log_ratios, 0.5, 0.5, fh.SymbolSpec(),
                            sizes) == message
 
     @pytest.mark.parametrize("n_max", [5, 100, 512])
@@ -384,14 +399,14 @@ class TestNumpySweep:
         message = outcome(stieltjes_oracle.hankel_log_ratios, params_for(1), fh.SymbolSpec(),
                           (n_max,))
         assert isinstance(message, str) and "lost positivity" in message
-        assert outcome(fh.hankel_log_ratios, params_for(1), fh.SymbolSpec(), (n_max,)) == message
+        assert outcome(fh.hankel_log_ratios, 0.5, 0.5, fh.SymbolSpec(), (n_max,)) == message
 
 
-def ladder_on(rule, params, symbol):
+def ladder_on(rule, lambda1, lambda2, symbol):
     # the same sweep on another charge rule
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fh.quad, "charge_rule", rule)
-        return fh.hankel_log_ratios(params, symbol, COLLAR_SIZES)
+        return fh.hankel_log_ratios(lambda1, lambda2, symbol, COLLAR_SIZES)
 
 
 class TestCollaredLadder:
@@ -405,9 +420,9 @@ class TestCollaredLadder:
     def test_ladder_matches_uncollared_rule(self, q):
         for y in (1e-3, 0.01, 0.05, 0.3, 0.95, 0.99, 0.999):
             for l1, l2 in COLLAR_WEIGHTS:
-                params, symbol = params_for(1, l1, l2), fh.SymbolSpec(singularities=((y, q),))
-                got = fh.hankel_log_ratios(params, symbol, COLLAR_SIZES)
-                ref = ladder_on(uncollared_charge_rule, params, symbol)
+                symbol = fh.SymbolSpec(singularities=((y, q),))
+                got = fh.hankel_log_ratios(l1, l2, symbol, COLLAR_SIZES)
+                ref = ladder_on(uncollared_charge_rule, l1, l2, symbol)
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9,
                                            err_msg=f"y={y}, weight=({l1}, {l2})")
 
@@ -415,10 +430,9 @@ class TestCollaredLadder:
         symbol = fh.SymbolSpec(singularities=((0.3, 0.35), (0.3004, 0.6)))
         for l1 in (-0.5, 0.0, 0.5, 1.0):
             for l2 in (-0.5, 0.0, 0.5, 1.0):
-                params = params_for(1, l1, l2)
                 np.testing.assert_allclose(
-                    fh.hankel_log_ratios(params, symbol, COLLAR_SIZES),
-                    ladder_on(uncollared_charge_rule, params, symbol), rtol=0.0, atol=1e-9,
+                    fh.hankel_log_ratios(l1, l2, symbol, COLLAR_SIZES),
+                    ladder_on(uncollared_charge_rule, l1, l2, symbol), rtol=0.0, atol=1e-9,
                     err_msg=f"weight=({l1}, {l2})")
 
     @pytest.mark.parametrize("y", [1e-4, 1.0 - 1e-4])
@@ -433,15 +447,14 @@ class TestCollaredLadder:
 
         for q in (0.15, 0.85, 1.7):
             for l1, l2 in COLLAR_WEIGHTS:
-                params, symbol = params_for(1, l1, l2), fh.SymbolSpec(singularities=((y, q),))
-                got = fh.hankel_log_ratios(params, symbol, COLLAR_SIZES)
-                ref = ladder_on(refined, params, symbol)
+                symbol = fh.SymbolSpec(singularities=((y, q),))
+                got = fh.hankel_log_ratios(l1, l2, symbol, COLLAR_SIZES)
+                ref = ladder_on(refined, l1, l2, symbol)
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6,
                                            err_msg=f"q={q}, weight=({l1}, {l2})")
 
     def test_new_charge_builds_no_full_order_rule(self, monkeypatch):
-        params = params_for(1, 0.5, -0.5)
-        fh.hankel_log_ratios(params, fh.SymbolSpec(singularities=((0.41, 0.37),)), (512,))
+        fh.hankel_log_ratios(0.5, -0.5, fh.SymbolSpec(singularities=((0.41, 0.37),)), (512,))
         build, builds = quad._golub_welsch, []
 
         def counting(order, alpha, beta):
@@ -449,17 +462,16 @@ class TestCollaredLadder:
             return build(order, alpha, beta)
 
         monkeypatch.setattr(quad, "_golub_welsch", counting)
-        fh.hankel_log_ratios(params, fh.SymbolSpec(singularities=((0.6317, 0.7131),)), (512,))
+        fh.hankel_log_ratios(0.5, -0.5, fh.SymbolSpec(singularities=((0.6317, 0.7131),)), (512,))
         # the collars' rules, (0, 2q) left of the charge and (2q, 0) right
         # of it, are one rule and its mirror: the only new build
         assert builds == [quad._COLLAR_NODES]
 
     def test_results_do_not_depend_on_the_cache(self):
-        params = params_for(1, -0.5, 1.0)
         symbol = fh.SymbolSpec(singularities=((0.27, 0.43), (0.81, 1.2)))
-        warm = fh.hankel_log_ratios(params, symbol, COLLAR_SIZES)
+        warm = fh.hankel_log_ratios(-0.5, 1.0, symbol, COLLAR_SIZES)
         quad._jacobi_nodes_weights.cache_clear()
-        np.testing.assert_array_equal(fh.hankel_log_ratios(params, symbol, COLLAR_SIZES), warm)
+        np.testing.assert_array_equal(fh.hankel_log_ratios(-0.5, 1.0, symbol, COLLAR_SIZES), warm)
 
 
 class TestMorrisReference:
@@ -522,9 +534,8 @@ class TestConvergenceRate:
     SIZES = (8, 16, 32, 64, 128, 256, 512)
 
     def scaled_drift(self, y, q, lam):
-        params = params_for(max(self.SIZES), lam, lam)
         symbol = fh.SymbolSpec(singularities=((y, q),))
-        exact = fh.hankel_balanced_log_ratios(params, symbol, self.SIZES)
+        exact = fh.hankel_balanced_log_ratios(lam, lam, symbol, self.SIZES)
         predicted = fh.jacobi_fh_asymptotes(symbol, self.SIZES)
         return [n * abs(ex - pred) for n, ex, pred in zip(self.SIZES, exact, predicted)]
 
