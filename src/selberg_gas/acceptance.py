@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cli
 from . import fisherhartwig as fh
 from . import quadrature as quad
 from .ensembles import sample_bidiagonal, spectra
@@ -30,8 +31,6 @@ from .orbitals import (
 from .specfun import log_barnes_g
 
 
-# the ten standard X values of Table 1, each paired with Y = 1 - X
-TABLE1_XS = tuple(0.025 + 0.05 * i for i in range(10))
 _MORRIS_MAX_POINTS = 512  # the finest grid per axis of `_morris_quadrature`
 
 
@@ -45,8 +44,6 @@ class CriterionResult:
 
 def _cli_rows(argv: list) -> list:
     """The result rows the CLI prints for `argv`, computed in process."""
-    from . import cli
-
     return cli.execute(cli.build_parser().parse_args(argv))["results"]
 
 
@@ -57,13 +54,15 @@ def criterion_1_table1(seed: int = 42) -> CriterionResult:
     start = time.perf_counter()
     rows = _cli_rows(["table1", "--n", "14", "--m-samples", "5000", "--seed", str(seed)])
     ratios = [row["ratio"] for row in rows]
-    elapsed = time.perf_counter() - start
+    # the time decides the verdict but stays out of the detail, which the
+    # result body prints and which must not vary between identical runs
+    runtime_ok = time.perf_counter() - start <= 300.0
     in_band = all(0.88 <= r <= 1.17 for r in ratios)
     mean = sum(ratios) / len(ratios)
     mean_ok = 0.97 <= mean <= 1.06
-    runtime_ok = elapsed <= 300.0
-    detail = (f"ratios {[f'{r:.4f}' for r in ratios]}, mean {mean:.4f}, "
-              f"elapsed {elapsed:.1f}s")
+    detail = f"ratios {[f'{r:.4f}' for r in ratios]}, mean {mean:.4f}"
+    if not runtime_ok:
+        detail += ", over the 300 s cap"
     return CriterionResult(1, "density-matrix table reproduction",
                            in_band and mean_ok and runtime_ok, detail)
 
@@ -295,8 +294,6 @@ def criterion_9_samplers(seed: int = 42) -> CriterionResult:
 
 def criterion_10_determinism(seed: int = 42) -> CriterionResult:
     """Byte-identical MC output for the same seed under different thread counts."""
-    from . import cli
-
     parser = cli.build_parser()
     outputs = []
     for threads in (1, 2, 4):

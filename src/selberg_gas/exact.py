@@ -13,6 +13,7 @@ so that ensemble sizes up to 10^4 stay in range.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -45,6 +46,15 @@ class LogMagnitude:
         return value
 
 
+def _check_size(n, what: str) -> None:
+    # Python and numpy integers pass and no float does: a fractional size was
+    # kept by some formulas and truncated by others
+    if n < 1:
+        raise DomainError(f"{what} must be >= 1, got {n}")
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Jacobi-ensemble weight x^lambda1 (1-x)^lambda2 with squared
@@ -55,8 +65,7 @@ class EnsembleParams:
     lambda2: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"particle count must be >= 1, got {self.n}")
+        _check_size(self.n, "particle count")
         if self.lambda1 <= -1.0 or self.lambda2 <= -1.0:
             raise DomainError(
                 f"weight exponents must exceed -1, got ({self.lambda1}, {self.lambda2})")
@@ -71,8 +80,7 @@ class MorrisParams:
     b: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"Morris size must be >= 1, got {self.n}")
+        _check_size(self.n, "Morris size")
         if self.a + self.b <= -1.0:
             raise DomainError(f"Morris requires a + b > -1, got {self.a + self.b}")
 
@@ -98,8 +106,7 @@ class DensityMatrixQuery:
     boundary: str = BOUNDARY_DIRICHLET
 
     def __post_init__(self):
-        if self.N < 1:
-            raise DomainError(f"N must be >= 1, got {self.N}")
+        _check_size(self.N, "N")
         if not (0.0 < self.X < 1.0 and 0.0 < self.Y < 1.0):
             raise DomainError(f"X, Y must lie in (0,1), got ({self.X}, {self.Y})")
         if self.boundary not in BOX_EXPONENTS:

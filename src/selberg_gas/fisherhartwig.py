@@ -112,11 +112,13 @@ def _stieltjes_step(x: np.ndarray, order: int) -> tuple:
 
 
 def _check_sizes(sizes: Sequence[int]) -> np.ndarray:
-    sizes = np.asarray(sizes, dtype=int)
+    sizes = np.asarray(sizes)
     if sizes.ndim != 1 or len(sizes) == 0:
         raise DomainError("need at least one size")
     if sizes.min() < 1:
-        raise DomainError(f"size must be >= 1, got {int(sizes.min())}")
+        raise DomainError(f"size must be >= 1, got {sizes.min()}")
+    if sizes.dtype.kind not in "iu":
+        raise DomainError(f"sizes must be integers, got {sizes.tolist()}")
     return sizes
 
 

@@ -10,6 +10,7 @@ test_averages.TestHeine.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +28,22 @@ def _report(result):
 
 def test_criterion_1_table1():
     _report(acceptance.criterion_1_table1())
+
+
+def criterion_1_timed(monkeypatch, elapsed):
+    # criterion 1 under a clock whose two readings are `elapsed` seconds apart
+    readings = iter((1000.0, 1000.0 + elapsed))
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(readings)))
+    return acceptance.criterion_1_table1()
+
+
+def test_criterion_1_detail_holds_no_time(monkeypatch):
+    # `validate` prints the detail in its result body, which must be the
+    # same bytes for the same seed however long the run took
+    fast, slow = (criterion_1_timed(monkeypatch, elapsed) for elapsed in (0.5, 299.0))
+    assert fast == slow and fast.passed
+    late = criterion_1_timed(monkeypatch, 300.5)
+    assert not late.passed and late.detail.startswith(fast.detail)
 
 
 def test_criterion_2_duality():

@@ -17,7 +17,7 @@ from selberg_gas.averages import (
     mc_density_matrix_table,
 )
 from selberg_gas import averages
-from selberg_gas.acceptance import TABLE1_XS
+from selberg_gas.cli import TABLE1_XS
 from selberg_gas.ensembles import sample_bidiagonal, tridiagonal, tridiagonal_log_dets
 from selberg_gas.exact import (
     BOUNDARY_DIRICHLET,

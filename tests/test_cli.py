@@ -569,15 +569,34 @@ def child_env(**variables) -> dict:
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
+def loaded_after(statements: str, package: str) -> list:
+    """The modules of `package` loaded in a fresh interpreter after it runs
+    `statements`."""
+    probe = ("import sys\n" + statements
+             + f"\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                         text=True, check=True).stdout
+    return out.split()
+
+
+CLI_START = "import selberg_gas.cli as cli; cli.build_parser()\n"
+
+
 def scipy_loaded_after(statements: str) -> list:
     """The scipy modules loaded in a fresh interpreter after it imports the
     CLI, builds its parser and runs `statements`."""
-    env = child_env()
-    probe = ("import sys, selberg_gas.cli as cli; cli.build_parser()\n" + statements
-             + "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    return out.split()
+    return loaded_after(CLI_START + statements, "scipy")
+
+
+def test_cli_import_leaves_the_acceptance_suite_out():
+    # only `validate` reads the suite, and imports it when it runs
+    loaded = loaded_after(CLI_START, "selberg_gas")
+    assert "selberg_gas.cli" in loaded and "selberg_gas.acceptance" not in loaded
+
+
+def test_package_root_loads_no_submodule():
+    # the root binds `__version__` alone; names come from their modules
+    assert loaded_after("import selberg_gas", "selberg_gas") == ["selberg_gas"]
 
 
 def test_cli_import_leaves_scipy_linalg_out():

@@ -84,6 +84,29 @@ class TestParams:
         with pytest.raises(DomainError):
             MorrisParams(n=2, a=-0.6, b=-0.5)
 
+    def test_sizes_must_be_integers(self):
+        # a fractional size was kept by the prefactor and truncated by the
+        # ladder: N = 14.5 gave a density matrix of 24.46, N = 14 gives 6.10
+        for size in (14.5, 2.5, 3.0, np.float64(3.0)):
+            with pytest.raises(DomainError, match="^particle count must be an integer"):
+                EnsembleParams(n=size, lambda1=0.5, lambda2=0.5)
+            with pytest.raises(DomainError, match="^Morris size must be an integer"):
+                MorrisParams(size, 0.0, 0.0)
+            with pytest.raises(DomainError, match="^N must be an integer"):
+                DensityMatrixQuery(N=size, X=0.3, Y=0.45)
+        for size in (0, -2):
+            with pytest.raises(DomainError, match=f"^particle count must be >= 1, got {size}$"):
+                EnsembleParams(n=size, lambda1=0.5, lambda2=0.5)
+            with pytest.raises(DomainError, match=f"^Morris size must be >= 1, got {size}$"):
+                MorrisParams(size, 0.0, 0.0)
+            with pytest.raises(DomainError, match=f"^N must be >= 1, got {size}$"):
+                DensityMatrixQuery(N=size, X=0.3, Y=0.45)
+        # numpy integers are sizes too
+        for size in (np.int64(3), np.arange(1, 4)[-1], np.uint8(3)):
+            assert EnsembleParams(n=size, lambda1=0.5, lambda2=0.5).n == 3
+            assert MorrisParams(size, 0.0, 0.0).n == 3
+            assert DensityMatrixQuery(N=size, X=0.3, Y=0.45).rho == 3.0
+
 
 class TestSelberg:
     def test_trivial_cases(self):

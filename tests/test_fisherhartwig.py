@@ -266,6 +266,20 @@ class TestLadders:
             with pytest.raises(DomainError):
                 fh.toeplitz_log_dets(symbol, sizes)
 
+    def test_sizes_must_be_integers(self):
+        # a fractional size was cast down: (2.7,) returned the n = 2 rung
+        symbol = fh.SymbolSpec(singularities=((0.3, 0.5),))
+        for sizes in ((2.7,), (3.9,), (4, 8.0), np.array([2.0, 4.0])):
+            with pytest.raises(DomainError, match="^sizes must be integers"):
+                fh.hankel_log_ratios(0.5, 0.5, symbol, sizes)
+            with pytest.raises(DomainError, match="^sizes must be integers"):
+                fh.toeplitz_log_dets(symbol, sizes)
+        with pytest.raises(DomainError, match="^size must be >= 1, got 0$"):
+            fh.toeplitz_log_dets(symbol, (4, 0, 8))
+        sizes = np.arange(1, 5)
+        np.testing.assert_array_equal(fh.toeplitz_log_dets(symbol, sizes),
+                                      fh.toeplitz_log_dets(symbol, sizes.tolist()))
+
     def test_lost_positivity_is_a_domain_error(self, monkeypatch):
         # three nodes carry only three orthogonal polynomials: the sweep's
         # fourth rung has no residual left beyond rounding (b~_3 ~ 1e-16)
