@@ -6,6 +6,12 @@ the run flags (--format, --out, --seed, --threads), so identical
 (config, seed) runs produce byte-identical output.  Only the seeded
 subcommands take --threads, which is accepted and has no effect: every
 run draws its samples on the calling thread.
+
+Only the numpy-free closed forms of `exact` load with this module.  Each
+handler that computes with arrays imports its layer (`averages`,
+`ensembles`, `fisherhartwig`, or the acceptance suite for `validate`)
+when it runs, so `selberg`, `dm-asym`, `orbitals`, `--help` and usage
+errors load no numpy, and the other subcommands load it on first use.
 """
 
 from __future__ import annotations
@@ -18,9 +24,6 @@ import math
 import sys
 
 from . import __version__
-from . import fisherhartwig as fh
-from .averages import duality_lhs, duality_rhs, mc_density_matrix_table
-from .ensembles import sample_bidiagonal, spectra
 from .exact import (
     BOUNDARY_DIRICHLET,
     BOX_EXPONENTS,
@@ -30,9 +33,10 @@ from .exact import (
     density_matrix_asymptote,
     morris_closed,
     occupation_number,
+    orbital_normalization,
+    scaled_occupation,
     selberg_closed,
 )
-from .orbitals import orbital_normalization, scaled_occupation
 from .specfun import DomainError
 
 
@@ -97,6 +101,8 @@ def _run_dm_asym(ns):
 
 
 def _run_dm_mc(ns):
+    from .averages import mc_density_matrix_table
+
     query = DensityMatrixQuery(N=ns.n, X=ns.x, Y=ns.y, boundary=ns.boundary)
     est = mc_density_matrix_table([query], ns.m_samples, ns.seed)[0]
     return [{"value": est.value, "std_error": est.std_error, "m_samples": ns.m_samples}]
@@ -109,6 +115,8 @@ TABLE1_XS = tuple(0.025 + 0.05 * i for i in range(10))
 def _run_table1(ns):
     # the Dirichlet estimate, its standard error, the asymptote and their
     # ratio at each (X, 1 - X) of the standard grid, which criterion 1 bands
+    from .averages import mc_density_matrix_table
+
     queries = [DensityMatrixQuery(N=ns.n, X=x, Y=1.0 - x) for x in TABLE1_XS]
     rows = []
     for query, est in zip(queries, mc_density_matrix_table(queries, ns.m_samples, ns.seed)):
@@ -119,6 +127,8 @@ def _run_table1(ns):
 
 
 def _run_duality(ns):
+    from .averages import duality_lhs, duality_rhs
+
     params = EnsembleParams(n=ns.n, lambda1=ns.lambda1, lambda2=ns.lambda2)
     lhs = duality_lhs(params, ns.t, ns.m)
     rhs = duality_rhs(params, ns.t, ns.m)
@@ -139,6 +149,8 @@ def _run_orbitals(ns):
 
 
 def _run_sample_jue(ns):
+    from .ensembles import sample_bidiagonal, spectra
+
     params = EnsembleParams(n=ns.n, lambda1=0.5, lambda2=0.5)
     samples = spectra(*sample_bidiagonal(params, ns.seed, ns.m_samples)).tolist()
     rows = []
@@ -149,7 +161,11 @@ def _run_sample_jue(ns):
 
 
 def _parse_sizes(text: str):
-    sizes = tuple(int(s) for s in text.split(","))
+    try:
+        sizes = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"every size must be an integer, got {text!r}") from None
     if min(sizes) < 1:
         raise argparse.ArgumentTypeError(f"every size must be >= 1, got {text!r}")
     return sizes
@@ -177,6 +193,8 @@ def _finite_float(text: str) -> float:
 
 
 def _run_fh_jacobi(ns):
+    from . import fisherhartwig as fh
+
     symbol = fh.SymbolSpec(singularities=((ns.y, ns.q),))
     exact = fh.hankel_balanced_log_ratios(ns.lambda1, ns.lambda2, symbol, ns.sizes).tolist()
     rows = []
@@ -186,6 +204,8 @@ def _run_fh_jacobi(ns):
 
 
 def _run_fh_toeplitz(ns):
+    from . import fisherhartwig as fh
+
     symbol = fh.SymbolSpec(singularities=((0.0, ns.q),))
     rows = []
     exact = fh.toeplitz_log_dets(symbol, ns.sizes).tolist()
@@ -196,7 +216,7 @@ def _run_fh_toeplitz(ns):
 
 
 def _run_validate(ns):
-    from . import acceptance  # here, so that no other subcommand loads the suite
+    from . import acceptance
 
     results = acceptance.run_all(seed=ns.seed)
     rows = []
@@ -365,4 +385,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # `python -m` runs this file as __main__; registered under its own name
+    # too, it is the module `acceptance` imports, so `validate` runs no
+    # second copy of it
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

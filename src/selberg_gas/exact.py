@@ -2,7 +2,8 @@
 
 Selberg and Morris integrals (the former continued to non-integer size
 through Barnes G), the duality proportionality constant, the density-matrix
-asymptote and the asymptotic natural-orbital occupations.  The large-n
+asymptote, the asymptotic natural-orbital occupations, the kernel's
+eigenvalues and the orbitals' normalizations.  The large-n
 partition-ratio asymptote is `fisherhartwig.jacobi_fh_asymptotes` with one
 charge.
 
@@ -16,8 +17,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .specfun import (
     DomainError,
@@ -185,6 +184,8 @@ def morris_closed(p: MorrisParams) -> LogMagnitude:
     nears -1, which log1p(x_i) would round to log 0, the ratio
     (1+i)/(A+i) is taken as it is.
     """
+    import numpy as np  # here, so that the CLI's closed forms load no numpy
+
     n, a, b = p.n, p.a, p.b
     for arg in (a + 1.0, b + 1.0):
         if arg <= 0.0:
@@ -248,3 +249,25 @@ def occupation_number(j: int, N: int) -> float:
     log_val = (LOG_G4_HALF3 + log_gamma(j + 0.5)
                - 0.5 * math.log(math.pi) - log_gamma(j + 1.0))
     return math.exp(log_val) * math.sqrt(N)
+
+
+def scaled_occupation(j: int) -> float:
+    """Eigenvalue of the weighted kernel on the j-th Gegenbauer mode:
+    sqrt(2 pi) Gamma(j + 1/2) / j!."""
+    if j < 0:
+        raise DomainError(f"orbital index must be >= 0, got {j}")
+    return math.exp(0.5 * math.log(2.0 * math.pi) + log_gamma(j + 0.5) - log_gamma(j + 1.0))
+
+
+def orbital_normalization(j: int) -> float:
+    """The constant of the normalized j-th orbital
+    const * (X(1-X))^{1/8} C_j^{1/4}(2X-1) (`orbitals.orbital`).
+
+    Normalized on the unit box, where rho = N, so that
+    (1/pi) int phi_j^2 dX / sqrt(X(1-X)) = 1, positive as X -> 1.  A box of
+    length L scales rho -> rho / L and phi_j -> phi_j / sqrt(L).
+    """
+    if j < 0:
+        raise DomainError(f"orbital index must be >= 0, got {j}")
+    return math.exp(0.5 * (log_gamma(j + 1.0) + math.log(j + 0.25)
+                           + 2.0 * log_gamma(0.25) - log_gamma(j + 0.5)))

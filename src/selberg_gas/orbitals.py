@@ -5,16 +5,18 @@ quarter-index Gegenbauer polynomials C_j^{1/4} (scipy's
 `eval_gegenbauer`) as exact eigenfunctions.  The kernel is applied by
 `quadrature.singular_integrate`, whose charge rule absorbs |X-Y|^(-nu) as
 a charge of strength -nu/2 at X.  This module also builds the normalized
-orbitals and their occupations, and evaluates the hypergeometric sums
+orbitals and evaluates the hypergeometric sums
 S_j, their differential-operator images and contiguity defects behind the
 operator/differential-operator commutation argument, all from scipy's
 `hyp2f1`.  The kernel image of the j-th mode is
 Omega_j [S_j(X) + (-1)^j S_j(1-X)], with
 Omega_j = Gamma(3/4) Gamma(j+1/2) / (Gamma(5/4) j!).
 
-scipy.special is imported inside the functions that call it, once per
-call and never per node, so the occupations and normalizations, which
-need none of it, keep it out of the CLI's start-up.
+The eigenvalues and normalizations are gamma-log closed forms, kept in
+`exact` (`scaled_occupation`, `orbital_normalization`) so that the CLI's
+`orbitals` subcommand loads neither this module nor numpy.  scipy.special
+is imported inside the functions that call it, once per call and never
+per node.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from typing import Callable
 
 import numpy as np
 
+from .exact import orbital_normalization, scaled_occupation
 from .quadrature import singular_integrate
-from .specfun import DomainError, log_gamma
+from .specfun import DomainError
 
 
 def apply_kernel(nu: float, f: Callable, X: float, tol: float = 1e-8):
@@ -43,28 +46,6 @@ def apply_kernel(nu: float, f: Callable, X: float, tol: float = 1e-8):
         raise DomainError(f"kernel argument must lie in (0,1), got {X}")
     weight = 0.5 * (nu - 1.0)
     return singular_integrate(f, weight, weight, ((X, -0.5 * nu),), tol)
-
-
-def scaled_occupation(j: int) -> float:
-    """Eigenvalue of the weighted kernel on the j-th Gegenbauer mode:
-    sqrt(2 pi) Gamma(j + 1/2) / j!."""
-    if j < 0:
-        raise DomainError(f"orbital index must be >= 0, got {j}")
-    return math.exp(0.5 * math.log(2.0 * math.pi) + log_gamma(j + 0.5) - log_gamma(j + 1.0))
-
-
-def orbital_normalization(j: int) -> float:
-    """The constant of the normalized j-th orbital
-    const * (X(1-X))^{1/8} C_j^{1/4}(2X-1).
-
-    Normalized on the unit box, where rho = N, so that
-    (1/pi) int phi_j^2 dX / sqrt(X(1-X)) = 1, positive as X -> 1.  A box of
-    length L scales rho -> rho / L and phi_j -> phi_j / sqrt(L).
-    """
-    if j < 0:
-        raise DomainError(f"orbital index must be >= 0, got {j}")
-    return math.exp(0.5 * (log_gamma(j + 1.0) + math.log(j + 0.25)
-                           + 2.0 * log_gamma(0.25) - log_gamma(j + 0.5)))
 
 
 def orbital(j: int, X):

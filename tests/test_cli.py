@@ -309,12 +309,14 @@ class TestRendering:
         # M = B + 1 a full block plus one row
         block = block_size(3)
         seen = []
+        draw = ensembles.sample_bidiagonal
 
         def recording(params, master_seed, M):
             seen.append((master_seed, M))
-            return ensembles.sample_bidiagonal(params, master_seed, M)
+            return draw(params, master_seed, M)
 
-        monkeypatch.setattr(cli, "sample_bidiagonal", recording)
+        # the handler looks the sampler up in its module when it runs
+        monkeypatch.setattr(ensembles, "sample_bidiagonal", recording)
         outputs = []
         for threads in (1, 2, 4):
             assert cli.main(["sample-jue", "--n", "3", "--m-samples", str(block + extra),
@@ -518,6 +520,17 @@ class TestErrors:
         assert boundary.choices == tuple(BOX_EXPONENTS) == ("dirichlet", "neumann")
         assert boundary.default == BOUNDARY_DIRICHLET
 
+    @pytest.mark.parametrize("argv", [["fh-jacobi", "--sizes", "8,x"],
+                                      ["fh-toeplitz", "--sizes", "8,,16"]])
+    def test_non_integer_size_is_usage_error(self, argv, capsys):
+        # the message speaks of sizes, not of the parser's private function
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        out, message = capsys.readouterr()
+        assert out == "" and message.endswith(
+            f"error: argument --sizes: every size must be an integer, got '{argv[-1]}'\n")
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
             cli.build_parser().parse_args(["frobnicate"])
@@ -630,6 +643,78 @@ def test_scipy_free_subcommands_load_no_scipy():
             "        if cli.main(argv) != 0:\n"
             "            raise SystemExit(f'failed: {argv}')\n")
     assert scipy_loaded_after(runs) == []
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy would be about three quarters of the import's cost; only the
+    # handlers that compute with arrays load it, when they run
+    assert loaded_after(CLI_START, "numpy") == []
+
+
+# runs that compute only gamma and Barnes-G logs, or stop in the parser,
+# with the exit code each gives
+NUMPY_FREE_RUNS = [
+    (["selberg", "--n", "3", "--lambda1", "0.5", "--lambda2", "-0.5"], 0),
+    (["dm-asym", "--n", "14", "--x", "0.2", "--y", "0.8", "--boundary", "neumann"], 0),
+    (["orbitals", "--j-max", "6", "--n", "50", "--format", "csv"], 0),
+    (["--help"], 0),
+    (["fh-jacobi", "--sizes", "8,x"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", NUMPY_FREE_RUNS,
+                         ids=[" ".join(argv) for argv, _ in NUMPY_FREE_RUNS])
+def test_closed_form_runs_load_no_numpy(argv, code):
+    run = ("import contextlib, io\n"
+           "with contextlib.redirect_stdout(io.StringIO()), "
+           "contextlib.redirect_stderr(io.StringIO()):\n"
+           "    try:\n"
+           f"        code = cli.main({argv!r})\n"
+           "    except SystemExit as exc:\n"
+           "        code = exc.code\n"
+           f"if code != {code}:\n"
+           "    raise SystemExit(f'exit {code}')\n")
+    assert loaded_after(CLI_START + run, "numpy") == []
+
+
+# `python -m selberg_gas.cli validate` with the suite replaced by one
+# criterion that reaches the CLI as the suite does, by its package name
+VALIDATE_UNDER_M = """
+import argparse, runpy, sys, types
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting(parser, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(parser, *args, **kwargs)
+
+def run_all(seed):
+    from selberg_gas import cli
+    row, = cli.execute(cli.build_parser().parse_args(
+        ["selberg", "--n", "2", "--lambda1", "0", "--lambda2", "0"]))["results"]
+    return [types.SimpleNamespace(number=1, name="one module", detail=repr(row["value"]),
+                                  passed=cli is sys.modules["__main__"])]
+
+argparse.ArgumentParser.__init__ = counting
+suite = types.ModuleType("selberg_gas.acceptance")
+suite.run_all = run_all
+sys.modules[suite.__name__] = suite
+sys.argv = ["selberg-gas", "validate", "--format", "csv"]
+try:
+    runpy.run_module("selberg_gas.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit", exc.code, "parsers", built.count("selberg-gas"))
+"""
+
+
+def test_validate_under_dash_m_runs_one_cli_module():
+    # run as __main__, the CLI must be the module the suite imports, so that
+    # no second copy loads and the criteria parse through its one parser
+    out = subprocess.run([sys.executable, "-c", VALIDATE_UNDER_M], env=child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "exit 0 parsers 1"
+    assert "\n1,one module,True,0.16666" in out.stdout
+    assert out.stderr == "PASS criterion 1: one module\n"
 
 
 def test_ladders_across_the_blas_step_boundary_share_their_rungs():
