@@ -68,9 +68,9 @@ def _normal(value: float, side: str) -> float:
 
 def duality_lhs(params: EnsembleParams, t: float, m: int) -> float:
     """Jacobi-side average < prod (t - x_l)^m > at size params.n, m even and
-    >= 2.  Raises `DomainError` on an odd m or a zero or subnormal value."""
-    return _normal(average_even_power_heine(params, t, m).value(
-        "duality Jacobi side"), "Jacobi")
+    >= 2.  Raises `DomainError` on an odd m or a value that is not a normal
+    float (`LogMagnitude.value`)."""
+    return average_even_power_heine(params, t, m).value("duality Jacobi side")
 
 
 def _jacobi_p(n: int, alpha: np.ndarray, beta: np.ndarray, x: float) -> np.ndarray:

@@ -7,11 +7,11 @@ the run flags (--format, --out, --seed, --threads), so identical
 subcommands take --threads, which is accepted and has no effect: every
 run draws its samples on the calling thread.
 
-Only the numpy-free closed forms of `exact` load with this module.  Each
-handler that computes with arrays imports its layer (`averages`,
-`ensembles`, `fisherhartwig`, or the acceptance suite for `validate`)
-when it runs, so `selberg`, `dm-asym`, `orbitals`, `--help` and usage
-errors load no numpy, and the other subcommands load it on first use.
+Only `exact`, which needs no numpy and no `dataclasses`, loads with this
+module.  Each handler that computes with arrays imports its layer
+(`averages`, `ensembles`, `fisherhartwig`, or the acceptance suite for
+`validate`) when it runs, so `selberg`, `morris`, `dm-asym`, `orbitals`,
+`--help` and usage errors load no numpy, and the others load it on first use.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ partition-ratio asymptote is `fisherhartwig.jacobi_fh_asymptotes` with one
 charge.
 
 Every product of gamma functions is carried in log space (LogMagnitude)
-so that ensemble sizes up to 10^4 stay in range.
+so that ensemble sizes up to 10^4 stay in range.  The module imports
+neither numpy nor `dataclasses`, and each kind of input has one check, in
+positive form so that NaN fails: `_check_size`, `_check_weight_exponents`
+(shared with `quadrature`) and `_check_orbital_index`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 
 from .specfun import (
     DomainError,
@@ -27,61 +29,75 @@ from .specfun import (
 )
 
 
-@dataclass(frozen=True)
 class LogMagnitude:
     """A positive real number stored as its natural log."""
 
-    log_abs: float
+    __slots__ = ("log_abs",)
+
+    def __init__(self, log_abs: float):
+        self.log_abs = log_abs
 
     def value(self, quantity: str = "value") -> float:
         """exp(log_abs).  Raises `DomainError`, naming `quantity` and giving
-        the log, if that overflows or is below the smallest normal float."""
+        the log, if that overflows, is below the smallest normal float or
+        is not a number."""
         try:
             value = math.exp(self.log_abs)
         except OverflowError:
-            raise DomainError(f"{quantity} overflows a float: log {self.log_abs!r}") from None
-        if value < sys.float_info.min:
-            raise DomainError(f"{quantity} underflows a float: log {self.log_abs!r}")
-        return value
+            value = math.inf
+        if sys.float_info.min <= value < math.inf:
+            return value
+        fault = ("underflows a float" if value < 1.0 else "overflows a float" if value > 1.0
+                 else "is not a number")
+        raise DomainError(f"{quantity} {fault}: log {self.log_abs!r}")
+
+
+# int first: the numbers.Integral ABC check alone took 1 us a call (2-vCPU Xeon)
+_INTEGER = (int, numbers.Integral)
 
 
 def _check_size(n, what: str) -> None:
     # Python and numpy integers pass and no float does: a fractional size was
     # kept by some formulas and truncated by others
-    if n < 1:
+    if not n >= 1:
         raise DomainError(f"{what} must be >= 1, got {n}")
-    if not isinstance(n, numbers.Integral):
+    if not isinstance(n, _INTEGER):
         raise DomainError(f"{what} must be an integer, got {n!r}")
 
 
-@dataclass(frozen=True)
+def _check_weight_exponents(lambda1: float, lambda2: float) -> None:
+    if not (lambda1 > -1.0 and lambda2 > -1.0):
+        raise DomainError(f"weight exponents must exceed -1, got ({lambda1}, {lambda2})")
+
+
+def _check_orbital_index(j) -> None:
+    if not (isinstance(j, _INTEGER) and j >= 0):
+        raise DomainError(f"orbital index must be an integer >= 0, got {j}")
+
+
 class EnsembleParams:
     """Jacobi-ensemble weight x^lambda1 (1-x)^lambda2 with squared
     Vandermonde (unitary coupling, beta = 2)."""
 
-    n: int
-    lambda1: float
-    lambda2: float
+    __slots__ = ("n", "lambda1", "lambda2")
 
-    def __post_init__(self):
-        _check_size(self.n, "particle count")
-        if self.lambda1 <= -1.0 or self.lambda2 <= -1.0:
-            raise DomainError(
-                f"weight exponents must exceed -1, got ({self.lambda1}, {self.lambda2})")
+    def __init__(self, n: int, lambda1: float, lambda2: float):
+        _check_size(n, "particle count")
+        _check_weight_exponents(lambda1, lambda2)
+        self.n, self.lambda1, self.lambda2 = n, lambda1, lambda2
 
 
-@dataclass(frozen=True)
 class MorrisParams:
-    """Size and exponents (a, b) of a circular-ensemble Morris integral."""
+    """Size and exponents (a, b) of a circular-ensemble Morris integral,
+    on the closed form's whole domain a > -1, b > -1, a + b > -1."""
 
-    n: int
-    a: float
-    b: float
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self):
-        _check_size(self.n, "Morris size")
-        if self.a + self.b <= -1.0:
-            raise DomainError(f"Morris requires a + b > -1, got {self.a + self.b}")
+    def __init__(self, n: int, a: float, b: float):
+        _check_size(n, "Morris size")
+        if not (a > -1.0 and b > -1.0 and a + b > -1.0):
+            raise DomainError(f"Morris needs a > -1, b > -1 and a + b > -1, got ({a}, {b})")
+        self.n, self.a, self.b = n, a, b
 
 
 BOUNDARY_DIRICHLET = "dirichlet"
@@ -90,7 +106,6 @@ BOUNDARY_NEUMANN = "neumann"
 BOX_EXPONENTS = {BOUNDARY_DIRICHLET: (0.5, 0.5), BOUNDARY_NEUMANN: (-0.5, -0.5)}
 
 
-@dataclass(frozen=True)
 class DensityMatrixQuery:
     """Point (X, Y) of the (N+1)-particle density matrix on the unit box.
 
@@ -99,17 +114,15 @@ class DensityMatrixQuery:
     rho -> rho / L and each orbital phi_j -> phi_j / sqrt(L).
     """
 
-    N: int
-    X: float
-    Y: float
-    boundary: str = BOUNDARY_DIRICHLET
+    __slots__ = ("N", "X", "Y", "boundary")
 
-    def __post_init__(self):
-        _check_size(self.N, "N")
-        if not (0.0 < self.X < 1.0 and 0.0 < self.Y < 1.0):
-            raise DomainError(f"X, Y must lie in (0,1), got ({self.X}, {self.Y})")
-        if self.boundary not in BOX_EXPONENTS:
-            raise DomainError(f"unknown boundary {self.boundary!r}")
+    def __init__(self, N: int, X: float, Y: float, boundary: str = BOUNDARY_DIRICHLET):
+        _check_size(N, "N")
+        if not (0.0 < X < 1.0 and 0.0 < Y < 1.0):
+            raise DomainError(f"X, Y must lie in (0,1), got ({X}, {Y})")
+        if boundary not in BOX_EXPONENTS:
+            raise DomainError(f"unknown boundary {boundary!r}")
+        self.N, self.X, self.Y, self.boundary = N, X, Y, boundary
 
     @property
     def rho(self) -> float:
@@ -127,13 +140,11 @@ def selberg_closed(n: int, a: float, b: float) -> LogMagnitude:
     summed with the larger exponent's two gamma logs taken as one ratio,
     `log_gamma_ratio`, so that a large exponent keeps its digits.
     """
-    if a <= -1.0 or b <= -1.0:
-        raise DomainError(f"Selberg exponents must exceed -1, got ({a}, {b})")
-    if n < 1 or n != int(n):
-        raise DomainError(f"Selberg size must be a positive integer, got {n}")
+    _check_weight_exponents(a, b)
+    _check_size(n, "Selberg size")
     big, small = max(a, b), min(a, b)
     total = 0.0
-    for j in range(int(n)):
+    for j in range(n):
         total += (log_gamma(small + 1.0 + j) + log_gamma(2.0 + j)
                   - log_gamma_ratio(big + 1.0 + j, small + n))
     return LogMagnitude(total)
@@ -151,10 +162,10 @@ def selberg_log_ratio(n: int, s: float, a: float, b: float) -> float:
     any other s sums five Barnes-G ratios D(z, s) = log G(z+s) - log G(z),
     D(2n+c, 2s) - D(n+1+a, s) - D(n+1+b, s) - D(n+c, s) - D(n+2, s).
     """
-    if a <= -1.0 or b <= -1.0:
-        raise DomainError(f"Selberg exponents must exceed -1, got ({a}, {b})")
-    if n < 1 or n != int(n) or not n + s > 0.0:
-        raise DomainError(f"Selberg sizes must be positive, n an integer, got {n} and {n + s}")
+    _check_weight_exponents(a, b)
+    _check_size(n, "Selberg size")
+    if not n + s > 0.0:
+        raise DomainError(f"shifted Selberg size must be positive, got {n + s}")
     n = int(n)
     c = a + b + 1.0
     if s != int(s):
@@ -182,20 +193,16 @@ def morris_closed(p: MorrisParams) -> LogMagnitude:
     and T_i / T_{i-1} = (1 + A/(B+i)) (1 + x_i), x_i = (1-A)/(A+i), so no
     large gamma log and no product of the exponents is formed.  Where x_i
     nears -1, which log1p(x_i) would round to log 0, the ratio
-    (1+i)/(A+i) is taken as it is.
+    (1+i)/(A+i) is taken as it is.  The n - 1 weighted steps are summed
+    exactly rounded by `math.fsum`.
     """
-    import numpy as np  # here, so that the CLI's closed forms load no numpy
-
     n, a, b = p.n, p.a, p.b
-    for arg in (a + 1.0, b + 1.0):
-        if arg <= 0.0:
-            raise DomainError(f"Morris gamma argument {arg} <= 0")
     big, small = max(a, b), min(a, b)
-    i = np.arange(1.0, n)
-    x = (1.0 - small) / (small + i)
-    log1p_x = np.log1p(np.maximum(x, -0.5))
-    steps = (n - i) * (np.log1p(small / (big + i))
-                       + np.where(x > -0.5, log1p_x, np.log((1.0 + i) / (small + i))))
+    steps = []
+    for i in range(1, n):
+        x = (1.0 - small) / (small + i)
+        log1p_x = math.log1p(x) if x > -0.5 else math.log((1.0 + i) / (small + i))
+        steps.append((n - i) * (math.log1p(small / (big + i)) + log1p_x))
     log_t0 = -log_gamma(small + 1.0) + log_gamma_ratio(big + 1.0, small)
     return LogMagnitude(n * log_t0 + math.fsum(steps))
 
@@ -242,10 +249,8 @@ def density_matrix_asymptote(query: DensityMatrixQuery) -> float:
 
 def occupation_number(j: int, N: int) -> float:
     """Occupation of the j-th effective single-particle state, ~ sqrt(N)."""
-    if j < 0:
-        raise DomainError(f"orbital index must be >= 0, got {j}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    _check_orbital_index(j)
+    _check_size(N, "N")
     log_val = (LOG_G4_HALF3 + log_gamma(j + 0.5)
                - 0.5 * math.log(math.pi) - log_gamma(j + 1.0))
     return math.exp(log_val) * math.sqrt(N)
@@ -254,8 +259,7 @@ def occupation_number(j: int, N: int) -> float:
 def scaled_occupation(j: int) -> float:
     """Eigenvalue of the weighted kernel on the j-th Gegenbauer mode:
     sqrt(2 pi) Gamma(j + 1/2) / j!."""
-    if j < 0:
-        raise DomainError(f"orbital index must be >= 0, got {j}")
+    _check_orbital_index(j)
     return math.exp(0.5 * math.log(2.0 * math.pi) + log_gamma(j + 0.5) - log_gamma(j + 1.0))
 
 
@@ -267,7 +271,6 @@ def orbital_normalization(j: int) -> float:
     (1/pi) int phi_j^2 dX / sqrt(X(1-X)) = 1, positive as X -> 1.  A box of
     length L scales rho -> rho / L and phi_j -> phi_j / sqrt(L).
     """
-    if j < 0:
-        raise DomainError(f"orbital index must be >= 0, got {j}")
+    _check_orbital_index(j)
     return math.exp(0.5 * (log_gamma(j + 1.0) + math.log(j + 0.25)
                            + 2.0 * log_gamma(0.25) - log_gamma(j + 0.5)))

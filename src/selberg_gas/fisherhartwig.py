@@ -53,7 +53,7 @@ class SymbolSpec:
         if len(set(locs)) != len(locs):
             raise DomainError("singularity locations must be distinct")
         for loc, strength in self.singularities:
-            if strength <= 0.0:
+            if not strength > 0.0:
                 raise DomainError(f"singularity strength must be positive, got {strength}")
             if 2.0 * strength == math.inf:
                 raise DomainError(f"singularity exponent 2q overflows a float at q = {strength!r}")
@@ -145,7 +145,9 @@ def hankel_log_ratios(lambda1: float, lambda2: float, symbol: SymbolSpec,
     n_max = 98 on, a charge of non-integer 2q adds two 16-node collars
     instead of keying the full-order panels, which are then cached by the
     weight's exponents alone: `quadrature._jacobi_nodes_weights` builds one
-    rule per unordered exponent pair and quotes the cold cost.
+    rule per unordered exponent pair and quotes the cold cost.  The float64
+    floor grows about as n^2: against Lenard's determinant the density matrix
+    is 2.4e-11 off at N = 800 and 5.3e-10 at 1600 (bounds 1e-10 and 2e-9).
 
     Below rule order quad._DENSE_EIGEN_ORDERS (130, a largest size of 99)
     a step is numpy arithmetic: eight calls and five temporaries, and no

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import orbital_normalization, scaled_occupation
+from .exact import _check_orbital_index, orbital_normalization, scaled_occupation
 from .quadrature import singular_integrate
 from .specfun import DomainError
 
@@ -88,8 +88,7 @@ def _series_coefficients(j: int) -> np.ndarray:
 
 def appendix_s(j: int, z: float) -> float:
     """The hypergeometric sum S_j(z) built from terminating-side 2F1 terms."""
-    if j < 0:
-        raise DomainError(f"index must be >= 0, got {j}")
+    _check_orbital_index(j)
     if not 0.0 < z < 1.0:
         raise DomainError(f"argument must lie in (0,1), got {z}")
     from scipy.special import hyp2f1

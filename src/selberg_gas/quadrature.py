@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .exact import _check_weight_exponents
 from .specfun import DomainError, log_beta
 
 
@@ -327,11 +328,6 @@ def singular_integrate(f: Callable, lambda1: float, lambda2: float, charges: Seq
         prev = cur
     raise QuadratureError(f"singular_integrate did not converge to {tol} "
                           f"(last gap {float(np.max(gap))})")
-
-
-def _check_weight_exponents(lambda1: float, lambda2: float) -> None:
-    if lambda1 <= -1.0 or lambda2 <= -1.0:
-        raise DomainError(f"weight exponents must exceed -1, got ({lambda1}, {lambda2})")
 
 
 def jacobi_recurrence(n_terms: int, lambda1: float, lambda2: float):

@@ -408,6 +408,12 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")
 
+    def test_underflowed_jacobi_side_gives_its_log(self, capsys):
+        assert cli.main(["duality-check", "--n", "300", "--t", "0.3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "error: duality Jacobi side underflows a float: log -826.58")
+
     def test_overflowing_value_is_an_error(self, capsys):
         assert cli.main(["morris", "--n", "200", "--lambda1", "5", "--lambda2", "5"]) == 1
         out, err = capsys.readouterr()
@@ -651,10 +657,18 @@ def test_cli_import_loads_no_numpy():
     assert loaded_after(CLI_START, "numpy") == []
 
 
+def test_cli_import_loads_no_dataclasses():
+    # `exact`'s records are plain classes: `dataclasses` and the `inspect`
+    # it imports were the largest part of the import once numpy left it
+    assert loaded_after(CLI_START, "dataclasses") == []
+    assert loaded_after(CLI_START, "inspect") == []
+
+
 # runs that compute only gamma and Barnes-G logs, or stop in the parser,
 # with the exit code each gives
 NUMPY_FREE_RUNS = [
     (["selberg", "--n", "3", "--lambda1", "0.5", "--lambda2", "-0.5"], 0),
+    (["morris", "--n", "3", "--lambda1", "0.5", "--lambda2", "1"], 0),
     (["dm-asym", "--n", "14", "--x", "0.2", "--y", "0.8", "--boundary", "neumann"], 0),
     (["orbitals", "--j-max", "6", "--n", "50", "--format", "csv"], 0),
     (["--help"], 0),

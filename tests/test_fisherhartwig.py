@@ -569,3 +569,6 @@ class TestSymbolSpec:
             fh.SymbolSpec(singularities=((0.3, 0.5), (0.3, 0.2)))
         with pytest.raises(DomainError):
             fh.SymbolSpec(singularities=((0.3, 0.0),))
+        # a NaN strength passed `strength <= 0` and gave log D_8 = nan
+        with pytest.raises(DomainError, match="^singularity strength must be positive, got nan$"):
+            fh.SymbolSpec(singularities=((0.0, math.nan),))

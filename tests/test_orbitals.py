@@ -47,6 +47,9 @@ class TestApplyKernel:
                     1.0, abs=1e-6)
 
     def test_domain(self):
+        # a fractional index raised a TypeError from numpy
+        with pytest.raises(DomainError, match=r"^orbital index must be an integer >= 0, got 1\.5$"):
+            orb.appendix_s(1.5, 0.3)
         with pytest.raises(DomainError):
             orb.apply_kernel(0.5, lambda Y: Y, 0.0)
         with pytest.raises(DomainError):
