@@ -42,8 +42,8 @@ class CriterionResult:
     detail: str
 
 
-def _cli_rows(argv: list) -> list:
-    """The result rows the CLI prints for `argv`, computed in process."""
+def _cli_columns(argv: list) -> dict:
+    """The result columns the CLI prints for `argv`, computed in process."""
     return cli.execute(cli.build_parser().parse_args(argv))["results"]
 
 
@@ -52,8 +52,8 @@ def criterion_1_table1(seed: int = 42) -> CriterionResult:
     bands [0.88, 1.17] pointwise and [0.97, 1.06] on the mean, and a 300 s
     runtime cap."""
     start = time.perf_counter()
-    rows = _cli_rows(["table1", "--n", "14", "--m-samples", "5000", "--seed", str(seed)])
-    ratios = [row["ratio"] for row in rows]
+    ratios = _cli_columns(["table1", "--n", "14", "--m-samples", "5000",
+                           "--seed", str(seed)])["ratio"]
     # the time decides the verdict but stays out of the detail, which the
     # result body prints and which must not vary between identical runs
     runtime_ok = time.perf_counter() - start <= 300.0
@@ -72,9 +72,9 @@ def criterion_2_duality() -> CriterionResult:
     worst = 0.0
     for l in (0.5, -0.5):
         for t in (0.3, 0.7):
-            row, = _cli_rows(["duality-check", "--n", "2", "--m", "2", "--t", str(t),
-                              "--lambda1", str(l), "--lambda2", str(l)])
-            worst = max(worst, row["rel_diff"])
+            rel_diff, = _cli_columns(["duality-check", "--n", "2", "--m", "2", "--t", str(t),
+                                      "--lambda1", str(l), "--lambda2", str(l)])["rel_diff"]
+            worst = max(worst, rel_diff)
     return CriterionResult(2, "Jacobi/circular duality identity", worst <= 1e-6,
                            f"worst relative defect {worst:.2e} (tol 1e-6)")
 
@@ -167,9 +167,9 @@ def criterion_4_partition_ratio() -> CriterionResult:
     target = 2.0 / math.pi
     devs = {}
     for n in (5, 10, 40):
-        row, = _cli_rows(["fh-jacobi", "--sizes", str(n), "--q", "1", "--y", "0.5",
-                          "--lambda1", "0.5", "--lambda2", "0.5"])
-        devs[n] = abs(math.exp(row["log_exact"]) - target) / target
+        log_exact, = _cli_columns(["fh-jacobi", "--sizes", str(n), "--q", "1", "--y", "0.5",
+                                   "--lambda1", "0.5", "--lambda2", "0.5"])["log_exact"]
+        devs[n] = abs(math.exp(log_exact) - target) / target
     within = devs[40] <= 0.02
     chain = devs[40] < devs[10] < devs[5]
     detail = (f"deviations n=5: {devs[5]:.3e}, n=10: {devs[10]:.3e}, "
@@ -181,9 +181,9 @@ def criterion_5_jacobi_drift() -> CriterionResult:
     """Charge-balanced Jacobi determinant ratio vs its Fisher-Hartwig
     asymptote (Deift, Its & Krasovsky, Ann. of Math. 174 (2011),
     arXiv:0905.0443): |delta_n| strictly decreasing over n = 8, 16, 32, 48."""
-    rows = _cli_rows(["fh-jacobi", "--sizes", "8,16,32,48", "--q", "0.5", "--y", "0.5",
-                      "--lambda1", "0.5", "--lambda2", "0.5"])
-    deltas = [abs(row["delta"]) for row in rows]
+    columns = _cli_columns(["fh-jacobi", "--sizes", "8,16,32,48", "--q", "0.5", "--y", "0.5",
+                            "--lambda1", "0.5", "--lambda2", "0.5"])
+    deltas = [abs(delta) for delta in columns["delta"]]
     decreasing = all(deltas[i] > deltas[i + 1] for i in range(len(deltas) - 1))
     return CriterionResult(5, "Jacobi-weight determinant drift", decreasing,
                            f"|delta| over sizes 8,16,32,48: "
@@ -196,13 +196,13 @@ def criterion_6_toeplitz() -> CriterionResult:
     final gap <= 0.02.  The detail also quotes the gap at N = 48 between the
     closed form D_N = M_N(1/2, 1/2) / N! and the determinant of the explicit
     48 x 48 Toeplitz matrix."""
-    rows = _cli_rows(["fh-toeplitz", "--sizes", "8,16,32,48", "--q", "0.5"])
-    gaps = [abs(row["delta"]) for row in rows]
+    columns = _cli_columns(["fh-toeplitz", "--sizes", "8,16,32,48", "--q", "0.5"])
+    gaps = [abs(delta) for delta in columns["delta"]]
     monotone = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
     final_ok = bool(gaps[-1] <= 0.02)
     coeffs = fh._toeplitz_fourier_coeffs(fh.SymbolSpec(singularities=((0.0, 0.5),)), 47)
     idx = 47 + np.arange(48)[:, None] - np.arange(48)[None, :]
-    explicit_gap = abs(rows[-1]["log_exact"] - np.linalg.slogdet(coeffs[idx])[1])
+    explicit_gap = abs(columns["log_exact"][-1] - np.linalg.slogdet(coeffs[idx])[1])
     return CriterionResult(6, "Toeplitz singular-symbol drift", monotone and final_ok,
                            f"gaps {[f'{g:.5f}' for g in gaps]}, final tol 0.02; "
                            f"gap to the explicit 48x48 determinant {explicit_gap:.1e}")

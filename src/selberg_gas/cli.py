@@ -1,7 +1,10 @@
 """Command-line interface: every computation as a subcommand.
 
 Output is a JSON document or CSV table embedding the resolved
-configuration and seed.  The configuration is the parsed namespace minus
+configuration and seed.  A handler's result is a table of columns, a dict
+from column name to list of values, from the handler through the finite
+check to the writers: CSV is written from the columns, and JSON zips them
+into one object per row.  The configuration is the parsed namespace minus
 the run flags (--format, --out, --seed, --threads), so identical
 (config, seed) runs produce byte-identical output.  Only the seeded
 subcommands take --threads, which is accepted and has no effect: every
@@ -60,44 +63,47 @@ _CSV_SPECS = {float: "%.17g", int: "%d", bool: "%s"}
 
 
 def render(document: dict, fmt: str) -> str:
+    """The text of `document`, whose results are a table of columns: JSON
+    with one object per row, or CSV with one line per row."""
+    columns = document["results"]
     if fmt == "json":
-        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        return json.dumps({**document, "results": rows}, indent=2, sort_keys=True) + "\n"
     lines = []
     for key in sorted(document["config"]):
         lines.append(f"# {key}={_fmt(document['config'][key])}")
     for key in sorted(document["provenance"]):
         lines.append(f"# {key}={_fmt(document['provenance'][key])}")
-    results = document["results"]
+    n_rows = len(next(iter(columns.values()), ()))
     body = ""
-    if results:
-        columns = list(results[0])
+    # a table of no rows prints no column line
+    if n_rows:
         lines.append(",".join(columns))
         specs, fields = [], []
-        for c in columns:
-            values = [row[c] for row in results]
+        for values in columns.values():
             kinds = set(map(type, values))
             spec = _CSV_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
             specs.append(spec or "%s")
             fields.append(values if spec else list(map(_csv_field, values)))
         # the template holds only specs, so no value's text is read as one
-        body = (",".join(specs) + "\n") * len(results) % tuple(
+        body = (",".join(specs) + "\n") * n_rows % tuple(
             itertools.chain.from_iterable(zip(*fields)))
     return "\n".join(lines) + "\n" + body
 
 
 def _run_selberg(ns):
     val = selberg_closed(ns.n, ns.lambda1, ns.lambda2)
-    return [{"log_value": val.log_abs, "value": val.value("Selberg integral")}]
+    return {"log_value": [val.log_abs], "value": [val.value("Selberg integral")]}
 
 
 def _run_morris(ns):
     val = morris_closed(MorrisParams(ns.n, ns.a, ns.b))
-    return [{"log_value": val.log_abs, "value": val.value("Morris integral")}]
+    return {"log_value": [val.log_abs], "value": [val.value("Morris integral")]}
 
 
 def _run_dm_asym(ns):
     query = DensityMatrixQuery(N=ns.n, X=ns.x, Y=ns.y, boundary=ns.boundary)
-    return [{"value": density_matrix_asymptote(query)}]
+    return {"value": [density_matrix_asymptote(query)]}
 
 
 def _run_dm_mc(ns):
@@ -105,7 +111,7 @@ def _run_dm_mc(ns):
 
     query = DensityMatrixQuery(N=ns.n, X=ns.x, Y=ns.y, boundary=ns.boundary)
     est = mc_density_matrix_table([query], ns.m_samples, ns.seed)[0]
-    return [{"value": est.value, "std_error": est.std_error, "m_samples": ns.m_samples}]
+    return {"value": [est.value], "std_error": [est.std_error], "m_samples": [ns.m_samples]}
 
 
 # the ten standard X values of Table 1, each paired with Y = 1 - X
@@ -118,12 +124,13 @@ def _run_table1(ns):
     from .averages import mc_density_matrix_table
 
     queries = [DensityMatrixQuery(N=ns.n, X=x, Y=1.0 - x) for x in TABLE1_XS]
-    rows = []
-    for query, est in zip(queries, mc_density_matrix_table(queries, ns.m_samples, ns.seed)):
-        asym = density_matrix_asymptote(query)
-        rows.append({"X": query.X, "mc_value": est.value, "std_error": est.std_error,
-                     "asymptote": asym, "ratio": est.value / asym})
-    return rows
+    estimates = mc_density_matrix_table(queries, ns.m_samples, ns.seed)
+    asymptotes = [density_matrix_asymptote(query) for query in queries]
+    return {"X": [query.X for query in queries],
+            "mc_value": [est.value for est in estimates],
+            "std_error": [est.std_error for est in estimates],
+            "asymptote": asymptotes,
+            "ratio": [est.value / asym for est, asym in zip(estimates, asymptotes)]}
 
 
 def _run_duality(ns):
@@ -133,31 +140,26 @@ def _run_duality(ns):
     lhs = duality_lhs(params, ns.t, ns.m)
     rhs = duality_rhs(params, ns.t, ns.m)
     # both sides are normal floats, so lhs is never 0
-    return [{"lhs": lhs, "rhs": rhs, "rel_diff": abs(lhs - rhs) / abs(lhs)}]
+    return {"lhs": [lhs], "rhs": [rhs], "rel_diff": [abs(lhs - rhs) / abs(lhs)]}
 
 
 def _run_orbitals(ns):
-    rows = []
-    for j in range(ns.j_max + 1):
-        rows.append({
-            "j": j,
-            "scaled_occupation": scaled_occupation(j),
-            "occupation": occupation_number(j, ns.n),
-            "normalization": orbital_normalization(j),
-        })
-    return rows
+    js = range(ns.j_max + 1)
+    return {"j": list(js),
+            "scaled_occupation": [scaled_occupation(j) for j in js],
+            "occupation": [occupation_number(j, ns.n) for j in js],
+            "normalization": [orbital_normalization(j) for j in js]}
 
 
 def _run_sample_jue(ns):
     from .ensembles import sample_bidiagonal, spectra
 
     params = EnsembleParams(n=ns.n, lambda1=0.5, lambda2=0.5)
-    samples = spectra(*sample_bidiagonal(params, ns.seed, ns.m_samples)).tolist()
-    rows = []
-    for k, pts in enumerate(samples):
-        for i, x in enumerate(pts):
-            rows.append({"sample": k, "index": i, "eigenvalue": x})
-    return rows
+    points = spectra(*sample_bidiagonal(params, ns.seed, ns.m_samples))
+    # row k * n + i holds eigenvalue i of sample k
+    return {"sample": [k for k in range(ns.m_samples) for _ in range(ns.n)],
+            "index": list(range(ns.n)) * ns.m_samples,
+            "eigenvalue": points.ravel().tolist()}
 
 
 def _parse_sizes(text: str):
@@ -197,37 +199,34 @@ def _run_fh_jacobi(ns):
 
     symbol = fh.SymbolSpec(singularities=((ns.y, ns.q),))
     exact = fh.hankel_balanced_log_ratios(ns.lambda1, ns.lambda2, symbol, ns.sizes).tolist()
-    rows = []
-    for n, ex, pred in zip(ns.sizes, exact, fh.jacobi_fh_asymptotes(symbol, ns.sizes)):
-        rows.append({"n": n, "log_exact": ex, "log_predicted": pred, "delta": ex - pred})
-    return rows
+    predicted = fh.jacobi_fh_asymptotes(symbol, ns.sizes)
+    return {"n": list(ns.sizes), "log_exact": exact, "log_predicted": predicted,
+            "delta": [ex - pred for ex, pred in zip(exact, predicted)]}
 
 
 def _run_fh_toeplitz(ns):
     from . import fisherhartwig as fh
 
     symbol = fh.SymbolSpec(singularities=((0.0, ns.q),))
-    rows = []
     exact = fh.toeplitz_log_dets(symbol, ns.sizes).tolist()
-    for N, log_exact, pred in zip(ns.sizes, exact, fh.toeplitz_fh_asymptotes(symbol, ns.sizes)):
-        rows.append({"N": N, "log_exact": log_exact, "log_predicted": pred,
-                     "delta": log_exact - pred})
-    return rows
+    predicted = fh.toeplitz_fh_asymptotes(symbol, ns.sizes)
+    return {"N": list(ns.sizes), "log_exact": exact, "log_predicted": predicted,
+            "delta": [ex - pred for ex, pred in zip(exact, predicted)]}
 
 
 def _run_validate(ns):
     from . import acceptance
 
     results = acceptance.run_all(seed=ns.seed)
-    rows = []
     for res in results:
         line = f"{'PASS' if res.passed else 'FAIL'} criterion {res.number}: {res.name}"
         print(line, file=sys.stderr)
         if not res.passed:
             print(f"     {res.detail}", file=sys.stderr)
-        rows.append({"criterion": res.number, "name": res.name,
-                     "passed": res.passed, "detail": res.detail})
-    return rows
+    return {"criterion": [res.number for res in results],
+            "name": [res.name for res in results],
+            "passed": [res.passed for res in results],
+            "detail": [res.detail for res in results]}
 
 
 _SUBCOMMANDS = {
@@ -345,8 +344,7 @@ def execute(ns) -> dict:
     results = _SUBCOMMANDS[ns.subcommand](ns)
     # a NaN or an infinity is no result, and a JSON document cannot hold one;
     # one pass per column keeps this cheap at thousands of rows
-    for column in results[0] if results else ():
-        values = [row[column] for row in results]
+    for column, values in results.items():
         try:
             finite = all(map(math.isfinite, values))
         except TypeError:  # a text column
@@ -379,7 +377,7 @@ def main(argv=None) -> int:
             return 1
     else:
         sys.stdout.write(text)
-    if ns.subcommand == "validate" and not all(r["passed"] for r in document["results"]):
+    if ns.subcommand == "validate" and not all(document["results"]["passed"]):
         return 1
     return 0
 

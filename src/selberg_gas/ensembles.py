@@ -7,11 +7,12 @@ whose independent Beta-distributed entries make the eigenvalues of the
 tridiagonal T = B B^T an exact ensemble draw.  A run draws each sample
 once, as the squared entries (d^2, e^2) of its B (`sample_bidiagonal`,
 block b of a run with seed s from the one stream `rng_stream(s, b)`), and
-derives from them either its spectrum (`spectra`, a stacked `eigvalsh`,
-for `sample-jue` and the sampler criterion) or T itself as its diagonal
-and squared off-diagonal (`tridiagonal`), whose log |det(x - T)| the
-Monte Carlo takes by the O(n) pivot recurrence `tridiagonal_log_dets`,
-with no eigenvalues and no n x n matrix.
+derives from them T itself as its diagonal and squared off-diagonal
+(`tridiagonal`), with no n x n matrix.  The Monte Carlo takes
+log |det(x - T)| from that pair by the O(n) pivot recurrence
+`tridiagonal_log_dets`, with no eigenvalues; `spectra`, for `sample-jue`
+and the sampler criterion, takes the eigenvalues of the same T by one
+stacked `eigvalsh` per stack of at most 4 MB, with no B and no B B^T.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def rng_stream(master_seed: int, index: int) -> np.random.Generator:
 
 
 def _block_rows(n: int) -> int:
-    # B(n): 32 rows, fewer once a (rows, n, n) matrix stack would pass 4 MB
+    # B(n), the rows of one stream's block: 32, fewer from n = 129 on
     return max(1, min(32, (1 << 19) // (n * n)))
 
 
@@ -83,23 +84,27 @@ def sample_bidiagonal(params: EnsembleParams, master_seed: int, M: int) -> tuple
 
 
 def spectra(d_sq: np.ndarray, e_sq: np.ndarray) -> np.ndarray:
-    """The sorted eigenvalues of B B^T, shape (rows, n), for each row of
-    B's squared diagonal `d_sq` (rows, n) and superdiagonal `e_sq`
-    (rows, n - 1): one stacked `eigvalsh` per B(n) rows, the block of
-    `sample_bidiagonal`; a row's spectrum does not depend on the stacking.
+    """The sorted eigenvalues, shape (rows, n), of the Jacobi matrix T of
+    each row of B's squared diagonal `d_sq` (rows, n) and superdiagonal
+    `e_sq` (rows, n - 1), T as `tridiagonal` gives it: one stacked
+    `eigvalsh` of the lower triangles (diagonal T_kk, subdiagonal
+    sqrt(T_{k,k+1}^2)) per stack of max(1, 2^19 // n^2) rows, which keeps a
+    stack within 4 MB.  A row's spectrum does not depend on the stacking,
+    and each eigenvalue is within a few eps of T's exact one (worst
+    measured 4.2 eps at n = 14 and 5.1 at n = 50; the tests allow 6).
     Raises `SamplingError` if any row is not strictly increasing in (0, 1).
     """
-    rows, n = d_sq.shape
-    size = _block_rows(n)
-    diag = np.arange(n)
+    diag, off_sq = tridiagonal(d_sq, e_sq)
+    rows, n = diag.shape
+    size = max(1, (1 << 19) // (n * n))
+    k = np.arange(n)
     points = np.empty((rows, n))
     for start in range(0, rows, size):
-        d, e = d_sq[start:start + size], e_sq[start:start + size]
-        bidiagonal = np.zeros((len(d), n, n))
-        bidiagonal[:, diag, diag] = np.sqrt(d)
-        bidiagonal[:, diag[:-1], diag[1:]] = -np.sqrt(e)
-        points[start:start + size] = np.linalg.eigvalsh(
-            bidiagonal @ bidiagonal.transpose(0, 2, 1))
+        d, o = diag[start:start + size], off_sq[start:start + size]
+        lower = np.zeros((len(d), n, n))
+        lower[:, k, k] = d
+        lower[:, k[1:], k[:-1]] = np.sqrt(o)
+        points[start:start + size] = np.linalg.eigvalsh(lower)
     # eigenvalues within rounding of an edge, common when an exponent is
     # near -1, are kept just inside (0, 1)
     np.clip(points, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=points)

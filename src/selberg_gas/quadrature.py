@@ -275,7 +275,9 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
         else:
             raise DomainError(f"charge position must lie in [0,1], got {y}")
     edges = [(0.0, l1)] + interior + [(1.0, l2)]
-    if min(p for _, p in edges) <= -1.0:
+    # stated per exponent and in positive form, so that NaN, which fails
+    # every comparison, is rejected too
+    if not all(p > -1.0 for _, p in edges):
         raise DomainError(f"absorbed exponents must exceed -1, got {[p for _, p in edges]}")
     panels = []  # (lo, p_lo, hi, p_hi, nodes)
     for (a, pa), (b, pb) in zip(edges, edges[1:]):

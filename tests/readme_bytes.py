@@ -7,8 +7,10 @@ OLD_SRC and NEW_SRC are directories that hold the `selberg_gas` package,
 such as the `src` of two checkouts.  The lines are read from the README of
 the checkout this script sits in, and each runs as
 `python -m selberg_gas.cli ...` with the tree first on PYTHONPATH, and
-the raw bytes are compared.  Exits 0 when every line prints the same
-bytes, 1 otherwise.
+the raw bytes are compared.  Each line also runs in the other output
+format, JSON for a line that asks for CSV and CSV otherwise, so both
+writers are compared.  Exits 0 when every run prints the same bytes, 1
+otherwise.
 Not a pytest module: it takes about a minute, most of it `validate`.
 """
 
@@ -36,8 +38,15 @@ def run(src: str, argv: list) -> tuple:
     return proc.stdout, proc.stderr, proc.returncode
 
 
+def other_format(line: str) -> str:
+    # the line in the output format it does not ask for
+    if "--format csv" in line:
+        return line.replace("--format csv", "--format json")
+    return shlex.join(shlex.split(line, comments=True) + ["--format", "csv"])
+
+
 def main(old_src: str, new_src: str) -> int:
-    lines = readme_lines()
+    lines = [run for line in readme_lines() for run in (line, other_format(line))]
     differing = 0
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]

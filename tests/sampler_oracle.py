@@ -5,10 +5,11 @@ alone; block b draws from the one stream (s, b), the PCG64 generator seeded
 by SeedSequence(entropy=s, spawn_key=(b,)), row by row, each row the c_j^2
 and then the c'_j^2 of the bidiagonal Jacobi model, both for descending j.
 Here every row takes two separate `beta` calls, where the library takes one
-draw per block.  From those variates a row is either a spectrum, its own
-n x n bidiagonal and `eigvalsh` (the library's `sample-jue` path takes one
-stacked `eigvalsh` per block), or the tridiagonal pair of T = B B^T, whose
-log |det(x - T)| a scalar pivot loop takes one point at a time (the
+draw per block.  From those variates a row is the tridiagonal pair of
+T = B B^T, and from that pair either a spectrum, the `eigvalsh` of the
+row's own n x n symmetric T (the library's `sample-jue` path takes one
+stacked `eigvalsh` of lower triangles per stack of at most 4 MB), or
+log |det(x - T)| by a scalar pivot loop, one point at a time (the
 library's Monte Carlo path takes no eigenvalues and one vectorised
 recurrence over every row and point).  The stream is built from numpy
 alone, so the tests that hold the sampler to these rows bit for bit also
@@ -19,7 +20,7 @@ import numpy as np
 
 
 def block_size(n: int) -> int:
-    # 32 rows, fewer once a block's (rows, n, n) stack would pass 4 MB
+    # 32 rows, fewer from n = 129 on
     return max(1, min(32, (1 << 19) // (n * n)))
 
 
@@ -34,13 +35,23 @@ def _variate_rows(params, seed: int, block: int, rows: int):
         yield c_sq, cp_sq
 
 
-def reference_rows(params, seed: int, block: int, rows: int) -> np.ndarray:
-    """Rows 0..rows-1 of block `block`, shape (rows, n)."""
-    out = []
+def _pairs(params, seed: int, block: int, rows: int):
+    # the (diagonal, squared off-diagonal) of T for rows 0..rows-1 of block
+    # `block`: with d and e the diagonal and superdiagonal of B,
+    # T_kk = d_k^2 + e_k^2 and T_{k,k+1}^2 = e_k^2 d_{k+1}^2
     for c_sq, cp_sq in _variate_rows(params, seed, block, rows):
-        bidiagonal = (np.diag(np.sqrt(c_sq * np.concatenate(([1.0], 1.0 - cp_sq))))
-                      + np.diag(-np.sqrt((1.0 - c_sq[:-1]) * cp_sq), 1))
-        points = np.linalg.eigvalsh(bidiagonal @ bidiagonal.T)
+        d_sq = c_sq * np.concatenate(([1.0], 1.0 - cp_sq))
+        e_sq = (1.0 - c_sq[:-1]) * cp_sq
+        yield d_sq + np.concatenate((e_sq, [0.0])), e_sq * d_sq[1:]
+
+
+def reference_rows(params, seed: int, block: int, rows: int) -> np.ndarray:
+    """Rows 0..rows-1 of block `block`, shape (rows, n): each the spectrum
+    of its own symmetric tridiagonal T, kept inside (0, 1)."""
+    out = []
+    for diag, off_sq in _pairs(params, seed, block, rows):
+        off = np.sqrt(off_sq)
+        points = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1) + np.diag(off, 1))
         out.append(np.clip(points, np.finfo(float).tiny, np.nextafter(1.0, 0.0)))
     return np.array(out).reshape(rows, params.n)
 
@@ -58,15 +69,8 @@ def reference_samples(params, seed: int, M: int) -> np.ndarray:
 
 def reference_pairs(params, seed: int, M: int) -> list:
     """The Jacobi matrix of each of samples 0..M-1 of a run, as
-    (diagonal, squared off-diagonal): with d and e the diagonal and
-    superdiagonal of B, T_kk = d_k^2 + e_k^2 and T_{k,k+1}^2 = e_k^2 d_{k+1}^2."""
-    def pairs(params, seed, block, rows):
-        for c_sq, cp_sq in _variate_rows(params, seed, block, rows):
-            d_sq = c_sq * np.concatenate(([1.0], 1.0 - cp_sq))
-            e_sq = (1.0 - c_sq[:-1]) * cp_sq
-            yield d_sq + np.concatenate((e_sq, [0.0])), e_sq * d_sq[1:]
-
-    return _run(pairs, params, seed, M)
+    (diagonal, squared off-diagonal)."""
+    return _run(_pairs, params, seed, M)
 
 
 def reference_log_det(x: float, diag: np.ndarray, off_sq: np.ndarray) -> float:

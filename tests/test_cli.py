@@ -51,25 +51,36 @@ def run_document(argv):
     return cli.execute(ns), ns
 
 
+def as_rows(document):
+    """`document` with its table of columns restated as one dict per row,
+    row i holding value i of every column; every column is as long."""
+    columns = document["results"]
+    lengths = {len(values) for values in columns.values()}
+    assert len(lengths) <= 1, lengths
+    rows = [{name: values[i] for name, values in columns.items()}
+            for i in range(max(lengths, default=0))]
+    return {**document, "results": rows}
+
+
 class TestSubcommands:
     def test_selberg_value(self):
         doc, _ = run_document(["selberg", "--n", "2", "--lambda1", "0", "--lambda2", "0"])
-        assert doc["results"][0]["value"] == pytest.approx(1.0 / 6.0, rel=1e-13)
+        assert doc["results"]["value"][0] == pytest.approx(1.0 / 6.0, rel=1e-13)
         assert doc["config"]["subcommand"] == "selberg"
         assert doc["provenance"]["version"]
 
     def test_morris_value(self):
         doc, _ = run_document(["morris", "--n", "1", "--lambda1", "2", "--lambda2", "1"])
-        assert doc["results"][0]["value"] == pytest.approx(3.0, rel=1e-13)
+        assert doc["results"]["value"][0] == pytest.approx(3.0, rel=1e-13)
 
     def test_dm_asym(self):
         doc, _ = run_document(["dm-asym", "--n", "14", "--x", "0.2", "--y", "0.8"])
-        assert doc["results"][0]["value"] > 0.0
+        assert doc["results"]["value"][0] > 0.0
         assert doc["config"]["n"] == 14 and doc["config"]["x"] == 0.2
 
     def test_duality_check(self):
         doc, _ = run_document(["duality-check", "--t", "0.3"])
-        assert doc["results"][0]["rel_diff"] <= 1e-6
+        assert doc["results"]["rel_diff"][0] <= 1e-6
 
     @pytest.mark.parametrize("n", ["2", "5"])
     def test_duality_check_fourth_power(self, n, capsys):
@@ -99,9 +110,9 @@ class TestSubcommands:
         # lhs is about 4.6e-302: a floor of 1e-300 on the divisor printed
         # 3.87e-15 here, against the true 8.36e-14
         doc, _ = run_document(["duality-check", "--n", "252", "--t", "0.5"])
-        row = doc["results"][0]
-        assert 0.0 < row["lhs"] < 1e-300
-        assert row["rel_diff"] == abs(row["lhs"] - row["rhs"]) / row["lhs"]
+        (lhs,), (rhs,), (rel_diff,) = (doc["results"][key] for key in ("lhs", "rhs", "rel_diff"))
+        assert 0.0 < lhs < 1e-300
+        assert rel_diff == abs(lhs - rhs) / lhs
 
     def test_validate_document_is_json(self, monkeypatch, capsys):
         # criterion 6 computes its verdict from numpy values
@@ -113,14 +124,16 @@ class TestSubcommands:
 
     def test_orbitals_rows(self):
         doc, _ = run_document(["orbitals", "--j-max", "3"])
-        assert len(doc["results"]) == 4
-        assert doc["results"][0]["scaled_occupation"] == pytest.approx(
+        assert all(len(values) == 4 for values in doc["results"].values())
+        assert doc["results"]["scaled_occupation"][0] == pytest.approx(
             math.pi * math.sqrt(2.0), rel=1e-12)
 
     def test_sample_jue_rows(self):
         doc, ns = run_document(["sample-jue", "--n", "3", "--m-samples", "2",
                                 "--seed", "5"])
-        assert len(doc["results"]) == 6
+        assert doc["results"]["sample"] == [0, 0, 0, 1, 1, 1]
+        assert doc["results"]["index"] == [0, 1, 2, 0, 1, 2]
+        assert len(doc["results"]["eigenvalue"]) == 6
         assert doc["provenance"]["seed"] == 5
         rerun, _ = run_document(["sample-jue", "--n", "3", "--m-samples", "2",
                                  "--seed", "5"])
@@ -129,46 +142,44 @@ class TestSubcommands:
     def test_dm_mc_small(self):
         doc, _ = run_document(["dm-mc", "--n", "3", "--x", "0.3", "--y", "0.7",
                                "--m-samples", "150", "--seed", "1"])
-        row = doc["results"][0]
-        assert row["value"] > 0.0 and row["std_error"] > 0.0
-        assert row["m_samples"] == 150
+        columns = doc["results"]
+        assert columns["value"][0] > 0.0 and columns["std_error"][0] > 0.0
+        assert columns["m_samples"] == [150]
 
     def test_fh_toeplitz_rows(self):
         doc, _ = run_document(["fh-toeplitz", "--sizes", "4,8,12,16", "--q", "0.5"])
-        assert [r["N"] for r in doc["results"]] == [4, 8, 12, 16]
+        assert doc["results"]["N"] == [4, 8, 12, 16]
 
     def test_fh_jacobi_rows(self):
         doc, _ = run_document(["fh-jacobi", "--sizes", "4,6,8,10"])
-        assert len(doc["results"]) == 4
-        assert all("delta" in r for r in doc["results"])
+        assert len(doc["results"]["delta"]) == 4
 
     def test_fh_jacobi_decreasing_tail_needs_four_sizes(self):
         # rows carry no tail verdict, whatever the request's length;
         # criterion 5 judges the drift from `delta` itself
         for sizes in ("8,16,32", "8,16,32,48"):
             doc, _ = run_document(["fh-jacobi", "--sizes", sizes])
-            for row in doc["results"]:
-                assert set(row) == {"n", "log_exact", "log_predicted", "delta"}, sizes
+            assert set(doc["results"]) == {"n", "log_exact", "log_predicted", "delta"}, sizes
 
     @pytest.mark.parametrize("sizes, expected", [("8,16,32,48", True), ("48,8,32,16", False)])
     def test_fh_jacobi_decreasing_tail_follows_request_order(self, sizes, expected):
         # strict decrease of the last three |delta| in request order, read
         # from `delta`; no row carries a verdict of its own
         doc, _ = run_document(["fh-jacobi", "--sizes", sizes])
-        rows = doc["results"]
-        tail = [abs(r["delta"]) for r in rows[-3:]]
+        columns = doc["results"]
+        tail = [abs(delta) for delta in columns["delta"][-3:]]
         assert (tail[0] > tail[1] > tail[2]) is expected
-        assert all("decreasing_tail" not in r for r in rows)
+        assert "decreasing_tail" not in columns
 
     @pytest.mark.parametrize("subcommand, key", [("fh-jacobi", "n"), ("fh-toeplitz", "N")])
     def test_ladder_rows_follow_request_order(self, subcommand, key):
         doc, _ = run_document([subcommand, "--sizes", "12,4,12,8,6"])
-        rows = doc["results"]
-        assert [r[key] for r in rows] == [12, 4, 12, 8, 6]
-        assert rows[0]["log_exact"] == rows[2]["log_exact"]
+        columns = doc["results"]
+        assert columns[key] == [12, 4, 12, 8, 6]
+        assert columns["log_exact"][0] == columns["log_exact"][2]
         single, _ = run_document([subcommand, "--sizes", "8"])
-        assert single["results"][0]["log_exact"] == pytest.approx(
-            rows[3]["log_exact"], rel=0.0, abs=1e-12)
+        assert single["results"]["log_exact"][0] == pytest.approx(
+            columns["log_exact"][3], rel=0.0, abs=1e-12)
 
 
 # one argv per subcommand and the keys and value types of its config; the
@@ -235,9 +246,17 @@ CSV_KINDS += (st.one_of(*CSV_KINDS),)
 def csv_documents(draw):
     kinds = draw(st.lists(st.sampled_from(CSV_KINDS), min_size=1, max_size=4))
     names = draw(st.lists(CSV_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
-    rows = draw(st.lists(st.tuples(*kinds), min_size=1, max_size=6))
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    columns = {name: draw(st.lists(kind, min_size=n_rows, max_size=n_rows))
+               for name, kind in zip(names, kinds)}
     return {"config": {"label": draw(CSV_TEXT)}, "provenance": {"seed": draw(st.none())},
-            "results": [dict(zip(names, row)) for row in rows]}
+            "results": columns}
+
+
+def fake_suite():
+    # two results whose text needs quoting, for `validate` without its cost
+    return [acceptance.CriterionResult(1, "one, quoted", True, 'detail "a", b'),
+            acceptance.CriterionResult(2, "two", False, "0.5")]
 
 
 class TestRendering:
@@ -245,7 +264,28 @@ class TestRendering:
         doc, _ = run_document(["selberg", "--n", "2", "--lambda1", "0.5",
                                "--lambda2", "0.5"])
         text = cli.render(doc, "json")
-        assert cli.render(json.loads(text), "json") == text
+        assert json.loads(text) == as_rows(doc)
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in CONFIGS],
+                             ids=[argv[0] for argv, _ in CONFIGS])
+    def test_writers_match_the_row_restatements(self, argv, monkeypatch):
+        # JSON holds one object per row and CSV one line per row, in the
+        # bytes that the standard library and the per-field writer give for
+        # rows built from the columns
+        monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: fake_suite())
+        doc, _ = run_document(argv)
+        rows = as_rows(doc)
+        assert rows["results"]
+        assert cli.render(doc, "json") == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        assert cli.render(doc, "csv") == render_csv(rows)
+
+    def test_table_of_no_rows_prints_no_column_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: [])
+        doc, _ = run_document(["validate", "--seed", "1"])
+        assert doc["results"] == {"criterion": [], "name": [], "passed": [], "detail": []}
+        assert cli.render(doc, "csv") == render_csv(as_rows(doc))
+        assert json.loads(cli.render(doc, "json"))["results"] == []
 
     def test_csv_header_and_precision(self):
         doc, _ = run_document(["selberg", "--n", "2", "--lambda1", "0.5",
@@ -255,7 +295,7 @@ class TestRendering:
         assert any(line.startswith("# subcommand=selberg") for line in lines)
         assert "log_value,value" in lines
         value = float(lines[-1].split(",")[1])
-        assert value == doc["results"][0]["value"]  # 17 digits round-trip
+        assert value == doc["results"]["value"][0]  # 17 digits round-trip
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "result.json"
@@ -284,8 +324,8 @@ class TestRendering:
         # the whole rendered text, for a row that mixes a string needing
         # quotes with int, float and bool fields, which are never scanned
         doc = {"config": {"subcommand": "demo", "label": "a,b"},
-               "results": [{"name": 'say "hi", twice', "n": 3, "value": 0.1, "ok": True},
-                           {"name": "plain", "n": -1, "value": -2.5e-300, "ok": False}],
+               "results": {"name": ['say "hi", twice', "plain"], "n": [3, -1],
+                           "value": [0.1, -2.5e-300], "ok": [True, False]},
                "provenance": {"seed": None, "version": "v"}}
         assert cli.render(doc, "csv").encode() == (
             b"# label=a,b\n# subcommand=demo\n# seed=None\n# version=v\n"
@@ -296,10 +336,9 @@ class TestRendering:
     def test_csv_columns_of_mixed_types_keep_the_field_text(self):
         # a column that mixes types, or holds a subclass such as numpy's
         # float64, is formatted value by value; the text is _csv_field's
-        rows = [{"x": 0.1, "k": 3, "s": True},
-                {"x": np.float64(0.1), "k": np.int64(-3), "s": None},
-                {"x": 2.5, "k": 7, "s": "a,b"}]
-        text = cli.render({"config": {}, "provenance": {}, "results": rows}, "csv")
+        columns = {"x": [0.1, np.float64(0.1), 2.5], "k": [3, np.int64(-3), 7],
+                   "s": [True, None, "a,b"]}
+        text = cli.render({"config": {}, "provenance": {}, "results": columns}, "csv")
         assert text == ("x,k,s\n0.10000000000000001,3,True\n"
                         '0.10000000000000001,-3,None\n2.5,7,"a,b"\n')
 
@@ -330,10 +369,10 @@ class TestRendering:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @given(document=csv_documents())
-    @example(document={"config": {}, "provenance": {}, "results": [
-        {"x": x, "s": "%s%d%%"} for x in CSV_SPECIAL_FLOATS]})
+    @example(document={"config": {}, "provenance": {}, "results": {
+        "x": list(CSV_SPECIAL_FLOATS), "s": ["%s%d%%"] * len(CSV_SPECIAL_FLOATS)}})
     def test_csv_matches_per_field_writer(self, document):
-        assert cli.render(document, "csv") == render_csv(document)
+        assert cli.render(document, "csv") == render_csv(as_rows(document))
 
     def test_thread_flag_does_not_change_bytes(self):
         args = ["dm-mc", "--n", "4", "--x", "0.2", "--y", "0.8",
@@ -636,6 +675,8 @@ SCIPY_FREE_RUNS = [
     ["table1", "--n", "4", "--m-samples", "100"],
     ["orbitals", "--j-max", "3"],
     ["sample-jue", "--n", "3", "--m-samples", "2", "--format", "csv"],
+    # the benchmark's request; n = 50 takes LAPACK's blocked reduction
+    ["sample-jue", "--n", "50", "--m-samples", "40", "--format", "csv"],
     ["fh-jacobi"],  # rules of order 78, below the dense eigensolver's limit
     ["fh-jacobi", "--sizes", "8,16,32,99"],  # order 129, the last of numpy's steps
 ]
@@ -704,9 +745,9 @@ def counting(parser, *args, **kwargs):
 
 def run_all(seed):
     from selberg_gas import cli
-    row, = cli.execute(cli.build_parser().parse_args(
-        ["selberg", "--n", "2", "--lambda1", "0", "--lambda2", "0"]))["results"]
-    return [types.SimpleNamespace(number=1, name="one module", detail=repr(row["value"]),
+    value, = cli.execute(cli.build_parser().parse_args(
+        ["selberg", "--n", "2", "--lambda1", "0", "--lambda2", "0"]))["results"]["value"]
+    return [types.SimpleNamespace(number=1, name="one module", detail=repr(value),
                                   passed=cli is sys.modules["__main__"])]
 
 argparse.ArgumentParser.__init__ = counting
@@ -740,9 +781,9 @@ def test_ladders_across_the_blas_step_boundary_share_their_rungs():
         flags = ["--q", repr(q), "--y", repr(y)]
         short = run_document(["fh-jacobi", "--sizes", "99"] + flags)[0]["results"]
         long = run_document(["fh-jacobi", "--sizes", "99,100"] + flags)[0]["results"]
-        assert [row["n"] for row in long] == [99, 100]
+        assert long["n"] == [99, 100]
         for key in ("log_exact", "delta"):
-            assert abs(long[0][key] - short[0][key]) <= 2.5e-12, (q, y, key)
+            assert abs(long[key][0] - short[key][0]) <= 2.5e-12, (q, y, key)
 
 
 def test_output_does_not_depend_on_the_blas_thread_count():
@@ -802,7 +843,7 @@ def test_readme_command_line_parses(line):
                          ids=lambda line: line.split()[1])
 def test_readme_seeded_runs_match_per_field_writer(line):
     doc, _ = run_document(shlex.split(line, comments=True)[1:])
-    assert cli.render(doc, "csv") == render_csv(doc)
+    assert cli.render(doc, "csv") == render_csv(as_rows(doc))
 
 
 @pytest.mark.parametrize("argv", [

@@ -54,6 +54,10 @@ class TestApplyKernel:
             orb.apply_kernel(0.5, lambda Y: Y, 0.0)
         with pytest.raises(DomainError):
             orb.apply_kernel(1.0, lambda Y: Y, 0.5)
+        # a NaN exponent is named as one, not as a Gauss-Jacobi rule's scale
+        with pytest.raises(DomainError,
+                           match=r"^absorbed exponents must exceed -1, got \[nan, nan, nan\]$"):
+            orb.apply_kernel(math.nan, lambda Y: Y, 0.5)
 
 
 class TestEigenrelation:

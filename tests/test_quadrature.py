@@ -452,6 +452,15 @@ class TestChargeRule:
         assert float(np.sum(rule.weights)) == pytest.approx(exact, rel=1e-14)
 
 
+    @pytest.mark.parametrize("charges", [((0.3, math.nan),), ((0.3, 0.5), (0.6, math.nan)),
+                                         ((0.0, math.nan),)])
+    def test_nan_exponent_is_named(self, charges):
+        # `min` over exponents with a NaN depends on their order, and the
+        # NaN reached the Gauss-Jacobi rule, whose message named its scale
+        with pytest.raises(DomainError, match=r"^absorbed exponents must exceed -1, got \[.*nan"):
+            quad.charge_rule(0.5, 0.5, charges, 40)
+
+
 class TestRecurrence:
     def test_uniform_weight_coefficients(self):
         a, b, mu0 = quad.jacobi_recurrence(6, 0.0, 0.0)
