@@ -17,7 +17,7 @@ import numpy as np
 from . import cli
 from . import fisherhartwig as fh
 from . import quadrature as quad
-from .ensembles import sample_bidiagonal, spectra
+from .ensembles import sample_jacobi_matrices, spectra
 from .exact import EnsembleParams, MorrisParams, morris_closed, selberg_closed
 from .orbitals import (
     apply_kernel,
@@ -267,7 +267,7 @@ def criterion_9_samplers(seed: int = 42) -> CriterionResult:
     and (-1/2, -1/2) laws against tensor quadrature."""
     m1 = 100_000
     params = EnsembleParams(n=1, lambda1=0.5, lambda2=0.5)
-    vals = spectra(*sample_bidiagonal(params, seed, m1))[:, 0]
+    vals = spectra(*sample_jacobi_matrices(params, seed, m1))[:, 0]
     mean_se = vals.std(ddof=1) / math.sqrt(m1)
     mean_ok = abs(vals.mean() - 0.5) <= 3.0 * mean_se
     sq = (vals - vals.mean()) ** 2
@@ -280,7 +280,7 @@ def criterion_9_samplers(seed: int = 42) -> CriterionResult:
     m2 = 10_000
     for offset, lam in ((1, 0.5), (2, -0.5)):
         params = EnsembleParams(n=2, lambda1=lam, lambda2=lam)
-        sums = spectra(*sample_bidiagonal(params, seed + offset, m2)).sum(1)
+        sums = spectra(*sample_jacobi_matrices(params, seed + offset, m2)).sum(1)
         axis = quad.power_panel(0.0, 1.0, lam, lam, 40)
         num = quad.tensor_integrate(lambda x, y: (x + y) * (y - x) ** 2, [axis, axis])
         den = quad.tensor_integrate(lambda x, y: (y - x) ** 2, [axis, axis])

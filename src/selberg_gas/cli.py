@@ -14,7 +14,8 @@ Only `exact`, which needs no numpy and no `dataclasses`, loads with this
 module.  Each handler that computes with arrays imports its layer
 (`averages`, `ensembles`, `fisherhartwig`, or the acceptance suite for
 `validate`) when it runs, so `selberg`, `morris`, `dm-asym`, `orbitals`,
-`--help` and usage errors load no numpy, and the others load it on first use.
+`--help` and usage errors load no numpy, the others load it on first use,
+and scipy loads where it is called (by `sample-jue` from --n 130 on, say).
 """
 
 from __future__ import annotations
@@ -152,10 +153,10 @@ def _run_orbitals(ns):
 
 
 def _run_sample_jue(ns):
-    from .ensembles import sample_bidiagonal, spectra
+    from .ensembles import sample_jacobi_matrices, spectra
 
     params = EnsembleParams(n=ns.n, lambda1=0.5, lambda2=0.5)
-    points = spectra(*sample_bidiagonal(params, ns.seed, ns.m_samples))
+    points = spectra(*sample_jacobi_matrices(params, ns.seed, ns.m_samples))
     # row k * n + i holds eigenvalue i of sample k
     return {"sample": [k for k in range(ns.m_samples) for _ in range(ns.n)],
             "index": list(range(ns.n)) * ns.m_samples,
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
 
     p = sub.add_parser("dm-asym", help="asymptotic density matrix value")
-    p.add_argument("--n", type=int, required=True, help="N (system holds N+1 particles)")
+    p.add_argument("--n", type=int, required=True, help="N (N+1 particles); density rho = N")
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--y", type=_finite_float, required=True)
     p.add_argument("--boundary", choices=tuple(BOX_EXPONENTS), default=BOUNDARY_DIRICHLET)

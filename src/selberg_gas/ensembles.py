@@ -1,18 +1,16 @@
-"""Exact random sampling of Jacobi-ensemble eigenvalue configurations.
+"""Exact random sampling of Jacobi-ensemble eigenvalue configurations,
+and the package's one eigensolver for symmetric tridiagonals.
 
 One sampler covers every weight x^lambda1 (1-x)^lambda2 with squared
 Vandermonde: the beta = 2 bidiagonal Jacobi matrix model of Edelman &
 Sutton (Found. Comput. Math. 8, 2008) and Killip & Nenciu (IMRN 2004),
 whose independent Beta-distributed entries make the eigenvalues of the
-tridiagonal T = B B^T an exact ensemble draw.  A run draws each sample
-once, as the squared entries (d^2, e^2) of its B (`sample_bidiagonal`,
-block b of a run with seed s from the one stream `rng_stream(s, b)`), and
-derives from them T itself as its diagonal and squared off-diagonal
-(`tridiagonal`), with no n x n matrix.  The Monte Carlo takes
-log |det(x - T)| from that pair by the O(n) pivot recurrence
-`tridiagonal_log_dets`, with no eigenvalues; `spectra`, for `sample-jue`
-and the sampler criterion, takes the eigenvalues of the same T by one
-stacked `eigvalsh` per stack of at most 4 MB, with no B and no B B^T.
+tridiagonal T = B B^T an exact ensemble draw.  A sample is its T, as
+diagonal and squared off-diagonal (`sample_jacobi_matrices`, block b of a
+run with seed s from the stream `rng_stream(s, b)`).  The Monte Carlo takes
+log |det(x - T)| by the O(n) pivot recurrence `tridiagonal_log_dets`, with
+no eigenvalues; `spectra` (`sample-jue`, the sampler criterion) takes T's
+eigenvalues from the solver that gives `quadrature`'s Gauss nodes too.
 """
 
 from __future__ import annotations
@@ -44,35 +42,38 @@ def _block_rows(n: int) -> int:
 
 def _beta_shapes(params: EnsembleParams) -> tuple:
     # the Beta parameters (a, b) of one row's 2n - 1 variates: the c_j^2 and
-    # then the c'_j^2, both for descending j; see sample_bidiagonal
+    # then the c'_j^2, both for descending j; see sample_jacobi_matrices
     j = np.arange(params.n, 0, -1.0)
     return (np.concatenate((params.lambda1 + j, j[1:])),
             np.concatenate((params.lambda2 + j, params.lambda1 + params.lambda2 + 1.0 + j[1:])))
 
 
-def _squares(variates: np.ndarray, n: int) -> tuple:
-    # the (d^2, e^2) of each row of (rows, 2n - 1) variates; see sample_bidiagonal
+def _jacobi_matrices(variates: np.ndarray, n: int) -> tuple:
+    # T's pair for each row of (rows, 2n - 1) variates, by way of B's squared
+    # diagonal d^2 and superdiagonal e^2; see sample_jacobi_matrices
     c_sq, cp_sq = variates[:, :n], variates[:, n:]
     d_sq = c_sq.copy()
     d_sq[:, 1:] *= 1.0 - cp_sq
-    return d_sq, (1.0 - c_sq[:, :-1]) * cp_sq
+    e_sq = (1.0 - c_sq[:, :-1]) * cp_sq
+    off_sq = e_sq * d_sq[:, 1:]
+    d_sq[:, :-1] += e_sq  # now T's diagonal
+    return d_sq, off_sq
 
 
-def sample_bidiagonal(params: EnsembleParams, master_seed: int, M: int) -> tuple:
+def sample_jacobi_matrices(params: EnsembleParams, master_seed: int, M: int) -> tuple:
     """Exact samples 0..M-1 of the n-point Jacobi ensemble with weight
-    x^lambda1 (1-x)^lambda2, each as the squared diagonal d^2 and squared
-    superdiagonal e^2 of its upper bidiagonal B, shapes (M, n) and
-    (M, n - 1); the sample is the spectrum of B B^T.
-
-    B has diagonal (c_n, c_{n-1} s'_{n-1}, ..., c_1 s'_1) and superdiagonal
-    (-s_n c'_{n-1}, ..., -s_2 c'_1), where c_j^2 ~ Beta(lambda1 + j,
-    lambda2 + j), c'_j^2 ~ Beta(j, lambda1 + lambda2 + 1 + j), s = sqrt(1 - c^2)
-    and every variate is independent.  Block b of B(n) rows draws from the
-    one stream `rng_stream(master_seed, b)` in one `beta` call, row by row,
-    each row the c_j and then the c'_j, both for descending j, so sample k
-    is row k mod B(n) of block k // B(n) whatever M.  The blocks fill one
-    (M, 2n - 1) array of variates in order, on the calling thread, and
-    (d^2, e^2) are taken from it in one pass.
+    x^lambda1 (1-x)^lambda2, each as the Jacobi matrix T whose spectrum is
+    the sample: its diagonal and squared off-diagonal, shapes (M, n) and
+    (M, n - 1).  T = B B^T, B upper bidiagonal with diagonal d = (c_n,
+    c_{n-1} s'_{n-1}, ..., c_1 s'_1) and superdiagonal e = (-s_n c'_{n-1},
+    ..., -s_2 c'_1), so T_kk = d_k^2 + e_k^2 and T_{k,k+1}^2 = e_k^2 d_{k+1}^2,
+    where c_j^2 ~ Beta(lambda1 + j, lambda2 + j), c'_j^2 ~ Beta(j, lambda1 +
+    lambda2 + 1 + j), s = sqrt(1 - c^2) and every variate is independent.
+    Block b, of B(n) rows, draws from the one stream `rng_stream(master_seed, b)`
+    in one `beta` call, row by row, each row the c_j and then the c'_j, both
+    for descending j, so sample k is row k mod B(n) of block k // B(n)
+    whatever M.  The blocks fill one (M, 2n - 1) array of variates in order,
+    on the calling thread, and T is taken from it in one pass.
     """
     size = _block_rows(params.n)
     a, b = _beta_shapes(params)
@@ -80,50 +81,54 @@ def sample_bidiagonal(params: EnsembleParams, master_seed: int, M: int) -> tuple
     for block, start in enumerate(range(0, M, size)):
         rows = variates[start:start + size]
         rows[...] = rng_stream(master_seed, block).beta(a, b, size=rows.shape)
-    return _squares(variates, params.n)
+    return _jacobi_matrices(variates, params.n)
 
 
-def spectra(d_sq: np.ndarray, e_sq: np.ndarray) -> np.ndarray:
-    """The sorted eigenvalues, shape (rows, n), of the Jacobi matrix T of
-    each row of B's squared diagonal `d_sq` (rows, n) and superdiagonal
-    `e_sq` (rows, n - 1), T as `tridiagonal` gives it: one stacked
-    `eigvalsh` of the lower triangles (diagonal T_kk, subdiagonal
-    sqrt(T_{k,k+1}^2)) per stack of max(1, 2^19 // n^2) rows, which keeps a
-    stack within 4 MB.  A row's spectrum does not depend on the stacking,
-    and each eigenvalue is within a few eps of T's exact one (worst
-    measured 4.2 eps at n = 14 and 5.1 at n = 50; the tests allow 6).
-    Raises `SamplingError` if any row is not strictly increasing in (0, 1).
-    """
-    diag, off_sq = tridiagonal(d_sq, e_sq)
+# Below this order the dense solver returns the tridiagonal one's bits and
+# loads no scipy module; from it the tridiagonal one is 2 to 6 times faster
+# (a sample: 0.41 against 0.80 ms at n = 130, 18 against 109 ms at 1000).
+_DENSE_EIGEN_ORDERS = 130
+
+
+def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    # ascending eigenvalues (rows, n) of the symmetric tridiagonals `diag`
+    # (rows, n), `off` (rows, n - 1): a stacked dense eigvalsh of the lower
+    # triangles, at most 4 MB a stack, or scipy's eigvalsh_tridiagonal row by
+    # row; both act matrix by matrix, so a row does not depend on the others
     rows, n = diag.shape
-    size = max(1, (1 << 19) // (n * n))
-    k = np.arange(n)
+    if n >= _DENSE_EIGEN_ORDERS:
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        return np.array([eigvalsh_tridiagonal(d, o) for d, o in zip(diag, off)])
+    size, k = max(1, (1 << 19) // (n * n)), np.arange(n)
     points = np.empty((rows, n))
     for start in range(0, rows, size):
-        d, o = diag[start:start + size], off_sq[start:start + size]
-        lower = np.zeros((len(d), n, n))
-        lower[:, k, k] = d
-        lower[:, k[1:], k[:-1]] = np.sqrt(o)
+        lower = np.zeros((len(diag[start:start + size]), n, n))
+        lower[:, k, k] = diag[start:start + size]
+        lower[:, k[1:], k[:-1]] = off[start:start + size]
         points[start:start + size] = np.linalg.eigvalsh(lower)
+    return points
+
+
+def spectra(diag: np.ndarray, off_sq: np.ndarray) -> np.ndarray:
+    """The sorted eigenvalues (rows, n) of the Jacobi matrices T of
+    `sample_jacobi_matrices`, each within a few eps of T's exact ones (worst
+    measured 4.2 eps at n = 14 and 5.1 at n = 50; the tests allow 6) and
+    independent of the rows around it.  Raises `SamplingError` on a NaN,
+    infinite or negative entry, or a row not strictly increasing in (0, 1).
+    """
+    # both checks in positive form, so that NaN, which fails every comparison, fails them
+    if not (np.all(np.abs(diag) < np.inf) and np.all((off_sq >= 0.0) & (off_sq < np.inf))):
+        raise SamplingError("a Jacobi matrix entry is NaN, infinite or a negative square")
+    points = _tridiagonal_eigenvalues(diag, np.sqrt(off_sq))
     # eigenvalues within rounding of an edge, common when an exponent is
     # near -1, are kept just inside (0, 1)
     np.clip(points, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=points)
-    # every row strictly increasing inside (0, 1), stated in positive form so
-    # that NaN, which fails every comparison, is rejected too
+    # every row strictly increasing inside (0, 1)
     if not (np.all(points > 0.0) and np.all(points < 1.0)
             and np.all(np.diff(points, axis=-1) > 0.0)):
         raise SamplingError("sample must be strictly increasing inside (0,1)")
     return points
-
-
-def tridiagonal(d_sq: np.ndarray, e_sq: np.ndarray) -> tuple:
-    """The Jacobi matrices T = B B^T of the rows of `sample_bidiagonal`, as
-    (diagonal, squared off-diagonal), shapes (rows, n) and (rows, n - 1):
-    T_kk = d_k^2 + e_k^2 and T_{k,k+1}^2 = e_k^2 d_{k+1}^2, with no square
-    root and no n x n matrix."""
-    diag = d_sq.copy()
-    diag[:, :-1] += e_sq
-    return diag, e_sq * d_sq[:, 1:]
 
 
 def tridiagonal_log_dets(points: np.ndarray, diag: np.ndarray,
@@ -164,4 +169,4 @@ def sample_jue_halfhalf(n: int, gen: np.random.Generator) -> np.ndarray:
     """Exact sample of the n-point Jacobi ensemble with exponents (1/2, 1/2),
     the Dirichlet-boundary law, drawn from `gen` at its current position."""
     a, b = _beta_shapes(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5))
-    return spectra(*_squares(gen.beta(a, b, size=(1, len(a))), n))[0]
+    return spectra(*_jacobi_matrices(gen.beta(a, b, size=(1, len(a))), n))[0]

@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import quadrature as quad
+from .ensembles import _DENSE_EIGEN_ORDERS
 from .exact import EnsembleParams, LogMagnitude, selberg_log_ratio
 from .specfun import DomainError, log_barnes_g
 
@@ -90,7 +91,7 @@ def _stieltjes_step(x: np.ndarray, order: int) -> tuple:
     # which allocates r; from it, where the rule builder has already loaded
     # scipy.linalg, BLAS level-1 calls that write r into `out` and scale it
     # in place.
-    if order < quad._DENSE_EIGEN_ORDERS:
+    if order < _DENSE_EIGEN_ORDERS:
         dot = _blocked(np.dot, len(x))
 
         def step(v, v_prev, b_prev, out):
@@ -149,7 +150,7 @@ def hankel_log_ratios(lambda1: float, lambda2: float, symbol: SymbolSpec,
     floor grows about as n^2: against Lenard's determinant the density matrix
     is 2.4e-11 off at N = 800 and 5.3e-10 at 1600 (bounds 1e-10 and 2e-9).
 
-    Below rule order quad._DENSE_EIGEN_ORDERS (130, a largest size of 99)
+    Below rule order ensembles._DENSE_EIGEN_ORDERS (130, a largest size of 99)
     a step is numpy arithmetic: eight calls and five temporaries, and no
     scipy module.  From that order on, where the rule builder has already
     loaded scipy.linalg, a step runs in place on three preallocated buffers
@@ -241,6 +242,7 @@ def jacobi_fh_asymptotes(symbol: SymbolSpec, sizes: Sequence[int]) -> list:
     each entry has the bits of that sum, which `tests/test_fisherhartwig.py`
     keeps.
     """
+    sizes = _check_sizes(sizes).tolist()
     qs = symbol.singularities
     # pair and local terms of the n-independent constant
     constants = []
@@ -325,4 +327,4 @@ def toeplitz_fh_asymptotes(symbol: SymbolSpec, sizes: Sequence[int]) -> list:
     at every N in `sizes`, in request order; the two Barnes-G logs are taken once."""
     _, a = _one_zero(symbol)
     g_single, g_double = 2.0 * log_barnes_g(1.0 + a), log_barnes_g(1.0 + 2.0 * a)
-    return [a * a * math.log(N) + g_single - g_double for N in sizes]
+    return [a * a * math.log(N) + g_single - g_double for N in _check_sizes(sizes).tolist()]

@@ -1,7 +1,8 @@
 """Deterministic integration engines.
 
 Gauss-Jacobi panels that absorb endpoint powers, built by Golub-Welsch
-from the Jacobi recurrence; the charge rule, which
+from the Jacobi recurrence, their nodes from the tridiagonal eigensolver
+that `ensembles.spectra` uses too; the charge rule, which
 splits (0, 1) at every power-law singularity |y - x|^(2q) so that each
 panel absorbs the powers at its two edges, and integrates against it to a
 certified tolerance by order doubling.  At high orders a charge with a
@@ -25,6 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# the tests' rule oracles read _DENSE_EIGEN_ORDERS, the solver's switch, here
+from .ensembles import _DENSE_EIGEN_ORDERS, _tridiagonal_eigenvalues  # noqa: F401
 from .exact import _check_weight_exponents
 from .specfun import DomainError, log_beta
 
@@ -47,9 +50,6 @@ class QuadratureRule:
         if not (x.size and math.isfinite(x[0]) and math.isfinite(x[-1])
                 and (x[1:] > x[:-1]).all()):
             raise ValueError("quadrature nodes must be strictly increasing and finite")
-
-
-_DENSE_EIGEN_ORDERS = 130
 
 
 @lru_cache(maxsize=512)
@@ -79,29 +79,19 @@ def _jacobi_nodes_weights(order: int, alpha: float, beta: float):
 
 def _golub_welsch(order: int, alpha: float, beta: float):
     # Gauss rule for (1-x)^alpha (1+x)^beta by Golub & Welsch, Math. Comp.
-    # 23 (1969) 221: the nodes are the eigenvalues of the Jacobi matrix,
-    # the weights the Christoffel function
-    # mass / sum_{k<order} p_k(x)^2 with p_0 = 1, which keeps the tiny end
-    # weights relatively accurate where eigenvector components do not.
-    # Below _DENSE_EIGEN_ORDERS numpy's dense solver on the lower triangle
-    # returns the same bits as scipy's tridiagonal one in under 1 ms, so a
-    # process that builds only small rules never imports scipy.linalg (about
-    # 0.3 s), which is imported here rather than at module level.  Above it
-    # the dense solver still returns the same bits but costs 3 to 4 times
-    # as much (18 ms against 6 ms at order 542), and the large rules built
-    # cold land among the slowest exact-determinant requests: with numpy at
-    # every order their tail latency nearly doubled.  The Christoffel sums
+    # 23 (1969) 221: the nodes are the eigenvalues of the Jacobi matrix, the
+    # weights the Christoffel function mass / sum_{k<order} p_k(x)^2 with
+    # p_0 = 1, which keeps the tiny end weights relatively accurate where
+    # eigenvector components do not.
+    # The nodes come from the package's one tridiagonal eigensolver (6 ms
+    # against the dense one's 18 ms at order 542, whose cold builds nearly
+    # doubled the exact-determinant tail latency).  The Christoffel sums
     # step in place on preallocated buffers with Python-float coefficients:
     # the bits of the allocating loop in tests/christoffel_oracle.py, in
     # about four fifths of its time (5.8 ms against 6.8 ms at order 542).
     a, b, mu0 = jacobi_recurrence(order, beta, alpha)
     diag, off = 2.0 * a - 1.0, 2.0 * b[1:]
-    if order < _DENSE_EIGEN_ORDERS:
-        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
-    else:
-        from scipy.linalg import eigvalsh_tridiagonal
-
-        x = eigvalsh_tridiagonal(diag, off)
+    x = _tridiagonal_eigenvalues(diag[None], off[None])[0]
     d, o = diag.tolist(), off.tolist()
     prev, cur, nxt, square = np.empty(order), np.ones(order), np.empty(order), np.empty(order)
     christoffel = np.ones(order)
@@ -314,8 +304,9 @@ def singular_integrate(f: Callable, lambda1: float, lambda2: float, charges: Seq
     last axis: the k integrals come back as an array, all from the order at
     which every component's gap has met tol.  A scalar f returns a float.
     """
-    if tol < 1e-14:
-        raise DomainError(f"tolerance {tol} below attainable precision")
+    # stated in positive form so that a NaN tolerance is rejected too
+    if not tol >= 1e-14:
+        raise DomainError(f"tolerance {tol} must be at least 1e-14, the attainable precision")
 
     def evaluate(order):
         rule = charge_rule(lambda1, lambda2, charges, order)

@@ -7,8 +7,8 @@ and then the c'_j^2 of the bidiagonal Jacobi model, both for descending j.
 Here every row takes two separate `beta` calls, where the library takes one
 draw per block.  From those variates a row is the tridiagonal pair of
 T = B B^T, and from that pair either a spectrum, the `eigvalsh` of the
-row's own n x n symmetric T (the library's `sample-jue` path takes one
-stacked `eigvalsh` of lower triangles per stack of at most 4 MB), or
+row's own n x n symmetric T (the library's one tridiagonal solver takes a
+stacked `eigvalsh` of lower triangles below n = 130), or
 log |det(x - T)| by a scalar pivot loop, one point at a time (the
 library's Monte Carlo path takes no eigenvalues and one vectorised
 recurrence over every row and point).  The stream is built from numpy

@@ -18,7 +18,7 @@ from selberg_gas.averages import (
 )
 from selberg_gas import averages
 from selberg_gas.cli import TABLE1_XS
-from selberg_gas.ensembles import sample_bidiagonal, tridiagonal, tridiagonal_log_dets
+from selberg_gas.ensembles import sample_jacobi_matrices, tridiagonal_log_dets
 from selberg_gas.exact import (
     BOUNDARY_DIRICHLET,
     BOUNDARY_NEUMANN,
@@ -626,7 +626,7 @@ class TestMonteCarloDensityMatrix:
         # (measured worst 5.8e-11)
         lam = 0.5 if boundary == "dirichlet" else -0.5
         params = EnsembleParams(n=N, lambda1=lam, lambda2=lam)
-        diag, off_sq = tridiagonal(*sample_bidiagonal(params, 9, M))
+        diag, off_sq = sample_jacobi_matrices(params, 9, M)
         xs = 4.0 * np.array(TABLE1_XS + (0.5, 0.975))
         got = tridiagonal_log_dets(xs, 4.0 * diag, 16.0 * off_sq)
         pts4 = 4.0 * reference_samples(params, 9, M)

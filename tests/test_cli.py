@@ -348,14 +348,14 @@ class TestRendering:
         # M = B + 1 a full block plus one row
         block = block_size(3)
         seen = []
-        draw = ensembles.sample_bidiagonal
+        draw = ensembles.sample_jacobi_matrices
 
         def recording(params, master_seed, M):
             seen.append((master_seed, M))
             return draw(params, master_seed, M)
 
         # the handler looks the sampler up in its module when it runs
-        monkeypatch.setattr(ensembles, "sample_bidiagonal", recording)
+        monkeypatch.setattr(ensembles, "sample_jacobi_matrices", recording)
         outputs = []
         for threads in (1, 2, 4):
             assert cli.main(["sample-jue", "--n", "3", "--m-samples", str(block + extra),
@@ -677,6 +677,8 @@ SCIPY_FREE_RUNS = [
     ["sample-jue", "--n", "3", "--m-samples", "2", "--format", "csv"],
     # the benchmark's request; n = 50 takes LAPACK's blocked reduction
     ["sample-jue", "--n", "50", "--m-samples", "40", "--format", "csv"],
+    # n = 129, the last of the dense eigensolver's sizes
+    ["sample-jue", "--n", "129", "--m-samples", "3", "--format", "csv"],
     ["fh-jacobi"],  # rules of order 78, below the dense eigensolver's limit
     ["fh-jacobi", "--sizes", "8,16,32,99"],  # order 129, the last of numpy's steps
 ]

@@ -9,10 +9,9 @@ from selberg_gas import quadrature as quad
 from selberg_gas.ensembles import (
     SamplingError,
     rng_stream,
-    sample_bidiagonal,
+    sample_jacobi_matrices,
     sample_jue_halfhalf,
     spectra,
-    tridiagonal,
     tridiagonal_log_dets,
 )
 from selberg_gas.exact import EnsembleParams
@@ -27,7 +26,7 @@ WEIGHTS = ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 2.0))
 
 def draw(params, seed, M):
     # the spectra of samples 0..M-1 of a run
-    return spectra(*sample_bidiagonal(params, seed, M))
+    return spectra(*sample_jacobi_matrices(params, seed, M))
 
 
 def jue_average(fn, n, lambda1, lambda2, order=40):
@@ -43,8 +42,8 @@ class TestStreams:
         b = sample_jue_halfhalf(14, rng_stream(42, 5))
         assert np.array_equal(a, b)
         params = EnsembleParams(n=14, lambda1=-0.5, lambda2=-0.5)
-        a = sample_bidiagonal(params, 42, 70)
-        b = sample_bidiagonal(params, 42, 70)
+        a = sample_jacobi_matrices(params, 42, 70)
+        b = sample_jacobi_matrices(params, 42, 70)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_distinct_streams_differ(self):
@@ -113,16 +112,17 @@ class TestRecurrenceSampler:
 
 
 def with_row_three(monkeypatch, row):
-    # a run of eight whose fourth row of eigenvalues is replaced before the
-    # sampler clips and checks it
-    eigvalsh = np.linalg.eigvalsh
+    # a run of eight whose fourth row of eigenvalues is replaced as it
+    # leaves the package's tridiagonal eigensolver, before the sampler
+    # clips and checks it
+    solve = ensembles._tridiagonal_eigenvalues
 
-    def replaced(matrices):
-        points = eigvalsh(matrices)
+    def replaced(diag, off):
+        points = solve(diag, off)
         points[3] = row
         return points
 
-    monkeypatch.setattr(ensembles.np.linalg, "eigvalsh", replaced)
+    monkeypatch.setattr(ensembles, "_tridiagonal_eigenvalues", replaced)
     return draw(EnsembleParams(n=4, lambda1=0.5, lambda2=0.5), 1, 8)
 
 
@@ -147,7 +147,7 @@ class TestBlockSampler:
 
     @pytest.mark.parametrize("threads", (1, 2, 4))
     def test_samples_are_a_prefix_whatever_m(self, threads):
-        # (d^2, e^2) of sample k are the same bytes whatever M, the last
+        # T's pair of sample k is the same bytes whatever M, the last
         # block one row short, full, one row long and five rows long, at
         # B = 32 and B = 13; so are the (1/2, 1/2) sample-jue columns of
         # sample k at each --threads value the CLI accepts
@@ -159,32 +159,57 @@ class TestBlockSampler:
         for n in (14, 200):
             params = EnsembleParams(n=n, lambda1=-0.5, lambda2=-0.5)
             B = block_size(n)
-            longest = sample_bidiagonal(params, 11, 4 * B)
+            longest = sample_jacobi_matrices(params, 11, 4 * B)
             longest_rows = sample_jue(n, 4 * B)
             for M in (B - 1, B, B + 1, 3 * B + 5):
-                got = sample_bidiagonal(params, 11, M)
+                got = sample_jacobi_matrices(params, 11, M)
                 for part, whole in zip(got, longest):
                     assert part.tobytes() == whole[:M].tobytes()
                 assert sample_jue(n, M) == {column: values[:n * M]
                                             for column, values in longest_rows.items()}
 
-    @pytest.mark.parametrize("n, M", ((14, 45), (200, 30), (300, 12)))
+    @pytest.mark.parametrize("n, M", ((14, 45), (129, 45), (200, 30), (300, 12)))
     def test_spectra_do_not_depend_on_stacking(self, monkeypatch, n, M):
-        # spectra stacks as many matrices per eigvalsh as 4 MB holds, here
-        # all 45, 13 or 5 of them; numpy's stacked eigvalsh acts matrix by
-        # matrix, so a row's spectrum is the same alone, in its stack, or
-        # in a chunk that straddles two stacks
-        d_sq, e_sq = sample_bidiagonal(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), 8, M)
+        # below n = 130 spectra stacks as many matrices per dense eigvalsh
+        # as 4 MB holds, here all 45 at n = 14 and 31 then 14 at n = 129;
+        # from n = 130 on it takes scipy's eigvalsh_tridiagonal one row at a
+        # time.  Both act matrix by matrix, so a row's spectrum is the same
+        # alone, in its stack, or in a chunk that straddles two stacks
+        import scipy.linalg
+
+        diag, off_sq = sample_jacobi_matrices(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), 8, M)
         stacks, eigvalsh = [], np.linalg.eigvalsh
+        rows, eigvalsh_tridiagonal = [], scipy.linalg.eigvalsh_tridiagonal
         monkeypatch.setattr(ensembles.np.linalg, "eigvalsh",
                             lambda matrices: stacks.append(len(matrices)) or eigvalsh(matrices))
-        whole = spectra(d_sq, e_sq)
-        S = max(1, (1 << 19) // (n * n))
-        assert S * n * n * 8 <= 4 << 20
-        assert stacks == [S] * (M // S) + [M % S]
-        alone = np.concatenate([spectra(d_sq[k:k + 1], e_sq[k:k + 1]) for k in range(M)])
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal",
+                            lambda d, e: rows.append(len(d)) or eigvalsh_tridiagonal(d, e))
+        whole = spectra(diag, off_sq)
+        if n < ensembles._DENSE_EIGEN_ORDERS:
+            S = max(1, (1 << 19) // (n * n))
+            assert S * n * n * 8 <= 4 << 20
+            assert stacks == [S] * (M // S) + [M % S] and rows == []
+        else:
+            assert stacks == [] and rows == [n] * M
+        alone = np.concatenate([spectra(diag[k:k + 1], off_sq[k:k + 1]) for k in range(M)])
         assert whole.tobytes() == alone.tobytes()
-        assert spectra(d_sq[3:], e_sq[3:]).tobytes() == whole[3:].tobytes()
+        assert spectra(diag[3:], off_sq[3:]).tobytes() == whole[3:].tobytes()
+
+    @pytest.mark.parametrize("lambda1, lambda2", ((0.5, 0.5), (-0.5, -0.5), (-0.9, 3.0)))
+    @pytest.mark.parametrize("n", (129, 130, 200, 300))
+    def test_tridiagonal_solver_matches_dense_bits(self, n, lambda1, lambda2):
+        # from n = 130 spectra takes scipy's tridiagonal solver; it must
+        # return the bits of numpy's stacked dense eigvalsh of the same T,
+        # the solver below 130, or seeded samples would move at the switch
+        M = 4
+        diag, off_sq = sample_jacobi_matrices(
+            EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2), 5, M)
+        k = np.arange(n)
+        lower = np.zeros((M, n, n))
+        lower[:, k, k] = diag
+        lower[:, k[1:], k[:-1]] = np.sqrt(off_sq)
+        dense = np.clip(np.linalg.eigvalsh(lower), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+        assert spectra(diag, off_sq).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("M", (1, 31, 32, 33, 100))
     def test_one_generator_per_block(self, monkeypatch, M):
@@ -200,20 +225,24 @@ class TestBlockSampler:
         assert sorted(built) == list(range(-(-M // block_size(14))))
 
     class BlockIndex:
-        # a generator whose every Beta variate is its block's index
+        # a generator whose first Beta variate, c_n^2, is its block's index,
+        # and every other variate 0
         def __init__(self, block):
             self.block = block
 
         def beta(self, a, b, size):
-            return np.full(size, float(self.block))
+            variates = np.zeros(size)
+            variates[:, 0] = self.block
+            return variates
 
     @classmethod
     def blocks(cls, monkeypatch, n, M):
-        # the (block, rows) of each draw, in the order sample_bidiagonal
-        # lays them out, read off d^2_1 = c_n^2, the index of its block
+        # the (block, rows) of each draw, in the order sample_jacobi_matrices
+        # lays them out, read off T_11 = d^2_1 + e^2_1 = c_n^2 + (1 - c_n^2)
+        # c'^2_{n-1}, which with c'^2_{n-1} = 0 is the index of its block
         monkeypatch.setattr(ensembles, "rng_stream", lambda seed, block: cls.BlockIndex(block))
         params = EnsembleParams(n=n, lambda1=0.5, lambda2=0.5)
-        ids = sample_bidiagonal(params, 1, M)[0][:, 0]
+        ids = sample_jacobi_matrices(params, 1, M)[0][:, 0]
         starts = np.flatnonzero(np.diff(ids, prepend=-1))
         return [(int(ids[s]), int(c)) for s, c in zip(starts, np.diff(starts, append=M))]
 
@@ -241,13 +270,12 @@ class TestBlockSampler:
 
     @pytest.mark.parametrize("n, M", ((14, 12), (50, 3)))
     def test_spectra_are_the_eigenvalues_of_t(self, n, M):
-        # each eigenvalue against T's own at 34 digits, T as `tridiagonal`
-        # gives it: 2.1 and 2.6 eps here; the worst gap measured over five
-        # seeds was 4.2 eps at n = 14 and 5.1 at n = 50, and the former
-        # eigvalsh of B B^T, against the same T, 3.0 and 3.7
-        d_sq, e_sq = sample_bidiagonal(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), 1, M)
-        diag, off_sq = tridiagonal(d_sq, e_sq)
-        got = spectra(d_sq, e_sq)
+        # each eigenvalue against T's own at 34 digits: 2.1 and 2.6 eps
+        # here; the worst gap measured over five seeds was 4.2 eps at n = 14
+        # and 5.1 at n = 50, and the former eigvalsh of B B^T, against the
+        # same T, 3.0 and 3.7
+        diag, off_sq = sample_jacobi_matrices(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), 1, M)
+        got = spectra(diag, off_sq)
         with mpmath.workdps(34):
             for r in range(M):
                 T = mpmath.diag([mpmath.mpf(x) for x in diag[r]])
@@ -287,6 +315,18 @@ class TestSampleValidation:
         got = with_row_three(monkeypatch, row)[3]
         assert 0.0 < got[0] and got[-1] < 1.0
         assert np.array_equal(got[1:3], row[1:3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["diag", "off_sq"])
+    @pytest.mark.parametrize("n", (14, 200))
+    def test_rejects_non_finite_entries_of_t(self, n, entry, bad):
+        # on both sides of the solver switch at n = 130: numpy's dense
+        # solver raised LinAlgError on these, scipy's tridiagonal one a
+        # ValueError
+        diag, off_sq = sample_jacobi_matrices(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), 1, 3)
+        (diag if entry == "diag" else off_sq)[1, 5] = bad
+        with pytest.raises(SamplingError, match="^a Jacobi matrix entry is NaN, infinite"):
+            spectra(diag, off_sq)
 
 
 class TestPivotRecurrence:
@@ -328,8 +368,8 @@ class TestPivotRecurrence:
                 return variates
 
         monkeypatch.setattr(ensembles, "rng_stream", Spoiled)
-        diag, off_sq = tridiagonal(*sample_bidiagonal(
-            EnsembleParams(n=14, lambda1=0.5, lambda2=0.5), 1, 8))
+        diag, off_sq = sample_jacobi_matrices(
+            EnsembleParams(n=14, lambda1=0.5, lambda2=0.5), 1, 8)
         with pytest.raises(SamplingError):
             tridiagonal_log_dets(np.array([0.2, 0.8]), diag, off_sq)
 
@@ -382,8 +422,8 @@ class TestHeineMean:
     def test_sample_mean(self, lambda1, lambda2, n):
         # fixed seed and bound, never re-seeded; measured worst |z| 2.27
         M = 20_000
-        diag, off_sq = tridiagonal(*sample_bidiagonal(
-            EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2), 3, M))
+        diag, off_sq = sample_jacobi_matrices(
+            EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2), 3, M)
         for x in (0.05, 0.3, 0.5):
             vals = scaled_products(x, diag, off_sq)
             z = (vals.mean() - scaled_monic(n, lambda1, lambda2, x)) / (

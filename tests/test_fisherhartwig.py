@@ -265,6 +265,11 @@ class TestLadders:
                 fh.hankel_log_ratios(0.5, 0.5, symbol, sizes)
             with pytest.raises(DomainError):
                 fh.toeplitz_log_dets(symbol, sizes)
+            # the asymptotes took log(0) as a bare "math domain error"
+            with pytest.raises(DomainError):
+                fh.jacobi_fh_asymptotes(symbol, sizes)
+            with pytest.raises(DomainError):
+                fh.toeplitz_fh_asymptotes(symbol, sizes)
 
     def test_sizes_must_be_integers(self):
         # a fractional size was cast down: (2.7,) returned the n = 2 rung
@@ -274,6 +279,11 @@ class TestLadders:
                 fh.hankel_log_ratios(0.5, 0.5, symbol, sizes)
             with pytest.raises(DomainError, match="^sizes must be integers"):
                 fh.toeplitz_log_dets(symbol, sizes)
+            # the asymptotes returned a value at a fractional size
+            with pytest.raises(DomainError, match="^sizes must be integers"):
+                fh.jacobi_fh_asymptotes(symbol, sizes)
+            with pytest.raises(DomainError, match="^sizes must be integers"):
+                fh.toeplitz_fh_asymptotes(symbol, sizes)
         with pytest.raises(DomainError, match="^size must be >= 1, got 0$"):
             fh.toeplitz_log_dets(symbol, (4, 0, 8))
         sizes = np.arange(1, 5)

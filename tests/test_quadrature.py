@@ -362,6 +362,19 @@ class TestSingularIntegrate:
         with pytest.raises(DomainError):
             quad.singular_integrate(np.ones_like, 0.0, 0.0, (), 1e-15)
 
+    def test_rejects_nan_tolerance_before_integrating(self):
+        # a NaN tolerance passed the check, ran the whole order doubling and
+        # then failed to converge "to nan"
+        calls = []
+
+        def ones(y):
+            calls.append(len(y))
+            return np.ones_like(y)
+
+        with pytest.raises(DomainError, match="^tolerance nan must be at least 1e-14"):
+            quad.singular_integrate(ones, 0.0, 0.0, ((0.3, -0.25),), float("nan"))
+        assert calls == []
+
     def test_invalid_integrand(self):
         with pytest.raises(DomainError):
             quad.singular_integrate(np.ones_like, -1.0, 0.0, ())
