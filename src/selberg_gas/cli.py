@@ -15,7 +15,7 @@ module.  Each handler that computes with arrays imports its layer
 (`averages`, `ensembles`, `fisherhartwig`, or the acceptance suite for
 `validate`) when it runs, so `selberg`, `morris`, `dm-asym`, `orbitals`,
 `--help` and usage errors load no numpy, the others load it on first use,
-and scipy loads where it is called (by `sample-jue` from --n 130 on, say).
+and scipy loads where it is called (by `sample-jue` only where it pays).
 """
 
 from __future__ import annotations

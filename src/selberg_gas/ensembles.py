@@ -15,6 +15,8 @@ eigenvalues from the solver that gives `quadrature`'s Gauss nodes too.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .exact import EnsembleParams
@@ -84,19 +86,21 @@ def sample_jacobi_matrices(params: EnsembleParams, master_seed: int, M: int) -> 
     return _jacobi_matrices(variates, params.n)
 
 
-# Below this order the dense solver returns the tridiagonal one's bits and
-# loads no scipy module; from it the tridiagonal one is 2 to 6 times faster
-# (a sample: 0.41 against 0.80 ms at n = 130, 18 against 109 ms at 1000).
-_DENSE_EIGEN_ORDERS = 130
+# From this order scipy's tridiagonal solver gives the dense one's bits 2 to 6
+# times faster (0.35 against 0.72 ms at n = 130, 16 against 101 ms at 1000),
+# once scipy.linalg is loaded (about 0.25 s), which a saving of at least
+# 7.4e-11 s n^3 a matrix (n = 130 to 1500, 2-vCPU Xeon) repays from rows * n^3 = 3.4e9.
+_DENSE_EIGEN_ORDERS, _SCIPY_LOAD_WORK = 130, 4e9
 
 
-def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    # ascending eigenvalues (rows, n) of the symmetric tridiagonals `diag`
-    # (rows, n), `off` (rows, n - 1): a stacked dense eigvalsh of the lower
-    # triangles, at most 4 MB a stack, or scipy's eigvalsh_tridiagonal row by
-    # row; both act matrix by matrix, so a row does not depend on the others
+def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, load_scipy=False) -> np.ndarray:
+    # ascending eigenvalues (rows, n) of symmetric tridiagonals `diag`, `off`,
+    # matrix by matrix: from order _DENSE_EIGEN_ORDERS scipy's solver if it is
+    # loaded, `load_scipy` is set or the work pays for loading it, else a
+    # stacked dense eigvalsh of the lower triangles, at most 4 MB a stack
     rows, n = diag.shape
-    if n >= _DENSE_EIGEN_ORDERS:
+    if n >= _DENSE_EIGEN_ORDERS and (load_scipy or "scipy.linalg" in sys.modules
+                                     or rows * n ** 3 >= _SCIPY_LOAD_WORK):
         from scipy.linalg import eigvalsh_tridiagonal
 
         return np.array([eigvalsh_tridiagonal(d, o) for d, o in zip(diag, off)])
@@ -117,9 +121,9 @@ def spectra(diag: np.ndarray, off_sq: np.ndarray) -> np.ndarray:
     independent of the rows around it.  Raises `SamplingError` on a NaN,
     infinite or negative entry, or a row not strictly increasing in (0, 1).
     """
-    # both checks in positive form, so that NaN, which fails every comparison, fails them
-    if not (np.all(np.abs(diag) < np.inf) and np.all((off_sq >= 0.0) & (off_sq < np.inf))):
-        raise SamplingError("a Jacobi matrix entry is NaN, infinite or a negative square")
+    # in positive form, so that NaN, which fails every comparison, fails it
+    if not all(np.all((part >= 0.0) & (part < np.inf)) for part in (diag, off_sq)):
+        raise SamplingError("a Jacobi matrix entry is NaN, infinite or negative")
     points = _tridiagonal_eigenvalues(diag, np.sqrt(off_sq))
     # eigenvalues within rounding of an edge, common when an exponent is
     # near -1, are kept just inside (0, 1)

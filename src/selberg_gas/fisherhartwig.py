@@ -151,9 +151,8 @@ def hankel_log_ratios(lambda1: float, lambda2: float, symbol: SymbolSpec,
     is 2.4e-11 off at N = 800 and 5.3e-10 at 1600 (bounds 1e-10 and 2e-9).
 
     Below rule order ensembles._DENSE_EIGEN_ORDERS (130, a largest size of 99)
-    a step is numpy arithmetic: eight calls and five temporaries, and no
-    scipy module.  From that order on, where the rule builder has already
-    loaded scipy.linalg, a step runs in place on three preallocated buffers
+    a step is numpy arithmetic, with no scipy module; from it, where the rule
+    builder has loaded scipy.linalg, a step runs in place on three buffers
     with BLAS level-1 calls (daxpy, ddot, dscal): a ladder to n = 512 on a
     cached 1,116-node rule takes about 2 ms against 5.3-6.8 ms with numpy
     steps, on a 2-vCPU Xeon.  daxpy fuses its multiply-add, so there a rung

@@ -54,17 +54,14 @@ class QuadratureRule:
 
 @lru_cache(maxsize=512)
 def _jacobi_nodes_weights(order: int, alpha: float, beta: float):
-    # Gauss rule for (1-x)^alpha (1+x)^beta on (-1, 1).  The rule of
-    # (beta, alpha) is its mirror image under x -> -x, so a rule with
-    # alpha > beta is the reflection of the cached rule of (beta, alpha):
-    # one rule is built per unordered exponent pair, keyed (order, min, max),
-    # and its bits do not depend on which orientation a process asked for
-    # first.  A charge's panels (lambda1, p) left of it and (p, lambda2)
-    # right of it are one build when lambda1 = lambda2, and so are its two
-    # collars (0, 2q) and (2q, 0): a cold density-matrix pair builds 2
-    # full-order rules instead of 3 and took 182-190 ms against 270-298 ms
-    # at N = 1600 (2-vCPU Xeon).  The domain is checked here, in the
-    # caller's order.
+    # Gauss rule for (1-x)^alpha (1+x)^beta on (-1, 1).  A rule with alpha >
+    # beta is the mirror image under x -> -x of the cached rule of (beta,
+    # alpha): one build per unordered exponent pair, whose bits do not depend
+    # on which orientation came first.  A charge's panels (lambda1, p) and (p,
+    # lambda2) are one build when lambda1 = lambda2, and so are its collars
+    # (0, 2q) and (2q, 0): a cold density-matrix pair builds 2 full-order rules,
+    # not 3, in 182-190 against 270-298 ms at N = 1600 (2-vCPU Xeon).  The
+    # domain is checked here, in the caller's order.
     if order < 1:
         raise DomainError(f"Gauss rule order must be >= 1, got {order}")
     if not alpha + beta + 1.0 < 1024.0:
@@ -83,15 +80,15 @@ def _golub_welsch(order: int, alpha: float, beta: float):
     # weights the Christoffel function mass / sum_{k<order} p_k(x)^2 with
     # p_0 = 1, which keeps the tiny end weights relatively accurate where
     # eigenvector components do not.
-    # The nodes come from the package's one tridiagonal eigensolver (6 ms
-    # against the dense one's 18 ms at order 542, whose cold builds nearly
-    # doubled the exact-determinant tail latency).  The Christoffel sums
-    # step in place on preallocated buffers with Python-float coefficients:
-    # the bits of the allocating loop in tests/christoffel_oracle.py, in
-    # about four fifths of its time (5.8 ms against 6.8 ms at order 542).
+    # The nodes come from the package's one tridiagonal eigensolver, told to
+    # load scipy.linalg from order 130, which a ladder's rules and BLAS steps
+    # repay (6 against 18 ms dense at order 542, whose cold builds nearly
+    # doubled the exact-determinant tail latency).  The Christoffel sums step
+    # in place with Python-float coefficients: the bits of the allocating loop
+    # in tests/christoffel_oracle.py in four fifths of its time (5.8 vs 6.8 ms).
     a, b, mu0 = jacobi_recurrence(order, beta, alpha)
     diag, off = 2.0 * a - 1.0, 2.0 * b[1:]
-    x = _tridiagonal_eigenvalues(diag[None], off[None])[0]
+    x = _tridiagonal_eigenvalues(diag[None], off[None], load_scipy=True)[0]
     d, o = diag.tolist(), off.tolist()
     prev, cur, nxt, square = np.empty(order), np.ones(order), np.empty(order), np.empty(order)
     christoffel = np.ones(order)

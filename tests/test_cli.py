@@ -677,8 +677,11 @@ SCIPY_FREE_RUNS = [
     ["sample-jue", "--n", "3", "--m-samples", "2", "--format", "csv"],
     # the benchmark's request; n = 50 takes LAPACK's blocked reduction
     ["sample-jue", "--n", "50", "--m-samples", "40", "--format", "csv"],
-    # n = 129, the last of the dense eigensolver's sizes
+    # n = 129, the last of the dense eigensolver's sizes, and 130 and 300,
+    # where the few samples do not pay for loading scipy.linalg
     ["sample-jue", "--n", "129", "--m-samples", "3", "--format", "csv"],
+    ["sample-jue", "--n", "130", "--m-samples", "3", "--format", "csv"],
+    ["sample-jue", "--n", "300", "--format", "csv"],
     ["fh-jacobi"],  # rules of order 78, below the dense eigensolver's limit
     ["fh-jacobi", "--sizes", "8,16,32,99"],  # order 129, the last of numpy's steps
 ]
@@ -692,6 +695,23 @@ def test_scipy_free_subcommands_load_no_scipy():
             "        if cli.main(argv) != 0:\n"
             "            raise SystemExit(f'failed: {argv}')\n")
     assert scipy_loaded_after(runs) == []
+
+
+def test_tridiagonal_solver_loads_scipy_where_the_work_pays_for_it():
+    # from order 130 on the sampler's eigenvalues load scipy.linalg once
+    # rows * n^3 reaches ensembles._SCIPY_LOAD_WORK, here lowered to two
+    # matrices of order 130; the Gauss rule builder loads it at any such order
+    def solve(rows):
+        return ("import numpy as np\n"
+                "from selberg_gas import ensembles\n"
+                "ensembles._SCIPY_LOAD_WORK = 2 * 130 ** 3\n"
+                f"ensembles._tridiagonal_eigenvalues(np.ones(({rows}, 130)),"
+                f" np.full(({rows}, 129), 0.1))\n")
+
+    assert loaded_after(solve(1), "scipy") == []
+    assert "scipy.linalg" in loaded_after(solve(2), "scipy")
+    rule = "from selberg_gas import quadrature\nquadrature._golub_welsch(130, 0.5, 0.5)\n"
+    assert "scipy.linalg" in loaded_after(rule, "scipy")
 
 
 def test_cli_import_loads_no_numpy():

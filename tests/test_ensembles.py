@@ -198,9 +198,12 @@ class TestBlockSampler:
     @pytest.mark.parametrize("lambda1, lambda2", ((0.5, 0.5), (-0.5, -0.5), (-0.9, 3.0)))
     @pytest.mark.parametrize("n", (129, 130, 200, 300))
     def test_tridiagonal_solver_matches_dense_bits(self, n, lambda1, lambda2):
-        # from n = 130 spectra takes scipy's tridiagonal solver; it must
-        # return the bits of numpy's stacked dense eigvalsh of the same T,
-        # the solver below 130, or seeded samples would move at the switch
+        # from n = 130 spectra takes scipy's tridiagonal solver where
+        # scipy.linalg is loaded; it must return the bits of numpy's stacked
+        # dense eigvalsh of the same T, the solver otherwise, or seeded
+        # samples would depend on the solver
+        import scipy.linalg  # noqa: F401
+
         M = 4
         diag, off_sq = sample_jacobi_matrices(
             EnsembleParams(n=n, lambda1=lambda1, lambda2=lambda2), 5, M)
@@ -316,16 +319,19 @@ class TestSampleValidation:
         assert 0.0 < got[0] and got[-1] < 1.0
         assert np.array_equal(got[1:3], row[1:3])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
     @pytest.mark.parametrize("entry", ["diag", "off_sq"])
     @pytest.mark.parametrize("n", (14, 200))
     def test_rejects_non_finite_entries_of_t(self, n, entry, bad):
         # on both sides of the solver switch at n = 130: numpy's dense
-        # solver raised LinAlgError on these, scipy's tridiagonal one a
-        # ValueError
+        # solver raised LinAlgError on the non-finite ones, scipy's
+        # tridiagonal one a ValueError.  T = B B^T has no negative diagonal
+        # entry; one whose negative eigenvalue was clipped went unreported
+        import scipy.linalg  # noqa: F401  (so that n = 200 takes scipy's solver)
+
         diag, off_sq = sample_jacobi_matrices(EnsembleParams(n=n, lambda1=0.5, lambda2=0.5), 1, 3)
         (diag if entry == "diag" else off_sq)[1, 5] = bad
-        with pytest.raises(SamplingError, match="^a Jacobi matrix entry is NaN, infinite"):
+        with pytest.raises(SamplingError, match="^a Jacobi matrix entry is NaN, infinite or negative"):
             spectra(diag, off_sq)
 
 
