@@ -6,9 +6,11 @@ by three-term recurrences), at any n:
 even-power averages, the Jacobi side of the Jacobi/circular duality
 formula and the exact finite-N density matrix.  The circular side of the
 duality is an m x m Toeplitz determinant of closed-form coefficients, each
-a Jacobi polynomial in t.  The Monte Carlo density-matrix estimator, with
-deterministic seeding and reduction, draws both boundaries' ensembles from
-the exact sampler in `ensembles`.
+a Jacobi polynomial in t.  Both sides of the duality are returned as plain
+float logs, which the caller turns into values by `LogMagnitude.value`.
+The Monte Carlo density-matrix estimator, with deterministic seeding and
+reduction, draws both boundaries' ensembles from the exact sampler in
+`ensembles` and returns its values and standard errors as two columns.
 Tensor-product quadrature is left to the oracles of the tests and the
 acceptance suite.
 """
@@ -16,8 +18,6 @@ acceptance suite.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,14 +36,6 @@ from .ensembles import sample_jue_halfhalf  # noqa: F401
 from .specfun import DomainError, log_gamma
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    """Monte Carlo value with its standard error."""
-
-    value: float
-    std_error: float
-
-
 def average_even_power_heine(params: EnsembleParams, t: float, m: int) -> LogMagnitude:
     """< prod_l (t - x_l)^m > for even m by Heine's identity.
 
@@ -58,19 +50,10 @@ def average_even_power_heine(params: EnsembleParams, t: float, m: int) -> LogMag
                                                    (params.n,))[0]))
 
 
-def _normal(value: float, side: str) -> float:
-    # an underflowed side reads 0.0 or a subnormal, and two underflowed
-    # sides would compare as an exact agreement
-    if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
-        raise DomainError(f"duality {side} side is not a normal float: {value}")
-    return float(value)
-
-
 def duality_lhs(params: EnsembleParams, t: float, m: int) -> float:
-    """Jacobi-side average < prod (t - x_l)^m > at size params.n, m even and
-    >= 2.  Raises `DomainError` on an odd m or a value that is not a normal
-    float (`LogMagnitude.value`)."""
-    return average_even_power_heine(params, t, m).value("duality Jacobi side")
+    """log of the Jacobi-side average < prod (t - x_l)^m > at size params.n,
+    m even and >= 2.  Raises `DomainError` on an odd m."""
+    return average_even_power_heine(params, t, m).log_abs
 
 
 def _jacobi_p(n: int, alpha: np.ndarray, beta: np.ndarray, x: float) -> np.ndarray:
@@ -87,8 +70,8 @@ def _jacobi_p(n: int, alpha: np.ndarray, beta: np.ndarray, x: float) -> np.ndarr
 
 
 def duality_rhs(params: EnsembleParams, t: float, m: int) -> float:
-    """Circular-side value of the duality formula at size params.n, m even
-    and >= 2, in closed form.
+    """log of the circular-side value of the duality formula at size
+    params.n, m even and >= 2, in closed form.
 
     By Andreief's identity the m-fold circular integral of
     prod_j F(theta_j) |Delta(e^{i theta})|^2 is m! det[c_{j-k}] with
@@ -102,26 +85,30 @@ def duality_rhs(params: EnsembleParams, t: float, m: int) -> float:
     c_k = (-1)^n S P_n^(l1+k, l2-k)(1 - 2t) / ((l1+n+1)_k (l2+n+1)_{-k}),
     S = Gamma(p+1) n! / (Gamma(l1+n+1) Gamma(l2+n+1)), with Pochhammer
     symbols (x)_k = Gamma(x+k)/Gamma(x) that vanish in the denominator's
-    poles.  The coefficients are real and exact to rounding; S^m is carried
-    in log space, and the m! cancels against M_m(0, 0) = m!.  Raises
-    `DomainError` on an odd m or a non-finite, zero or subnormal result.
+    poles.  The coefficients are real and exact to rounding; the log is
+    log |det| + log A + m log S, and the m! cancels against M_m(0, 0) = m!.
+    Raises `DomainError` on an odd m or a determinant that is not positive.
     """
     # scipy.special is imported where it is called, not at module level, to
     # keep it out of the CLI's start-up
     from scipy.special import poch
 
-    log_a = duality_constant_A(params, m).log_abs
+    log_a = duality_constant_A(params, m)
     l1, l2, n = params.lambda1, params.lambda2, params.n
     ks = np.arange(1 - m, m, dtype=float)
     a0, b0 = l1 + n + 1.0, l2 + n + 1.0
     c = ((-1.0) ** n * _jacobi_p(n, l1 + ks, l2 - ks, 1.0 - 2.0 * t)
          / (poch(a0, ks) * poch(b0, -ks)))
     idx = np.arange(m)
-    det = np.linalg.det(c[(m - 1) + idx[:, None] - idx[None, :]])
+    sign, log_det = np.linalg.slogdet(c[(m - 1) + idx[:, None] - idx[None, :]])
+    # stated in positive form so that a NaN sign is rejected too
+    if not sign > 0.0:
+        raise DomainError(f"duality circular side's determinant is not positive: "
+                          f"sign {float(sign)!r}")
     log_scale = (log_gamma(l1 + l2 + n + 1.0) + log_gamma(n + 1.0)
                  - log_gamma(a0) - log_gamma(b0))
-    value = det * math.exp(log_a + m * log_scale)
-    return _normal(value, "circular")
+    # a Python float, whose repr in an error message is the bare number
+    return float(log_det + log_a + m * log_scale)
 
 
 def _dm_prefactor(query: DensityMatrixQuery) -> float:
@@ -138,9 +125,10 @@ def _dm_prefactor(query: DensityMatrixQuery) -> float:
 
 
 def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
-                            master_seed: int) -> list:
+                            master_seed: int) -> tuple:
     """Monte Carlo density-matrix estimates for several (X, Y) points off
-    one sample set.
+    one sample set: the two columns (values, std_errors), lists of floats in
+    query order.
 
     `ensembles.sample_jacobi_matrices` draws samples 0..M-1, each a
     function of (N, boundary, master_seed, k) alone, as its Jacobi matrix T.
@@ -169,9 +157,8 @@ def mc_density_matrix_table(queries: Sequence[DensityMatrixQuery], M: int,
     logp = log_dets[:len(queries)] + log_dets[len(queries):]
     prefactors = np.array([[_dm_prefactor(q)] for q in queries])
     vals = prefactors * np.exp(logp)
-    means = vals.mean(axis=1).tolist()
-    errors = (vals.std(axis=1, ddof=1) / math.sqrt(M)).tolist()
-    return [MCEstimate(value=m, std_error=e) for m, e in zip(means, errors)]
+    return (vals.mean(axis=1).tolist(),
+            (vals.std(axis=1, ddof=1) / math.sqrt(M)).tolist())
 
 
 def density_matrix_exact(query: DensityMatrixQuery) -> float:

@@ -33,6 +33,7 @@ from .exact import (
     BOX_EXPONENTS,
     DensityMatrixQuery,
     EnsembleParams,
+    LogMagnitude,
     MorrisParams,
     density_matrix_asymptote,
     morris_closed,
@@ -111,8 +112,8 @@ def _run_dm_mc(ns):
     from .averages import mc_density_matrix_table
 
     query = DensityMatrixQuery(N=ns.n, X=ns.x, Y=ns.y, boundary=ns.boundary)
-    est = mc_density_matrix_table([query], ns.m_samples, ns.seed)[0]
-    return {"value": [est.value], "std_error": [est.std_error], "m_samples": [ns.m_samples]}
+    values, std_errors = mc_density_matrix_table([query], ns.m_samples, ns.seed)
+    return {"value": values, "std_error": std_errors, "m_samples": [ns.m_samples]}
 
 
 # the ten standard X values of Table 1, each paired with Y = 1 - X
@@ -125,21 +126,20 @@ def _run_table1(ns):
     from .averages import mc_density_matrix_table
 
     queries = [DensityMatrixQuery(N=ns.n, X=x, Y=1.0 - x) for x in TABLE1_XS]
-    estimates = mc_density_matrix_table(queries, ns.m_samples, ns.seed)
+    values, std_errors = mc_density_matrix_table(queries, ns.m_samples, ns.seed)
     asymptotes = [density_matrix_asymptote(query) for query in queries]
-    return {"X": [query.X for query in queries],
-            "mc_value": [est.value for est in estimates],
-            "std_error": [est.std_error for est in estimates],
+    return {"X": [query.X for query in queries], "mc_value": values, "std_error": std_errors,
             "asymptote": asymptotes,
-            "ratio": [est.value / asym for est, asym in zip(estimates, asymptotes)]}
+            "ratio": [value / asym for value, asym in zip(values, asymptotes)]}
 
 
 def _run_duality(ns):
     from .averages import duality_lhs, duality_rhs
 
     params = EnsembleParams(n=ns.n, lambda1=ns.lambda1, lambda2=ns.lambda2)
-    lhs = duality_lhs(params, ns.t, ns.m)
-    rhs = duality_rhs(params, ns.t, ns.m)
+    # the Jacobi side is computed and checked first, so its error comes first
+    lhs = LogMagnitude(duality_lhs(params, ns.t, ns.m)).value("duality Jacobi side")
+    rhs = LogMagnitude(duality_rhs(params, ns.t, ns.m)).value("duality circular side")
     # both sides are normal floats, so lhs is never 0
     return {"lhs": [lhs], "rhs": [rhs], "rel_diff": [abs(lhs - rhs) / abs(lhs)]}
 

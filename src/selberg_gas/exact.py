@@ -7,8 +7,9 @@ eigenvalues and the orbitals' normalizations.  The large-n
 partition-ratio asymptote is `fisherhartwig.jacobi_fh_asymptotes` with one
 charge.
 
-Every product of gamma functions is carried in log space (LogMagnitude)
-so that ensemble sizes up to 10^4 stay in range.  The module imports
+Every product of gamma functions is carried in log space, so that ensemble
+sizes up to 10^4 stay in range, and `LogMagnitude.value` is the one checked
+exponential that turns such a log into a float.  The module imports
 neither numpy nor `dataclasses`, and each kind of input has one check, in
 positive form so that NaN fails: `_check_size`, `_check_weight_exponents`
 (shared with `quadrature`) and `_check_orbital_index`.
@@ -207,7 +208,7 @@ def morris_closed(p: MorrisParams) -> LogMagnitude:
     return LogMagnitude(n * log_t0 + math.fsum(steps))
 
 
-def duality_constant_A(params: EnsembleParams, m: int) -> LogMagnitude:
+def duality_constant_A(params: EnsembleParams, m: int) -> float:
     """log of the t-independent constant linking the Jacobi and circular
     sides, log S_n(l1, l2+m) - log S_n(l1, l2) + log M_m(0,0) - log M_m(eta2, eta1).
 
@@ -226,7 +227,7 @@ def duality_constant_A(params: EnsembleParams, m: int) -> LogMagnitude:
     for i in range(m):
         terms += [log_gamma(a + 1.0 + n + i), log_gamma(b + 1.0 + n + i),
                   -log_gamma(c + 2.0 * n + i), -log_gamma(2.0 + i)]
-    return LogMagnitude(math.fsum(terms))
+    return math.fsum(terms)
 
 
 # log of G(3/2)^4, the universal constant of the density-matrix asymptote

@@ -26,8 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# the tests' rule oracles read _DENSE_EIGEN_ORDERS, the solver's switch, here
-from .ensembles import _DENSE_EIGEN_ORDERS, _tridiagonal_eigenvalues  # noqa: F401
+from .ensembles import _tridiagonal_eigenvalues
 from .exact import _check_weight_exponents
 from .specfun import DomainError, log_beta
 
@@ -248,7 +247,8 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
     Each piece is two plain arrays whose fresh weights take the factors it
     does not absorb in place; only the concatenated rule is validated,
     strictly increasing between finite ends, which covers every piece and
-    every boundary between pieces.
+    every boundary between pieces.  Nodes that float64 cannot hold apart, as
+    next to the wall at 1, are a `DomainError` naming two edges and the order.
     """
     l1, l2 = lambda1, lambda2
     interior = []
@@ -286,7 +286,17 @@ def charge_rule(lambda1: float, lambda2: float, charges: Sequence,
                     w *= np.abs(y - x) ** p
             nodes.append(x)
             weights.append(w)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    try:
+        return QuadratureRule(nodes, weights)
+    except ValueError:
+        # the inputs were checked, so nodes collided next to the two edges
+        # fewest float64 spacings apart: a charge and the wall at 1, or two charges
+        ys = [y for y, _ in edges]
+        pair = min(zip(ys, ys[1:]), key=lambda ab: (ab[1] - ab[0]) / math.ulp(ab[1]))
+        a, b = (f"the wall {y:g}" if y in (0.0, 1.0) else f"the charge at {y!r}" for y in pair)
+        raise DomainError(f"charge rule of order {order}: float64 cannot hold its nodes "
+                          f"apart between {a} and {b}") from None
 
 
 def singular_integrate(f: Callable, lambda1: float, lambda2: float, charges: Sequence,

@@ -10,7 +10,8 @@ orientation of the exponents.  The body is the library's former
 
 import numpy as np
 
-from selberg_gas.quadrature import _DENSE_EIGEN_ORDERS, jacobi_recurrence
+from selberg_gas.ensembles import _DENSE_EIGEN_ORDERS
+from selberg_gas.quadrature import jacobi_recurrence
 from selberg_gas.specfun import DomainError
 
 

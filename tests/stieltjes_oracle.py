@@ -2,7 +2,7 @@
 is checked against.
 
 Its loop is the engine's step as numpy arithmetic, eight calls a step and
-five temporaries.  Below rule order `quadrature._DENSE_EIGEN_ORDERS` the
+five temporaries.  Below rule order `ensembles._DENSE_EIGEN_ORDERS` the
 engine runs this same step and must return its bits; from that order on it
 steps with in-place BLAS level-1 calls, whose fused multiply-adds round
 differently.  The body is the engine's former one, unchanged, so the two

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath as mp
@@ -25,6 +24,7 @@ from selberg_gas.exact import (
     BOX_EXPONENTS,
     DensityMatrixQuery,
     EnsembleParams,
+    LogMagnitude,
     MorrisParams,
     density_matrix_asymptote,
     duality_constant_A,
@@ -313,18 +313,22 @@ def _duality_grid_sum(params, t, m, points):
     return quad.periodic_integrate(integrand, m, points) / (2.0 * math.pi) ** m
 
 
+def duality_values(params, t, m):
+    # both sides of the duality, each returned as a log, as values
+    return math.exp(duality_lhs(params, t, m)), math.exp(duality_rhs(params, t, m))
+
+
 class TestDuality:
     @pytest.mark.parametrize("lam", [0.5, -0.5])
     @pytest.mark.parametrize("t", [0.3, 0.7])
     def test_identity(self, lam, t):
         params = EnsembleParams(n=2, lambda1=lam, lambda2=lam)
-        lhs = duality_lhs(params, t, 2)
-        rhs = duality_rhs(params, t, 2)
+        lhs, rhs = duality_values(params, t, 2)
         assert abs(lhs - rhs) <= 1e-6 * abs(lhs)
 
     def test_large_n_routes_through_heine(self):
         params = EnsembleParams(n=8, lambda1=0.5, lambda2=0.5)
-        val = duality_lhs(params, 0.4, 2)
+        val = math.exp(duality_lhs(params, 0.4, 2))
         assert val == pytest.approx(
             average_even_power_heine(params, 0.4, 2).value(), rel=1e-12)
 
@@ -332,13 +336,13 @@ class TestDuality:
         # periodic grids lost up to 1.5e-5 to cancellation at n = 40 near the
         # edges of t, and were 4e-9 off here
         params = EnsembleParams(n=40, lambda1=-0.5, lambda2=-0.5)
-        lhs = duality_lhs(params, 0.1, 2)
-        assert abs(duality_rhs(params, 0.1, 2) - lhs) <= 1e-10 * abs(lhs)
+        lhs, rhs = duality_values(params, 0.1, 2)
+        assert abs(rhs - lhs) <= 1e-10 * abs(lhs)
 
     def test_unequal_exponents(self):
         params = EnsembleParams(n=1, lambda1=-0.7, lambda2=0.2)
-        lhs = duality_lhs(params, 0.4, 2)
-        assert abs(duality_rhs(params, 0.4, 2) - lhs) <= 1e-12 * abs(lhs)
+        lhs, rhs = duality_values(params, 0.4, 2)
+        assert abs(rhs - lhs) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("n, m, l1, l2, t, tol", [
         (8, 2, -0.428, 2.891, 0.0053, 1e-12),
@@ -349,8 +353,8 @@ class TestDuality:
         # the Jacobi side's panel from t to the far endpoint is graded toward
         # the near endpoint; ungraded it was off by 1.0e-6, 3.1e-7 and 2.0e-9
         params = EnsembleParams(n=n, lambda1=l1, lambda2=l2)
-        lhs = duality_lhs(params, t, m)
-        assert abs(duality_rhs(params, t, m) - lhs) <= tol * abs(lhs)
+        lhs, rhs = duality_values(params, t, m)
+        assert abs(rhs - lhs) <= tol * abs(lhs)
 
     def test_odd_power_rejected(self):
         params = EnsembleParams(n=2, lambda1=0.5, lambda2=0.5)
@@ -368,11 +372,12 @@ class TestDuality:
         # integrand is its exact integral.
         l1 = lam + 0.5
         params = EnsembleParams(n=n, lambda1=l1, lambda2=l1 + n)
-        log_const = (duality_constant_A(params, 2).log_abs
+        log_const = (duality_constant_A(params, 2)
                      - morris_closed(MorrisParams(2, 0.0, 0.0)).log_abs)
         oracle = math.exp(log_const) * _duality_grid_sum(params, 0.3, 2, points)
         assert abs(oracle.imag) <= 1e-14 * abs(oracle.real)
-        assert abs(duality_rhs(params, 0.3, 2) - oracle.real) <= 1e-12 * abs(oracle.real)
+        rhs = math.exp(duality_rhs(params, 0.3, 2))
+        assert abs(rhs - oracle.real) <= 1e-12 * abs(oracle.real)
 
     @pytest.mark.parametrize("n,m,lam,t", [
         (40, 2, -0.5, 0.05), (40, 2, -0.5, 0.07), (40, 2, -0.5, 0.1), (40, 2, -0.5, 0.93),
@@ -392,8 +397,8 @@ class TestDuality:
 
             det = mp.det(mp.matrix([[coeff(i - j) for j in range(m)] for i in range(m)]))
         params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
-        ref = float(det) * math.exp(duality_constant_A(params, m).log_abs)
-        val = duality_rhs(params, t, m)
+        ref = float(det) * math.exp(duality_constant_A(params, m))
+        val = math.exp(duality_rhs(params, t, m))
         assert abs(val / ref - 1.0) <= 1e-12
 
     @settings(max_examples=50, deadline=None)
@@ -402,8 +407,23 @@ class TestDuality:
     @example(n=2, m=4, lam=-0.375, t=0.125)
     def test_identity_property(self, n, m, lam, t):
         params = EnsembleParams(n=n, lambda1=lam, lambda2=lam)
-        lhs = duality_lhs(params, t, m)
-        assert abs(duality_rhs(params, t, m) - lhs) <= 1e-6 * abs(lhs)
+        lhs, rhs = duality_values(params, t, m)
+        assert abs(rhs - lhs) <= 1e-6 * abs(lhs)
+
+    def test_underflowed_circular_side_gives_its_log(self):
+        # the two sides' logs agree (-1625.81) where their values underflow;
+        # the log is a Python float, whose repr is the bare number
+        log_rhs = duality_rhs(EnsembleParams(n=200, lambda1=0.5, lambda2=0.5), 0.3, 6)
+        assert type(log_rhs) is float
+        with pytest.raises(DomainError,
+                           match=r"^duality circular side underflows a float: log -1625\.8"):
+            LogMagnitude(log_rhs).value("duality circular side")
+
+    def test_determinant_that_is_not_positive_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (np.float64(-1.0), np.float64(0.0)))
+        with pytest.raises(DomainError, match="^duality circular side's determinant is not "
+                                              "positive: sign -1.0"):
+            duality_rhs(EnsembleParams(n=2, lambda1=0.5, lambda2=0.5), 0.3, 2)
 
 
 class TestExactDensityMatrix:
@@ -437,9 +457,9 @@ class TestExactDensityMatrix:
         off = density_matrix_exact(
             DensityMatrixQuery(N=6, X=0.3, Y=0.3 + 1e-9, boundary=boundary))
         assert abs(on - off) <= 1e-8 * on
-        est = mc_density_matrix_table(
-            [DensityMatrixQuery(N=6, X=0.3, Y=0.3, boundary=boundary)], 4000, 1)[0]
-        assert abs(est.value - on) <= 3.5 * est.std_error
+        (value,), (std_error,) = mc_density_matrix_table(
+            [DensityMatrixQuery(N=6, X=0.3, Y=0.3, boundary=boundary)], 4000, 1)
+        assert abs(value - on) <= 3.5 * std_error
 
     @pytest.mark.parametrize("N", [1, 2, 14, 50, 200, 400])
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
@@ -554,14 +574,14 @@ class TestMonteCarloDensityMatrix:
     def test_matches_bruteforce_small_system(self):
         query = DensityMatrixQuery(N=2, X=0.3, Y=0.7)
         exact_val = density_matrix_exact(query)
-        est = mc_density_matrix_table([query], 4000, 11)[0]
-        assert abs(est.value - exact_val) <= 3.5 * est.std_error
+        (value,), (std_error,) = mc_density_matrix_table([query], 4000, 11)
+        assert abs(value - exact_val) <= 3.5 * std_error
 
     def test_neumann_matches_bruteforce(self):
         query = DensityMatrixQuery(N=2, X=0.25, Y=0.75, boundary="neumann")
         exact_val = density_matrix_exact(query)
-        est = mc_density_matrix_table([query], 600, 13)[0]
-        assert abs(est.value - exact_val) <= 3.5 * est.std_error
+        (value,), (std_error,) = mc_density_matrix_table([query], 600, 13)
+        assert abs(value - exact_val) <= 3.5 * std_error
 
     def test_m_below_floor_is_a_domain_error(self):
         query = DensityMatrixQuery(N=5, X=0.2, Y=0.8)
@@ -574,9 +594,9 @@ class TestMonteCarloDensityMatrix:
 
     def test_no_overflow_long_products(self):
         query = DensityMatrixQuery(N=100, X=0.49, Y=0.51)
-        est = mc_density_matrix_table([query], 100, 3)[0]
-        assert math.isfinite(est.value) and math.isfinite(est.std_error)
-        assert est.value > 0.0
+        (value,), (std_error,) = mc_density_matrix_table([query], 100, 3)
+        assert math.isfinite(value) and math.isfinite(std_error)
+        assert value > 0.0
 
     @staticmethod
     def per_sample_loop(queries, M, seed):
@@ -602,8 +622,8 @@ class TestMonteCarloDensityMatrix:
         B = block_size(6)
         queries = [DensityMatrixQuery(N=6, X=0.2, Y=0.8), DensityMatrixQuery(N=6, X=0.1, Y=0.45)]
         for M in (4 * B - 1, 4 * B, 4 * B + 1, 3 * B + 5):
-            got = mc_density_matrix_table(queries, M, 5)
-            assert [(e.value, e.std_error) for e in got] == self.per_sample_loop(queries, M, 5)
+            values, std_errors = mc_density_matrix_table(queries, M, 5)
+            assert list(zip(values, std_errors)) == self.per_sample_loop(queries, M, 5)
 
     @pytest.mark.parametrize("boundary", ("dirichlet", "neumann"))
     def test_readme_seed_matches_per_sample_loop(self, boundary):
@@ -613,10 +633,10 @@ class TestMonteCarloDensityMatrix:
         queries = [DensityMatrixQuery(N=N, X=X, Y=1.0 - X, boundary=boundary)
                    for X in TABLE1_XS]
         point = DensityMatrixQuery(N=N, X=0.2, Y=0.8, boundary=boundary)
-        got = (mc_density_matrix_table(queries, M, seed)
-               + mc_density_matrix_table([point], M, seed))
+        values, std_errors = mc_density_matrix_table(queries, M, seed)
+        value, std_error = mc_density_matrix_table([point], M, seed)
         want = self.per_sample_loop(queries + [point], M, seed)
-        assert [(e.value, e.std_error) for e in got] == want
+        assert list(zip(values + value, std_errors + std_error)) == want
 
     @pytest.mark.parametrize("N,boundary,M", ((14, "dirichlet", 300), (14, "neumann", 300),
                                               (50, "dirichlet", 100), (200, "dirichlet", 30)))
@@ -639,12 +659,15 @@ class TestMonteCarloDensityMatrix:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         query = DensityMatrixQuery(N=20, X=0.2, Y=0.8)
-        est = mc_density_matrix_table([query], 100, 4)[0]
-        assert math.isfinite(est.value) and est.value > 0.0
+        (value,), _ = mc_density_matrix_table([query], 100, 4)
+        assert math.isfinite(value) and value > 0.0
 
-    def test_estimate_metadata(self):
-        query = DensityMatrixQuery(N=3, X=0.3, Y=0.6)
-        est = mc_density_matrix_table([query], 150, 99)[0]
-        # the sample count and seed are the caller's arguments, not repeated here
-        assert [f.name for f in dataclasses.fields(est)] == ["value", "std_error"]
-        assert est.std_error > 0.0
+    def test_returns_value_and_error_columns(self):
+        # two lists of Python floats in query order, the CLI's columns; the
+        # sample count and seed are the caller's arguments, not repeated here
+        queries = [DensityMatrixQuery(N=3, X=0.3, Y=0.6), DensityMatrixQuery(N=3, X=0.1, Y=0.2)]
+        values, std_errors = mc_density_matrix_table(queries, 150, 99)
+        assert type(values) is list and type(std_errors) is list
+        assert [type(v) for v in values + std_errors] == [float] * 4
+        assert list(zip(values, std_errors)) == self.per_sample_loop(queries, 150, 99)
+        assert min(std_errors) > 0.0

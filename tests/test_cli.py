@@ -453,6 +453,26 @@ class TestErrors:
         assert out == "" and err.startswith(
             "error: duality Jacobi side underflows a float: log -826.58")
 
+    @pytest.mark.parametrize("argv, edges", [
+        (["fh-jacobi", "--y", "0.9999999999999", "--sizes", "8,200"],
+         "order 230: float64 cannot hold its nodes apart between the charge at "
+         "0.9999999999999 and the wall 1"),
+        (["duality-check", "--t", "0.9999999999999999"],
+         "order 32: float64 cannot hold its nodes apart between the charge at "
+         "0.9999999999999999 and the wall 1")])
+    def test_charge_next_to_the_upper_wall_is_named(self, argv, edges, capsys):
+        # the floats near 1 are 1.1e-16 apart, so the short panel's nodes collide
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: charge rule of {edges}\n"
+
+    @pytest.mark.parametrize("argv", [["fh-jacobi", "--y", "0.0000000000001", "--sizes", "8,200"],
+                                      ["duality-check", "--t", "0.0000000000000001"]])
+    def test_charge_next_to_the_lower_wall_computes(self, argv, capsys):
+        # the mirror images of the charges above: near 0 the floats are dense
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+
     def test_overflowing_value_is_an_error(self, capsys):
         assert cli.main(["morris", "--n", "200", "--lambda1", "5", "--lambda2", "5"]) == 1
         out, err = capsys.readouterr()

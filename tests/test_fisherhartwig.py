@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from selberg_gas import cli
+from selberg_gas import cli, ensembles
 from selberg_gas import fisherhartwig as fh
 from selberg_gas import quadrature as quad
 from selberg_gas.averages import average_even_power_heine
@@ -357,11 +357,11 @@ def outcome(ladder, *args):
 
 
 class TestNumpySweep:
-    # Below rule order quad._DENSE_EIGEN_ORDERS the engine steps with numpy
-    # arithmetic, from it with in-place BLAS level-1 calls
+    # Below rule order ensembles._DENSE_EIGEN_ORDERS the engine steps with
+    # numpy arithmetic, from it with in-place BLAS level-1 calls
 
     def test_largest_numpy_ladder_is_n_99(self):
-        assert 99 + quad.SPARE_ORDER == quad._DENSE_EIGEN_ORDERS - 1
+        assert 99 + quad.SPARE_ORDER == ensembles._DENSE_EIGEN_ORDERS - 1
 
     @pytest.mark.parametrize("symbol", SWEEP_SYMBOLS)
     def test_numpy_steps_return_the_numpy_sweeps_bits(self, symbol):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import roots_jacobi
 
+from selberg_gas import ensembles
 from selberg_gas import quadrature as quad
 from selberg_gas.averages import density_matrix_exact
 from selberg_gas.exact import BOUNDARY_DIRICHLET, BOUNDARY_NEUMANN, DensityMatrixQuery
@@ -88,7 +90,7 @@ class TestGaussRules:
         # (canonical pairs, alpha <= beta: the other orientation is their
         # reflection, whose bits the next tests pin)
         rng = np.random.default_rng(2)
-        for order in range(1, quad._DENSE_EIGEN_ORDERS):
+        for order in range(1, ensembles._DENSE_EIGEN_ORDERS):
             alpha, beta = sorted(rng.uniform(-0.99, 3.0, 2))
             a, b, _ = quad.jacobi_recurrence(order, beta, alpha)
             x, _ = quad._jacobi_nodes_weights(order, alpha, beta)
@@ -464,6 +466,18 @@ class TestChargeRule:
         exact = 1.0 / (l1 + 3.0) - 2.0 * t / (l1 + 2.0) + t * t / (l1 + 1.0)
         assert float(np.sum(rule.weights)) == pytest.approx(exact, rel=1e-14)
 
+
+    @pytest.mark.parametrize("X, Y", [(0.3, 0.3 + 1e-15), (0.7 - 1e-15, 0.7)])
+    def test_charges_a_few_ulps_apart_are_named(self, X, Y):
+        # a pair and its mirror image: the two charges' short panel has no
+        # room for its nodes in float64, on either side of the box
+        message = (f"charge rule of order 44: float64 cannot hold its nodes apart between "
+                   f"the charge at {X!r} and the charge at {Y!r}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            density_matrix_exact(DensityMatrixQuery(14, X, Y))
+
+    def test_charges_1e_12_apart_keep_their_value(self):
+        assert density_matrix_exact(DensityMatrixQuery(14, 0.3, 0.3 + 1e-12)) == 14.966615982126466
 
     @pytest.mark.parametrize("charges", [((0.3, math.nan),), ((0.3, 0.5), (0.6, math.nan)),
                                          ((0.0, math.nan),)])
